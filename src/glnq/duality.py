@@ -147,5 +147,7 @@ def steinberg_constituents(n: int, ctx: FqContext) -> int:
     recon = InvariantFunction(table, [0] * len(table))
     for c, b in zip(cs, basis):
         recon = recon + b.scale(c)
-    assert recon == steinberg(n, ctx)
+    if recon != steinberg(n, ctx):
+        raise ArithmeticError(f"Fourier coordinates of the degree-{n} Steinberg "
+                              f"function do not reconstruct it")
     return sum(1 for c in cs if not c.is_zero())

@@ -115,44 +115,52 @@ def inner_product_rational(f, g) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def character_matrix(table: OrbitTable):
+    """The Fourier characters at the orbit representatives as an integer
+    matrix over Q(zeta_p) (see linalg): (X, 1), where X has shape
+    (p, orbits, orbits) and X[t, O, x] = #{a in O : Tr(trace(a x)) = t}, so
+    chi_O(x) = sum_t X[t, O, x] zeta_p^t."""
+    ctx, n = table.ctx, table.n
+    p = ctx.p
+    norb = len(table)
+    counts = np.zeros((norb, norb, p), dtype=np.int64)  # [x, O, t]
+    if n == 0:
+        counts[0, 0, 0] = 1
+    else:
+        from .glmat import all_matrices
+        mats = all_matrices(ctx, n)
+        orb = table.lookup
+        if orb is None:
+            raise RuntimeError("Fourier basis needs the full orbit lookup")
+        # Tr_{F_q/F_p}(trace(a x)) for all a at once, per representative x
+        for xi, rep in enumerate(table.reps):
+            xa = rep.a
+            if ctx.k == 1:
+                prod_tr = np.einsum("mij,ji->m", mats.astype(np.int64), xa.astype(np.int64)) % p
+            else:
+                acc = np.zeros(len(mats), dtype=np.int16)
+                for i in range(n):
+                    for j in range(n):
+                        acc = ctx.ADD[acc, ctx.MUL[mats[:, i, j], xa[j, i]]]
+                prod_tr = ctx.TR[acc].astype(np.int64)
+            counts[xi] = np.bincount(orb * p + prod_tr, minlength=norb * p).reshape(norb, p)
+    planes = counts.transpose(2, 1, 0).astype(object)
+    planes.setflags(write=False)
+    return planes, 1
+
+
+@lru_cache(maxsize=None)
 def fourier_character_basis(table: OrbitTable):
     """One character per orbit O: chi_O(x) = sum over a in O of psi(trace(a x)),
     with psi(a) = zeta_p^Tr(a). Orthogonal; chi_O(0) = |O|."""
-    ctx, n = table.ctx, table.n
-    p = ctx.p
-    if n == 0:
-        return (InvariantFunction(table, [1]),)
-    from .glmat import all_matrices
-    mats = all_matrices(ctx, n)
-    orb = table.lookup
-    if orb is None:
-        raise RuntimeError("Fourier basis needs the full orbit lookup")
-    # Tr_{F_q/F_p}(trace(a x)) for all a at once, per representative x
-    zetas = [Cyclotomic.zeta(p, t) for t in range(p)]
-    norb = len(table)
-    basis = []
-    for oi in range(norb):
-        basis.append([Cyclotomic.rational(p, 0)] * norb)
-    for xi, rep in enumerate(table.reps):
-        prod_tr = np.zeros(len(mats), dtype=np.int64)
-        xa = rep.a
-        if ctx.k == 1:
-            prod_tr = np.einsum("mij,ji->m", mats.astype(np.int64), xa.astype(np.int64)) % p
-        else:
-            acc = np.zeros(len(mats), dtype=np.int16)
-            for i in range(n):
-                for j in range(n):
-                    acc = ctx.ADD[acc, ctx.MUL[mats[:, i, j], xa[j, i]]]
-            prod_tr = ctx.TR[acc].astype(np.int64)
-        counts = np.bincount(orb * p + prod_tr, minlength=norb * p).reshape(norb, p)
-        for oi in range(norb):
-            val = Cyclotomic.rational(p, 0)
-            for t in range(p):
-                c = int(counts[oi, t])
-                if c:
-                    val = val + zetas[t] * c
-            basis[oi][xi] = val
-    return tuple(InvariantFunction(table, row) for row in basis)
+    planes, _ = character_matrix(table)
+    p = table.ctx.p
+    # reduce zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) into Cyclotomic form
+    coeffs = planes[:p - 1] - planes[p - 1]
+    return tuple(
+        InvariantFunction(table, [Cyclotomic(p, coeffs[:, oi, xi])
+                                  for xi in range(len(table))])
+        for oi in range(len(table)))
 
 
 def coords(f: InvariantFunction, basis) -> list:

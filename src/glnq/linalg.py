@@ -1,7 +1,19 @@
-"""Small exact linear algebra over Q (fractions.Fraction, list-of-lists)."""
+"""Small exact linear algebra over Q (fractions.Fraction, list-of-lists),
+and exact matrices over Q(zeta_p) as integer planes.
+
+A matrix over Q(zeta_p) is a pair (planes, den): planes is a numpy object
+array of Python ints of shape (p, rows, cols) whose plane t holds the
+coefficient of zeta^t, and den is one positive integer denominator.  A 2-D
+planes array stands for a rational matrix.  Nothing here rounds or wraps.
+"""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
+
+from .field import NotRationalError
 
 
 def identity(n):
@@ -91,3 +103,66 @@ def kernel(a):
 
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# matrices over Q(zeta_p): (planes, den)
+
+
+def int_matrix(rows):
+    """A list-of-lists of Fractions as (object array of ints, common
+    denominator)."""
+    den = math.lcm(1, *(x.denominator for row in rows for x in row))
+    arr = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    for i, row in enumerate(rows):
+        arr[i] = [x.numerator * (den // x.denominator) for x in row]
+    return arr, den
+
+
+def cyc_matmul(a, b):
+    """Product of two (planes, den) matrices; planes convolve mod p."""
+    (x, dx), (y, dy) = a, b
+    if x.ndim == 2 or y.ndim == 2:
+        return x @ y, dx * dy
+    p = len(x)
+    out = np.zeros((p, x.shape[1], y.shape[2]), dtype=object)
+    for s in range(p):
+        for t in range(p):
+            out[(s + t) % p] += x[s] @ y[t]
+    return out, dx * dy
+
+
+def cyc_conj_t(a):
+    """Conjugate transpose: plane t moves to plane -t mod p."""
+    x, d = a
+    if x.ndim == 2:
+        return x.T, d
+    p = len(x)
+    return x[[(-t) % p for t in range(p)]].transpose(0, 2, 1), d
+
+
+def cyc_kron(a, b):
+    """Kronecker product of two (planes, den) matrices with 3-D planes."""
+    (x, dx), (y, dy) = a, b
+    p = len(x)
+    out = np.zeros((p, x.shape[1] * y.shape[1], x.shape[2] * y.shape[2]),
+                   dtype=object)
+    for s in range(p):
+        for t in range(p):
+            out[(s + t) % p] += np.kron(x[s], y[t])
+    return out, dx * dy
+
+
+def rational_part(a):
+    """The entries of a (planes, den) matrix as Fractions, list-of-lists.
+    An entry is rational iff its planes 1..p-1 agree, and then equals
+    (plane0 - plane1) / den; otherwise NotRationalError names the first
+    offending entry in row-major order."""
+    x, d = a
+    if x.ndim == 3:
+        bad = np.argwhere((x[1:] != x[1]).any(axis=0))
+        if len(bad):
+            i, j = (int(v) for v in bad[0])
+            raise NotRationalError(f"entry ({i},{j}) is not rational")
+        x = x[0] - x[1]
+    return [[Fraction(int(v), d) for v in row] for row in x]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, budgets, exit codes."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,14 @@ class TestVerify:
                            "--all-indicators")
         assert code == 0
         assert out.count("[PASS] mackey") == 4
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_golden_report(self, capsys, q):
+        # reports recorded before the PSH checks became matrix products
+        golden = Path(__file__).parent / "data" / f"verify_q{q}.json"
+        code, out, _ = run(capsys, "verify", "--q", str(q), "--format", "json")
+        assert code == 0
+        assert out.encode() == golden.read_bytes()
 
 
 class TestErrors:

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from glnq import duality, hc, psh
 from glnq.field import fq, rational_is_square
 from glnq.hopf import multiply_functions
 from glnq.invfun import constant_one, inner_product_rational
 from glnq.orbits import enumerate_orbits
-from glnq.psh import (dual_omega_basis, nondescending_witness, omega_basis,
+from glnq.psh import (coproduct_constants, nondescending_witness, omega_basis,
                       structure_constants, verify_nondescending,
                       verify_positivity, verify_second_psh,
                       verify_self_adjointness)
+
+import psh_oracle
+from psh_oracle import dual_omega_basis
 
 
 class TestOmegaBasis:
@@ -106,3 +110,127 @@ class TestSecondBasis:
         # trivial character has two constituents
         from glnq.duality import steinberg_constituents
         assert steinberg_constituents(2, q2) == 2
+
+
+# ---------------------------------------------------------------------------
+# the matrix path against the scalar oracle
+
+ORACLE_CASES = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (4, 1, 1)]
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("q,n1,n2", ORACLE_CASES)
+    def test_norms(self, q, n1, n2):
+        for n in (n1, n2, n1 + n2):
+            assert omega_basis(fq(q), n).norms == psh_oracle.norms(fq(q), n)
+
+    @pytest.mark.parametrize("q,n1,n2", ORACLE_CASES)
+    @pytest.mark.parametrize("basis", ["character", "omega"])
+    def test_structure_constants(self, q, n1, n2, basis):
+        got = structure_constants(fq(q), n1, n2, basis)
+        want = psh_oracle.structure_constants(fq(q), n1, n2, basis)
+        assert got == want
+
+    @pytest.mark.parametrize("q,n1,n2", ORACLE_CASES)
+    def test_coproduct_constants(self, q, n1, n2):
+        got = coproduct_constants(fq(q), n1, n2)
+        assert got == psh_oracle.coproduct_constants(fq(q), n1, n2)
+
+    @pytest.mark.parametrize("q,n1,n2", ORACLE_CASES)
+    def test_reports(self, q, n1, n2):
+        ctx = fq(q)
+        for check in ("verify_positivity", "verify_self_adjointness"):
+            got = getattr(psh, check)(ctx, n1, n2).to_json()
+            assert got == getattr(psh_oracle, check)(ctx, n1, n2).to_json()
+        got = verify_second_psh(ctx, n1 + n2).to_json()
+        assert got == psh_oracle.verify_second_psh(ctx, n1 + n2).to_json()
+
+
+# ---------------------------------------------------------------------------
+# corrupted inputs: each check fails, with the oracle's witness
+
+
+@pytest.fixture
+def fresh_caches():
+    """Cached results built from a corrupted input must not outlive it."""
+    caches = (psh.omega_basis, psh._pairings, psh.structure_constants,
+              duality.duality_operator)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+def _one_count_changed(real, parts):
+    """induction_matrix with one entry of the given split moved by 1/|P|."""
+    def wrapper(ctx, c, lower=False):
+        rows = real(ctx, c, lower)
+        if tuple(c) != parts:
+            return rows
+        rows = [list(r) for r in rows]
+        rows[-1][-1] += Fraction(1, hc.parabolic_group_order(ctx, parts, lower))
+        return rows
+    return wrapper
+
+
+def _assert_same_failure(got, want):
+    assert not got.passed
+    assert got.to_json() == want.to_json()
+
+
+class TestCorruptedInputs:
+    def test_negated_character_breaks_positivity(self, monkeypatch, fresh_caches, q2):
+        real_matrix, real_basis = psh.character_matrix, psh_oracle.fourier_character_basis
+
+        def negated_matrix(table):
+            planes, den = real_matrix(table)
+            if table.n == 1:
+                planes = planes.copy()
+                planes[:, 0] = -planes[:, 0]
+            return planes, den
+
+        def negated_basis(table):
+            chars = real_basis(table)
+            return ((-chars[0],) + chars[1:]) if table.n == 1 else chars
+
+        monkeypatch.setattr(psh, "character_matrix", negated_matrix)
+        monkeypatch.setattr(psh_oracle, "fourier_character_basis", negated_basis)
+        want = psh_oracle.verify_positivity(q2, 1, 1)
+        assert want.witness.startswith("c^")
+        _assert_same_failure(verify_positivity(q2, 1, 1), want)
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2)])
+    def test_changed_induction_count_breaks_self_adjointness(
+            self, monkeypatch, fresh_caches, q2, n1, n2):
+        corrupt = _one_count_changed(hc.induction_matrix, (n1, n2))
+        monkeypatch.setattr(hc, "induction_matrix", corrupt)
+        monkeypatch.setattr(psh, "induction_matrix", corrupt)
+        _assert_same_failure(verify_self_adjointness(q2, n1, n2),
+                             psh_oracle.verify_self_adjointness(q2, n1, n2))
+
+    def test_changed_induction_count_breaks_second_psh(self, monkeypatch,
+                                                       fresh_caches, q2):
+        monkeypatch.setattr(duality, "induction_matrix",
+                            _one_count_changed(hc.induction_matrix, (1, 1)))
+        _assert_same_failure(verify_second_psh(q2, 2),
+                             psh_oracle.verify_second_psh(q2, 2))
+
+
+class TestTypedErrors:
+    def test_witness_raises_on_wrong_square(self, monkeypatch, q2):
+        real = psh.multiply_functions
+        monkeypatch.setattr(psh, "multiply_functions",
+                            lambda a, b: real(a, b).scale(2))
+        with pytest.raises(ArithmeticError):
+            nondescending_witness(q2)
+
+    def test_steinberg_reconstruction_raises(self, monkeypatch, q2):
+        real = duality.coords
+
+        def shifted(f, basis):
+            cs = real(f, basis)
+            return [cs[0] + 1] + cs[1:]
+        monkeypatch.setattr(duality, "coords", shifted)
+        with pytest.raises(ArithmeticError):
+            duality.steinberg_constituents(2, q2)

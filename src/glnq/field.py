@@ -20,6 +20,10 @@ class NotRationalError(ValueError):
     """A cyclotomic value expected to be rational has nonzero zeta coordinates."""
 
 
+class FieldTableError(ArithmeticError):
+    """The arithmetic tables of a context contradict the field axioms."""
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -158,7 +162,9 @@ class FqContext:
             for _ in range(k):
                 acc = int(ADD[acc, x])
                 x = self._pow_idx(x, p)
-            assert all(c == 0 for c in coeffs[acc][1:])
+            if any(coeffs[acc][1:]):
+                raise FieldTableError(f"trace of element {a} is {coeffs[acc]}, "
+                                      f"not in F_{p}")
             TR[a] = coeffs[acc][0]
         TR.setflags(write=False)
         self.TR = TR

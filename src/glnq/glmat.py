@@ -37,18 +37,6 @@ DEFAULT_BUDGET = 1 << 20
 # ---------------------------------------------------------------------------
 # batched table arithmetic on index arrays
 
-def batch_add(ctx, a, b):
-    return ctx.ADD[a, b]
-
-
-def batch_sub(ctx, a, b):
-    return ctx.SUB[a, b]
-
-
-def batch_neg(ctx, a):
-    return ctx.NEG[a]
-
-
 def batch_matmul(ctx, a, b):
     """Stacked matrix product; a: (..., n, m), b: (..., m, r)."""
     m = a.shape[-1]
@@ -77,6 +65,32 @@ def batch_det(ctx, a):
             term = ctx.NEG[term]
         acc = term if acc is None else ctx.ADD[acc, term]
     return acc
+
+
+def batch_inverse(ctx, a):
+    """Inverses of a stack of square matrices, a: (m, n, n).
+
+    One Gauss-Jordan sweep over the stacked [a | I]: at each of the n column
+    steps every matrix picks its own pivot row, swaps it up, scales it and
+    clears the column in the other rows, all through the field tables.
+    """
+    m, n = a.shape[0], a.shape[-1]
+    aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int16), a.shape)],
+                         axis=-1)
+    stack = np.arange(m)
+    for c in range(n):
+        nonzero = aug[:, c:, c] != 0
+        if not nonzero.any(axis=1).all():
+            raise SingularMatrixError("matrix is singular")
+        piv = c + nonzero.argmax(axis=1)
+        top = aug[:, c].copy()
+        aug[:, c] = aug[stack, piv]
+        aug[stack, piv] = top
+        aug[:, c] = ctx.MUL[ctx.INV[aug[:, c, c]][:, None], aug[:, c]]
+        factor = aug[:, :, c].copy()
+        factor[:, c] = 0
+        aug = ctx.SUB[aug, ctx.MUL[factor[:, :, None], aug[:, None, c]]]
+    return aug[:, :, n:]
 
 
 def _fq_row_reduce(ctx, rows):
@@ -206,16 +220,7 @@ class Matrix:
         return self.rank() == self.n
 
     def inverse(self) -> "Matrix":
-        n = self.n
-        if n == 0:
-            return Matrix(self.ctx, np.zeros((0, 0), dtype=np.int16))
-        rows = [list(map(int, row)) + [1 if i == j else 0 for j in range(n)]
-                for i, row in enumerate(self.a)]
-        pivots = _fq_row_reduce(self.ctx, rows)
-        if pivots != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        inv = np.array([row[n:] for row in rows], dtype=np.int16)
-        return Matrix(self.ctx, inv)
+        return Matrix(self.ctx, batch_inverse(self.ctx, self.a[None])[0])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.ctx == self.ctx
@@ -418,8 +423,7 @@ def gl_arrays(ctx: FqContext, n: int, budget: int = DEFAULT_BUDGET):
     """(G, Ginv): stacked invertible matrices and their inverses."""
     mats = all_matrices(ctx, n, budget)
     G = mats[gl_mask(ctx, n, budget)]
-    Ginv = np.stack([Matrix(ctx, g).inverse().a for g in G]) if len(G) else \
-        np.zeros((0, n, n), dtype=np.int16)
+    Ginv = batch_inverse(ctx, G)
     G.setflags(write=False)
     Ginv.setflags(write=False)
     return G, Ginv
@@ -441,18 +445,6 @@ def enumerate_gl_order(n: int, ctx: FqContext, budget: int = DEFAULT_BUDGET) -> 
     for i in range(n):
         order *= q ** n - q ** i
     return order
-
-
-def parabolic_order(ctx: FqContext, parts: tuple, budget: int = DEFAULT_BUDGET) -> int:
-    """|P^F| for the standard block-upper parabolic, counted by enumeration."""
-    n = sum(parts)
-    if n == 0:
-        return 1
-    mats = all_matrices(ctx, n, budget)
-    mask = gl_mask(ctx, n, budget).copy()
-    shape = _shape_mask(tuple(parts), "parabolic-upper")
-    in_par = ~np.any(mats[:, shape], axis=1) if shape.any() else np.ones(len(mats), bool)
-    return int(np.count_nonzero(mask & in_par))
 
 
 def unipotent_radical_order(ctx: FqContext, parts) -> int:

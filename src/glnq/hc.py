@@ -15,9 +15,9 @@ from itertools import product
 import numpy as np
 
 from .field import Cyclotomic, FqContext
-from .glmat import (Composition, _shape_mask, all_matrices, batch_matmul,
-                    encode_matrices, gl_arrays, gl_mask,
-                    unipotent_radical_elems, unipotent_radical_order, weyl_rep)
+from .glmat import (Composition, _block_starts, _shape_mask, batch_matmul,
+                    encode_matrices, enumerate_gl_order, gl_arrays,
+                    unipotent_radical_elems, unipotent_radical_order)
 from .invfun import InvariantFunction, TensorFunction, tensor_inner_product
 from .orbits import enumerate_orbits
 
@@ -73,29 +73,13 @@ def _conjugated_stack(ctx: FqContext, n: int, rep_index: int):
 
 
 @lru_cache(maxsize=None)
-def levi_order(ctx: FqContext, parts: tuple) -> int:
-    from .glmat import enumerate_gl_order
-    order = 1
+def parabolic_group_order(ctx: FqContext, parts: tuple, lower: bool = False) -> int:
+    """|P^F| = |L^F| q^dim U, with L^F the product of the GL_{n_i}(F_q); the
+    upper and lower parabolics have the same order."""
+    order = unipotent_radical_order(ctx, parts)
     for p in parts:
         order *= enumerate_gl_order(p, ctx)
     return order
-
-
-@lru_cache(maxsize=None)
-def parabolic_group_order(ctx: FqContext, parts: tuple, lower: bool = False) -> int:
-    """|P^F| counted by enumerating GL_n and testing the block shape."""
-    n = sum(parts)
-    if n == 0:
-        return 1
-    mats = all_matrices(ctx, n)
-    inv = gl_mask(ctx, n)
-    kind = "parabolic-lower" if lower else "parabolic-upper"
-    shape = _shape_mask(parts, kind)
-    if shape.any():
-        ok = ~np.any(mats[:, shape], axis=1)
-    else:
-        ok = np.ones(len(mats), dtype=bool)
-    return int(np.count_nonzero(inv & ok))
 
 
 def _block_lookup(ctx, sub, starts, parts, tabs):
@@ -107,14 +91,6 @@ def _block_lookup(ctx, sub, starts, parts, tabs):
         bc = encode_matrices(ctx, block)
         codes = codes * len(tab) + tab.lookup[bc]
     return codes
-
-
-def _starts(parts):
-    starts, s = [], 0
-    for p in parts:
-        starts.append(s)
-        s += p
-    return starts
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +106,7 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     dims = [len(t) for t in tabs]
     U = unipotent_radical_elems(ctx, parts, lower=lower)
     nu = len(U)
-    starts = _starts(parts)
+    starts, _ = _block_starts(parts)
     rows = []
     for idx in product(*(range(d) for d in dims)):
         emb = np.zeros((n, n), dtype=np.int16)
@@ -157,7 +133,7 @@ def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     porder = parabolic_group_order(ctx, parts, lower)
     kind = "parabolic-lower" if lower else "parabolic-upper"
     shape = _shape_mask(parts, kind)
-    starts = _starts(parts)
+    starts, _ = _block_starts(parts)
     rows = []
     for r in range(len(table_n)):
         conj = _conjugated_stack(ctx, n, r)

@@ -9,15 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from .field import FqContext
-from .glmat import (DEFAULT_BUDGET, Matrix, ResourceBudgetError, all_matrices,
-                    batch_matmul, encode_matrices, enumerate_gl_order, fq_rank)
+from .glmat import (Matrix, ResourceBudgetError, encode_matrices,
+                    enumerate_gl_order)
 
 LOOKUP_BUDGET = 1 << 17
 SPAN_BUDGET = 1 << 17
+
+
+class OrbitCountError(ArithmeticError):
+    """An orbit count contradicts another computed independently: a label's
+    partition and its multiplicity, a BFS sweep and |G|/|C(x)|, or the orbit
+    sizes and q^(n^2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +87,6 @@ def poly_pow(ctx, a, e):
     for _ in range(e):
         r = poly_mul(ctx, r, a)
     return r
-
-
-def poly_t(ctx=None):
-    return (0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +253,9 @@ def matrix_label(x: Matrix) -> OrbitLabel:
             nxt = blocks_ge[j] if j < len(blocks_ge) else 0
             lam.extend([j] * (ge - nxt))
         lam.sort(reverse=True)
-        assert sum(lam) == mult
+        if sum(lam) != mult:
+            raise OrbitCountError(f"elementary divisors of {g} have total degree "
+                                  f"{sum(lam)}, multiplicity {mult}")
         pairs.append((g, tuple(lam)))
         if len(remaining) == 1:
             break
@@ -260,50 +265,41 @@ def matrix_label(x: Matrix) -> OrbitLabel:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def conjugation_generators(ctx: FqContext, n: int):
-    """Generating set of GL_n(F_q): elementary transvections + a torus generator."""
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for lam in range(1, ctx.q):
-                e = np.eye(n, dtype=np.int16)
-                e[i, j] = lam
-                gens.append(Matrix(ctx, e))
-    if ctx.q > 2 and n > 0:
-        d = np.eye(n, dtype=np.int16)
-        d[0, 0] = ctx.generator_index()
-        gens.append(Matrix(ctx, d))
-    return tuple((g.a, g.inverse().a) for g in gens)
-
-
-def _expand_orbit(ctx, n, seed_codes, claim, marker, budget=DEFAULT_BUDGET):
+def _expand_orbit(ctx, n, seed_codes, claim, marker):
     """Mark every code conjugate to the seeds in `claim` with `marker`.
 
-    Returns the number of codes marked. `claim` entries must be -1 where
-    unvisited.
+    GL_n(F_q) is generated by the transvections I + lam E_ij (i != j,
+    lam != 0) and, for q > 2, diag(gamma, 1, ..., 1) with gamma a generator of
+    F_q^x.  Conjugating by a transvection adds lam * (row j) to row i, then
+    subtracts lam * (column i) from column j; the torus generator scales row 0
+    by gamma and column 0 by gamma^-1.  Each move is applied to the whole
+    frontier at once.  Returns the number of codes marked. `claim` entries
+    must be -1 where unvisited.
     """
-    gens = conjugation_generators(ctx, n)
+    ADD, SUB, MUL = ctx.ADD, ctx.SUB, ctx.MUL
+    lams = np.arange(1, ctx.q, dtype=np.int16)[:, None, None]
+    gamma = ctx.generator_index() if ctx.q > 2 and n > 0 else None
     frontier = np.unique(np.asarray(seed_codes, dtype=np.int64))
-    fresh = frontier[claim[frontier] == -1]
-    claim[fresh] = marker
-    frontier = fresh
-    count = len(fresh)
+    frontier = frontier[claim[frontier] == -1]
+    claim[frontier] = marker
+    count = len(frontier)
     while len(frontier):
-        mats = _decode_codes(ctx, n, frontier)
-        nxt = []
-        for g, gi in gens:
-            conj = batch_matmul(ctx, batch_matmul(ctx, g, mats), gi)
-            codes = encode_matrices(ctx, conj)
-            codes = np.unique(codes)
-            fresh = codes[claim[codes] == -1]
-            if len(fresh):
-                claim[fresh] = marker
-                count += len(fresh)
-                nxt.append(fresh)
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, np.int64)
+        x = _decode_codes(ctx, n, frontier)
+        images = [np.empty(0, np.int64)]
+        for i, j in permutations(range(n), 2):
+            y = np.repeat(x[None], len(lams), axis=0)
+            y[..., i, :] = ADD[y[..., i, :], MUL[lams, y[..., j, :]]]
+            y[..., :, j] = SUB[y[..., :, j], MUL[lams, y[..., :, i]]]
+            images.append(encode_matrices(ctx, y).ravel())
+        if gamma is not None:
+            y = x.copy()
+            y[:, 0, :] = MUL[gamma, y[:, 0, :]]
+            y[:, :, 0] = MUL[ctx.INV[gamma], y[:, :, 0]]
+            images.append(encode_matrices(ctx, y))
+        codes = np.concatenate(images)
+        frontier = np.unique(codes[claim[codes] == -1])
+        claim[frontier] = marker
+        count += len(frontier)
     return count
 
 
@@ -360,7 +356,9 @@ class OrbitTable:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.gl_order = enumerate_gl_order(n, ctx)
         self._label_memo = {}
-        assert sum(self.sizes) == ctx.q ** (n * n)
+        if sum(self.sizes) != ctx.q ** (n * n):
+            raise OrbitCountError(f"orbit sizes sum to {sum(self.sizes)}, "
+                                  f"not q^(n^2) = {ctx.q ** (n * n)}")
 
     def __len__(self):
         return len(self.labels)
@@ -449,8 +447,13 @@ def enumerate_orbits(n: int, ctx: FqContext,
         for i, rep in enumerate(reps):
             seed = encode_matrices(ctx, rep.a[None])
             count = _expand_orbit(ctx, n, seed, lookup, i)
-            assert count == sizes[i], (labels[i], count, sizes[i])
-        assert np.all(lookup >= 0)
+            if count != sizes[i]:
+                raise OrbitCountError(f"orbit {labels[i].serialize()}: BFS reached "
+                                      f"{count} matrices, |G|/|C(x)| = {sizes[i]}")
+        missed = np.flatnonzero(lookup < 0)
+        if len(missed):
+            raise OrbitCountError(f"{len(missed)} matrices lie in no enumerated "
+                                  f"orbit, first code {missed[0]}")
         lookup.setflags(write=False)
     return OrbitTable(ctx, n, labels, reps, sizes, lookup)
 

@@ -130,9 +130,10 @@ class TestVerify:
         assert code == 0
         assert out.count("[PASS] mackey") == 4
 
-    @pytest.mark.parametrize("q", [4, 5])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_golden_report(self, capsys, q):
-        # reports recorded before the PSH checks became matrix products
+        # q=4, 5 recorded before the PSH checks became matrix products; q=2, 3
+        # before orbit BFS used elementary moves and GL inversion was batched
         golden = Path(__file__).parent / "data" / f"verify_q{q}.json"
         code, out, _ = run(capsys, "verify", "--q", str(q), "--format", "json")
         assert code == 0

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glnq.field import (ContextMismatchError, Cyclotomic, FqContext,
-                        NotRationalError, SqrtRational, fq, rational_is_square)
+from glnq.field import (ContextMismatchError, Cyclotomic, FieldTableError,
+                        FqContext, NotRationalError, SqrtRational, fq,
+                        rational_is_square)
 
 
 class TestFqArithmetic:
@@ -42,6 +43,12 @@ class TestFqArithmetic:
         # Tr(a) = a + a^2: Tr(1) = 0 and Tr(t) = t + t^2 = t + t + 1 = 1
         assert q4.one.trace() == 0
         assert q4.from_coeffs([0, 1]).trace() == 1
+
+    def test_trace_outside_prime_field_rejected(self, monkeypatch):
+        # a Frobenius that always lands on t gives Tr(0) = t, outside F_2
+        monkeypatch.setattr(FqContext, "_pow_idx", lambda self, a, e: 2)
+        with pytest.raises(FieldTableError, match="not in F_2"):
+            FqContext(2, 2)
 
     def test_context_mismatch_rejected(self, q2, q3):
         with pytest.raises(ContextMismatchError):

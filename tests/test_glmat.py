@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbit_oracle
 from glnq.field import fq
 from glnq.glmat import (BlockWitness, Composition, Matrix, ShapeError,
-                        SingularMatrixError, block_embed, compositions,
-                        conjugate, enumerate_gl, enumerate_gl_order, in_shape,
-                        levi_project, parabolic_order, unipotent_radical_elems,
-                        unipotent_radical_order, weyl_rep)
+                        SingularMatrixError, batch_inverse, batch_matmul,
+                        block_embed, compositions, conjugate, enumerate_gl,
+                        enumerate_gl_order, gl_arrays, in_shape, levi_project,
+                        unipotent_radical_elems, unipotent_radical_order,
+                        weyl_rep)
 
 
 def random_matrix(data, ctx, n):
@@ -47,6 +49,27 @@ class TestMatrix:
         x = Matrix.from_rows(q4, [[q4.from_coeffs([0, 1]), q4.one],
                                   [q4.zero, q4.from_coeffs([1, 1])]])
         assert Matrix.parse(q4, x.serialize()) == x
+
+
+class TestBatchInverse:
+    """The stack-wide Gauss-Jordan against one elimination per matrix."""
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                     (4, 2), (5, 2)])
+    def test_gl_matches_oracle(self, q, n):
+        ctx = fq(q)
+        G, Ginv = gl_arrays(ctx, n)
+        want = np.stack([orbit_oracle.inverse(Matrix(ctx, g)).a for g in G])
+        assert np.array_equal(Ginv, want)
+        eye = np.broadcast_to(np.eye(n, dtype=np.int16), G.shape)
+        assert np.array_equal(batch_matmul(ctx, G, Ginv), eye)
+
+    def test_one_singular_matrix_in_stack(self, q3):
+        G, _ = gl_arrays(q3, 2)
+        stack = G[:10].copy()
+        stack[6] = [[1, 2], [2, 1]]          # second row = 2 * first row
+        with pytest.raises(SingularMatrixError):
+            batch_inverse(q3, stack)
 
 
 class TestConjugation:
@@ -138,7 +161,7 @@ class TestGroupOrders:
             q = ctx.q
             # |P| = |U| * |L| for the (1,1) parabolic in GL_2
             assert unipotent_radical_order(ctx, (1, 1)) == q
-            assert parabolic_order(ctx, (1, 1)) == q * (q - 1) ** 2
+            assert orbit_oracle.parabolic_order(ctx, (1, 1)) == q * (q - 1) ** 2
             assert unipotent_radical_order(ctx, (2, 1)) == q ** 2
             elems = unipotent_radical_elems(ctx, (2, 1))
             assert len(elems) == q ** 2

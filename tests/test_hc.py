@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbit_oracle
 from glnq.field import fq
 from glnq.hc import (hc_induce, hc_restrict, induction_matrix,
-                     mackey_index_set, mackey_rhs, restriction_matrix,
+                     mackey_index_set, mackey_rhs, parabolic_group_order,
+                     restriction_matrix,
                      verify_adjunction, verify_mackey,
                      verify_parabolic_independence, verify_transitivity,
                      verify_transitivity_induction)
@@ -160,6 +162,19 @@ class TestMackey:
         one1 = constant_one(enumerate_orbits(1, q2))
         prod = hc_induce(TensorFunction.outer([one1, one1]), (1, 1))
         assert hc_restrict(prod, (1, 1)) == mackey_rhs(one1, one1, 1, 1)
+
+
+class TestParabolicOrder:
+    @pytest.mark.parametrize("q,parts", [
+        (2, (1, 1)), (2, (2, 1)), (2, (1, 2)), (2, (1, 1, 1)), (2, (2, 2)),
+        (2, (1, 2, 1)), (2, (3, 1)), (2, (0, 2)), (2, (1, 0, 2)),
+        (3, (1, 1)), (3, (1, 2)), (3, (2, 1)), (3, (1, 1, 1)), (3, (2, 0)),
+        (4, (1, 1)), (5, (1, 1))])
+    def test_closed_form_matches_count(self, q, parts):
+        ctx = fq(q)
+        for lower in (False, True):
+            assert (parabolic_group_order(ctx, parts, lower)
+                    == orbit_oracle.parabolic_order(ctx, parts, lower))
 
 
 class TestMatrices:

@@ -1,16 +1,25 @@
 """Adjoint-orbit enumeration, labeling, sizes, and the brute-force oracle."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbit_oracle
+from glnq import orbits
 from glnq.field import fq
 from glnq.glmat import Matrix, conjugate, enumerate_gl, enumerate_gl_order
-from glnq.orbits import (OrbitLabel, centralizer_order, char_poly, companion,
+from glnq.orbits import (OrbitCountError, OrbitLabel, OrbitTable,
+                         centralizer_order, char_poly, companion,
                          enumerate_orbits, irreducibles, matrix_label,
                          nilpotent_orbit_count, orbit_of,
                          orbit_table_bruteforce, partitions, poly_mul,
                          representative)
+
+# sizes the oracle sweeps quickly; q=4 is the one extension field, and q > 2
+# is where the torus generator takes part
+ORACLE_SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (5, 2)]
 
 
 class TestPolynomials:
@@ -132,6 +141,64 @@ class TestEnumeration:
     def test_json(self, q2):
         data = enumerate_orbits(2, q2).to_json()
         assert data["n"] == 2 and len(data["orbits"]) == 6
+
+
+class TestMoveBFS:
+    """The elementary-move BFS against the matrix-product BFS it replaced."""
+
+    @pytest.mark.parametrize("q,n", ORACLE_SIZES)
+    def test_lookup_matches_oracle(self, q, n):
+        table = enumerate_orbits(n, fq(q))
+        claim, counts = orbit_oracle.lookup(table)
+        assert np.array_equal(table.lookup, claim)
+        assert counts == list(table.sizes)
+
+    @pytest.mark.parametrize("q,n", ORACLE_SIZES)
+    def test_bruteforce_matches_oracle(self, q, n):
+        ctx = fq(q)
+        claim, sizes = orbit_table_bruteforce(n, ctx)
+        want_claim, want_sizes = orbit_oracle.partition(ctx, n)
+        assert np.array_equal(claim, want_claim)
+        assert sizes == want_sizes
+
+
+class TestTypedErrors:
+    """Each orbit count check raises OrbitCountError, also under python -O."""
+
+    def test_label_partition_against_multiplicity(self, q2, monkeypatch):
+        # g(x) = 0 makes the kernel filtration of t claim both dimensions of
+        # diag(0, 1), where t divides the characteristic polynomial once
+        monkeypatch.setattr(orbits, "poly_at_matrix",
+                            lambda f, x: Matrix.zero(x.ctx, x.n))
+        with pytest.raises(OrbitCountError, match="multiplicity 1"):
+            matrix_label(Matrix.from_rows(q2, [[0, 0], [0, 1]]))
+
+    def test_table_sizes_against_total(self, q2):
+        table = enumerate_orbits(2, q2)
+        sizes = table.sizes[:-1] + (table.sizes[-1] + 1,)
+        with pytest.raises(OrbitCountError, match="not q"):
+            OrbitTable(q2, 2, table.labels, table.reps, sizes)
+
+    def test_bfs_count_against_centralizer(self, q3, monkeypatch):
+        table = enumerate_orbits(2, q3)
+        k = 4
+        real = orbits.centralizer_order
+
+        def corrupted(x, *args):
+            order = real(x, *args)
+            return 2 * order if x == table.reps[k] else order
+
+        monkeypatch.setattr(orbits, "centralizer_order", corrupted)
+        with pytest.raises(OrbitCountError,
+                           match=re.escape(table.labels[k].serialize())):
+            enumerate_orbits.__wrapped__(2, q3)
+
+    def test_lookup_coverage(self, q2, monkeypatch):
+        real = orbits._label_candidates
+        monkeypatch.setattr(orbits, "_label_candidates",
+                            lambda ctx, n: list(real(ctx, n))[:-1])
+        with pytest.raises(OrbitCountError, match="no enumerated orbit"):
+            enumerate_orbits.__wrapped__(2, q2)
 
 
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.data())

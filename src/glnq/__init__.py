@@ -19,7 +19,7 @@ from .hopf import (antipode, antipode_function, comultiply, is_primitive,
 from .duality import (DualityOperator, duality_operator, steinberg,
                       steinberg_constituents, verify_antipode_is_duality,
                       verify_characterization, verify_involutive_isometric)
-from .psh import (OmegaBasis, PSHReport, nondescending_witness, omega_basis,
+from .psh import (OmegaBasis, nondescending_witness, omega_basis,
                   structure_constants, verify_positivity,
                   verify_self_adjointness)
 

@@ -11,15 +11,13 @@ from pathlib import Path
 
 from . import duality as duality_mod
 from . import hopf, psh
-from .field import Cyclotomic, FqContext, fq
+from .field import FqContext, fq
 from .glmat import Composition
 from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
                  verify_parabolic_independence, verify_transitivity)
 from .invfun import InvariantFunction, TensorFunction, constant_one, indicator_by_index
 from .orbits import (enumerate_orbits, nilpotent_orbit_count,
                      orbit_table_bruteforce, partitions)
-
-CODE_VERSION = "1"
 
 # Largest degree with acceptable runtime per field size; larger q values are
 # rejected outright.
@@ -49,19 +47,19 @@ def _check_budget(ctx: FqContext, n: int, override: bool):
             f"pass --budget to acknowledge the cost")
 
 
-def _cache_write(args, kind: str, ctx: FqContext, n, payload):
-    if not getattr(args, "cache_dir", None):
-        return
-    d = Path(args.cache_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    name = f"{kind}-q{ctx.q}-n{n}-v{CODE_VERSION}.json"
-    (d / name).write_text(json.dumps(payload, sort_keys=True, indent=1))
-
-
-def _load_function(path: str, ctx: FqContext) -> InvariantFunction:
-    data = json.loads(Path(path).read_text())
-    table = enumerate_orbits(int(data["n"]), ctx)
-    return InvariantFunction.from_json(table, data)
+def _load_function(path: str, ctx: FqContext, budget: bool) -> InvariantFunction:
+    """The function in a JSON file; a file that is not a function over ctx
+    within the size budget is a ConfigError."""
+    # json.JSONDecodeError is a ValueError
+    try:
+        data = json.loads(Path(path).read_text())
+        n = int(data["n"])
+        if n < 0:
+            raise ValueError(f'"n" is {n}')
+        _check_budget(ctx, n, budget)
+        return InvariantFunction.from_json(enumerate_orbits(n, ctx), data)
+    except (ValueError, KeyError, TypeError, OSError) as e:
+        raise ConfigError(f"{path}: {type(e).__name__}: {e}") from e
 
 
 def _emit(args, payload, text_lines):
@@ -96,7 +94,6 @@ def cmd_orbits(args):
     _check_budget(ctx, args.n, args.budget)
     table = enumerate_orbits(args.n, ctx)
     payload = table.to_json()
-    _cache_write(args, "orbits", ctx, args.n, payload)
     lines = [f"gl_{args.n}(F_{ctx.q}): {len(table)} adjoint orbits"]
     for lab, size in zip(table.labels, table.sizes):
         lines.append(f"  {lab.serialize():30s} size {size}")
@@ -108,7 +105,7 @@ def cmd_induce(args):
     ctx = _context(args)
     c = Composition.parse(args.composition)
     _check_budget(ctx, c.n, args.budget)
-    factors = [_load_function(p, ctx) for p in args.input.split(",")]
+    factors = [_load_function(p, ctx, args.budget) for p in args.input.split(",")]
     if tuple(f.n for f in factors) != c.parts:
         raise ConfigError("input degrees do not match the composition")
     out = hc_induce(TensorFunction.outer(factors), c)
@@ -120,7 +117,7 @@ def cmd_restrict(args):
     ctx = _context(args)
     c = Composition.parse(args.composition)
     _check_budget(ctx, c.n, args.budget)
-    f = _load_function(args.input, ctx)
+    f = _load_function(args.input, ctx, args.budget)
     if f.n != c.n:
         raise ConfigError("input degree does not match the composition")
     t = hc_restrict(f, c)
@@ -134,11 +131,10 @@ def cmd_restrict(args):
 def cmd_dual(args):
     ctx = _context(args)
     _check_budget(ctx, args.n, args.budget)
-    f = _load_function(args.input, ctx)
+    f = _load_function(args.input, ctx, args.budget)
     if f.n != args.n:
         raise ConfigError("input degree does not match --n")
     op = duality_mod.duality_operator(args.n, ctx)
-    _cache_write(args, "duality", ctx, args.n, op.to_json())
     out = op.apply(f)
     _emit(args, out.to_json(), _function_lines(out))
     return 0
@@ -157,8 +153,7 @@ def cmd_steinberg(args):
 
 def cmd_antipode(args):
     ctx = _context(args)
-    f = _load_function(args.input, ctx)
-    _check_budget(ctx, f.n, args.budget)
+    f = _load_function(args.input, ctx, args.budget)
     out = hopf.antipode_function(f)
     _emit(args, out.to_json(), _function_lines(out))
     return 0
@@ -275,7 +270,7 @@ def suite_antipode(ctx, max_n):
     reports.append(duality_mod.verify_antipode_is_duality(max_n, ctx).to_json())
     for n in range(max_n + 1):
         s = hopf.antipode_matrix(ctx, n)
-        ok = linalg.mat_eq(linalg.matmul(s, s), linalg.identity(len(s)))
+        ok = linalg.mat_eq(linalg.matmul(s, s), linalg.identity(len(s[0])))
         reports.append({"name": "antipode-involutive",
                         "params": {"q": ctx.q, "n": n}, "passed": ok})
     for n in range(1, max_n + 1):
@@ -339,6 +334,8 @@ SUITE_RUNNERS = {
 def cmd_verify(args):
     ctx = _context(args)
     max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N[ctx.q]
+    if max_n < 1:
+        raise ConfigError(f"--max-n {max_n} checks nothing; it must be at least 1")
     _check_budget(ctx, max_n, args.budget)
     if args.suite == "mackey" and args.n1 is not None:
         if args.n2 is None or args.s is None or args.t is None:
@@ -395,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True,
                            help="function JSON file (comma-separated for tensors)")
         p.add_argument("--output", help="write result to this file")
-        p.add_argument("--cache-dir", help="directory for computed-table artifacts")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--budget", action="store_true",
                        help="acknowledge running beyond the default size budget")

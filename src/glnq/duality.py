@@ -7,13 +7,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import linalg
 from .field import FqContext
 from .glmat import compositions
 from .hc import HCReport, induction_matrix, restriction_matrix
 from .hopf import antipode_matrix, primitive_subspace
-from .invfun import (InvariantFunction, constant_one, coords,
-                     fourier_character_basis)
+from .invfun import (InvariantFunction, TensorFunction, apply_operator,
+                     constant_one, coords, fourier_character_basis)
 from .orbits import enumerate_orbits
 
 
@@ -21,23 +23,13 @@ from .orbits import enumerate_orbits
 class DualityOperator:
     n: int
     ctx: FqContext
-    matrix: list  # exact rational, indicator basis
+    matrix: tuple  # (x, den), indicator basis (see linalg)
 
     def apply(self, f: InvariantFunction) -> InvariantFunction:
         if f.n != self.n or f.table.ctx != self.ctx:
             raise ValueError("degree or context mismatch")
-        values = []
-        for row in self.matrix:
-            acc = f.values[0] * row[0]
-            for j in range(1, len(row)):
-                if row[j]:
-                    acc = acc + f.values[j] * row[j]
-            values.append(acc)
-        return InvariantFunction(f.table, values)
-
-    def to_json(self):
-        return {"n": self.n, "q": self.ctx.serialize(),
-                "matrix": [[str(x) for x in row] for row in self.matrix]}
+        return apply_operator(self.matrix, TensorFunction.outer([f]), 0, 1,
+                              (f.table,)).as_function()
 
 
 @lru_cache(maxsize=None)
@@ -46,14 +38,12 @@ def duality_operator(n: int, ctx: FqContext) -> DualityOperator:
     semisimple rank of the corresponding standard Levi."""
     if n == 0:
         return DualityOperator(0, ctx, linalg.identity(1))
-    dim = len(enumerate_orbits(n, ctx))
-    acc = linalg.zeros(dim, dim)
+    terms = []
     for c in compositions(n):
-        term = linalg.matmul(induction_matrix(ctx, c.parts),
-                             restriction_matrix(ctx, c.parts))
-        sign = Fraction((-1) ** (n - len(c.parts)))
-        acc = linalg.matadd(acc, linalg.scale(term, sign))
-    return DualityOperator(n, ctx, acc)
+        x, den = linalg.matmul(induction_matrix(ctx, c.parts),
+                               restriction_matrix(ctx, c.parts))
+        terms.append(((-1) ** (n - len(c.parts)) * x, den))
+    return DualityOperator(n, ctx, linalg.add(*terms))
 
 
 def steinberg(n: int, ctx: FqContext) -> InvariantFunction:
@@ -61,18 +51,11 @@ def steinberg(n: int, ctx: FqContext) -> InvariantFunction:
     return duality_operator(n, ctx).apply(constant_one(table))
 
 
-def gram_diagonal(ctx: FqContext, n: int):
-    table = enumerate_orbits(n, ctx)
-    return [Fraction(s, table.gl_order) for s in table.sizes]
-
-
 def verify_antipode_is_duality(max_n: int, ctx: FqContext) -> HCReport:
     """S restricted to degree n equals (-1)^n D_n, as matrices."""
     for n in range(max_n + 1):
-        s = antipode_matrix(ctx, n)
-        d = duality_operator(n, ctx).matrix
-        want = linalg.scale(d, Fraction((-1) ** n))
-        if not linalg.mat_eq(s, want):
+        x, den = duality_operator(n, ctx).matrix
+        if not linalg.mat_eq(antipode_matrix(ctx, n), ((-1) ** n * x, den)):
             return HCReport("antipode-is-duality", {"q": ctx.q, "n": n},
                             False, f"matrices differ in degree {n}")
     return HCReport("antipode-is-duality", {"q": ctx.q, "max_n": max_n}, True)
@@ -80,15 +63,14 @@ def verify_antipode_is_duality(max_n: int, ctx: FqContext) -> HCReport:
 
 def verify_involutive_isometric(n: int, ctx: FqContext) -> HCReport:
     d = duality_operator(n, ctx).matrix
-    dim = len(d)
-    if not linalg.mat_eq(linalg.matmul(d, d), linalg.identity(dim)):
+    if not linalg.mat_eq(linalg.matmul(d, d), linalg.identity(len(d[0]))):
         return HCReport("duality-involutive-isometric", {"q": ctx.q, "n": n},
                         False, "D^2 != id")
-    g = gram_diagonal(ctx, n)
-    gd = [[g[i] * d[i][j] for j in range(dim)] for i in range(dim)]
-    if not linalg.mat_eq(linalg.matmul(linalg.transpose(d), gd),
-                         [[g[i] if i == j else Fraction(0) for j in range(dim)]
-                          for i in range(dim)]):
+    table = enumerate_orbits(n, ctx)
+    gram = linalg.reduced(np.diag(np.array(table.sizes, dtype=object)),
+                          table.gl_order)
+    if not linalg.mat_eq(linalg.matmul(linalg.conj_t(d), linalg.matmul(gram, d)),
+                         gram):
         return HCReport("duality-involutive-isometric", {"q": ctx.q, "n": n},
                         False, "Gram matrix not preserved")
     return HCReport("duality-involutive-isometric", {"q": ctx.q, "n": n}, True)
@@ -117,19 +99,9 @@ def verify_characterization(max_n: int, ctx: FqContext) -> HCReport:
         for n2 in range(1, max_n - n1 + 1):
             n = n1 + n2
             ind = induction_matrix(ctx, (n1, n2))
-            dn = duality_operator(n, ctx).matrix
-            d1 = duality_operator(n1, ctx).matrix
-            d2 = duality_operator(n2, ctx).matrix
-            dim1, dim2 = len(d1), len(d2)
-            dkron = linalg.zeros(dim1 * dim2, dim1 * dim2)
-            for i in range(dim1):
-                for k in range(dim1):
-                    if d1[i][k]:
-                        for j in range(dim2):
-                            for l in range(dim2):
-                                if d2[j][l]:
-                                    dkron[i * dim2 + j][k * dim2 + l] = d1[i][k] * d2[j][l]
-            lhs = linalg.matmul(dn, ind)
+            dkron = linalg.kron(duality_operator(n1, ctx).matrix,
+                                duality_operator(n2, ctx).matrix)
+            lhs = linalg.matmul(duality_operator(n, ctx).matrix, ind)
             rhs = linalg.matmul(ind, dkron)
             if not linalg.mat_eq(lhs, rhs):
                 return HCReport("duality-characterization",

@@ -469,44 +469,3 @@ def unipotent_radical_elems(ctx: FqContext, parts, lower=False) -> np.ndarray:
         out[:, i, j] = t % ctx.q
         t = t // ctx.q
     return out
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeylRep:
-    """Canonical block-permutation representative for a 2x2 degree matrix."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError("block sizes must be nonnegative")
-
-    @property
-    def n(self):
-        return self.a + self.b + self.c + self.d
-
-    def permutation(self):
-        """sigma with w e_j = e_sigma(j); blocks (a, b, c, d) -> rows (a, c, b, d)."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        sigma = list(range(a))
-        sigma += [a + c + i for i in range(b)]
-        sigma += [a + i for i in range(c)]
-        sigma += [a + b + c + i for i in range(d)]
-        return tuple(sigma)
-
-    def matrix(self, ctx: FqContext) -> Matrix:
-        n = self.n
-        w = np.zeros((n, n), dtype=np.int16)
-        for j, i in enumerate(self.permutation()):
-            w[i, j] = 1
-        return Matrix(ctx, w)
-
-
-def weyl_rep(a: int, b: int, c: int, d: int) -> WeylRep:
-    return WeylRep(a, b, c, d)

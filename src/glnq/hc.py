@@ -7,18 +7,20 @@ degree-0 tensor factors); the public Composition type has positive parts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .field import Cyclotomic, FqContext
+from . import linalg
+from .field import FqContext
 from .glmat import (Composition, _block_starts, _shape_mask, batch_matmul,
                     encode_matrices, enumerate_gl_order, gl_arrays,
                     unipotent_radical_elems, unipotent_radical_order)
-from .invfun import InvariantFunction, TensorFunction, tensor_inner_product
+from .invfun import (InvariantFunction, TensorFunction, apply_operator,
+                     tensor_inner_product)
 from .orbits import enumerate_orbits
 
 
@@ -46,20 +48,6 @@ def _parts(c):
 
 def split_tables(ctx: FqContext, parts):
     return tuple(enumerate_orbits(p, ctx) for p in _parts(parts))
-
-
-def _flat_index(idx, dims):
-    out = 0
-    for i, d in zip(idx, dims):
-        out = out * d + i
-    return out
-
-
-def _tuple_count(dims):
-    out = 1
-    for d in dims:
-        out *= d
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -95,8 +83,9 @@ def _block_lookup(ctx, sub, starts, parts, tabs):
 
 @lru_cache(maxsize=None)
 def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
-    """Matrix of *R along the split, rows = Levi label tuples, cols = orbits
-    of gl_n; entries are exact rationals."""
+    """Matrix of *R along the split as a (x, den) pair (see linalg): rows =
+    Levi label tuples in product order, cols = orbits of gl_n, entries the
+    counts of x + u in each orbit over u in U, divided by |U|."""
     parts = tuple(parts)
     n = sum(parts)
     tabs = split_tables(ctx, parts)
@@ -105,7 +94,6 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
         raise RuntimeError("restriction matrix needs the full orbit lookup")
     dims = [len(t) for t in tabs]
     U = unipotent_radical_elems(ctx, parts, lower=lower)
-    nu = len(U)
     starts, _ = _block_starts(parts)
     rows = []
     for idx in product(*(range(d) for d in dims)):
@@ -115,21 +103,21 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
         shifted = ctx.ADD[emb[None], U]
         codes = encode_matrices(ctx, shifted)
         orb = table_n.lookup[codes]
-        counts = np.bincount(orb, minlength=len(table_n))
-        rows.append([Fraction(int(c), nu) for c in counts])
-    return rows
+        rows.append(np.bincount(orb, minlength=len(table_n)))
+    return linalg.reduced(np.array(rows), len(U))
 
 
 @lru_cache(maxsize=None)
 def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
-    """Matrix of R along the split, rows = orbits of gl_n, cols = Levi label
-    tuples (flattened); entries are exact rationals."""
+    """Matrix of R along the split as a (x, den) pair (see linalg): rows =
+    orbits of gl_n, cols = Levi label tuples in product order, entries the
+    counts of g in GL_n whose conjugate of the row's representative lies in
+    P with Levi part in each tuple, divided by |P|."""
     parts = tuple(parts)
     n = sum(parts)
     tabs = split_tables(ctx, parts)
     table_n = enumerate_orbits(n, ctx)
-    dims = [len(t) for t in tabs]
-    ntuples = _tuple_count(dims)
+    ntuples = math.prod(len(t) for t in tabs)
     porder = parabolic_group_order(ctx, parts, lower)
     kind = "parabolic-lower" if lower else "parabolic-upper"
     shape = _shape_mask(parts, kind)
@@ -143,9 +131,8 @@ def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
         else:
             sub = conj
         codes = _block_lookup(ctx, sub, starts, parts, tabs)
-        counts = np.bincount(codes, minlength=ntuples)
-        rows.append([Fraction(int(c), porder) for c in counts])
-    return rows
+        rows.append(np.bincount(codes, minlength=ntuples))
+    return linalg.reduced(np.array(rows), porder)
 
 
 def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
@@ -153,41 +140,14 @@ def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
     parts = _parts(c)
     if sum(parts) != f.n:
         raise ValueError("degree of f must equal the composition size")
-    ctx = f.table.ctx
-    tabs = split_tables(ctx, parts)
-    mat = restriction_matrix(ctx, parts, lower)
-    dims = [len(t) for t in tabs]
-    zero = Cyclotomic.rational(ctx.p, 0)
-    vals = {}
-    for pos, idx in enumerate(product(*(range(d) for d in dims))):
-        acc = zero
-        for j, coef in enumerate(mat[pos]):
-            if coef:
-                acc = acc + f.values[j] * coef
-        vals[idx] = acc
-    return TensorFunction(tabs, vals)
+    return tensor_restrict_factor(TensorFunction.outer([f]), 0, parts, lower)
 
 
 def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
     """R of a tensor along the composition, landing in gl_n."""
-    parts = _parts(c)
-    ctx = t.tables[0].ctx if t.tables else None
-    if t.degrees != tuple(parts):
+    if t.degrees != _parts(c):
         raise ValueError("tensor degrees must match the composition parts")
-    table_n = enumerate_orbits(sum(parts), ctx)
-    mat = induction_matrix(ctx, parts, lower)
-    dims = [len(tab) for tab in t.tables]
-    zero = Cyclotomic.rational(ctx.p, 0)
-    values = []
-    for r in range(len(table_n)):
-        acc = zero
-        row = mat[r]
-        for idx, v in t.values.items():
-            coef = row[_flat_index(idx, dims)]
-            if coef and not v.is_zero():
-                acc = acc + v * coef
-        values.append(acc)
-    return InvariantFunction(table_n, values)
+    return tensor_induce_span(t, 0, len(t.tables), lower).as_function()
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +170,8 @@ def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
     ctx = t.tables[pos].ctx
     if sum(subparts) != t.tables[pos].n:
         raise ValueError("subcomposition size mismatch")
-    subtabs = split_tables(ctx, subparts)
-    mat = restriction_matrix(ctx, subparts, lower)
-    subdims = [len(x) for x in subtabs]
-    tables = t.tables[:pos] + subtabs + t.tables[pos + 1:]
-    zero = Cyclotomic.rational(ctx.p, 0)
-    vals = {}
-    for pre in product(*(range(len(x)) for x in t.tables[:pos])):
-        for post in product(*(range(len(x)) for x in t.tables[pos + 1:])):
-            for spos, sidx in enumerate(product(*(range(d) for d in subdims))):
-                acc = zero
-                for j in range(len(t.tables[pos])):
-                    coef = mat[spos][j]
-                    if coef:
-                        acc = acc + t.values[pre + (j,) + post] * coef
-                vals[pre + sidx + post] = acc
-    return TensorFunction(tables, vals)
+    return apply_operator(restriction_matrix(ctx, subparts, lower), t, pos, 1,
+                          split_tables(ctx, subparts))
 
 
 def tensor_induce_span(t: TensorFunction, start: int, count: int,
@@ -233,25 +179,8 @@ def tensor_induce_span(t: TensorFunction, start: int, count: int,
     """Induce the consecutive factors [start, start+count) into one factor."""
     ctx = t.tables[start].ctx
     subparts = tuple(t.tables[start + i].n for i in range(count))
-    target = enumerate_orbits(sum(subparts), ctx)
-    mat = induction_matrix(ctx, subparts, lower)
-    subdims = [len(t.tables[start + i]) for i in range(count)]
-    tables = t.tables[:start] + (target,) + t.tables[start + count:]
-    zero = Cyclotomic.rational(ctx.p, 0)
-    vals = {}
-    for pre in product(*(range(len(x)) for x in t.tables[:start])):
-        for post in product(*(range(len(x)) for x in t.tables[start + count:])):
-            for r in range(len(target)):
-                acc = zero
-                row = mat[r]
-                for sidx in product(*(range(d) for d in subdims)):
-                    coef = row[_flat_index(sidx, subdims)]
-                    if coef:
-                        v = t.values[pre + sidx + post]
-                        if not v.is_zero():
-                            acc = acc + v * coef
-                vals[pre + (r,) + post] = acc
-    return TensorFunction(tables, vals)
+    return apply_operator(induction_matrix(ctx, subparts, lower), t, start, count,
+                          (enumerate_orbits(sum(subparts), ctx),))
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +239,10 @@ def verify_parabolic_independence(ctx: FqContext, n: int, c) -> HCReport:
     lo_r = restriction_matrix(ctx, parts, lower=True)
     up_i = induction_matrix(ctx, parts, lower=False)
     lo_i = induction_matrix(ctx, parts, lower=True)
-    if up_r != lo_r:
+    if not linalg.mat_eq(up_r, lo_r):
         return HCReport("parabolic-independence", {"n": n, "parts": list(parts)},
                         False, "restriction matrices differ")
-    if up_i != lo_i:
+    if not linalg.mat_eq(up_i, lo_i):
         return HCReport("parabolic-independence", {"n": n, "parts": list(parts)},
                         False, "induction matrices differ")
     return HCReport("parabolic-independence", {"n": n, "parts": list(parts)}, True)

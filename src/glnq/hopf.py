@@ -7,13 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+
+import numpy as np
 
 from . import linalg
 from .field import FqContext
-from .glmat import Composition
 from .hc import (HCReport, hc_induce, hc_restrict, induction_matrix, mackey_rhs,
-                 restriction_matrix, split_tables)
-from .invfun import GradedElement, InvariantFunction, TensorFunction
+                 restriction_matrix)
+from .invfun import (GradedElement, InvariantFunction, TensorFunction,
+                     apply_operator)
 from .orbits import enumerate_orbits, partitions
 
 
@@ -97,55 +100,37 @@ def primitive_subspace(ctx: FqContext, n: int) -> PrimitiveBasis:
     if n < 1:
         raise ValueError("primitive subspaces start in degree 1")
     table = enumerate_orbits(n, ctx)
-    stacked = []
-    for k in range(1, n):
-        stacked.extend(restriction_matrix(ctx, (k, n - k)))
-    if stacked:
-        basis = linalg.kernel(stacked)
+    if n == 1:
+        basis = linalg.identity(len(table))[0]
     else:
-        basis = [row[:] for row in linalg.identity(len(table))]
-    reduced, _ = linalg.rref(basis) if basis else ([], [])
+        basis = linalg.kernel(np.vstack([restriction_matrix(ctx, (k, n - k))[0]
+                                         for k in range(1, n)]))
+    reduced, _ = linalg.rref(basis)
     members = [InvariantFunction(table, vec) for vec in reduced if any(vec)]
     return PrimitiveBasis(n, members)
 
 
 @lru_cache(maxsize=None)
 def antipode_matrix(ctx: FqContext, n: int):
-    """Antipode on degree n, in the indicator basis, by the connected-graded
-    recursion S(x) = -x - sum over proper splits of m(S x' (x) x'')."""
+    """Antipode on degree n, in the indicator basis, as a (x, den) pair (see
+    linalg), by the connected-graded recursion
+    S(x) = -x - sum over proper splits of m(S x' (x) x'')."""
     if n == 0:
         return linalg.identity(1)
-    dim = len(enumerate_orbits(n, ctx))
-    acc = linalg.scale(linalg.identity(dim), Fraction(-1))
+    terms = [linalg.identity(len(enumerate_orbits(n, ctx)))]
     for k in range(1, n):
         l = n - k
-        res = restriction_matrix(ctx, (k, l))          # (dk*dl) x dim
-        ind = induction_matrix(ctx, (k, l))            # dim x (dk*dl)
-        sk = antipode_matrix(ctx, k)                   # dk x dk
-        dk = len(sk)
-        dl = len(enumerate_orbits(l, ctx))
         # (S_k tensor I_l) on the flattened tensor index
-        skron = linalg.zeros(dk * dl, dk * dl)
-        for i in range(dk):
-            for i2 in range(dk):
-                if sk[i][i2]:
-                    for j in range(dl):
-                        skron[i * dl + j][i2 * dl + j] = sk[i][i2]
-        term = linalg.matmul(ind, linalg.matmul(skron, res))
-        acc = linalg.matadd(acc, linalg.scale(term, Fraction(-1)))
-    return acc
+        skron = linalg.kron(antipode_matrix(ctx, k),
+                            linalg.identity(len(enumerate_orbits(l, ctx))))
+        terms.append(linalg.matmul(induction_matrix(ctx, (k, l)), linalg.matmul(
+            skron, restriction_matrix(ctx, (k, l)))))
+    return linalg.add(*((-x, den) for x, den in terms))
 
 
 def antipode_function(f: InvariantFunction) -> InvariantFunction:
-    mat = antipode_matrix(f.table.ctx, f.n)
-    values = []
-    for row in mat:
-        acc = f.values[0] * row[0]
-        for j in range(1, len(row)):
-            if row[j]:
-                acc = acc + f.values[j] * row[j]
-        values.append(acc)
-    return InvariantFunction(f.table, values)
+    return apply_operator(antipode_matrix(f.table.ctx, f.n),
+                          TensorFunction.outer([f]), 0, 1, (f.table,)).as_function()
 
 
 def antipode(x: GradedElement) -> GradedElement:
@@ -159,26 +144,12 @@ def antipode(x: GradedElement) -> GradedElement:
 
 def precuspidal_spanning_rank(ctx: FqContext, n: int):
     """(rank of the span of induced products of primitive elements, dim C_n)."""
-    table = enumerate_orbits(n, ctx)
-    dim = len(table)
+    dim = len(enumerate_orbits(n, ctx))
     vectors = []
     for lam in sorted(partitions(n), reverse=True):
         bases = [primitive_subspace(ctx, m).members for m in lam]
-        mat = induction_matrix(ctx, tuple(lam))
-        dims = [len(enumerate_orbits(m, ctx)) for m in lam]
-        from itertools import product as iproduct
-        from .hc import _flat_index
-        for choice in iproduct(*bases):
-            tensor = {}
-            for idx in iproduct(*(range(d) for d in dims)):
-                v = Fraction(1)
-                for f, i in zip(choice, idx):
-                    v *= f.values[i].as_rational()
-                tensor[_flat_index(idx, dims)] = v
-            vec = []
-            for row in mat:
-                vec.append(sum(row[j] * tv for j, tv in tensor.items()))
-            vectors.append(vec)
+        vectors.extend(hc_induce(TensorFunction.outer(choice), lam).rational_values()
+                       for choice in product(*bases))
         if vectors and linalg.rank(vectors) == dim:
             break
     return (linalg.rank(vectors) if vectors else 0, dim)

@@ -3,13 +3,14 @@ products, indicator and Fourier-character bases, tensors, and graded sums.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .field import Cyclotomic, NotRationalError
+from .field import Cyclotomic
 from .glmat import Matrix
 from .orbits import OrbitLabel, OrbitTable, enumerate_orbits
 
@@ -75,8 +76,19 @@ class InvariantFunction:
 
     @classmethod
     def from_json(cls, table: OrbitTable, data) -> "InvariantFunction":
-        vals = [Cyclotomic.parse(data["values"][lab.serialize()])
-                for lab in table.labels]
+        """The inverse of to_json; a file over another field or degree, or
+        with other orbit labels, raises ValueError naming the field."""
+        if data["q"] != table.ctx.serialize():
+            raise ValueError(f'"q" is {data["q"]!r}, not {table.ctx.serialize()!r}')
+        if data["n"] != table.n:
+            raise ValueError(f'"n" is {data["n"]!r}, not {table.n}')
+        labels = [lab.serialize() for lab in table.labels]
+        if set(data["values"]) != set(labels):
+            raise ValueError(f'"values" are not indexed by the {len(labels)} '
+                             f"orbit labels of degree {table.n}")
+        vals = [Cyclotomic.parse(data["values"][lab]) for lab in labels]
+        if any(v.p != table.ctx.p for v in vals):
+            raise ValueError(f'"values" are not all in Q(zeta_{table.ctx.p})')
         return cls(table, vals)
 
     def __repr__(self):
@@ -265,6 +277,28 @@ class TensorFunction:
 
     def __repr__(self):
         return f"TensorFunction(degrees={self.degrees})"
+
+
+def apply_operator(op, t: TensorFunction, start: int, count: int,
+                   tables) -> TensorFunction:
+    """Apply the rational operator op = (x, den) (see linalg) along the
+    factors [start, start + count) of t.  The columns of x are the index
+    tuples of those factors in product order, its rows those of the factors
+    `tables` that replace them.  The values pass through one integer array
+    with one denominator."""
+    x, den = op
+    p = t.p
+    pre = math.prod(len(tb) for tb in t.tables[:start])
+    coeffs = [c for idx in t.index_tuples() for c in t.values[idx].coeffs]
+    vden = math.lcm(*(c.denominator for c in coeffs))
+    ints = np.array([c.numerator * (vden // c.denominator) for c in coeffs],
+                    dtype=object)
+    out = (x @ ints.reshape(pre, x.shape[1], -1)).reshape(-1, p - 1)
+    d = den * vden
+    tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
+    return TensorFunction(tables, zip(
+        product(*(range(len(tb)) for tb in tables)),
+        (Cyclotomic(p, [Fraction(v, d) for v in row]) for row in out)))
 
 
 def tensor_inner_product(s: TensorFunction, t: TensorFunction) -> Cyclotomic:

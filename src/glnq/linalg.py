@@ -1,10 +1,15 @@
-"""Small exact linear algebra over Q (fractions.Fraction, list-of-lists),
-and exact matrices over Q(zeta_p) as integer planes.
+"""Exact matrices over Q and Q(zeta_p), and Gauss-Jordan over Q.
 
-A matrix over Q(zeta_p) is a pair (planes, den): planes is a numpy object
-array of Python ints of shape (p, rows, cols) whose plane t holds the
-coefficient of zeta^t, and den is one positive integer denominator.  A 2-D
-planes array stands for a rational matrix.  Nothing here rounds or wraps.
+Every exact operator is a pair (x, den): x is a numpy object array of Python
+ints and den one positive integer, standing for the matrix x / den.  A 2-D x
+is a rational matrix; a 3-D x of shape (p, rows, cols) is a matrix over
+Q(zeta_p) whose plane t holds the coefficient of zeta^t.  Every constructor
+here returns the pair in lowest terms (gcd of den and all entries is 1), so
+two pairs are equal as matrices exactly when they are equal as pairs.
+Nothing here rounds or wraps.
+
+rref, kernel and rank are Gauss-Jordan over Fractions on lists of rows; they
+accept rows of ints or Fractions.
 """
 from __future__ import annotations
 
@@ -16,43 +21,86 @@ import numpy as np
 from .field import NotRationalError
 
 
+def reduced(x, den):
+    """The pair (x, den) in lowest terms, x a read-only object array of
+    ints: cached operators are shared by every caller."""
+    x = np.asarray(x, dtype=object)
+    g = math.gcd(den, *x.flat)
+    if g > 1:
+        x, den = x // g, den // g
+    x.setflags(write=False)
+    return x, den
+
+
 def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return reduced(np.identity(n, dtype=int), 1)
 
 
-def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
+def add(*terms):
+    """Sum of (x, den) matrices of one shape."""
+    den = math.lcm(*(d for _, d in terms))
+    return reduced(sum(x * (den // d) for x, d in terms), den)
 
 
 def matmul(a, b):
-    if not a:
-        return []
-    rb = len(b)
-    cb = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * cb
-        for k in range(rb):
-            x = row[k]
-            if x:
-                brow = b[k]
-                for j in range(cb):
-                    if brow[j]:
-                        acc[j] += x * brow[j]
-        out.append(acc)
-    return out
+    """Product of two (x, den) matrices; over Q(zeta_p) the planes convolve
+    mod p, and a 2-D factor acts on every plane of a 3-D one."""
+    (x, dx), (y, dy) = a, b
+    if x.ndim == 2 or y.ndim == 2:
+        return reduced(x @ y, dx * dy)
+    p = len(x)
+    out = np.zeros((p, x.shape[1], y.shape[2]), dtype=object)
+    for s in range(p):
+        for t in range(p):
+            out[(s + t) % p] += x[s] @ y[t]
+    return reduced(out, dx * dy)
 
 
-def matadd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def kron(a, b):
+    """Kronecker product of two (x, den) matrices, both 2-D or both 3-D."""
+    (x, dx), (y, dy) = a, b
+    if x.ndim == 2:
+        return reduced(np.kron(x, y), dx * dy)
+    p = len(x)
+    out = np.zeros((p, x.shape[1] * y.shape[1], x.shape[2] * y.shape[2]),
+                   dtype=object)
+    for s in range(p):
+        for t in range(p):
+            out[(s + t) % p] += np.kron(x[s], y[t])
+    return reduced(out, dx * dy)
 
 
-def scale(a, c):
-    return [[x * c for x in row] for row in a]
+def conj_t(a):
+    """Conjugate transpose: plane t moves to plane -t mod p."""
+    x, d = a
+    if x.ndim == 2:
+        return x.T, d
+    p = len(x)
+    return x[[(-t) % p for t in range(p)]].transpose(0, 2, 1), d
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
+def mat_eq(a, b) -> bool:
+    """Equality of two pairs in lowest terms."""
+    return a[1] == b[1] and np.array_equal(a[0], b[0])
+
+
+def rational_part(a):
+    """The entries of a (x, den) matrix as Fractions, list-of-lists.
+    An entry is rational iff its planes 1..p-1 agree, and then equals
+    (plane0 - plane1) / den; otherwise NotRationalError names the first
+    offending entry in row-major order."""
+    x, d = a
+    if x.ndim == 3:
+        bad = np.argwhere((x[1:] != x[1]).any(axis=0))
+        if len(bad):
+            i, j = (int(v) for v in bad[0])
+            raise NotRationalError(f"entry ({i},{j}) is not rational")
+        x = x[0] - x[1]
+    return [[Fraction(int(v), d) for v in row] for row in x]
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan over Q
 
 
 def rref(a):
@@ -86,10 +134,10 @@ def rank(a) -> int:
 
 def kernel(a):
     """Basis of the right kernel, in reduced-echelon order."""
-    if not a:
-        return []
-    ncols = len(a[0])
     rows, pivots = rref(a)
+    if not rows:
+        return []
+    ncols = len(rows[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -99,70 +147,3 @@ def kernel(a):
             vec[c] = -rows[r][f]
         basis.append(vec)
     return basis
-
-
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-# ---------------------------------------------------------------------------
-# matrices over Q(zeta_p): (planes, den)
-
-
-def int_matrix(rows):
-    """A list-of-lists of Fractions as (object array of ints, common
-    denominator)."""
-    den = math.lcm(1, *(x.denominator for row in rows for x in row))
-    arr = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        arr[i] = [x.numerator * (den // x.denominator) for x in row]
-    return arr, den
-
-
-def cyc_matmul(a, b):
-    """Product of two (planes, den) matrices; planes convolve mod p."""
-    (x, dx), (y, dy) = a, b
-    if x.ndim == 2 or y.ndim == 2:
-        return x @ y, dx * dy
-    p = len(x)
-    out = np.zeros((p, x.shape[1], y.shape[2]), dtype=object)
-    for s in range(p):
-        for t in range(p):
-            out[(s + t) % p] += x[s] @ y[t]
-    return out, dx * dy
-
-
-def cyc_conj_t(a):
-    """Conjugate transpose: plane t moves to plane -t mod p."""
-    x, d = a
-    if x.ndim == 2:
-        return x.T, d
-    p = len(x)
-    return x[[(-t) % p for t in range(p)]].transpose(0, 2, 1), d
-
-
-def cyc_kron(a, b):
-    """Kronecker product of two (planes, den) matrices with 3-D planes."""
-    (x, dx), (y, dy) = a, b
-    p = len(x)
-    out = np.zeros((p, x.shape[1] * y.shape[1], x.shape[2] * y.shape[2]),
-                   dtype=object)
-    for s in range(p):
-        for t in range(p):
-            out[(s + t) % p] += np.kron(x[s], y[t])
-    return out, dx * dy
-
-
-def rational_part(a):
-    """The entries of a (planes, den) matrix as Fractions, list-of-lists.
-    An entry is rational iff its planes 1..p-1 agree, and then equals
-    (plane0 - plane1) / den; otherwise NotRationalError names the first
-    offending entry in row-major order."""
-    x, d = a
-    if x.ndim == 3:
-        bad = np.argwhere((x[1:] != x[1]).any(axis=0))
-        if len(bad):
-            i, j = (int(v) for v in bad[0])
-            raise NotRationalError(f"entry ({i},{j}) is not rational")
-        x = x[0] - x[1]
-    return [[Fraction(int(v), d) for v in row] for row in x]

@@ -17,28 +17,18 @@ from . import linalg
 from .duality import duality_operator, steinberg_constituents
 from .field import FqContext, SqrtRational, rational_is_square
 from .hc import hc_restrict  # noqa: F401  (a binding the perfbench tracer checks)
-from .hc import induction_matrix, restriction_matrix
+from .hc import HCReport, induction_matrix, restriction_matrix
 from .hopf import multiply_functions
 from .invfun import (character_matrix, constant_one, fourier_character_basis,
                      inner_product_rational)
 from .orbits import enumerate_orbits
 
 
-@dataclass
-class PSHReport:
-    name: str
-    params: dict
-    passed: bool
-    witness: object = None
-
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
-            raise ValueError("failing report requires a witness")
-
-    def to_json(self):
-        return {"name": self.name, "params": {k: str(v) for k, v in self.params.items()},
-                "passed": self.passed,
-                "witness": None if self.witness is None else str(self.witness)}
+def _report(name, witness, **params) -> HCReport:
+    """A check report whose params and witness are strings; it passes iff
+    there is no witness."""
+    return HCReport(name, {k: str(v) for k, v in params.items()},
+                    witness is None, None if witness is None else str(witness))
 
 
 @dataclass
@@ -57,8 +47,8 @@ def _pairing(a, b, *tables):
     W_n = diag(|O|) / |G_n| is the Gram matrix of the orbit indicators."""
     sizes = reduce(np.kron, (np.array(t.sizes, dtype=object) for t in tables))
     x, d = a
-    return linalg.rational_part(linalg.cyc_matmul(
-        (x * sizes, d * math.prod(t.gl_order for t in tables)), linalg.cyc_conj_t(b)))
+    return linalg.rational_part(linalg.matmul(
+        (x * sizes, d * math.prod(t.gl_order for t in tables)), linalg.conj_t(b)))
 
 
 def _first_difference(lhs, rhs, index=()):
@@ -87,11 +77,11 @@ def _pairings(ctx: FqContext, n1: int, n2: int):
     (m(chi_i x chi_j), chi_k) = (X_n1 x X_n2) . Ind^T . W_n . X_n^*, and
     (chi_i x chi_j, m* chi_k) = (X_n1 x X_n2) . (W_n1 x W_n2) . Res . X_n^*."""
     t1, t2, t3 = (enumerate_orbits(n, ctx) for n in (n1, n2, n1 + n2))
-    outer = linalg.cyc_kron(character_matrix(t1), character_matrix(t2))
-    ind_t = linalg.cyc_conj_t(linalg.int_matrix(induction_matrix(ctx, (n1, n2))))
-    res_t = linalg.cyc_conj_t(linalg.int_matrix(restriction_matrix(ctx, (n1, n2))))
-    pairings = (_pairing(linalg.cyc_matmul(outer, ind_t), character_matrix(t3), t3),
-                _pairing(outer, linalg.cyc_matmul(character_matrix(t3), res_t), t1, t2))
+    outer = linalg.kron(character_matrix(t1), character_matrix(t2))
+    ind_t = linalg.conj_t(induction_matrix(ctx, (n1, n2)))
+    res_t = linalg.conj_t(restriction_matrix(ctx, (n1, n2)))
+    pairings = (_pairing(linalg.matmul(outer, ind_t), character_matrix(t3), t3),
+                _pairing(outer, linalg.matmul(character_matrix(t3), res_t), t1, t2))
     return tuple([m[r:r + len(t2)] for r in range(0, len(m), len(t2))]
                  for m in pairings)
 
@@ -122,7 +112,7 @@ def coproduct_constants(ctx: FqContext, n1: int, n2: int):
              for i, ni in enumerate(norms1)] for k in range(len(cop[0][0]))]
 
 
-def verify_positivity(ctx: FqContext, n1: int, n2: int) -> PSHReport:
+def verify_positivity(ctx: FqContext, n1: int, n2: int) -> HCReport:
     """Every product and coproduct structure constant in the character basis
     is >= 0."""
     cs = structure_constants(ctx, n1, n2, "character")
@@ -132,16 +122,15 @@ def verify_positivity(ctx: FqContext, n1: int, n2: int) -> PSHReport:
         negative = [f"coproduct c^{i},{j}_{k} = {c} < 0"
                     for k, entry in enumerate(coproduct_constants(ctx, n1, n2))
                     for i, row in enumerate(entry) for j, c in enumerate(row) if c < 0]
-    return PSHReport("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2},
-                     not negative, negative[0] if negative else None)
+    return _report("psh-positivity", negative[0] if negative else None,
+                   q=ctx.q, n1=n1, n2=n2)
 
 
-def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> PSHReport:
+def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> HCReport:
     """(m(chi_i x chi_j), chi_k) = (chi_i x chi_j, m* chi_k), exactly, on all
     character-basis triples."""
     witness = _first_difference(*_pairings(ctx, n1, n2))
-    return PSHReport("psh-self-adjoint", {"q": ctx.q, "n1": n1, "n2": n2},
-                     witness is None, witness)
+    return _report("psh-self-adjoint", witness, q=ctx.q, n1=n1, n2=n2)
 
 
 def nondescending_witness(ctx: FqContext) -> SqrtRational:
@@ -159,24 +148,22 @@ def nondescending_witness(ctx: FqContext) -> SqrtRational:
     return SqrtRational(1, square)
 
 
-def verify_nondescending(ctx: FqContext) -> PSHReport:
+def verify_nondescending(ctx: FqContext) -> HCReport:
     w = nondescending_witness(ctx)
     passed = w.square == Fraction(ctx.q + 1, ctx.q) and not rational_is_square(w.square)
-    return PSHReport("psh-nondescending", {"q": ctx.q}, passed,
-                     None if passed else w)
+    return _report("psh-nondescending", None if passed else w, q=ctx.q)
 
 
-def verify_second_psh(ctx: FqContext, n: int) -> PSHReport:
+def verify_second_psh(ctx: FqContext, n: int) -> HCReport:
     """The basis transported by x -> (-1)^n D_n(x), the rows of +-X_n . D^T,
     is again orthogonal with the same norms, and in degree 2 it genuinely
     differs from the original basis."""
     table = enumerate_orbits(n, ctx)
     norms = omega_basis(ctx, n).norms
-    dual = linalg.cyc_matmul(character_matrix(table), linalg.cyc_conj_t(
-        linalg.int_matrix(duality_operator(n, ctx).matrix)))
+    dual = linalg.matmul(character_matrix(table),
+                         linalg.conj_t(duality_operator(n, ctx).matrix))
     want = [[x if i == j else Fraction(0) for j in range(len(norms))] for i, x in enumerate(norms)]
     witness = _first_difference(_pairing(dual, dual, table), want)
     if witness is None and n == 2 and steinberg_constituents(2, ctx) < 2:
         witness = "transported basis does not differ in degree 2"
-    return PSHReport("psh-second-structure", {"q": ctx.q, "n": n},
-                     witness is None, witness)
+    return _report("psh-second-structure", witness, q=ctx.q, n=n)

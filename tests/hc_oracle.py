@@ -1,0 +1,222 @@
+"""Scalar reference for the exact operator layer: Harish-Chandra restriction
+and induction, their tensor-factor variants, the duality operation and the
+antipode, each applied one Cyclotomic multiply-add at a time from
+Fraction-list matrices; and the duality and antipode matrices built with
+Fraction-list products and hand-written Kronecker loops.
+
+This is the slow path that glnq.invfun.apply_operator and the (x, den)
+operators of glnq.linalg replaced; the tests use it as the witness that both
+give the same values.  The operator builders are bound here at import, so a
+test that patches glnq.hc's bindings reaches the fast path only.
+"""
+from fractions import Fraction
+from itertools import product
+
+from glnq.duality import duality_operator
+from glnq.field import Cyclotomic, FqContext
+from glnq.glmat import compositions
+from glnq.hc import _parts, induction_matrix, restriction_matrix, split_tables
+from glnq.hopf import antipode_matrix
+from glnq.invfun import InvariantFunction, TensorFunction
+from glnq.orbits import enumerate_orbits
+
+
+def rows(op):
+    """An (x, den) operator as a list of rows of Fractions."""
+    x, den = op
+    return [[Fraction(int(v), den) for v in row] for row in x]
+
+
+def _flat_index(idx, dims):
+    out = 0
+    for i, d in zip(idx, dims):
+        out = out * d + i
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction-list matrices
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def zeros(r, c):
+    return [[Fraction(0)] * c for _ in range(r)]
+
+
+def matmul(a, b):
+    cb = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * cb
+        for k, x in enumerate(row):
+            if x:
+                for j in range(cb):
+                    if b[k][j]:
+                        acc[j] += x * b[k][j]
+        out.append(acc)
+    return out
+
+
+def matadd(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def kron(d1, d2):
+    """The Kronecker product d1 (x) d2, entry by entry."""
+    dim1, dim2 = len(d1), len(d2)
+    out = zeros(dim1 * dim2, len(d1[0]) * len(d2[0]))
+    for i in range(dim1):
+        for k in range(len(d1[0])):
+            if d1[i][k]:
+                for j in range(dim2):
+                    for l in range(len(d2[0])):
+                        if d2[j][l]:
+                            out[i * dim2 + j][k * len(d2[0]) + l] = d1[i][k] * d2[j][l]
+    return out
+
+
+def duality_matrix(ctx: FqContext, n: int):
+    """Sum over compositions c of (-1)^(n - len(c)) Ind_c . Res_c."""
+    if n == 0:
+        return identity(1)
+    dim = len(enumerate_orbits(n, ctx))
+    acc = zeros(dim, dim)
+    for c in compositions(n):
+        term = matmul(rows(induction_matrix(ctx, c.parts)),
+                      rows(restriction_matrix(ctx, c.parts)))
+        acc = matadd(acc, scale(term, Fraction((-1) ** (n - len(c.parts)))))
+    return acc
+
+
+def antipode_rows(ctx: FqContext, n: int):
+    """S_n = -id - sum over proper splits (k, l) of Ind . (S_k (x) I_l) . Res."""
+    if n == 0:
+        return identity(1)
+    dim = len(enumerate_orbits(n, ctx))
+    acc = scale(identity(dim), Fraction(-1))
+    for k in range(1, n):
+        l = n - k
+        res = rows(restriction_matrix(ctx, (k, l)))
+        ind = rows(induction_matrix(ctx, (k, l)))
+        sk = antipode_rows(ctx, k)
+        dk = len(sk)
+        dl = len(enumerate_orbits(l, ctx))
+        skron = zeros(dk * dl, dk * dl)
+        for i in range(dk):
+            for i2 in range(dk):
+                if sk[i][i2]:
+                    for j in range(dl):
+                        skron[i * dl + j][i2 * dl + j] = sk[i][i2]
+        term = matmul(ind, matmul(skron, res))
+        acc = matadd(acc, scale(term, Fraction(-1)))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# applying operators one value at a time
+
+
+def _apply_rows(mat, f: InvariantFunction) -> InvariantFunction:
+    values = []
+    for row in mat:
+        acc = f.values[0] * row[0]
+        for j in range(1, len(row)):
+            if row[j]:
+                acc = acc + f.values[j] * row[j]
+        values.append(acc)
+    return InvariantFunction(f.table, values)
+
+
+def duality_apply(f: InvariantFunction) -> InvariantFunction:
+    return _apply_rows(rows(duality_operator(f.n, f.table.ctx).matrix), f)
+
+
+def antipode_function(f: InvariantFunction) -> InvariantFunction:
+    return _apply_rows(rows(antipode_matrix(f.table.ctx, f.n)), f)
+
+
+def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
+    parts = _parts(c)
+    ctx = f.table.ctx
+    tabs = split_tables(ctx, parts)
+    mat = rows(restriction_matrix(ctx, parts, lower))
+    zero = Cyclotomic.rational(ctx.p, 0)
+    vals = {}
+    for pos, idx in enumerate(product(*(range(len(t)) for t in tabs))):
+        acc = zero
+        for j, coef in enumerate(mat[pos]):
+            if coef:
+                acc = acc + f.values[j] * coef
+        vals[idx] = acc
+    return TensorFunction(tabs, vals)
+
+
+def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
+    parts = _parts(c)
+    ctx = t.tables[0].ctx
+    table_n = enumerate_orbits(sum(parts), ctx)
+    mat = rows(induction_matrix(ctx, parts, lower))
+    dims = [len(tab) for tab in t.tables]
+    zero = Cyclotomic.rational(ctx.p, 0)
+    values = []
+    for r in range(len(table_n)):
+        acc = zero
+        for idx, v in t.values.items():
+            coef = mat[r][_flat_index(idx, dims)]
+            if coef and not v.is_zero():
+                acc = acc + v * coef
+        values.append(acc)
+    return InvariantFunction(table_n, values)
+
+
+def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
+                           lower: bool = False) -> TensorFunction:
+    subparts = _parts(subparts)
+    ctx = t.tables[pos].ctx
+    subtabs = split_tables(ctx, subparts)
+    mat = rows(restriction_matrix(ctx, subparts, lower))
+    subdims = [len(x) for x in subtabs]
+    tables = t.tables[:pos] + subtabs + t.tables[pos + 1:]
+    zero = Cyclotomic.rational(ctx.p, 0)
+    vals = {}
+    for pre in product(*(range(len(x)) for x in t.tables[:pos])):
+        for post in product(*(range(len(x)) for x in t.tables[pos + 1:])):
+            for spos, sidx in enumerate(product(*(range(d) for d in subdims))):
+                acc = zero
+                for j in range(len(t.tables[pos])):
+                    coef = mat[spos][j]
+                    if coef:
+                        acc = acc + t.values[pre + (j,) + post] * coef
+                vals[pre + sidx + post] = acc
+    return TensorFunction(tables, vals)
+
+
+def tensor_induce_span(t: TensorFunction, start: int, count: int,
+                       lower: bool = False) -> TensorFunction:
+    ctx = t.tables[start].ctx
+    subparts = tuple(t.tables[start + i].n for i in range(count))
+    target = enumerate_orbits(sum(subparts), ctx)
+    mat = rows(induction_matrix(ctx, subparts, lower))
+    subdims = [len(t.tables[start + i]) for i in range(count)]
+    tables = t.tables[:start] + (target,) + t.tables[start + count:]
+    zero = Cyclotomic.rational(ctx.p, 0)
+    vals = {}
+    for pre in product(*(range(len(x)) for x in t.tables[:start])):
+        for post in product(*(range(len(x)) for x in t.tables[start + count:])):
+            for r in range(len(target)):
+                acc = zero
+                for sidx in product(*(range(d) for d in subdims)):
+                    coef = mat[r][_flat_index(sidx, subdims)]
+                    if coef:
+                        v = t.values[pre + sidx + post]
+                        if not v.is_zero():
+                            acc = acc + v * coef
+                vals[pre + (r,) + post] = acc
+    return TensorFunction(tables, vals)

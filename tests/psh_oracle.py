@@ -9,12 +9,17 @@ from fractions import Fraction
 
 from glnq.duality import duality_operator, steinberg_constituents
 from glnq.field import FqContext, SqrtRational
-from glnq.hc import hc_restrict
+from glnq.hc import HCReport, hc_restrict
 from glnq.hopf import multiply_functions
 from glnq.invfun import (TensorFunction, fourier_character_basis,
                          inner_product_rational, tensor_inner_product)
 from glnq.orbits import enumerate_orbits
-from glnq.psh import PSHReport
+
+
+def _report(name, params, passed, witness=None) -> HCReport:
+    """The psh suite's report form: params and witness as strings."""
+    return HCReport(name, {k: str(v) for k, v in params.items()}, passed,
+                    None if witness is None else str(witness))
 
 
 def characters(ctx: FqContext, n: int):
@@ -60,24 +65,24 @@ def coproduct_constants(ctx: FqContext, n1: int, n2: int):
     return out
 
 
-def verify_positivity(ctx: FqContext, n1: int, n2: int) -> PSHReport:
+def verify_positivity(ctx: FqContext, n1: int, n2: int) -> HCReport:
     cs = structure_constants(ctx, n1, n2, "character")
     for i, row in enumerate(cs):
         for j, entry in enumerate(row):
             for k, c in enumerate(entry):
                 if c < 0:
-                    return PSHReport("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2},
-                                     False, f"c^{k}_{i},{j} = {c} < 0")
+                    return _report("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2},
+                                   False, f"c^{k}_{i},{j} = {c} < 0")
     for k, entry in enumerate(coproduct_constants(ctx, n1, n2)):
         for i, row in enumerate(entry):
             for j, c in enumerate(row):
                 if c < 0:
-                    return PSHReport("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2},
-                                     False, f"coproduct c^{i},{j}_{k} = {c} < 0")
-    return PSHReport("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2}, True)
+                    return _report("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2},
+                                   False, f"coproduct c^{i},{j}_{k} = {c} < 0")
+    return _report("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2}, True)
 
 
-def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> PSHReport:
+def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> HCReport:
     chars1, chars2, chars3 = (characters(ctx, n) for n in (n1, n2, n1 + n2))
     restrictions = [hc_restrict(ck, (n1, n2)) for ck in chars3]
     for i, ci in enumerate(chars1):
@@ -88,10 +93,10 @@ def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> PSHReport:
                 lhs = inner_product_rational(prod, ck)
                 rhs = tensor_inner_product(outer, restrictions[k]).as_rational()
                 if lhs != rhs:
-                    return PSHReport("psh-self-adjoint",
-                                     {"q": ctx.q, "n1": n1, "n2": n2},
-                                     False, f"({i},{j},{k}): {lhs} != {rhs}")
-    return PSHReport("psh-self-adjoint", {"q": ctx.q, "n1": n1, "n2": n2}, True)
+                    return _report("psh-self-adjoint",
+                                   {"q": ctx.q, "n1": n1, "n2": n2},
+                                   False, f"({i},{j},{k}): {lhs} != {rhs}")
+    return _report("psh-self-adjoint", {"q": ctx.q, "n1": n1, "n2": n2}, True)
 
 
 def dual_omega_basis(ctx: FqContext, n: int):
@@ -102,7 +107,7 @@ def dual_omega_basis(ctx: FqContext, n: int):
     return tuple(d.apply(b).scale(sign) for b in characters(ctx, n))
 
 
-def verify_second_psh(ctx: FqContext, n: int) -> PSHReport:
+def verify_second_psh(ctx: FqContext, n: int) -> HCReport:
     base_norms = norms(ctx, n)
     dual = dual_omega_basis(ctx, n)
     for i, bi in enumerate(dual):
@@ -110,9 +115,9 @@ def verify_second_psh(ctx: FqContext, n: int) -> PSHReport:
             ip = inner_product_rational(bi, bj)
             want = base_norms[i] if i == j else Fraction(0)
             if ip != want:
-                return PSHReport("psh-second-structure", {"q": ctx.q, "n": n},
-                                 False, f"({i},{j}): {ip} != {want}")
+                return _report("psh-second-structure", {"q": ctx.q, "n": n},
+                               False, f"({i},{j}): {ip} != {want}")
     if n == 2 and steinberg_constituents(2, ctx) < 2:
-        return PSHReport("psh-second-structure", {"q": ctx.q, "n": n},
-                         False, "transported basis does not differ in degree 2")
-    return PSHReport("psh-second-structure", {"q": ctx.q, "n": n}, True)
+        return _report("psh-second-structure", {"q": ctx.q, "n": n},
+                       False, "transported basis does not differ in degree 2")
+    return _report("psh-second-structure", {"q": ctx.q, "n": n}, True)

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from glnq.cli import main
+from glnq.invfun import constant_one
+from glnq.orbits import enumerate_orbits
 
 
 def run(capsys, *argv):
@@ -45,13 +47,6 @@ class TestOrbits:
                            "--format", "json", "--output", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 1
-
-    def test_cache_dir(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        code, _, _ = run(capsys, "orbits", "--q", "2", "--n", "2",
-                         "--cache-dir", str(cache))
-        assert code == 0
-        assert list(cache.glob("orbits-q2-n2-*.json"))
 
 
 class TestSteinberg:
@@ -159,3 +154,43 @@ class TestErrors:
         code, _, err = run(capsys, "restrict", "--q", "2",
                            "--composition", "1+1", "--input", str(src))
         assert code == 2
+
+    def test_file_from_another_field(self, capsys, tmp_path, q4):
+        # a q=4 function file read over F_2 was answered silently
+        src = tmp_path / "one1_q4.json"
+        src.write_text(json.dumps(constant_one(enumerate_orbits(1, q4)).to_json()))
+        code, out, err = run(capsys, "antipode", "--q", "2", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and '"q"' in err
+
+    def test_steinberg_report_is_not_a_function(self, capsys, tmp_path):
+        src = tmp_path / "st2.json"
+        code, _, _ = run(capsys, "steinberg", "--q", "2", "--n", "2",
+                         "--format", "json", "--output", str(src))
+        assert code == 0
+        code, _, err = run(capsys, "dual", "--q", "2", "--n", "2",
+                           "--input", str(src))
+        assert code == 2 and err.count("\n") == 1 and "KeyError" in err
+
+    def test_malformed_json(self, capsys, tmp_path):
+        src = tmp_path / "bad.json"
+        src.write_text('{"n": 1, "q": ')
+        code, _, err = run(capsys, "antipode", "--q", "2", "--input", str(src))
+        assert code == 2 and err.count("\n") == 1 and "JSONDecodeError" in err
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "antipode", "--q", "2",
+                           "--input", str(tmp_path / "absent.json"))
+        assert code == 2 and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,message", [(4, "--budget"), (-1, '"n"')])
+    def test_file_degree_out_of_range(self, capsys, tmp_path, n, message):
+        src = tmp_path / "bad_n.json"
+        src.write_text(json.dumps({"n": n, "q": "3^1:0,1", "values": {}}))
+        code, _, err = run(capsys, "antipode", "--q", "3", "--input", str(src))
+        assert code == 2 and err.count("\n") == 1 and message in err
+
+    def test_vacuous_max_n(self, capsys):
+        # --max-n 0 printed "OK: 5/5" without checking any positive degree
+        code, out, err = run(capsys, "verify", "--q", "2", "--max-n", "0")
+        assert code == 2 and out == "" and "--max-n" in err

@@ -1,5 +1,4 @@
-"""Matrices over F_q, block shapes, group enumeration, and block-permutation
-representatives."""
+"""Matrices over F_q, block shapes, and group enumeration."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +10,7 @@ from glnq.glmat import (BlockWitness, Composition, Matrix, ShapeError,
                         SingularMatrixError, batch_inverse, batch_matmul,
                         block_embed, compositions, conjugate, enumerate_gl,
                         enumerate_gl_order, gl_arrays, in_shape, levi_project,
-                        unipotent_radical_elems, unipotent_radical_order,
-                        weyl_rep)
+                        unipotent_radical_elems, unipotent_radical_order)
 
 
 def random_matrix(data, ctx, n):
@@ -185,31 +183,3 @@ class TestComposition:
         assert len(cs) == 2 ** (n - 1)
         assert len(set(c.parts for c in cs)) == len(cs)
         assert all(c.n == n for c in cs)
-
-
-class TestWeylRep:
-    def test_trivial_cases(self, q2):
-        assert weyl_rep(2, 0, 0, 0).matrix(q2) == Matrix.identity(q2, 2)
-        assert weyl_rep(1, 1, 0, 0).matrix(q2) == Matrix.identity(q2, 2)
-        assert weyl_rep(1, 0, 1, 0).matrix(q2) == Matrix.identity(q2, 2)
-        assert weyl_rep(0, 1, 1, 0).matrix(q2) == Matrix.from_rows(q2, [[0, 1], [1, 0]])
-
-    @given(st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_block_permutation(self, data):
-        """Conjugation by w turns a diag(x_a, x_b, x_c, x_d) block matrix for
-        (a, b, c, d) into the diag(x_a, x_c, x_b, x_d) matrix for (a, c, b, d)."""
-        ctx = fq(2)
-        sizes = [data.draw(st.integers(0, 2)) for _ in range(4)]
-        if sum(sizes) == 0:
-            sizes[0] = 1
-        a, b, c, d = sizes
-        blocks = [random_matrix(data, ctx, m) for m in sizes]
-        parts_in = tuple(m for m in sizes if m)
-        xs_in = [x for x in blocks if x.n]
-        x = block_embed(xs_in, Composition(parts_in))
-        w = weyl_rep(a, b, c, d).matrix(ctx)
-        out_order = [blocks[0], blocks[2], blocks[1], blocks[3]]
-        parts_out = tuple(x.n for x in out_order if x.n)
-        y = block_embed([x for x in out_order if x.n], Composition(parts_out))
-        assert conjugate(w, x) == y

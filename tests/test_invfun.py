@@ -49,6 +49,22 @@ class TestBasics:
                                       for i in range(len(table))])
         assert InvariantFunction.from_json(table, f.to_json()) == f
 
+    @pytest.mark.parametrize("field", ["q", "n", "labels", "p"])
+    def test_from_json_rejects_mismatch(self, q2, q3, field):
+        table = enumerate_orbits(2, q3)
+        data = constant_one(table).to_json()
+        if field == "q":
+            data["q"] = q2.serialize()
+        elif field == "n":
+            data["n"] = 3
+        elif field == "labels":
+            data["values"].popitem()
+        else:
+            data["values"] = {k: "2:[1]" for k in data["values"]}
+        with pytest.raises(ValueError, match='"q"' if field == "q" else
+                           '"n"' if field == "n" else '"values"'):
+            InvariantFunction.from_json(table, data)
+
 
 class TestInnerProduct:
     @pytest.mark.parametrize("q", [2, 3, 5])

@@ -1,0 +1,149 @@
+"""The exact operator layer against its scalar oracle: restriction, induction,
+their tensor-factor variants, duality and the antipode applied through
+glnq.invfun.apply_operator equal the one-value-at-a-time loops of
+tests/hc_oracle.py on seeded random inputs, and the (x, den) duality and
+antipode matrices equal their Fraction-list constructions."""
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+import hc_oracle
+from glnq import hc, linalg
+from glnq.duality import duality_operator
+from glnq.field import Cyclotomic, fq
+from glnq.hopf import antipode_function, antipode_matrix
+from glnq.invfun import InvariantFunction, TensorFunction, constant_one
+from glnq.orbits import enumerate_orbits
+
+# compositions of n <= 3, with zero parts and the one-part composition
+COMPOSITIONS = [(1,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1), (0, 2), (2, 0),
+                (1, 0, 2)]
+QS = [2, 3]
+
+
+def random_value(rng, p):
+    if rng.random() < 0.2:
+        return Cyclotomic.rational(p, 0)
+    return Cyclotomic(p, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(p - 1)])
+
+
+def random_function(rng, ctx, n):
+    table = enumerate_orbits(n, ctx)
+    return InvariantFunction(table, [random_value(rng, ctx.p) for _ in table.labels])
+
+
+def random_tensor(rng, ctx, degrees):
+    """A dense random tensor, not an outer product."""
+    tables = [enumerate_orbits(m, ctx) for m in degrees]
+    return TensorFunction(tables, {idx: random_value(rng, ctx.p) for idx in
+                                   product(*(range(len(t)) for t in tables))})
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("parts", COMPOSITIONS)
+@pytest.mark.parametrize("lower", [False, True])
+class TestAgainstOracle:
+    def test_restrict(self, q, parts, lower):
+        ctx, rng = fq(q), random.Random(f"restrict-{q}-{parts}-{lower}")
+        for _ in range(3):
+            f = random_function(rng, ctx, sum(parts))
+            assert hc.hc_restrict(f, parts, lower) == hc_oracle.hc_restrict(f, parts, lower)
+
+    def test_induce(self, q, parts, lower):
+        ctx, rng = fq(q), random.Random(f"induce-{q}-{parts}-{lower}")
+        for _ in range(3):
+            t = random_tensor(rng, ctx, parts)
+            assert hc.hc_induce(t, parts, lower) == hc_oracle.hc_induce(t, parts, lower)
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("degrees,pos,subparts", [
+    ((2, 1), 0, (1, 1)), ((1, 2), 1, (1, 1)), ((1, 2, 1), 1, (1, 1)),
+    ((3,), 0, (1, 2)), ((1, 1, 1), 2, (1,)), ((2, 1), 0, (0, 2))])
+def test_restrict_factor(q, degrees, pos, subparts):
+    ctx, rng = fq(q), random.Random(f"factor-{q}-{degrees}-{pos}")
+    t = random_tensor(rng, ctx, degrees)
+    for lower in (False, True):
+        assert (hc.tensor_restrict_factor(t, pos, subparts, lower)
+                == hc_oracle.tensor_restrict_factor(t, pos, subparts, lower))
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("degrees,start,count", [
+    ((1, 1, 1), 0, 2), ((1, 1, 1), 1, 2), ((1, 1, 2), 1, 2), ((1, 2, 1), 1, 1),
+    ((0, 1, 1), 0, 2), ((1, 0, 2), 0, 3)])
+def test_induce_span(q, degrees, start, count):
+    ctx, rng = fq(q), random.Random(f"span-{q}-{degrees}-{start}")
+    t = random_tensor(rng, ctx, degrees)
+    for lower in (False, True):
+        assert (hc.tensor_induce_span(t, start, count, lower)
+                == hc_oracle.tensor_induce_span(t, start, count, lower))
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+class TestDualityAndAntipode:
+    def test_duality_apply(self, q, n):
+        ctx, rng = fq(q), random.Random(f"dual-{q}-{n}")
+        for _ in range(3):
+            f = random_function(rng, ctx, n)
+            assert duality_operator(n, ctx).apply(f) == hc_oracle.duality_apply(f)
+
+    def test_antipode_function(self, q, n):
+        ctx, rng = fq(q), random.Random(f"antipode-{q}-{n}")
+        for _ in range(3):
+            f = random_function(rng, ctx, n)
+            assert antipode_function(f) == hc_oracle.antipode_function(f)
+
+    def test_matrices(self, q, n):
+        ctx = fq(q)
+        assert hc_oracle.rows(duality_operator(n, ctx).matrix) == \
+            hc_oracle.duality_matrix(ctx, n)
+        assert hc_oracle.rows(antipode_matrix(ctx, n)) == hc_oracle.antipode_rows(ctx, n)
+
+
+@pytest.mark.parametrize("q,n1,n2", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 2)])
+def test_kron(q, n1, n2):
+    ctx = fq(q)
+    d1, d2 = (duality_operator(n, ctx).matrix for n in (n1, n2))
+    assert hc_oracle.rows(linalg.kron(d1, d2)) == \
+        hc_oracle.kron(hc_oracle.rows(d1), hc_oracle.rows(d2))
+
+
+def test_pairs_in_lowest_terms(q2):
+    # equal matrices compare equal as pairs only in lowest terms
+    for op in (hc.restriction_matrix(q2, (1, 2)), hc.induction_matrix(q2, (2, 1)),
+               duality_operator(3, q2).matrix, antipode_matrix(q2, 3)):
+        x, den = op
+        assert den > 0 and math.gcd(den, *x.flat) == 1
+        scaled = (x * 6, den * 6)
+        assert not linalg.mat_eq(op, scaled)
+        assert linalg.mat_eq(op, linalg.reduced(*scaled))
+
+
+def _one_count_changed(real):
+    """The builder with its last count moved by one."""
+    def corrupt(ctx, parts, lower=False):
+        x, den = real(ctx, parts, lower)
+        x = x.copy()
+        x[-1, -1] += 1
+        return linalg.reduced(x, den)
+    return corrupt
+
+
+def test_changed_restriction_count_is_detected(monkeypatch, q2):
+    f = constant_one(enumerate_orbits(3, q2))
+    monkeypatch.setattr(hc, "restriction_matrix",
+                        _one_count_changed(hc.restriction_matrix))
+    assert hc.hc_restrict(f, (1, 2)) != hc_oracle.hc_restrict(f, (1, 2))
+
+
+def test_changed_induction_count_is_detected(monkeypatch, q2):
+    t = TensorFunction.outer([constant_one(enumerate_orbits(m, q2)) for m in (1, 2)])
+    monkeypatch.setattr(hc, "induction_matrix",
+                        _one_count_changed(hc.induction_matrix))
+    assert hc.hc_induce(t, (1, 2)) != hc_oracle.hc_induce(t, (1, 2))

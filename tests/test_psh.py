@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from glnq import duality, hc, psh
+from glnq import duality, hc, linalg, psh
 from glnq.field import fq, rational_is_square
 from glnq.hopf import multiply_functions
 from glnq.invfun import constant_one, inner_product_rational
@@ -163,14 +163,14 @@ def fresh_caches():
 
 
 def _one_count_changed(real, parts):
-    """induction_matrix with one entry of the given split moved by 1/|P|."""
+    """induction_matrix with the last count of the given split moved by one."""
     def wrapper(ctx, c, lower=False):
-        rows = real(ctx, c, lower)
+        x, den = real(ctx, c, lower)
         if tuple(c) != parts:
-            return rows
-        rows = [list(r) for r in rows]
-        rows[-1][-1] += Fraction(1, hc.parabolic_group_order(ctx, parts, lower))
-        return rows
+            return x, den
+        x = x.copy()
+        x[-1, -1] += 1
+        return linalg.reduced(x, den)
     return wrapper
 
 

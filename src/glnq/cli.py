@@ -12,7 +12,7 @@ from pathlib import Path
 from . import duality as duality_mod
 from . import hopf, psh
 from .field import FqContext, fq
-from .glmat import Composition
+from .glmat import Composition, ResourceBudgetError
 from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
                  verify_parabolic_independence, verify_transitivity)
 from .invfun import InvariantFunction, TensorFunction, constant_one, indicator_by_index
@@ -47,7 +47,7 @@ def _check_budget(ctx: FqContext, n: int, override: bool):
             f"pass --budget to acknowledge the cost")
 
 
-def _load_function(path: str, ctx: FqContext, budget: bool) -> InvariantFunction:
+def _load_function(path: str, ctx: FqContext, override: bool) -> InvariantFunction:
     """The function in a JSON file; a file that is not a function over ctx
     within the size budget is a ConfigError."""
     # json.JSONDecodeError is a ValueError
@@ -56,7 +56,7 @@ def _load_function(path: str, ctx: FqContext, budget: bool) -> InvariantFunction
         n = int(data["n"])
         if n < 0:
             raise ValueError(f'"n" is {n}')
-        _check_budget(ctx, n, budget)
+        _check_budget(ctx, n, override)
         return InvariantFunction.from_json(enumerate_orbits(n, ctx), data)
     except (ValueError, KeyError, TypeError, OSError) as e:
         raise ConfigError(f"{path}: {type(e).__name__}: {e}") from e
@@ -447,7 +447,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, ResourceBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -25,10 +25,10 @@ class SingularMatrixError(ValueError):
 class ResourceBudgetError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
-    def __init__(self, needed, budget):
-        super().__init__(f"enumeration needs {needed} > budget {budget}")
+    def __init__(self, needed, limit):
+        super().__init__(f"enumeration needs {needed} > budget {limit}")
         self.needed = needed
-        self.budget = budget
+        self.limit = limit
 
 
 DEFAULT_BUDGET = 1 << 20
@@ -123,23 +123,6 @@ def fq_rank(ctx, a) -> int:
     return len(_fq_row_reduce(ctx, rows))
 
 
-def fq_kernel(ctx, a):
-    """Basis of the right kernel of an index-matrix, as a list of index vectors."""
-    a = np.asarray(a)
-    nrows, ncols = a.shape
-    rows = [list(map(int, row)) for row in a]
-    pivots = _fq_row_reduce(ctx, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = int(ctx.NEG[rows[r][f]])
-        basis.append(vec)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -216,9 +199,6 @@ class Matrix:
     def rank(self) -> int:
         return fq_rank(self.ctx, self.a)
 
-    def is_invertible(self) -> bool:
-        return self.rank() == self.n
-
     def inverse(self) -> "Matrix":
         return Matrix(self.ctx, batch_inverse(self.ctx, self.a[None])[0])
 
@@ -237,6 +217,8 @@ class Matrix:
 
     @classmethod
     def parse(cls, ctx, s: str) -> "Matrix":
+        if not s:
+            return cls.zero(ctx, 0)
         rows = []
         for row in s.split(";"):
             entries = []
@@ -380,17 +362,12 @@ def block_embed(xs, c: Composition) -> Matrix:
 # enumeration
 
 
-def _matrix_codes_budget(ctx, n, budget):
-    total = ctx.q ** (n * n)
-    if budget is not None and total > budget:
-        raise ResourceBudgetError(total, budget)
-    return total
-
-
 @lru_cache(maxsize=None)
-def all_matrices(ctx: FqContext, n: int, budget: int = DEFAULT_BUDGET):
+def all_matrices(ctx: FqContext, n: int):
     """All q^(n^2) matrices as one stacked array, in code order."""
-    total = _matrix_codes_budget(ctx, n, budget)
+    total = ctx.q ** (n * n)
+    if total > DEFAULT_BUDGET:
+        raise ResourceBudgetError(total, DEFAULT_BUDGET)
     codes = np.arange(total, dtype=np.int64)
     flat = np.zeros((total, n * n), dtype=np.int16)
     t = codes
@@ -411,32 +388,32 @@ def encode_matrices(ctx, a) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def gl_mask(ctx: FqContext, n: int, budget: int = DEFAULT_BUDGET):
-    mats = all_matrices(ctx, n, budget)
+def gl_mask(ctx: FqContext, n: int):
+    mats = all_matrices(ctx, n)
     mask = batch_det(ctx, mats) != 0
     mask.setflags(write=False)
     return mask
 
 
 @lru_cache(maxsize=None)
-def gl_arrays(ctx: FqContext, n: int, budget: int = DEFAULT_BUDGET):
+def gl_arrays(ctx: FqContext, n: int):
     """(G, Ginv): stacked invertible matrices and their inverses."""
-    mats = all_matrices(ctx, n, budget)
-    G = mats[gl_mask(ctx, n, budget)]
+    mats = all_matrices(ctx, n)
+    G = mats[gl_mask(ctx, n)]
     Ginv = batch_inverse(ctx, G)
     G.setflags(write=False)
     Ginv.setflags(write=False)
     return G, Ginv
 
 
-def enumerate_gl(n: int, ctx: FqContext, budget: int = DEFAULT_BUDGET):
+def enumerate_gl(n: int, ctx: FqContext):
     """Invertible matrices, in row-major-lexicographic code order."""
-    G, _ = gl_arrays(ctx, n, budget)
+    G, _ = gl_arrays(ctx, n)
     for g in G:
         yield Matrix(ctx, g)
 
 
-def enumerate_gl_order(n: int, ctx: FqContext, budget: int = DEFAULT_BUDGET) -> int:
+def enumerate_gl_order(n: int, ctx: FqContext) -> int:
     if n == 0:
         return 1
     # closed form; cross-checked against the scan in tests

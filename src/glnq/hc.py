@@ -16,12 +16,13 @@ import numpy as np
 
 from . import linalg
 from .field import FqContext
-from .glmat import (Composition, _block_starts, _shape_mask, batch_matmul,
-                    encode_matrices, enumerate_gl_order, gl_arrays,
-                    unipotent_radical_elems, unipotent_radical_order)
+from .glmat import (Composition, ResourceBudgetError, _block_starts,
+                    _shape_mask, batch_matmul, encode_matrices,
+                    enumerate_gl_order, gl_arrays, unipotent_radical_elems,
+                    unipotent_radical_order)
 from .invfun import (InvariantFunction, TensorFunction, apply_operator,
                      tensor_inner_product)
-from .orbits import enumerate_orbits
+from .orbits import LOOKUP_BUDGET, enumerate_orbits
 
 
 @dataclass
@@ -61,7 +62,7 @@ def _conjugated_stack(ctx: FqContext, n: int, rep_index: int):
 
 
 @lru_cache(maxsize=None)
-def parabolic_group_order(ctx: FqContext, parts: tuple, lower: bool = False) -> int:
+def parabolic_group_order(ctx: FqContext, parts: tuple) -> int:
     """|P^F| = |L^F| q^dim U, with L^F the product of the GL_{n_i}(F_q); the
     upper and lower parabolics have the same order."""
     order = unipotent_radical_order(ctx, parts)
@@ -91,7 +92,7 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     tabs = split_tables(ctx, parts)
     table_n = enumerate_orbits(n, ctx)
     if table_n.lookup is None:
-        raise RuntimeError("restriction matrix needs the full orbit lookup")
+        raise ResourceBudgetError(ctx.q ** (n * n), LOOKUP_BUDGET)
     dims = [len(t) for t in tabs]
     U = unipotent_radical_elems(ctx, parts, lower=lower)
     starts, _ = _block_starts(parts)
@@ -118,7 +119,7 @@ def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     tabs = split_tables(ctx, parts)
     table_n = enumerate_orbits(n, ctx)
     ntuples = math.prod(len(t) for t in tabs)
-    porder = parabolic_group_order(ctx, parts, lower)
+    porder = parabolic_group_order(ctx, parts)
     kind = "parabolic-lower" if lower else "parabolic-upper"
     shape = _shape_mask(parts, kind)
     starts, _ = _block_starts(parts)

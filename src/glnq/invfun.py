@@ -11,8 +11,8 @@ from itertools import product
 import numpy as np
 
 from .field import Cyclotomic
-from .glmat import Matrix
-from .orbits import OrbitLabel, OrbitTable, enumerate_orbits
+from .glmat import Matrix, ResourceBudgetError, all_matrices
+from .orbits import LOOKUP_BUDGET, OrbitLabel, OrbitTable, enumerate_orbits
 
 
 class InvariantFunction:
@@ -139,11 +139,10 @@ def character_matrix(table: OrbitTable):
     if n == 0:
         counts[0, 0, 0] = 1
     else:
-        from .glmat import all_matrices
-        mats = all_matrices(ctx, n)
         orb = table.lookup
         if orb is None:
-            raise RuntimeError("Fourier basis needs the full orbit lookup")
+            raise ResourceBudgetError(ctx.q ** (n * n), LOOKUP_BUDGET)
+        mats = all_matrices(ctx, n)
         # Tr_{F_q/F_p}(trace(a x)) for all a at once, per representative x
         for xi, rep in enumerate(table.reps):
             xa = rep.a

@@ -1,5 +1,5 @@
 """Adjoint (= similarity) orbits of gl_n(F_q): canonical labels, enumeration,
-sizes, and a brute-force conjugation oracle.
+closed-form sizes, and a brute-force conjugation oracle.
 
 Orbits are labelled by finite maps {monic irreducible f} -> {partition}, with
 total weight sum(deg f * |lambda|) = n; the representative of a label is the
@@ -18,7 +18,6 @@ from .glmat import (Matrix, ResourceBudgetError, encode_matrices,
                     enumerate_gl_order)
 
 LOOKUP_BUDGET = 1 << 17
-SPAN_BUDGET = 1 << 17
 
 
 class OrbitCountError(ArithmeticError):
@@ -313,34 +312,25 @@ def _decode_codes(ctx, n, codes):
     return flat.reshape(len(codes), n, n)
 
 
-def centralizer_order(x: Matrix, budget: int = SPAN_BUDGET) -> int:
-    """|{g in GL_n : g x = x g}|, by enumerating the commutant algebra."""
-    ctx, n = x.ctx, x.n
-    if n == 0:
-        return 1
-    # (AY - YA)[i,j] as linear forms in Y[k,l]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                row[k * n + j] = int(ctx.ADD[row[k * n + j], x.a[i, k]])
-            for l in range(n):
-                v = int(ctx.NEG[x.a[l, j]])
-                row[i * n + l] = int(ctx.ADD[row[i * n + l], v])
-            rows.append(row)
-    from .glmat import batch_det, fq_kernel
-    basis = fq_kernel(ctx, np.array(rows, dtype=np.int16))
-    d = len(basis)
-    if ctx.q ** d > budget:
-        raise ResourceBudgetError(ctx.q ** d, budget)
-    span = np.zeros((1, n, n), dtype=np.int16)
-    for vec in basis:
-        b = np.array(vec, dtype=np.int16).reshape(n, n)
-        scaled = ctx.MUL[np.arange(ctx.q, dtype=np.int16)[:, None, None], b]
-        span = ctx.ADD[span[:, None], scaled[None, :]].reshape(-1, n, n)
-    dets = batch_det(ctx, span)
-    return int(np.count_nonzero(dets))
+def centralizer_order(ctx: FqContext, label: OrbitLabel) -> int:
+    """|{g in GL_n : g x = x g}| for x in the orbit of the label, in closed
+    form: the product over its pairs (f, lam) of a_lam(Q), Q = q^deg f, with
+
+        a_lam(Q) = Q^(sum_i lam'_i^2 - sum_j m_j (m_j + 1) / 2)
+                   * prod_j prod_{k=1..m_j} (Q^k - 1),
+
+    lam' the conjugate partition and m_j the number of parts equal to j
+    (Macdonald, Symmetric Functions and Hall Polynomials, II (1.6), IV.2)."""
+    order = 1
+    for f, lam in label.pairs:
+        Q = ctx.q ** (len(f) - 1)
+        conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
+        mults = [lam.count(j) for j in set(lam)]
+        order *= Q ** (sum(c * c for c in conj) - sum(m * (m + 1) // 2 for m in mults))
+        for m in mults:
+            for k in range(1, m + 1):
+                order *= Q ** k - 1
+    return order
 
 
 class OrbitTable:
@@ -377,11 +367,6 @@ class OrbitTable:
         if key not in self._label_memo:
             self._label_memo[key] = self.index_of_label(matrix_label(x))
         return self._label_memo[key]
-
-    def codes_of_orbit(self, i: int) -> np.ndarray:
-        if self.lookup is None:
-            raise ResourceBudgetError(self.ctx.q ** (self.n * self.n), LOOKUP_BUDGET)
-        return np.nonzero(self.lookup == i)[0]
 
     def to_json(self):
         return {
@@ -434,15 +419,19 @@ def representative(ctx, label: OrbitLabel, n: int) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def enumerate_orbits(n: int, ctx: FqContext,
-                     lookup_budget: int = LOOKUP_BUDGET) -> OrbitTable:
+def enumerate_orbits(n: int, ctx: FqContext) -> OrbitTable:
+    """The adjoint orbits of gl_n(F_q), sized |G|/|C(x)| by the closed form.
+    Up to LOOKUP_BUDGET matrices a BFS sweep also builds the code -> orbit
+    lookup and checks every size; past it the table has no lookup."""
+    if n < 0:
+        raise ValueError(f"degree n={n} is negative")
     labels = sorted(_label_candidates(ctx, n), key=lambda lab: lab.pairs)
     reps = [representative(ctx, lab, n) for lab in labels]
     gl = enumerate_gl_order(n, ctx)
-    sizes = [gl // centralizer_order(rep) for rep in reps]
+    sizes = [gl // centralizer_order(ctx, lab) for lab in labels]
     lookup = None
     total = ctx.q ** (n * n)
-    if total <= lookup_budget:
+    if total <= LOOKUP_BUDGET:
         lookup = np.full(total, -1, dtype=np.int32)
         for i, rep in enumerate(reps):
             seed = encode_matrices(ctx, rep.a[None])
@@ -464,15 +453,14 @@ def orbit_of(x: Matrix, table: OrbitTable) -> OrbitLabel:
     return table.labels[table.index_of_label(matrix_label(x))]
 
 
-def orbit_table_bruteforce(n: int, ctx: FqContext,
-                           budget: int = LOOKUP_BUDGET):
+def orbit_table_bruteforce(n: int, ctx: FqContext):
     """Independent BFS partition of all q^(n^2) matrices into conjugacy classes.
 
     Returns (class_id array in code order, list of class sizes).
     """
     total = ctx.q ** (n * n)
-    if total > budget:
-        raise ResourceBudgetError(total, budget)
+    if total > LOOKUP_BUDGET:
+        raise ResourceBudgetError(total, LOOKUP_BUDGET)
     claim = np.full(total, -1, dtype=np.int32)
     sizes = []
     for code in range(total):

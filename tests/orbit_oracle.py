@@ -1,17 +1,19 @@
 """Brute-force references for the F_q kernels behind orbit enumeration, GL
-inversion and parabolic orders.
+inversion, centralizer orders and parabolic orders.
 
 These are the slow paths that glnq replaced: the conjugation BFS multiplies
 each frontier matrix by every generator and its inverse as full matrix
-products, each inverse is one Gauss-Jordan elimination on a Python list, and
-|P| is counted by testing the block shape of every invertible matrix.  The
-tests use them as witnesses that the elementary-move BFS, the stack-wide
-Gauss-Jordan and the closed form |P| = |L| q^dim U give the same results.
+products, each inverse is one Gauss-Jordan elimination on a Python list,
+|C(x)| is counted by enumerating the commutant algebra of x, and |P| is
+counted by testing the block shape of every invertible matrix.  The tests use
+them as witnesses that the elementary-move BFS, the stack-wide Gauss-Jordan,
+the closed form |C(x)| = prod_f a_lam(f)(q^deg f) and the closed form
+|P| = |L| q^dim U give the same results.
 """
 import numpy as np
 
 from glnq.glmat import (Matrix, SingularMatrixError, _fq_row_reduce,
-                        _shape_mask, all_matrices, batch_matmul,
+                        _shape_mask, all_matrices, batch_det, batch_matmul,
                         encode_matrices, gl_mask)
 
 
@@ -26,6 +28,45 @@ def inverse(x: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return Matrix(x.ctx, np.array([row[n:] for row in rows], dtype=np.int16))
+
+
+def kernel(ctx, a):
+    """Basis of the right kernel of an index-matrix, as a list of index vectors."""
+    a = np.asarray(a)
+    rows = [list(map(int, row)) for row in a]
+    pivots = _fq_row_reduce(ctx, rows)
+    basis = []
+    for f in (c for c in range(a.shape[1]) if c not in pivots):
+        vec = [0] * a.shape[1]
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = int(ctx.NEG[rows[r][f]])
+        basis.append(vec)
+    return basis
+
+
+def commutant_order(x: Matrix) -> int:
+    """|{g in GL_n : g x = x g}|, by enumerating the commutant algebra
+    {y : x y = y x} and counting its elements of nonzero determinant."""
+    ctx, n = x.ctx, x.n
+    if n == 0:
+        return 1
+    # (xy - yx)[i,j] as linear forms in y[k,l]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[k * n + j] = int(ctx.ADD[row[k * n + j], x.a[i, k]])
+            for l in range(n):
+                row[i * n + l] = int(ctx.ADD[row[i * n + l], ctx.NEG[x.a[l, j]]])
+            rows.append(row)
+    span = np.zeros((1, n, n), dtype=np.int16)
+    for vec in kernel(ctx, np.array(rows, dtype=np.int16)):
+        b = np.array(vec, dtype=np.int16).reshape(n, n)
+        scaled = ctx.MUL[np.arange(ctx.q, dtype=np.int16)[:, None, None], b]
+        span = ctx.ADD[span[:, None], scaled[None, :]].reshape(-1, n, n)
+    return int(np.count_nonzero(batch_det(ctx, span)))
 
 
 def conjugation_generators(ctx, n):

@@ -48,6 +48,14 @@ class TestOrbits:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 1
 
+    def test_past_the_lookup_range(self, capsys):
+        # orbit sizes in closed form need no enumeration of gl_5(F_2)
+        code, out, _ = run(capsys, "orbits", "--q", "2", "--n", "5", "--budget",
+                           "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and len(data["orbits"]) == 74
+        assert sum(o["size"] for o in data["orbits"]) == 2 ** 25
+
 
 class TestSteinberg:
     def test_constituents_line(self, capsys):
@@ -143,6 +151,12 @@ class TestErrors:
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "3", "--n", "4")
         assert code == 2 and "--budget" in err
+
+    def test_enumeration_past_budget(self, capsys):
+        # the dual of 1 at q=3 n=4 needs all 3^16 matrices
+        code, out, err = run(capsys, "steinberg", "--q", "3", "--n", "4", "--budget")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: enumeration needs")
 
     def test_composition_degree_mismatch(self, capsys, tmp_path):
         from glnq.field import fq

@@ -131,6 +131,14 @@ def test_cyclotomic_ring_laws(p, data):
     assert (a + b).conj() == a.conj() + b.conj()
 
 
+
+@given(st.sampled_from([2, 3, 5]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cyclotomic_parse_roundtrip(p, data):
+    x = Cyclotomic(p, tuple(data.draw(st.fractions()) for _ in range(p - 1)))
+    assert Cyclotomic.parse(x.serialize()) == x
+
+
 class TestSqrtRational:
     def test_from_rational(self):
         x = SqrtRational.from_rational(Fraction(-2, 3))

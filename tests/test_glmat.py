@@ -48,6 +48,12 @@ class TestMatrix:
                                   [q4.zero, q4.from_coeffs([1, 1])]])
         assert Matrix.parse(q4, x.serialize()) == x
 
+    @given(st.sampled_from([2, 4, 9]), st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parse_roundtrip(self, q, n, data):
+        x = random_matrix(data, fq(q), n)
+        assert Matrix.parse(x.ctx, x.serialize()) == x
+
 
 class TestBatchInverse:
     """The stack-wide Gauss-Jordan against one elimination per matrix."""

@@ -171,9 +171,9 @@ class TestParabolicOrder:
         (4, (1, 1)), (5, (1, 1))])
     def test_closed_form_matches_count(self, q, parts):
         ctx = fq(q)
+        order = parabolic_group_order(ctx, parts)
         for lower in (False, True):
-            assert (parabolic_group_order(ctx, parts, lower)
-                    == orbit_oracle.parabolic_order(ctx, parts, lower))
+            assert order == orbit_oracle.parabolic_order(ctx, parts, lower)
 
 
 class TestMatrices:

@@ -198,3 +198,15 @@ def test_inner_product_is_hermitian_and_positive(qn, data):
     norm = inner_product_rational(f, f)
     assert norm >= 0
     assert (norm == 0) == f.is_zero()
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (4, 1), (5, 1)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_json_roundtrip_on_random_values(qn, data):
+    q, n = qn
+    table = enumerate_orbits(n, fq(q))
+    p = table.ctx.p
+    f = InvariantFunction(table, [
+        Cyclotomic(p, tuple(data.draw(st.fractions()) for _ in range(p - 1)))
+        for _ in table.labels])
+    assert InvariantFunction.from_json(table, f.to_json()) == f

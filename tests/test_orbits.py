@@ -117,7 +117,7 @@ class TestEnumeration:
         table = enumerate_orbits(2, q2)
         gl = enumerate_gl_order(2, q2)
         for rep, size in zip(table.reps, table.sizes):
-            assert centralizer_order(rep) * size == gl
+            assert orbit_oracle.commutant_order(rep) * size == gl
 
     @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_bruteforce_oracle(self, q, n):
@@ -141,6 +141,29 @@ class TestEnumeration:
     def test_json(self, q2):
         data = enumerate_orbits(2, q2).to_json()
         assert data["n"] == 2 and len(data["orbits"]) == 6
+
+    @pytest.mark.parametrize("q,n,count", [(2, 5, 74), (3, 4, 129)])
+    def test_past_the_lookup_range(self, q, n, count):
+        table = enumerate_orbits(n, fq(q))
+        assert len(table) == count and table.lookup is None
+        assert sum(table.sizes) == q ** (n * n)
+
+    def test_negative_degree(self, q2):
+        with pytest.raises(ValueError, match="n=-1"):
+            enumerate_orbits(-1, q2)
+
+
+class TestCentralizerOrder:
+    """The closed form against the commutant count on every representative."""
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                     (3, 1), (3, 2), (3, 3)]
+                             + [(q, n) for q in (4, 5, 7, 8, 9) for n in (1, 2)])
+    def test_matches_commutant_count(self, q, n):
+        ctx = fq(q)
+        table = enumerate_orbits(n, ctx)
+        for lab, rep in zip(table.labels, table.reps):
+            assert centralizer_order(ctx, lab) == orbit_oracle.commutant_order(rep)
 
 
 class TestMoveBFS:
@@ -184,9 +207,9 @@ class TestTypedErrors:
         k = 4
         real = orbits.centralizer_order
 
-        def corrupted(x, *args):
-            order = real(x, *args)
-            return 2 * order if x == table.reps[k] else order
+        def corrupted(ctx, label):
+            order = real(ctx, label)
+            return 2 * order if label == table.labels[k] else order
 
         monkeypatch.setattr(orbits, "centralizer_order", corrupted)
         with pytest.raises(OrbitCountError,
@@ -214,3 +237,12 @@ def test_lookup_agrees_with_label(qn, data):
     x = Matrix(ctx, np.array(entries, dtype=np.int16).reshape(n, n))
     idx = table.index_of_matrix(x)
     assert table.labels[idx] == matrix_label(x)
+
+
+@given(st.sampled_from([(2, 3), (3, 2), (4, 2)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_label_parse_roundtrip(qn, data):
+    q, n = qn
+    table = enumerate_orbits(n, fq(q))
+    lab = data.draw(st.sampled_from(table.labels))
+    assert OrbitLabel.parse(lab.serialize()) == lab

@@ -41,10 +41,19 @@ def _context(args) -> FqContext:
 
 def _check_budget(ctx: FqContext, n: int, override: bool):
     cap = DEFAULT_MAX_N[ctx.q]
+    if n < 0:
+        raise ConfigError(f"n={n} is negative")
     if n > cap and not override:
         raise ConfigError(
             f"n={n} exceeds the default budget n<={cap} for q={ctx.q}; "
             f"pass --budget to acknowledge the cost")
+
+
+def _composition(text: str) -> Composition:
+    try:
+        return Composition.parse(text)
+    except ValueError as e:
+        raise ConfigError(f"--composition {text!r}: {e}") from e
 
 
 def _load_function(path: str, ctx: FqContext, override: bool) -> InvariantFunction:
@@ -103,7 +112,7 @@ def cmd_orbits(args):
 
 def cmd_induce(args):
     ctx = _context(args)
-    c = Composition.parse(args.composition)
+    c = _composition(args.composition)
     _check_budget(ctx, c.n, args.budget)
     factors = [_load_function(p, ctx, args.budget) for p in args.input.split(",")]
     if tuple(f.n for f in factors) != c.parts:
@@ -115,7 +124,7 @@ def cmd_induce(args):
 
 def cmd_restrict(args):
     ctx = _context(args)
-    c = Composition.parse(args.composition)
+    c = _composition(args.composition)
     _check_budget(ctx, c.n, args.budget)
     f = _load_function(args.input, ctx, args.budget)
     if f.n != c.n:
@@ -162,6 +171,8 @@ def cmd_antipode(args):
 def cmd_primitives(args):
     ctx = _context(args)
     _check_budget(ctx, args.n, args.budget)
+    if args.n < 1:
+        raise ConfigError(f"n={args.n}: primitive subspaces start in degree 1")
     basis = hopf.primitive_subspace(ctx, args.n)
     payload = {"n": args.n, "dimension": basis.dimension,
                "basis": [f.to_json() for f in basis.members]}
@@ -337,9 +348,18 @@ def cmd_verify(args):
     if max_n < 1:
         raise ConfigError(f"--max-n {max_n} checks nothing; it must be at least 1")
     _check_budget(ctx, max_n, args.budget)
-    if args.suite == "mackey" and args.n1 is not None:
-        if args.n2 is None or args.s is None or args.t is None:
-            raise ConfigError("verify mackey with --n1 needs --n2 --s --t")
+    degrees = (args.n1, args.n2, args.s, args.t)
+    if degrees != (None,) * 4:
+        if args.suite != "mackey":
+            raise ConfigError("--n1 --n2 --s --t apply to verify mackey only")
+        if None in degrees:
+            raise ConfigError("verify mackey needs all of --n1 --n2 --s --t")
+        if min(degrees) < 0:
+            raise ConfigError(f"verify mackey degrees {degrees} must be nonnegative")
+        if args.n1 + args.n2 != args.s + args.t:
+            raise ConfigError(f"--n1 + --n2 = {args.n1 + args.n2} differs from "
+                              f"--s + --t = {args.s + args.t}")
+        _check_budget(ctx, args.n1 + args.n2, args.budget)
         t1 = enumerate_orbits(args.n1, ctx)
         t2 = enumerate_orbits(args.n2, ctx)
         if args.all_indicators:

@@ -1,5 +1,5 @@
-"""Exact arithmetic: F_q (q = p^k), the cyclotomic field Q(zeta_p), and
-sign-times-square-root rationals.
+"""Exact arithmetic: F_q (q = p^k) and polynomials over it, base-b digit
+codes, the cyclotomic field Q(zeta_p), and sign-times-square-root rationals.
 
 No floating point anywhere; rationals are fractions.Fraction, field elements
 are canonical indices into precomputed arithmetic tables.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,56 +32,100 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p with plain int coefficients (modulus handling only)
+# base-b digit codes: matrices, polynomial coefficients and field elements
 
-def _p_trim(c):
+
+def digits(codes, base, width):
+    """The `width` base-`base` digits of each code, lowest first, as an int16
+    array of shape codes.shape + (width,); the inverse of undigits."""
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.empty(codes.shape + (width,), dtype=np.int16)
+    for i in range(width):
+        out[..., i] = codes % base
+        codes = codes // base
+    return out
+
+
+def undigits(digs, base):
+    """The codes whose base-`base` digits, lowest first, run along the last
+    axis of digs."""
+    digs = np.asarray(digs, dtype=np.int64)
+    return digs @ base ** np.arange(digs.shape[-1], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_q: tuples of element indices, ascending, no trailing zeros
+
+
+def poly_trim(c):
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
-    return c
+    return tuple(c)
 
 
-def _p_mul(a, b, p):
+def poly_add(ctx, a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return poly_trim(int(ctx.ADD[x, y]) for x, y in zip(a, b))
+
+
+def poly_sub(ctx, a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return poly_trim(int(ctx.SUB[x, y]) for x, y in zip(a, b))
+
+
+def poly_mul(ctx, a, b):
     if not a or not b:
-        return []
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
+        if not x:
+            continue
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _p_trim(out)
+            out[i + j] = int(ctx.ADD[out[i + j], ctx.MUL[x, y]])
+    return poly_trim(out)
 
 
-def _p_mod(a, m, p):
-    # m monic
+def poly_divmod(ctx, a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        q = a[-1]
-        shift = len(a) - 1 - dm
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - q * c) % p
-        a = _p_trim(a)
-    return a
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    binv = int(ctx.INV[b[-1]])
+    while len(a) >= len(b) and poly_trim(a):
+        a = list(poly_trim(a))
+        if len(a) < len(b):
+            break
+        coef = int(ctx.MUL[a[-1], binv])
+        shift = len(a) - len(b)
+        quot[shift] = coef
+        for i, c in enumerate(b):
+            a[shift + i] = int(ctx.SUB[a[shift + i], ctx.MUL[coef, c]])
+    return poly_trim(quot), poly_trim(a)
 
 
-def _monic_polys(deg, p):
-    for tail in range(p ** deg):
-        c, t = [], tail
-        for _ in range(deg):
-            c.append(t % p)
-            t //= p
-        yield c + [1]
+def poly_pow(ctx, a, e):
+    r = (1,)
+    for _ in range(e):
+        r = poly_mul(ctx, r, a)
+    return r
 
 
-def _p_irreducible(m, p):
-    deg = len(m) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not _p_mod(m, g, p):
-                return False
-    return True
+@lru_cache(maxsize=None)
+def irreducibles(ctx: FqContext, max_deg: int):
+    """Monic irreducibles over F_q of degree <= max_deg, by (degree, lex)."""
+    out = []
+    for deg in range(1, max_deg + 1):
+        lower = [f for f in out if (len(f) - 1) * 2 <= deg]
+        for tail in digits(np.arange(ctx.q ** deg), ctx.q, deg).tolist():
+            f = tuple(tail) + (1,)
+            if all(poly_divmod(ctx, f, g)[1] for g in lower):
+                out.append(f)
+    return tuple(sorted(out, key=lambda f: (len(f), f)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +136,9 @@ class FqContext:
 
     Elements are canonical indices 0..q-1; index v has polynomial-basis
     coefficients given by the base-p digits of v (least significant first).
+    F_p is the integers mod p; F_{p^k} is F_p[t]/(m), reduced by polynomial
+    division over the prime context.  The default modulus m is the first
+    monic irreducible of degree k in code order, lowest digit first.
     """
 
     _interned: dict = {}
@@ -100,57 +148,39 @@ class FqContext:
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError("k must be positive")
+        prime = FqContext.get(p) if k > 1 else None
         if modulus is None:
-            modulus = [0, 1] if k == 1 else self._default_modulus(p, k)
+            modulus = [0, 1] if k == 1 else list(min(
+                (f for f in irreducibles(prime, k) if len(f) == k + 1),
+                key=lambda f: f[::-1]))
         modulus = [c % p for c in modulus]
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if k > 1 and not _p_irreducible(modulus, p):
+        if k > 1 and tuple(modulus) not in irreducibles(prime, k):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
         self.q = p ** k
         self.modulus = tuple(modulus)
-        self._build_tables()
+        self._build_tables(prime)
 
-    @staticmethod
-    def _default_modulus(p, k):
-        for m in _monic_polys(k, p):
-            if _p_irreducible(m, p):
-                return m
-        raise AssertionError("no irreducible modulus found")
-
-    def _build_tables(self):
+    def _build_tables(self, prime):
         p, k, q = self.p, self.k, self.q
-        coeffs = []
-        for v in range(q):
-            c, t = [], v
-            for _ in range(k):
-                c.append(t % p)
-                t //= p
-            coeffs.append(tuple(c))
-        self._coeffs = tuple(coeffs)
-
-        def idx(poly):
-            poly = list(poly) + [0] * k
-            return sum(poly[i] * p ** i for i in range(k))
-
-        ADD = np.zeros((q, q), dtype=np.int16)
-        MUL = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            ca = coeffs[a]
-            for b in range(a, q):
-                cb = coeffs[b]
-                s = idx([(x + y) % p for x, y in zip(ca, cb)])
-                ADD[a, b] = ADD[b, a] = s
-                m = idx(_p_mod(_p_mul(list(ca), list(cb), p), list(self.modulus), p))
-                MUL[a, b] = MUL[b, a] = m
-        NEG = np.array([idx([(-x) % p for x in coeffs[a]]) for a in range(q)],
-                       dtype=np.int16)
+        coeffs = digits(np.arange(q), p, k).astype(np.int64)
+        self._coeffs = tuple(map(tuple, coeffs.tolist()))
+        # the digits of t^e mod m for e <= 2k - 2, the degrees a product reaches
+        powers = np.eye(2 * k - 1, k, dtype=np.int64)
+        for e in range(k, 2 * k - 1):
+            rem = poly_divmod(prime, (0,) * e + (1,), self.modulus)[1]
+            powers[e, :len(rem)] = rem
+        prod = np.einsum("ai,bj,ijd->abd", coeffs, coeffs,
+                         powers[np.add.outer(np.arange(k), np.arange(k))])
+        ADD = undigits((coeffs[:, None] + coeffs[None]) % p, p).astype(np.int16)
+        MUL = undigits(prod % p, p).astype(np.int16)
+        NEG = undigits(-coeffs % p, p).astype(np.int16)
         SUB = ADD[:, NEG]
-        INV = np.full(q, -1, dtype=np.int16)
-        for a in range(1, q):
-            INV[a] = int(np.nonzero(MUL[a] == 1)[0][0])
+        INV = np.argmax(MUL == 1, axis=1).astype(np.int16)
+        INV[0] = -1
         self.ADD, self.SUB, self.MUL, self.NEG, self.INV = ADD, SUB, MUL, NEG, INV
         for t in (ADD, SUB, MUL, NEG, INV):
             t.setflags(write=False)
@@ -162,10 +192,10 @@ class FqContext:
             for _ in range(k):
                 acc = int(ADD[acc, x])
                 x = self._pow_idx(x, p)
-            if any(coeffs[acc][1:]):
-                raise FieldTableError(f"trace of element {a} is {coeffs[acc]}, "
+            if any(self._coeffs[acc][1:]):
+                raise FieldTableError(f"trace of element {a} is {self._coeffs[acc]}, "
                                       f"not in F_{p}")
-            TR[a] = coeffs[acc][0]
+            TR[a] = self._coeffs[acc][0]
         TR.setflags(write=False)
         self.TR = TR
 
@@ -188,9 +218,8 @@ class FqContext:
         return FqElem(self, int(v) % self.q if self.k == 1 else int(v))
 
     def from_coeffs(self, coeffs) -> "FqElem":
-        coeffs = list(coeffs) + [0] * self.k
-        v = sum((coeffs[i] % self.p) * self.p ** i for i in range(self.k))
-        return FqElem(self, v)
+        coeffs = (list(coeffs) + [0] * self.k)[:self.k]
+        return FqElem(self, int(undigits([c % self.p for c in coeffs], self.p)))
 
     @property
     def zero(self):
@@ -207,12 +236,13 @@ class FqContext:
         """Index of a multiplicative generator of F_q*."""
         for a in range(1, self.q):
             x, order = a, 1
-            while x != 1:
+            while x != 1 and order < self.q:
                 x = int(self.MUL[x, a])
                 order += 1
             if order == self.q - 1:
                 return a
-        raise AssertionError
+        raise FieldTableError(f"no element of order {self.q - 1} in the "
+                              f"multiplication table of F_{self.q}")
 
     # -- serialization: "p^k:c0,c1,...,ck" ---------------------------------
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import ContextMismatchError, FqContext, FqElem
+from .field import ContextMismatchError, FqContext, FqElem, digits, undigits
 
 
 class ShapeError(ValueError):
@@ -368,13 +368,7 @@ def all_matrices(ctx: FqContext, n: int):
     total = ctx.q ** (n * n)
     if total > DEFAULT_BUDGET:
         raise ResourceBudgetError(total, DEFAULT_BUDGET)
-    codes = np.arange(total, dtype=np.int64)
-    flat = np.zeros((total, n * n), dtype=np.int16)
-    t = codes
-    for i in range(n * n):
-        flat[:, i] = t % ctx.q
-        t = t // ctx.q
-    out = flat.reshape(total, n, n)
+    out = digits(np.arange(total), ctx.q, n * n).reshape(total, n, n)
     out.setflags(write=False)
     return out
 
@@ -382,9 +376,7 @@ def all_matrices(ctx: FqContext, n: int):
 def encode_matrices(ctx, a) -> np.ndarray:
     """Inverse of the all_matrices code order (row-major digits, ascending powers)."""
     n = a.shape[-1]
-    flat = a.reshape(a.shape[:-2] + (n * n,)).astype(np.int64)
-    powers = ctx.q ** np.arange(n * n, dtype=np.int64)
-    return flat @ powers
+    return undigits(a.reshape(a.shape[:-2] + (n * n,)), ctx.q)
 
 
 @lru_cache(maxsize=None)
@@ -436,13 +428,7 @@ def unipotent_radical_elems(ctx: FqContext, parts, lower=False) -> np.ndarray:
     n = sum(parts)
     # positions free in U are exactly those killed by the opposite condition
     free = _shape_mask(parts, "parabolic-lower" if not lower else "parabolic-upper")
-    pos = np.argwhere(free)
-    m = len(pos)
-    total = ctx.q ** m
-    out = np.zeros((total, n, n), dtype=np.int16)
-    codes = np.arange(total, dtype=np.int64)
-    t = codes
-    for idx, (i, j) in enumerate(pos):
-        out[:, i, j] = t % ctx.q
-        t = t // ctx.q
+    codes = np.arange(ctx.q ** int(free.sum()))
+    out = np.zeros((len(codes), n, n), dtype=np.int16)
+    out[:, free] = digits(codes, ctx.q, int(free.sum()))
     return out

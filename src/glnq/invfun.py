@@ -10,6 +10,7 @@ from itertools import product
 
 import numpy as np
 
+from . import linalg
 from .field import Cyclotomic
 from .glmat import Matrix, ResourceBudgetError, all_matrices
 from .orbits import LOOKUP_BUDGET, OrbitLabel, OrbitTable, enumerate_orbits
@@ -130,8 +131,8 @@ def inner_product_rational(f, g) -> Fraction:
 def character_matrix(table: OrbitTable):
     """The Fourier characters at the orbit representatives as an integer
     matrix over Q(zeta_p) (see linalg): (X, 1), where X has shape
-    (p, orbits, orbits) and X[t, O, x] = #{a in O : Tr(trace(a x)) = t}, so
-    chi_O(x) = sum_t X[t, O, x] zeta_p^t."""
+    (p, orbits, orbits) and X[t, O, x] = N_t - N_(p-1) with
+    N_t = #{a in O : Tr(trace(a x)) = t}, so chi_O(x) = sum_t X[t, O, x] zeta_p^t."""
     ctx, n = table.ctx, table.n
     p = ctx.p
     norb = len(table)
@@ -155,9 +156,7 @@ def character_matrix(table: OrbitTable):
                         acc = ctx.ADD[acc, ctx.MUL[mats[:, i, j], xa[j, i]]]
                 prod_tr = ctx.TR[acc].astype(np.int64)
             counts[xi] = np.bincount(orb * p + prod_tr, minlength=norb * p).reshape(norb, p)
-    planes = counts.transpose(2, 1, 0).astype(object)
-    planes.setflags(write=False)
-    return planes, 1
+    return linalg.reduced(counts.transpose(2, 1, 0), 1)
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +165,8 @@ def fourier_character_basis(table: OrbitTable):
     with psi(a) = zeta_p^Tr(a). Orthogonal; chi_O(0) = |O|."""
     planes, _ = character_matrix(table)
     p = table.ctx.p
-    # reduce zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) into Cyclotomic form
-    coeffs = planes[:p - 1] - planes[p - 1]
     return tuple(
-        InvariantFunction(table, [Cyclotomic(p, coeffs[:, oi, xi])
+        InvariantFunction(table, [Cyclotomic(p, planes[:p - 1, oi, xi])
                                   for xi in range(len(table))])
         for oi in range(len(table)))
 

@@ -4,9 +4,10 @@ Every exact operator is a pair (x, den): x is a numpy object array of Python
 ints and den one positive integer, standing for the matrix x / den.  A 2-D x
 is a rational matrix; a 3-D x of shape (p, rows, cols) is a matrix over
 Q(zeta_p) whose plane t holds the coefficient of zeta^t.  Every constructor
-here returns the pair in lowest terms (gcd of den and all entries is 1), so
-two pairs are equal as matrices exactly when they are equal as pairs.
-Nothing here rounds or wraps.
+here returns the pair in lowest terms: plane p-1 of a 3-D x is zero (adding
+one matrix to every plane changes nothing, as 1 + zeta + ... + zeta^(p-1) = 0)
+and the gcd of den and all entries is 1.  So two pairs are equal as matrices
+exactly when they are equal as pairs.  Nothing here rounds or wraps.
 
 rref, kernel and rank are Gauss-Jordan over Fractions on lists of rows; they
 accept rows of ints or Fractions.
@@ -25,6 +26,8 @@ def reduced(x, den):
     """The pair (x, den) in lowest terms, x a read-only object array of
     ints: cached operators are shared by every caller."""
     x = np.asarray(x, dtype=object)
+    if x.ndim == 3:
+        x = x - x[-1]
     g = math.gcd(den, *x.flat)
     if g > 1:
         x, den = x // g, den // g
@@ -73,10 +76,9 @@ def kron(a, b):
 def conj_t(a):
     """Conjugate transpose: plane t moves to plane -t mod p."""
     x, d = a
-    if x.ndim == 2:
-        return x.T, d
-    p = len(x)
-    return x[[(-t) % p for t in range(p)]].transpose(0, 2, 1), d
+    if x.ndim == 3:
+        x = x[[(-t) % len(x) for t in range(len(x))]]
+    return reduced(np.swapaxes(x, -1, -2), d)
 
 
 def mat_eq(a, b) -> bool:

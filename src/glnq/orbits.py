@@ -13,7 +13,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .field import FqContext
+from .field import (FqContext, digits, irreducibles, poly_add, poly_divmod,
+                    poly_mul, poly_pow, poly_sub, poly_trim)
 from .glmat import (Matrix, ResourceBudgetError, encode_matrices,
                     enumerate_gl_order)
 
@@ -27,82 +28,6 @@ class OrbitCountError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_q: tuples of element indices, ascending, no trailing zeros
-
-
-def poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_add(ctx, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim(int(ctx.ADD[x, y]) for x, y in zip(a, b))
-
-
-def poly_sub(ctx, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim(int(ctx.SUB[x, y]) for x, y in zip(a, b))
-
-
-def poly_mul(ctx, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = int(ctx.ADD[out[i + j], ctx.MUL[x, y]])
-    return poly_trim(out)
-
-
-def poly_divmod(ctx, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    binv = int(ctx.INV[b[-1]])
-    while len(a) >= len(b) and poly_trim(a):
-        a = list(poly_trim(a))
-        if len(a) < len(b):
-            break
-        coef = int(ctx.MUL[a[-1], binv])
-        shift = len(a) - len(b)
-        quot[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] = int(ctx.SUB[a[shift + i], ctx.MUL[coef, c]])
-    return poly_trim(quot), poly_trim(a)
-
-
-def poly_pow(ctx, a, e):
-    r = (1,)
-    for _ in range(e):
-        r = poly_mul(ctx, r, a)
-    return r
-
-
-@lru_cache(maxsize=None)
-def irreducibles(ctx: FqContext, max_deg: int):
-    """Monic irreducibles over F_q of degree <= max_deg, by (degree, lex)."""
-    out = []
-    for deg in range(1, max_deg + 1):
-        lower = [f for f in out if (len(f) - 1) * 2 <= deg]
-        for code in range(ctx.q ** deg):
-            c, t = [], code
-            for _ in range(deg):
-                c.append(t % ctx.q)
-                t //= ctx.q
-            f = tuple(c) + (1,)
-            if all(poly_divmod(ctx, f, g)[1] for g in lower):
-                out.append(f)
-    return tuple(sorted(out, key=lambda f: (len(f), f)))
 
 
 def companion(ctx: FqContext, f) -> Matrix:
@@ -283,7 +208,7 @@ def _expand_orbit(ctx, n, seed_codes, claim, marker):
     claim[frontier] = marker
     count = len(frontier)
     while len(frontier):
-        x = _decode_codes(ctx, n, frontier)
+        x = digits(frontier, ctx.q, n * n).reshape(len(frontier), n, n)
         images = [np.empty(0, np.int64)]
         for i, j in permutations(range(n), 2):
             y = np.repeat(x[None], len(lams), axis=0)
@@ -300,16 +225,6 @@ def _expand_orbit(ctx, n, seed_codes, claim, marker):
         claim[frontier] = marker
         count += len(frontier)
     return count
-
-
-def _decode_codes(ctx, n, codes):
-    codes = np.asarray(codes, dtype=np.int64)
-    flat = np.zeros((len(codes), n * n), dtype=np.int16)
-    t = codes.copy()
-    for i in range(n * n):
-        flat[:, i] = t % ctx.q
-        t = t // ctx.q
-    return flat.reshape(len(codes), n, n)
 
 
 def centralizer_order(ctx: FqContext, label: OrbitLabel) -> int:

@@ -208,3 +208,27 @@ class TestErrors:
         # --max-n 0 printed "OK: 5/5" without checking any positive degree
         code, out, err = run(capsys, "verify", "--q", "2", "--max-n", "0")
         assert code == 2 and out == "" and "--max-n" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["induce", "--composition", "2+", "--input", "a.json"], "--composition"),
+        (["restrict", "--composition", "a", "--input", "a.json"], "--composition"),
+        (["restrict", "--composition", "0+2", "--input", "a.json"], "positive"),
+        (["orbits", "--n", "-1"], "negative"),
+        (["steinberg", "--n", "-1"], "negative"),
+        (["primitives", "--n", "0"], "degree 1"),
+        (["verify", "mackey", "--n1", "-1", "--n2", "1", "--s", "0", "--t", "0"],
+         "nonnegative"),
+        (["verify", "mackey", "--n1", "1", "--n2", "1", "--s", "1", "--t", "2"],
+         "differs"),
+        (["verify", "mackey", "--n1", "3", "--n2", "2", "--s", "2", "--t", "3"],
+         "--budget"),
+        (["verify", "mackey", "--n2", "1"], "needs all of"),
+        (["verify", "hc", "--n1", "1"], "mackey only"),
+        (["verify", "--s", "1"], "mackey only"),
+        (["verify", "psh", "--n2", "1", "--t", "1"], "mackey only"),
+    ])
+    def test_rejected_before_computing(self, capsys, argv, message):
+        # each of these ended in a traceback and exit 1, or ran a whole suite
+        code, out, err = run(capsys, *argv[:1], "--q", "2", *argv[1:])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err

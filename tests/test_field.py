@@ -2,10 +2,12 @@
 rationals."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import field_oracle
 from glnq.field import (ContextMismatchError, Cyclotomic, FieldTableError,
                         FqContext, NotRationalError, SqrtRational, fq,
                         rational_is_square)
@@ -60,6 +62,58 @@ class TestFqArithmetic:
     def test_zero_has_no_inverse(self, q3):
         with pytest.raises(ZeroDivisionError):
             q3.zero.inverse()
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_no_generator_in_a_corrupted_table(self, cycle):
+        # a Klein-four product on F_5^x: every unit has order at most 2
+        ctx = FqContext(5)
+        units = np.arange(4)
+        table = np.zeros((5, 5), dtype=np.int16)
+        table[1:, 1:] = (units[:, None] ^ units[None, :]) + 1
+        if cycle:
+            # the powers of 2 run 2, 3, 3, ... and never reach 1
+            table[2, 2] = table[3, 2] = 3
+        ctx.MUL = table
+        with pytest.raises(FieldTableError, match="no element of order 4"):
+            ctx.generator_index()
+
+
+# the default modulus is the first monic irreducible of degree k in code
+# order (lowest digit first), which differs from (degree, lex) order at q=8, 25
+DEFAULT_MODULI = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),
+                  16: (1, 1, 0, 0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1),
+                  32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1)}
+
+
+class TestFqTables:
+    @pytest.mark.parametrize("q", sorted(DEFAULT_MODULI))
+    def test_tables_match_oracle(self, q):
+        ctx = fq(q)
+        ref = field_oracle.tables(ctx.p, ctx.k)
+        assert ctx.modulus == ref["modulus"] == DEFAULT_MODULI[q]
+        assert ctx._coeffs == ref["coeffs"]
+        for name in ("ADD", "MUL", "NEG", "INV", "TR"):
+            assert getattr(ctx, name).tolist() == ref[name], name
+
+    def test_given_modulus_matches_oracle(self):
+        ctx = FqContext.get(2, 3, (1, 0, 1, 1))
+        ref = field_oracle.tables(2, 3, (1, 0, 1, 1))
+        for name in ("ADD", "MUL", "NEG", "INV", "TR"):
+            assert getattr(ctx, name).tolist() == ref[name], name
+
+    @pytest.mark.parametrize("args,message", [
+        ((4,), "p = 4 is not prime"),
+        ((1,), "p = 1 is not prime"),
+        ((2, 0), "k must be positive"),
+        ((2, 2, [1, 1, 2]), "modulus must be monic of degree k"),
+        ((2, 2, [1, 1]), "modulus must be monic of degree k"),
+        ((3, 1, [1, 1, 1]), "modulus must be monic of degree k"),
+        ((2, 2, [1, 0, 1]), r"modulus \[1, 0, 1\] is reducible over F_2"),
+        ((3, 2, [2, 0, 1]), r"modulus \[2, 0, 1\] is reducible over F_3"),
+    ])
+    def test_invalid_context(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            FqContext(*args)
 
 
 @given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.data())

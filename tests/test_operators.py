@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import hc_oracle
@@ -123,6 +124,18 @@ def test_pairs_in_lowest_terms(q2):
         scaled = (x * 6, den * 6)
         assert not linalg.mat_eq(op, scaled)
         assert linalg.mat_eq(op, linalg.reduced(*scaled))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cyclotomic_pairs_are_canonical(p):
+    # 1 + zeta + ... + zeta^(p-1) = 0 was a nonzero pair, and conj(zeta) =
+    # zeta^(p-1) = -(1 + ... + zeta^(p-2)) kept its nonzero plane p-1
+    def pair(*planes):
+        return linalg.reduced(np.array(planes).reshape(p, 1, 1), 1)
+
+    assert linalg.mat_eq(pair(*[1] * p), pair(*[0] * p))
+    zeta = pair(0, 1, *[0] * (p - 2))
+    assert linalg.mat_eq(linalg.conj_t(zeta), pair(*[-1] * (p - 1), 0))
 
 
 def _one_count_changed(real):

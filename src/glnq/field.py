@@ -50,7 +50,8 @@ def undigits(digs, base):
     """The codes whose base-`base` digits, lowest first, run along the last
     axis of digs."""
     digs = np.asarray(digs, dtype=np.int64)
-    return digs @ base ** np.arange(digs.shape[-1], dtype=np.int64)
+    return np.einsum("...i,i->...", digs,
+                     base ** np.arange(digs.shape[-1], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +182,12 @@ class FqContext:
         SUB = ADD[:, NEG]
         INV = np.argmax(MUL == 1, axis=1).astype(np.int16)
         INV[0] = -1
+        # the regular representation: MULMAT[v] is the k x k matrix over F_p
+        # of multiplication by v, whose column j holds the digits of v t^j
+        MULMAT = digits(MUL[:, p ** np.arange(k)], p, k).swapaxes(1, 2).astype(np.int64)
         self.ADD, self.SUB, self.MUL, self.NEG, self.INV = ADD, SUB, MUL, NEG, INV
-        for t in (ADD, SUB, MUL, NEG, INV):
+        self.MULMAT = MULMAT
+        for t in (ADD, SUB, MUL, NEG, INV, MULMAT):
             t.setflags(write=False)
 
         # absolute trace F_q -> F_p via repeated Frobenius
@@ -218,8 +223,10 @@ class FqContext:
         return FqElem(self, int(v) % self.q if self.k == 1 else int(v))
 
     def from_coeffs(self, coeffs) -> "FqElem":
-        coeffs = (list(coeffs) + [0] * self.k)[:self.k]
-        return FqElem(self, int(undigits([c % self.p for c in coeffs], self.p)))
+        """The element sum_i c_i t^i, reduced modulo the defining polynomial."""
+        rem = poly_divmod(FqContext.get(self.p), [c % self.p for c in coeffs],
+                          self.modulus)[1]
+        return FqElem(self, int(undigits(rem + (0,) * (self.k - len(rem)), self.p)))
 
     @property
     def zero(self):

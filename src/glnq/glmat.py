@@ -1,8 +1,9 @@
 """Matrices over F_q, block/parabolic combinatorics, and GL enumeration.
 
 Matrices are stored as numpy grids of canonical field-element indices; all
-arithmetic goes through the context's tables, so the same code path serves
-prime fields and extensions.
+arithmetic goes through the context's tables (products through MULMAT, the
+regular representation over F_p), so the same code path serves prime fields
+and extensions.
 """
 from __future__ import annotations
 
@@ -37,17 +38,35 @@ DEFAULT_BUDGET = 1 << 20
 # ---------------------------------------------------------------------------
 # batched table arithmetic on index arrays
 
+MATMUL_CHUNK = 4096  # stacked matrices per integer matmul; keeps operands in cache
+
+
 def batch_matmul(ctx, a, b):
-    """Stacked matrix product; a: (..., n, m), b: (..., m, r)."""
-    m = a.shape[-1]
-    if m == 0:
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        return np.zeros(shape + (a.shape[-2], b.shape[-1]), dtype=np.int16)
-    prod = ctx.MUL[a[..., :, :, None], b[..., None, :, :]]  # (..., i, k, j)
-    acc = prod[..., 0, :]
-    for k in range(1, m):
-        acc = ctx.ADD[acc, prod[..., k, :]]
-    return acc
+    """Stacked matrix product; a: (..., n, m), b: (..., m, r).
+
+    Integer matmuls over F_p via the regular representation of F_q: each entry
+    of a becomes its k x k multiplication matrix ctx.MULMAT, each entry of b
+    its k base-p digits (column 0 of that matrix), and each product is reduced
+    mod p once.  An output digit sums m k products below p^2, so int64 is
+    exact.  At k = 1 this is (a @ b) % p.  Stacks go MATMUL_CHUNK matrices at
+    a time along their first axis, which bounds the int64 temporaries.
+    """
+    p, k = ctx.p, ctx.k
+    n, m, r = a.shape[-2], a.shape[-1], b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    lead = shape or (1,)
+    out = np.empty(lead + (n, r), dtype=np.int16)
+    for s in range(0, lead[0], MATMUL_CHUNK):
+        # each operand's rows of this chunk, or all of it where it broadcasts
+        sa, sb = (x[s:s + MATMUL_CHUNK] if x.ndim == len(lead) + 2 and x.shape[0] > 1
+                  else x for x in (a, b))
+        A = ctx.MULMAT[sa].swapaxes(-3, -2).reshape(sa.shape[:-2] + (n * k, m * k))
+        B = ctx.MULMAT[sb, :, 0].swapaxes(-2, -1).reshape(sb.shape[:-2] + (m * k, r))
+        C = np.matmul(A, B)
+        C -= C // p * p  # C %= p: numpy divides by a scalar faster than it takes %
+        C = C.reshape(C.shape[:-2] + (n, k, r)).swapaxes(-2, -1)
+        out[s:s + MATMUL_CHUNK] = undigits(C, p)
+    return out.reshape(shape + (n, r))
 
 
 def batch_det(ctx, a):
@@ -217,15 +236,19 @@ class Matrix:
 
     @classmethod
     def parse(cls, ctx, s: str) -> "Matrix":
-        if not s:
-            return cls.zero(ctx, 0)
-        rows = []
-        for row in s.split(";"):
-            entries = []
-            for tok in row.split():
-                entries.append(ctx.from_coeffs(int(c) for c in tok.split(",")).v)
-            rows.append(entries)
-        return cls(ctx, np.array(rows, dtype=np.int16))
+        """Inverse of serialize; anything serialize cannot emit is a ValueError."""
+        codes = {",".join(map(str, c)): v for v, c in enumerate(ctx._coeffs)}
+        rows = [row.split() for row in s.split(";")] if s else []
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise ShapeError(f"row {i} {' '.join(row)!r} has {len(row)} "
+                                 f"entries in a matrix of {len(rows)} rows")
+            for tok in row:
+                if tok not in codes:
+                    raise ValueError(f"entry {tok!r} is not {ctx.k} comma-separated "
+                                     f"coordinates in 0..{ctx.p - 1}")
+        return cls(ctx, np.array([[codes[t] for t in row] for row in rows],
+                                 dtype=np.int16).reshape(len(rows), len(rows)))
 
     def __repr__(self):
         return f"Matrix({self.ctx.serialize()}, {self.a.tolist()})"

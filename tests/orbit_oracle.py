@@ -1,20 +1,35 @@
-"""Brute-force references for the F_q kernels behind orbit enumeration, GL
-inversion, centralizer orders and parabolic orders.
+"""Brute-force references for the F_q kernels behind matrix products, orbit
+enumeration, GL inversion, centralizer orders and parabolic orders.
 
-These are the slow paths that glnq replaced: the conjugation BFS multiplies
-each frontier matrix by every generator and its inverse as full matrix
-products, each inverse is one Gauss-Jordan elimination on a Python list,
-|C(x)| is counted by enumerating the commutant algebra of x, and |P| is
+These are the slow paths that glnq replaced: the F_q matrix product looks up
+every entry product and sum in the field tables, the conjugation BFS
+multiplies each frontier matrix by every generator and its inverse as full
+matrix products, each inverse is one Gauss-Jordan elimination on a Python
+list, |C(x)| is counted by enumerating the commutant algebra of x, and |P| is
 counted by testing the block shape of every invertible matrix.  The tests use
-them as witnesses that the elementary-move BFS, the stack-wide Gauss-Jordan,
-the closed form |C(x)| = prod_f a_lam(f)(q^deg f) and the closed form
-|P| = |L| q^dim U give the same results.
+them as witnesses that the integer matmul over F_p, the elementary-move BFS,
+the stack-wide Gauss-Jordan, the closed form |C(x)| = prod_f a_lam(f)(q^deg f)
+and the closed form |P| = |L| q^dim U give the same results.
 """
 import numpy as np
 
 from glnq.glmat import (Matrix, SingularMatrixError, _fq_row_reduce,
-                        _shape_mask, all_matrices, batch_det, batch_matmul,
-                        encode_matrices, gl_mask)
+                        _shape_mask, all_matrices, batch_det, encode_matrices,
+                        gl_mask)
+
+
+def batch_matmul_tables(ctx, a, b):
+    """Stacked matrix product; a: (..., n, m), b: (..., m, r), by looking up
+    every entry product in ctx.MUL and summing along m through ctx.ADD."""
+    m = a.shape[-1]
+    if m == 0:
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return np.zeros(shape + (a.shape[-2], b.shape[-1]), dtype=np.int16)
+    prod = ctx.MUL[a[..., :, :, None], b[..., None, :, :]]  # (..., i, k, j)
+    acc = prod[..., 0, :]
+    for k in range(1, m):
+        acc = ctx.ADD[acc, prod[..., k, :]]
+    return acc
 
 
 def inverse(x: Matrix) -> Matrix:
@@ -111,7 +126,7 @@ def expand_orbit(ctx, n, seed_codes, claim, marker):
         mats = decode_codes(ctx, n, frontier)
         nxt = []
         for g, gi in gens:
-            conj = batch_matmul(ctx, batch_matmul(ctx, g, mats), gi)
+            conj = batch_matmul_tables(ctx, batch_matmul_tables(ctx, g, mats), gi)
             codes = np.unique(encode_matrices(ctx, conj))
             fresh = codes[claim[codes] == -1]
             if len(fresh):

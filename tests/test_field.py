@@ -25,6 +25,24 @@ class TestFqArithmetic:
         t = q4.from_coeffs([0, 1])
         assert t * t == q4.from_coeffs([1, 1])
 
+    def test_from_coeffs_reduces_modulo_the_modulus(self, q4):
+        # modulo t^2 + t + 1: t^2 = t + 1 and t^3 = 1
+        t = q4.from_coeffs([0, 1])
+        assert q4.from_coeffs([0, 0, 1]) == t * t == q4.from_coeffs([1, 1])
+        assert q4.from_coeffs([0, 0, 0, 1]) == q4.one
+        assert q4.from_coeffs([3, -1, 0, 0]) == q4.from_coeffs([1, 1])
+
+    @given(st.sampled_from([2, 4, 8, 9, 25, 27]),
+           st.lists(st.integers(-30, 30), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_from_coeffs_evaluates_at_t(self, q, coeffs):
+        ctx = fq(q)
+        t = ctx.from_coeffs([0, 1])
+        want = ctx.zero
+        for c in reversed(coeffs):
+            want = want * t + ctx.element(c % ctx.p)
+        assert ctx.from_coeffs(coeffs) == want
+
     def test_inverses(self, q2, q3, q5):
         assert q3.element(2).inverse() == q3.element(2)
         assert q2.element(1).inverse() == q2.element(1)

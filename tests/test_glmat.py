@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbit_oracle
+from glnq import glmat
 from glnq.field import fq
 from glnq.glmat import (BlockWitness, Composition, Matrix, ShapeError,
                         SingularMatrixError, batch_inverse, batch_matmul,
@@ -54,6 +55,89 @@ class TestMatrix:
         x = random_matrix(data, fq(q), n)
         assert Matrix.parse(x.ctx, x.serialize()) == x
 
+    @pytest.mark.parametrize("text,named", [
+        ("0,0,1 1,0;0,0 1,0", "'0,0,1'"),    # three coordinates over F_4
+        ("1 0;0 1", "'1'"),                  # one coordinate over F_4
+        ("2,0 0,0;0,0 1,0", "'2,0'"),        # coordinate outside F_2
+        ("1,0 x;0,0 1,0", "'x'"),
+        ("-1,0 0,0;0,0 1,0", "'-1,0'"),
+        ("1,0 0,0;1,0", "row 1 '1,0'"),      # ragged
+        ("1,0 0,0 1,1;0,0 1,0 0,1", "row 0"),  # not square
+        ("1,0 0,0;", "row 1 ''"),
+    ])
+    def test_parse_rejects_what_serialize_cannot_emit(self, q4, text, named):
+        with pytest.raises(ValueError, match=named):
+            Matrix.parse(q4, text)
+
+
+Q_ALL = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+# (lead shape of a, lead shape of b) for each kind of operand pair
+LEADS = {"matrix x matrix": ((), ()), "stack x matrix": ((4,), ()),
+         "matrix x stack": ((), (4,)), "stack x stack": ((4,), (4,)),
+         "broadcast stacks": ((2, 1), (3,))}
+
+
+def check_against_tables(ctx, a, b, got):
+    """Raise AssertionError unless got is the table kernel's a @ b, in
+    value, shape and dtype."""
+    np.testing.assert_array_equal(
+        got, orbit_oracle.batch_matmul_tables(ctx, a, b), strict=True)
+
+
+class TestBatchMatmul:
+    """The regular-representation matmul over F_p against the table kernel."""
+
+    @pytest.mark.parametrize("q", Q_ALL)
+    def test_every_kind_of_operand(self, q):
+        ctx = fq(q)
+        rng = np.random.default_rng(q)
+        for la, lb in LEADS.values():
+            for n, m, r in [(2, 3, 1), (3, 3, 3), (2, 0, 3), (0, 2, 3), (1, 1, 0)]:
+                a = rng.integers(0, q, la + (n, m), dtype=np.int16)
+                b = rng.integers(0, q, lb + (m, r), dtype=np.int16)
+                got = batch_matmul(ctx, a, b)
+                assert got.dtype == np.int16
+                check_against_tables(ctx, a, b, got)
+
+    @given(st.sampled_from(Q_ALL), st.sampled_from(sorted(LEADS)),
+           st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_table_oracle(self, q, lead, n, m, r, data):
+        ctx = fq(q)
+        la, lb = LEADS[lead]
+
+        def draw(shape):
+            size = int(np.prod(shape))
+            entries = data.draw(st.lists(st.integers(0, q - 1),
+                                         min_size=size, max_size=size))
+            return np.array(entries, dtype=np.int16).reshape(shape)
+
+        a, b = draw(la + (n, m)), draw(lb + (m, r))
+        check_against_tables(ctx, a, b, batch_matmul(ctx, a, b))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_stacks_across_chunks(self, q, monkeypatch):
+        monkeypatch.setattr(glmat, "MATMUL_CHUNK", 3)
+        ctx = fq(q)
+        rng = np.random.default_rng(q)
+        for la, lb in [((10,), ()), ((), (7,)), ((8,), (8,)), ((2, 1), (4,))]:
+            a = rng.integers(0, q, la + (3, 2), dtype=np.int16)
+            b = rng.integers(0, q, lb + (2, 3), dtype=np.int16)
+            check_against_tables(ctx, a, b, batch_matmul(ctx, a, b))
+
+    @pytest.mark.parametrize("q", [2, 4, 9, 25])
+    def test_one_corrupted_entry_fails_the_comparison(self, q):
+        ctx = fq(q)
+        rng = np.random.default_rng(q)
+        a = rng.integers(0, q, (5, 3, 2), dtype=np.int16)
+        b = rng.integers(0, q, (5, 2, 3), dtype=np.int16)
+        got = batch_matmul(ctx, a, b)
+        check_against_tables(ctx, a, b, got)
+        bad = got.copy()
+        bad[3, 1, 2] = (bad[3, 1, 2] + 1) % q
+        with pytest.raises(AssertionError):
+            check_against_tables(ctx, a, b, bad)
+
 
 class TestBatchInverse:
     """The stack-wide Gauss-Jordan against one elimination per matrix."""
@@ -98,6 +182,9 @@ class TestConjugation:
         y = random_matrix(data, ctx, n)
         assert conjugate(g @ h, x) == conjugate(g, conjugate(h, x))
         assert conjugate(g, x + y) == conjugate(g, x) + conjugate(g, y)
+        tables = orbit_oracle.batch_matmul_tables
+        want = tables(ctx, tables(ctx, g.a, x.a), orbit_oracle.inverse(g).a)
+        assert conjugate(g, x) == Matrix(ctx, want)
 
 
 class TestBlockShapes:

@@ -1,12 +1,14 @@
 """Exact arithmetic: F_q (q = p^k) and polynomials over it, base-b digit
 codes, the cyclotomic field Q(zeta_p), and sign-times-square-root rationals.
 
-No floating point anywhere; rationals are fractions.Fraction, field elements
-are canonical indices into precomputed arithmetic tables.
+No floating point anywhere; an element of Q(zeta_p) is p - 1 integer
+numerators over one denominator, other rationals are fractions.Fraction, and
+field elements are canonical indices into precomputed arithmetic tables.
 """
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -370,32 +372,54 @@ class FqElem:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_p) in the canonical basis 1, zeta, ..., zeta^(p-2)."""
+    """An element of Q(zeta_p) in the canonical basis 1, zeta, ..., zeta^(p-2),
+    held as the p - 1 integer numerators `num` over one denominator `den`:
+    the value is sum_j (num[j] / den) zeta^j.  Always in lowest terms,
+    den > 0 and gcd(den, *num) == 1, so equal values have equal fields."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
-    def __init__(self, p: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def __new__(cls, p: int, coeffs):
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coordinates, got {len(coeffs)}")
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return cls._from_ints(p, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
+    def _from_ints(cls, p: int, num, den: int) -> "Cyclotomic":
+        """The value with p - 1 integer numerators num over the nonzero int
+        den, put in lowest terms; the one constructor the arithmetic uses."""
+        self = object.__new__(cls)
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
         self.p = p
-        self.coeffs = coeffs
+        self.num = tuple(num) if g == 1 else tuple([a // g for a in num])
+        self.den = den // g
+        return self
+
+    def __getnewargs__(self):
+        return self.p, self.coeffs
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     @classmethod
     def rational(cls, p: int, value) -> "Cyclotomic":
-        return cls(p, (Fraction(value),) + (Fraction(0),) * (p - 2))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return cls._from_ints(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
     @classmethod
     def zeta(cls, p: int, e: int = 1) -> "Cyclotomic":
-        vec = [Fraction(0)] * p
-        vec[e % p] = Fraction(1)
-        return cls._reduce(p, vec)
+        return cls._reduce(p, [int(j == e % p) for j in range(p)], 1)
 
     @classmethod
-    def _reduce(cls, p, vec):
+    def _reduce(cls, p, vec, den):
         # eliminate zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
         top = vec[p - 1]
-        return cls(p, tuple(vec[j] - top for j in range(p - 1)))
+        return cls._from_ints(p, [vec[j] - top for j in range(p - 1)], den)
 
     def _check(self, other):
         if not isinstance(other, Cyclotomic):
@@ -406,51 +430,53 @@ class Cyclotomic:
 
     def __add__(self, other):
         other = self._check(other)
-        return Cyclotomic(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.den, other.den
+        return Cyclotomic._from_ints(
+            self.p, [a * e + b * d for a, b in zip(self.num, other.num)], d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        return Cyclotomic(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.den, other.den
+        return Cyclotomic._from_ints(
+            self.p, [a * e - b * d for a, b in zip(self.num, other.num)], d * e)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return Cyclotomic(self.p, tuple(-a for a in self.coeffs))
+        return Cyclotomic._from_ints(self.p, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.p, tuple(a * other for a in self.coeffs))
+            return Cyclotomic._from_ints(self.p, [a * other.numerator for a in self.num],
+                                         self.den * other.denominator)
         other = self._check(other)
         p = self.p
-        vec = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
+        vec = [0] * p
+        for i, a in enumerate(self.num):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.num):
                 if b:
                     vec[(i + j) % p] += a * b
-        return Cyclotomic._reduce(p, vec)
+        return Cyclotomic._reduce(p, vec, self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^(p-1)."""
-        p = self.p
-        vec = [Fraction(0)] * p
-        for j, a in enumerate(self.coeffs):
-            vec[(p - j) % p] += a
-        return Cyclotomic._reduce(p, vec)
+        """Complex conjugation, zeta^j -> zeta^(p-j)."""
+        num = self.num
+        return Cyclotomic._reduce(self.p, [num[0], 0, *num[:0:-1]], self.den)
 
     def as_rational(self) -> Fraction:
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise NotRationalError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
         return not self.is_zero()
@@ -459,7 +485,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.rational(self.p, other)
         return (isinstance(other, Cyclotomic) and other.p == self.p
-                and other.coeffs == self.coeffs)
+                and other.num == self.num and other.den == self.den)
 
     def __hash__(self):
         return hash((self.p, self.coeffs))
@@ -469,10 +495,15 @@ class Cyclotomic:
 
     @classmethod
     def parse(cls, s: str) -> "Cyclotomic":
-        head, rest = s.split(":", 1)
-        body = rest.strip()[1:-1]
-        parts = body.split(",") if body else []
-        return cls(int(head), tuple(Fraction(x) for x in parts))
+        """The inverse of serialize: exactly "p:[c_0,...,c_(p-2)]", p prime,
+        each c_j an integer or n/d; anything else raises ValueError."""
+        c = r"-?\d+(?:/\d*[1-9]\d*)?"
+        m = re.fullmatch(rf"(\d+):\[((?:{c}(?:,{c})*)?)\]", s, re.ASCII)
+        parts = m[2].split(",") if m and m[2] else []
+        # the coordinate count bounds p before the primality test
+        if m is None or int(m[1]) != len(parts) + 1 or not is_prime(len(parts) + 1):
+            raise ValueError(f"{s!r} is not p:[c_0,...,c_(p-2)] with p prime")
+        return cls(len(parts) + 1, parts)
 
     def __repr__(self):
         terms = []

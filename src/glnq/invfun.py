@@ -280,21 +280,20 @@ def apply_operator(op, t: TensorFunction, start: int, count: int,
     """Apply the rational operator op = (x, den) (see linalg) along the
     factors [start, start + count) of t.  The columns of x are the index
     tuples of those factors in product order, its rows those of the factors
-    `tables` that replace them.  The values pass through one integer array
-    with one denominator."""
+    `tables` that replace them.  The values' numerators, scaled to one
+    common denominator, pass through one integer array."""
     x, den = op
     p = t.p
     pre = math.prod(len(tb) for tb in t.tables[:start])
-    coeffs = [c for idx in t.index_tuples() for c in t.values[idx].coeffs]
-    vden = math.lcm(*(c.denominator for c in coeffs))
-    ints = np.array([c.numerator * (vden // c.denominator) for c in coeffs],
-                    dtype=object)
+    vals = [t.values[idx] for idx in t.index_tuples()]
+    vden = math.lcm(*(v.den for v in vals))
+    ints = np.array([a * (vden // v.den) for v in vals for a in v.num], dtype=object)
     out = (x @ ints.reshape(pre, x.shape[1], -1)).reshape(-1, p - 1)
     d = den * vden
     tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
     return TensorFunction(tables, zip(
         product(*(range(len(tb)) for tb in tables)),
-        (Cyclotomic(p, [Fraction(v, d) for v in row]) for row in out)))
+        (Cyclotomic._from_ints(p, row, d) for row in out.tolist())))
 
 
 def tensor_inner_product(s: TensorFunction, t: TensorFunction) -> Cyclotomic:

@@ -192,6 +192,22 @@ class TestErrors:
         code, _, err = run(capsys, "antipode", "--q", "2", "--input", str(src))
         assert code == 2 and err.count("\n") == 1 and "JSONDecodeError" in err
 
+    @pytest.mark.parametrize("q,value,message", [
+        (2, "2:x5y", "'2:x5y' is not p:["), (3, "3:(1,2)", "'3:(1,2)' is not p:["),
+        (2, "4:[1,2,3]", "with p prime"), (2, "1:[]", "with p prime"),
+    ])
+    def test_malformed_value(self, capsys, tmp_path, q, value, message):
+        # "2:x5y" was read as 5 and "3:(1,2)" as 1 + 2 zeta, and the
+        # antipode of the file came back with exit 0
+        from glnq.field import fq
+        data = constant_one(enumerate_orbits(1, fq(q))).to_json()
+        data["values"][next(iter(data["values"]))] = value
+        src = tmp_path / "bad_value.json"
+        src.write_text(json.dumps(data))
+        code, out, err = run(capsys, "antipode", "--q", str(q), "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "antipode", "--q", "2",
                            "--input", str(tmp_path / "absent.json"))

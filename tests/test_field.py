@@ -1,5 +1,7 @@
 """Finite field contexts, cyclotomic numbers, and sign-times-square-root
 rationals."""
+import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +211,96 @@ def test_cyclotomic_ring_laws(p, data):
 def test_cyclotomic_parse_roundtrip(p, data):
     x = Cyclotomic(p, tuple(data.draw(st.fractions()) for _ in range(p - 1)))
     assert Cyclotomic.parse(x.serialize()) == x
+
+
+@pytest.mark.parametrize("text", [
+    "2:x5y", "3:(1,2)", "3:1,2", "3[1,2]", "3:[1,2]x", "", "3:[1, 2]",
+    "3:[1.5,2]", "3:[1/0,2]", "3:[1,,2]", "3:[1,2,]", "-3:[1,2]", "3:[1]",
+    "3:[1,2,3]", "4:[1,2,3]", "1:[]", "0:[]", "9:[1,2,3,4,5,6,7,8]",
+    "1000000000000000003:[1]",
+])
+def test_cyclotomic_parse_rejects(text):
+    # "2:x5y" read as 5, "3:(1,2)" as 1 + 2 zeta and "4:[1,2,3]" as a value
+    # of a field that does not exist
+    with pytest.raises(ValueError):
+        Cyclotomic.parse(text)
+
+
+@pytest.mark.parametrize("text", ["2:[-1/2]", "3:[0,0]", "5:[1,-2/3,0,7]", "7:[0,0,0,0,0,12/5]"])
+def test_cyclotomic_parse_accepts_serialize_output(text):
+    assert Cyclotomic.parse(text).serialize() == text
+
+
+# coordinates with small, often shared, denominators and many zeros
+_coord = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def _pair(data, p, rational=False):
+    """One value as a Cyclotomic and as the Fraction-coordinate oracle."""
+    cs = [data.draw(_coord) for _ in range(p - 1)]
+    if rational:
+        cs[1:] = [0] * (p - 2)
+    return Cyclotomic(p, cs), field_oracle.FractionCyclotomic(p, cs)
+
+
+def _same(x, ref):
+    return (x.p == ref.p and x.coeffs == ref.coeffs and x.serialize() == ref.serialize()
+            and repr(x) == repr(ref) and hash(x) == hash(ref)
+            and x.is_zero() == ref.is_zero())
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cyclotomic_matches_fraction_oracle(p, data):
+    (a, ra), (b, rb) = _pair(data, p), _pair(data, p, data.draw(st.booleans()))
+    k = data.draw(st.integers(-6, 6))
+    r = data.draw(_coord)
+    assert _same(a, ra) and _same(b, rb)
+    for x, ref in [(a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a * b, ra * rb),
+                   (a * k, ra * k), (k * a, k * ra), (a * r, ra * r), (r * a, r * ra),
+                   (a + k, ra + k), (r - a, r - ra), (a - a, ra - ra), (a.conj(), ra.conj()),
+                   (Cyclotomic.parse(a.serialize()), ra)]:
+        assert _same(x, ref)
+    for x, ref in [(a, ra), (b, rb)]:
+        try:
+            expect = ref.as_rational()
+        except NotRationalError:
+            with pytest.raises(NotRationalError):
+                x.as_rational()
+        else:
+            assert x.as_rational() == expect and type(x.as_rational()) is Fraction
+    assert (a == b) == (ra == rb)
+    assert (b == r) == (rb == r) and (b == k) == (rb == k)
+    assert (Cyclotomic.rational(p, r) == r) and (Cyclotomic.rational(p, k) == k)
+    assert _same(Cyclotomic.zeta(p, k), field_oracle.FractionCyclotomic.zeta(p, k))
+
+
+def _canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1 and len(x.num) == x.p - 1
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cyclotomic_canonical_form(p, data):
+    (a, _), (b, _) = _pair(data, p), _pair(data, p)
+    r = data.draw(_coord)
+    for x in (a, b, a + b, a - b, -a, a * b, a * r, a.conj(), a - a, a * 0):
+        assert _canonical(x)
+    # one value built three ways: from unreduced Fractions, from raw ints
+    # sharing a factor (with either sign of the denominator), and by
+    # arithmetic; and a pickled copy
+    m = data.draw(st.integers(2, 30))
+    sign = data.draw(st.sampled_from([1, -1]))
+    built = [
+        Cyclotomic(p, [Fraction(a.num[j] * m, a.den * m) for j in range(p - 1)]),
+        Cyclotomic._from_ints(p, [sign * m * c for c in a.num], sign * m * a.den),
+        (a * m + b - b) * Fraction(1, m),
+        pickle.loads(pickle.dumps(a)),
+    ]
+    for x in built:
+        assert (x.num, x.den) == (a.num, a.den) and x == a and hash(x) == hash(a)
+        assert _canonical(x)
 
 
 class TestSqrtRational:

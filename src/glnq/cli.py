@@ -12,7 +12,7 @@ from pathlib import Path
 from . import duality as duality_mod
 from . import hopf, psh
 from .field import FqContext, fq
-from .glmat import Composition, ResourceBudgetError
+from .glmat import Composition, ResourceBudgetError, compositions
 from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
                  verify_parabolic_independence, verify_transitivity)
 from .invfun import InvariantFunction, TensorFunction, constant_one, indicator_by_index
@@ -219,11 +219,7 @@ def suite_orbits(ctx, max_n):
 
 
 def _compositions_upto(max_n):
-    from .glmat import compositions
-    out = []
-    for n in range(2, max_n + 1):
-        out.extend(c for c in compositions(n) if len(c.parts) >= 2)
-    return out
+    return [c for n in range(2, max_n + 1) for c in compositions(n) if len(c.parts) >= 2]
 
 
 def suite_hc(ctx, max_n):
@@ -277,8 +273,7 @@ def suite_bialgebra(ctx, max_n):
 
 def suite_antipode(ctx, max_n):
     from . import linalg
-    reports = []
-    reports.append(duality_mod.verify_antipode_is_duality(max_n, ctx).to_json())
+    reports = [duality_mod.verify_antipode_is_duality(max_n, ctx).to_json()]
     for n in range(max_n + 1):
         s = hopf.antipode_matrix(ctx, n)
         ok = linalg.mat_eq(linalg.matmul(s, s), linalg.identity(len(s[0])))
@@ -293,10 +288,8 @@ def suite_antipode(ctx, max_n):
 
 
 def suite_duality(ctx, max_n):
-    reports = []
-    for n in range(1, max_n + 1):
-        reports.append(duality_mod.verify_involutive_isometric(n, ctx).to_json())
-    return reports
+    return [duality_mod.verify_involutive_isometric(n, ctx).to_json()
+            for n in range(1, max_n + 1)]
 
 
 def suite_characterization(ctx, max_n):
@@ -309,9 +302,7 @@ def suite_psh(ctx, max_n):
         for n2 in range(1, max_n - n1 + 1):
             reports.append(psh.verify_positivity(ctx, n1, n2).to_json())
             reports.append(psh.verify_self_adjointness(ctx, n1, n2).to_json())
-    for n in range(1, max_n + 1):
-        reports.append(psh.verify_second_psh(ctx, n).to_json())
-    return reports
+    return reports + [psh.verify_second_psh(ctx, n).to_json() for n in range(1, max_n + 1)]
 
 
 def suite_witness(ctx, max_n):
@@ -319,13 +310,10 @@ def suite_witness(ctx, max_n):
 
 
 def suite_steinberg(ctx, max_n):
-    reports = []
-    for n in range(1, max_n + 1):
-        count = duality_mod.steinberg_constituents(n, ctx)
-        reports.append({"name": "steinberg-constituents",
-                        "params": {"q": ctx.q, "n": n, "count": count},
-                        "passed": count == sum(1 for _ in partitions(n))})
-    return reports
+    counts = [duality_mod.steinberg_constituents(n, ctx) for n in range(1, max_n + 1)]
+    return [{"name": "steinberg-constituents", "params": {"q": ctx.q, "n": n, "count": count},
+             "passed": count == sum(1 for _ in partitions(n))}
+            for n, count in enumerate(counts, 1)]
 
 
 SUITE_RUNNERS = {

@@ -116,9 +116,8 @@ def steinberg_constituents(n: int, ctx: FqContext) -> int:
     basis = fourier_character_basis(table)
     cs = coords(steinberg(n, ctx), basis)
     # reconstruction check keeps the count honest
-    recon = InvariantFunction(table, [0] * len(table))
-    for c, b in zip(cs, basis):
-        recon = recon + b.scale(c)
+    recon = sum((b.scale(c) for c, b in zip(cs, basis)),
+                InvariantFunction(table, [0] * len(table)))
     if recon != steinberg(n, ctx):
         raise ArithmeticError(f"Fourier coordinates of the degree-{n} Steinberg "
                               f"function do not reconstruct it")

@@ -371,6 +371,11 @@ class FqElem:
 # ---------------------------------------------------------------------------
 
 
+def _check_prime(p):
+    if not is_prime(p):
+        raise ValueError(f"Q(zeta_p) needs p prime, not p = {p}")
+
+
 class Cyclotomic:
     """An element of Q(zeta_p) in the canonical basis 1, zeta, ..., zeta^(p-2),
     held as the p - 1 integer numerators `num` over one denominator `den`:
@@ -383,6 +388,7 @@ class Cyclotomic:
         coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coordinates, got {len(coeffs)}")
+        _check_prime(p)
         den = math.lcm(*(c.denominator for c in coeffs))
         return cls._from_ints(p, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
@@ -407,12 +413,14 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, p: int, value) -> "Cyclotomic":
+        _check_prime(p)
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         return cls._from_ints(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
     @classmethod
     def zeta(cls, p: int, e: int = 1) -> "Cyclotomic":
+        _check_prime(p)
         return cls._reduce(p, [int(j == e % p) for j in range(p)], 1)
 
     @classmethod

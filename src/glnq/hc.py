@@ -155,13 +155,7 @@ def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
 # tensor-level staging helpers
 
 
-def tensor_concat(a: TensorFunction, b: TensorFunction) -> TensorFunction:
-    tables = a.tables + b.tables
-    vals = {}
-    for ia, va in a.values.items():
-        for ib, vb in b.values.items():
-            vals[ia + ib] = va * vb
-    return TensorFunction(tables, vals)
+tensor_concat = TensorFunction.concat  # (a, b): a's factors, then b's
 
 
 def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
@@ -221,10 +215,8 @@ def verify_transitivity_induction(t: TensorFunction, outer, subcomps) -> HCRepor
     outer_parts = _parts(outer)
     subs = [_parts(s) for s in subcomps]
     staged = t
-    start = 0
-    for s in subs:
+    for start, s in enumerate(subs):
         staged = tensor_induce_span(staged, start, len(s))
-        start += 1
     staged = tensor_induce_span(staged, 0, len(outer_parts))
     direct = tensor_induce_span(t, 0, sum(len(s) for s in subs))
     passed = staged == direct
@@ -236,17 +228,11 @@ def verify_transitivity_induction(t: TensorFunction, outer, subcomps) -> HCRepor
 def verify_parabolic_independence(ctx: FqContext, n: int, c) -> HCReport:
     """Upper and lower parabolics give the same R and *R."""
     parts = _parts(c)
-    up_r = restriction_matrix(ctx, parts, lower=False)
-    lo_r = restriction_matrix(ctx, parts, lower=True)
-    up_i = induction_matrix(ctx, parts, lower=False)
-    lo_i = induction_matrix(ctx, parts, lower=True)
-    if not linalg.mat_eq(up_r, lo_r):
-        return HCReport("parabolic-independence", {"n": n, "parts": list(parts)},
-                        False, "restriction matrices differ")
-    if not linalg.mat_eq(up_i, lo_i):
-        return HCReport("parabolic-independence", {"n": n, "parts": list(parts)},
-                        False, "induction matrices differ")
-    return HCReport("parabolic-independence", {"n": n, "parts": list(parts)}, True)
+    params = {"n": n, "parts": list(parts)}
+    for kind, build in (("restriction", restriction_matrix), ("induction", induction_matrix)):
+        if not linalg.mat_eq(build(ctx, parts, lower=False), build(ctx, parts, lower=True)):
+            return HCReport("parabolic-independence", params, False, f"{kind} matrices differ")
+    return HCReport("parabolic-independence", params, True)
 
 
 def mackey_index_set(n1, n2, s, t):
@@ -287,11 +273,8 @@ def verify_mackey(rho1: InvariantFunction, rho2: InvariantFunction,
                       (s, t))
     rhs = mackey_rhs(rho1, rho2, s, t)
     passed = lhs == rhs
-    witness = None
-    if not passed:
-        for idx in lhs.index_tuples():
-            if lhs.values[idx] != rhs.values[idx]:
-                witness = f"orbit pair {idx}: {lhs.values[idx]!r} != {rhs.values[idx]!r}"
-                break
+    witness = None if passed else next((f"orbit pair {idx}: {v!r} != {rhs.values[idx]!r}"
+                                        for idx, v in lhs.values.items()
+                                        if v != rhs.values[idx]), None)
     return HCReport("mackey", {"n1": n1, "n2": n2, "s": s, "t": t,
                                "q": rho1.table.ctx.q}, passed, witness)

@@ -68,16 +68,11 @@ def verify_bialgebra(rho1: InvariantFunction, rho2: InvariantFunction) -> HCRepo
     """m*(m(rho1 x rho2)) = m*(rho1) . m*(rho2), checked split by split."""
     n = rho1.n + rho2.n
     prod = multiply_functions(rho1, rho2)
+    params = {"n1": rho1.n, "n2": rho2.n, "q": rho1.table.ctx.q}
     for s in range(n + 1):
-        t = n - s
-        lhs = hc_restrict(prod, (s, t))
-        rhs = mackey_rhs(rho1, rho2, s, t)
-        if lhs != rhs:
-            return HCReport("bialgebra", {"n1": rho1.n, "n2": rho2.n,
-                                          "q": rho1.table.ctx.q},
-                            False, f"split ({s},{t}) differs")
-    return HCReport("bialgebra", {"n1": rho1.n, "n2": rho2.n,
-                                  "q": rho1.table.ctx.q}, True)
+        if hc_restrict(prod, (s, n - s)) != mackey_rhs(rho1, rho2, s, n - s):
+            return HCReport("bialgebra", params, False, f"split ({s},{n - s}) differs")
+    return HCReport("bialgebra", params, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,12 @@
 """Invariant functions on gl_n(F_q): orbit-indexed value vectors, inner
 products, indicator and Fourier-character bases, tensors, and graded sums.
+
+A function or tensor holds its values in Q(zeta_p) as one read-only numpy
+object array `num` of Python ints, of shape (orbit dims..., p - 1) in the
+basis of Cyclotomic.num, over one int `den` > 0 with gcd(den, *num.flat) == 1,
+so equal functions have equal (num, den).  `.values` (Cyclotomics) is kept
+from construction or built when first read: by the inner products, output
+and evaluate, never by the arithmetic or apply_operator.
 """
 from __future__ import annotations
 
@@ -11,58 +18,130 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .field import Cyclotomic
+from .field import ContextMismatchError, Cyclotomic
 from .glmat import Matrix, ResourceBudgetError, all_matrices
 from .orbits import LOOKUP_BUDGET, OrbitLabel, OrbitTable, enumerate_orbits
 
 
-class InvariantFunction:
+def _in_field(p: int, v) -> Cyclotomic:
+    """v (a Cyclotomic, int or Fraction) as a Cyclotomic over Q(zeta_p)."""
+    if not isinstance(v, Cyclotomic):
+        return Cyclotomic.rational(p, v)
+    if v.p != p:
+        raise ContextMismatchError(f"value {v!r} is in Q(zeta_{v.p}), not Q(zeta_{p})")
+    return v
+
+
+def _times(a, b, p: int):
+    """The products a[i] * b[j] in Z[zeta_p] of the value rows of two integer
+    arrays, indexed by a's axes then b's: planes s and t add into plane
+    s + t mod p, and plane p - 1 folds into the others, as linalg.kron does."""
+    a2, b2 = a.reshape(-1, p - 1), b.reshape(-1, p - 1)
+    out = np.zeros((len(a2), len(b2), p), dtype=object)
+    for s in range(p - 1):
+        for t in range(p - 1):
+            out[:, :, (s + t) % p] += np.multiply.outer(a2[:, s], b2[:, t])
+    return (out[..., :-1] - out[..., -1:]).reshape(a.shape[:-1] + b.shape[:-1] + (p - 1,))
+
+
+class _Values:
+    """The values num / den over the orbit tables `tables` and their
+    arithmetic, shared by InvariantFunction and TensorFunction."""
+
+    __slots__ = ("tables", "num", "den", "_values")
+
+    def _set(self, tables, num, den):
+        g = math.gcd(den, *num.flat) * (1 if den > 0 else -1)
+        if g != 1:
+            num, den = num // g, den // g
+        num.setflags(write=False)  # functions share their arrays
+        self.tables, self.num, self.den, self._values = tables, num, den, None
+
+    def _set_values(self, tables, values):
+        """Set from values (Cyclotomic, int or Fraction) in product order,
+        returned as Cyclotomics."""
+        p = tables[0].ctx.p if tables else 2
+        vals = [_in_field(p, v) for v in values]
+        den = math.lcm(*(v.den for v in vals))
+        num = np.array([[a * (den // v.den) for a in v.num] for v in vals], dtype=object)
+        self._set(tables, num.reshape(tuple(map(len, tables)) + (p - 1,)), den)
+        return vals
+
+    @classmethod
+    def _from_array(cls, tables, num, den: int):
+        """The values num / den, num of shape (dims..., p - 1)."""
+        self = object.__new__(cls)
+        self._set(tuple(tables), num, den)
+        return self
+
+    @property
+    def p(self):
+        return self.tables[0].ctx.p if self.tables else 2
+
+    def _cyclotomics(self):
+        p, den = self.p, self.den
+        return (Cyclotomic._from_ints(p, row, den)
+                for row in self.num.reshape(-1, p - 1).tolist())
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.tables != self.tables:
+            raise ValueError("values over different orbit tables")
+        return other
+
+    def __add__(self, other):
+        other = self._check(other)
+        d = math.lcm(self.den, other.den)
+        return self._from_array(self.tables, self.num * (d // self.den)
+                                + other.num * (d // other.den), d)
+
+    def __sub__(self, other):
+        return self + -self._check(other)
+
+    def __neg__(self):
+        return self._from_array(self.tables, -self.num, self.den)
+
+    def scale(self, c):
+        """Every value times c, a Cyclotomic, int or Fraction."""
+        c = _in_field(self.p, c)
+        return self._from_array(self.tables, _times(self.num, np.array(c.num, dtype=object),
+                                                    self.p), self.den * c.den)
+
+    def is_zero(self):
+        return not any(self.num.flat)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.tables == self.tables
+                and other.den == self.den and np.array_equal(other.num, self.num))
+
+    def __hash__(self):
+        return hash((tuple(map(id, self.tables)), self.den, tuple(self.num.flat)))
+
+
+class InvariantFunction(_Values):
     """A function on gl_n(F_q) constant on adjoint orbits."""
 
-    __slots__ = ("table", "values")
+    __slots__ = ()
 
     def __init__(self, table: OrbitTable, values):
-        values = tuple(v if isinstance(v, Cyclotomic)
-                       else Cyclotomic.rational(table.ctx.p, v) for v in values)
+        values = list(values)
         if len(values) != len(table):
             raise ValueError("one value per orbit required")
-        self.table = table
-        self.values = values
+        self._values = tuple(self._set_values((table,), values))
+
+    @property
+    def table(self) -> OrbitTable:
+        return self.tables[0]
+
+    @property
+    def values(self) -> tuple:
+        """One Cyclotomic per orbit, in table order."""
+        if self._values is None:
+            self._values = tuple(self._cyclotomics())
+        return self._values
 
     @property
     def n(self):
         return self.table.n
-
-    def _check(self, other):
-        if not isinstance(other, InvariantFunction) or other.table is not self.table:
-            raise ValueError("functions over different orbit tables")
-        return other
-
-    def __add__(self, other):
-        self._check(other)
-        return InvariantFunction(self.table,
-                                 [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return InvariantFunction(self.table,
-                                 [a - b for a, b in zip(self.values, other.values)])
-
-    def __neg__(self):
-        return InvariantFunction(self.table, [-a for a in self.values])
-
-    def scale(self, c) -> "InvariantFunction":
-        return InvariantFunction(self.table, [v * c for v in self.values])
-
-    def is_zero(self):
-        return all(v.is_zero() for v in self.values)
-
-    def __eq__(self, other):
-        return (isinstance(other, InvariantFunction)
-                and other.table is self.table and other.values == self.values)
-
-    def __hash__(self):
-        return hash((id(self.table), self.values))
 
     def evaluate(self, x: Matrix) -> Cyclotomic:
         return self.values[self.table.index_of_matrix(x)]
@@ -98,9 +177,7 @@ class InvariantFunction:
 
 def indicator(label: OrbitLabel, table: OrbitTable) -> InvariantFunction:
     i = table.index_of_label(label)
-    p = table.ctx.p
-    return InvariantFunction(
-        table, [Cyclotomic.rational(p, 1 if j == i else 0) for j in range(len(table))])
+    return InvariantFunction(table, [int(j == i) for j in range(len(table))])
 
 
 def indicator_by_index(i: int, table: OrbitTable) -> InvariantFunction:
@@ -123,8 +200,7 @@ def inner_product(f: InvariantFunction, g: InvariantFunction) -> Cyclotomic:
 
 
 def inner_product_rational(f, g) -> Fraction:
-    val = inner_product(f, g)
-    return val.as_rational()
+    return inner_product(f, g).as_rational()
 
 
 @lru_cache(maxsize=None)
@@ -165,18 +241,15 @@ def fourier_character_basis(table: OrbitTable):
     with psi(a) = zeta_p^Tr(a). Orthogonal; chi_O(0) = |O|."""
     planes, _ = character_matrix(table)
     p = table.ctx.p
-    return tuple(
-        InvariantFunction(table, [Cyclotomic(p, planes[:p - 1, oi, xi])
-                                  for xi in range(len(table))])
-        for oi in range(len(table)))
+    return tuple(InvariantFunction._from_array((table,), planes[:p - 1, oi].T, 1)
+                 for oi in range(len(table)))
 
 
 def coords(f: InvariantFunction, basis) -> list:
     """Coefficients of f in an orthogonal basis, with exact reconstruction."""
     out = []
     for b in basis:
-        norm = inner_product(b, b)
-        nr = norm.as_rational()
+        nr = inner_product(b, b).as_rational()
         if nr == 0:
             raise ZeroDivisionError("degenerate basis vector")
         out.append(inner_product(f, b) * Fraction(nr.denominator, nr.numerator))
@@ -186,27 +259,28 @@ def coords(f: InvariantFunction, basis) -> list:
 # ---------------------------------------------------------------------------
 
 
-class TensorFunction:
+class TensorFunction(_Values):
     """An element of C_{n_1} x ... x C_{n_k}, dense over orbit-label tuples."""
 
-    __slots__ = ("tables", "values")
+    __slots__ = ()
 
     def __init__(self, tables, values):
-        self.tables = tuple(tables)
-        self.values = dict(values)
-        full = 1
-        for t in self.tables:
-            full *= len(t)
-        if len(self.values) != full:
+        tables, values = tuple(tables), dict(values)
+        idx = list(product(*(range(len(t)) for t in tables)))
+        if values.keys() != set(idx):
             raise ValueError("dense value grid required")
+        self._values = dict(zip(idx, self._set_values(tables, [values[i] for i in idx])))
+
+    @property
+    def values(self) -> dict:
+        """One Cyclotomic per orbit-index tuple, in product order."""
+        if self._values is None:
+            self._values = dict(zip(self.index_tuples(), self._cyclotomics()))
+        return self._values
 
     @property
     def degrees(self):
         return tuple(t.n for t in self.tables)
-
-    @property
-    def p(self):
-        return self.tables[0].ctx.p if self.tables else 2
 
     def index_tuples(self):
         return product(*(range(len(t)) for t in self.tables))
@@ -214,62 +288,34 @@ class TensorFunction:
     @classmethod
     def outer(cls, factors) -> "TensorFunction":
         factors = list(factors)
-        tables = [f.table for f in factors]
-        vals = {}
-        for idx in product(*(range(len(t)) for t in tables)):
-            v = factors[0].values[idx[0]]
-            for pos in range(1, len(factors)):
-                v = v * factors[pos].values[idx[pos]]
-            vals[idx] = v
-        return cls(tables, vals)
+        t = cls._from_array(factors[0].tables, factors[0].num, factors[0].den)
+        for f in factors[1:]:
+            t = t.concat(f)
+        return t
 
     @classmethod
     def zero(cls, tables) -> "TensorFunction":
         tables = tuple(tables)
-        p = tables[0].ctx.p if tables else 2
-        z = Cyclotomic.rational(p, 0)
-        vals = {idx: z for idx in product(*(range(len(t)) for t in tables))}
-        return cls(tables, vals)
+        return cls(tables, dict.fromkeys(product(*(range(len(t)) for t in tables)), 0))
 
-    def _check(self, other):
-        if not isinstance(other, TensorFunction) or other.tables != self.tables:
-            raise ValueError("tensors over different tables")
-        return other
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorFunction(self.tables,
-                              {k: v + other.values[k] for k, v in self.values.items()})
-
-    def __sub__(self, other):
-        self._check(other)
-        return TensorFunction(self.tables,
-                              {k: v - other.values[k] for k, v in self.values.items()})
-
-    def scale(self, c) -> "TensorFunction":
-        return TensorFunction(self.tables, {k: v * c for k, v in self.values.items()})
+    def concat(self, other) -> "TensorFunction":
+        """The tensor over self's factors then other's, with values s(i) t(j)."""
+        return TensorFunction._from_array(self.tables + other.tables,
+                                          _times(self.num, other.num, self.p),
+                                          self.den * other.den)
 
     def permute(self, perm) -> "TensorFunction":
         """Reorder tensor factors: new factor i is old factor perm[i]."""
-        tables = tuple(self.tables[p] for p in perm)
-        vals = {}
-        for idx, v in self.values.items():
-            vals[tuple(idx[p] for p in perm)] = v
-        return TensorFunction(tables, vals)
-
-    def is_zero(self):
-        return all(v.is_zero() for v in self.values.values())
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorFunction) and other.tables == self.tables
-                and other.values == self.values)
+        perm = tuple(perm)
+        return TensorFunction._from_array([self.tables[p] for p in perm],
+                                          self.num.transpose(perm + (len(perm),)),
+                                          self.den)
 
     def as_function(self) -> InvariantFunction:
         """Collapse a one-factor tensor."""
         if len(self.tables) != 1:
             raise ValueError("not a single-factor tensor")
-        t = self.tables[0]
-        return InvariantFunction(t, [self.values[(i,)] for i in range(len(t))])
+        return InvariantFunction._from_array(self.tables, self.num, self.den)
 
     def __repr__(self):
         return f"TensorFunction(degrees={self.degrees})"
@@ -280,37 +326,24 @@ def apply_operator(op, t: TensorFunction, start: int, count: int,
     """Apply the rational operator op = (x, den) (see linalg) along the
     factors [start, start + count) of t.  The columns of x are the index
     tuples of those factors in product order, its rows those of the factors
-    `tables` that replace them.  The values' numerators, scaled to one
-    common denominator, pass through one integer array."""
+    `tables` that replace them: one integer matmul on t.num, one gcd."""
     x, den = op
-    p = t.p
-    pre = math.prod(len(tb) for tb in t.tables[:start])
-    vals = [t.values[idx] for idx in t.index_tuples()]
-    vden = math.lcm(*(v.den for v in vals))
-    ints = np.array([a * (vden // v.den) for v in vals for a in v.num], dtype=object)
-    out = (x @ ints.reshape(pre, x.shape[1], -1)).reshape(-1, p - 1)
-    d = den * vden
     tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
-    return TensorFunction(tables, zip(
-        product(*(range(len(tb)) for tb in tables)),
-        (Cyclotomic._from_ints(p, row, d) for row in out.tolist())))
+    pre = math.prod(len(tb) for tb in t.tables[:start])
+    out = x @ t.num.reshape(pre, x.shape[1], -1)
+    return TensorFunction._from_array(
+        tables, out.reshape(tuple(len(tb) for tb in tables) + (t.p - 1,)), den * t.den)
 
 
 def tensor_inner_product(s: TensorFunction, t: TensorFunction) -> Cyclotomic:
     """Inner product on the tensor space: factorwise orbit sums."""
     if s.tables != t.tables:
         raise ValueError("tensors over different tables")
-    p = s.p
-    acc = Cyclotomic.rational(p, 0)
-    denom = 1
-    for tab in s.tables:
-        denom *= tab.gl_order
+    acc = Cyclotomic.rational(s.p, 0)
     for idx in s.index_tuples():
-        w = 1
-        for tab, i in zip(s.tables, idx):
-            w *= tab.sizes[i]
+        w = math.prod(tab.sizes[i] for tab, i in zip(s.tables, idx))
         acc = acc + (s.values[idx] * t.values[idx].conj()) * w
-    return acc * Fraction(1, denom)
+    return acc * Fraction(1, math.prod(tab.gl_order for tab in s.tables))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +355,8 @@ class GradedElement:
     __slots__ = ("ctx", "components")
 
     def __init__(self, ctx, components):
-        comps = {}
-        for n, f in dict(components).items():
-            if not f.is_zero():
-                comps[n] = f
         self.ctx = ctx
-        self.components = comps
+        self.components = {n: f for n, f in dict(components).items() if not f.is_zero()}
 
     @classmethod
     def homogeneous(cls, f: InvariantFunction) -> "GradedElement":

@@ -45,18 +45,21 @@ def add(*terms):
     return reduced(sum(x * (den // d) for x, d in terms), den)
 
 
+def _convolve(x, y, op):
+    """op over Q(zeta_p) of two 3-D integer matrices: plane t of the result
+    is the sum over s of op(x[s], y[t - s mod p])."""
+    p = len(x)
+    return np.array([sum(op(x[s], y[(t - s) % p]) for s in range(p))
+                     for t in range(p)], dtype=object)
+
+
 def matmul(a, b):
     """Product of two (x, den) matrices; over Q(zeta_p) the planes convolve
     mod p, and a 2-D factor acts on every plane of a 3-D one."""
     (x, dx), (y, dy) = a, b
     if x.ndim == 2 or y.ndim == 2:
         return reduced(x @ y, dx * dy)
-    p = len(x)
-    out = np.zeros((p, x.shape[1], y.shape[2]), dtype=object)
-    for s in range(p):
-        for t in range(p):
-            out[(s + t) % p] += x[s] @ y[t]
-    return reduced(out, dx * dy)
+    return reduced(_convolve(x, y, np.matmul), dx * dy)
 
 
 def kron(a, b):
@@ -64,13 +67,7 @@ def kron(a, b):
     (x, dx), (y, dy) = a, b
     if x.ndim == 2:
         return reduced(np.kron(x, y), dx * dy)
-    p = len(x)
-    out = np.zeros((p, x.shape[1] * y.shape[1], x.shape[2] * y.shape[2]),
-                   dtype=object)
-    for s in range(p):
-        for t in range(p):
-            out[(s + t) % p] += np.kron(x[s], y[t])
-    return reduced(out, dx * dy)
+    return reduced(_convolve(x, y, np.kron), dx * dy)
 
 
 def conj_t(a):

@@ -1,0 +1,187 @@
+"""Reference value layer kept as the oracle for glnq.invfun: TupleFunction,
+an invariant function as one Cyclotomic per orbit, and DictTensor, a tensor
+as a dict from orbit-index tuples to Cyclotomic, with every sum, product and
+permutation taken one value at a time; and the per-value apply_operator,
+which scales the values to one denominator, multiplies by the operator and
+builds each output value with its own gcd.
+
+This is the layer that glnq.invfun's integer arrays over one denominator
+replaced; the tests feed both the same values and compare the results.  The
+operator builders are bound here at import, so a test that patches glnq.hc's
+bindings reaches the fast path only.
+"""
+import math
+from itertools import product
+
+import numpy as np
+
+from glnq.duality import duality_operator
+from glnq.field import Cyclotomic
+from glnq.hc import _parts, induction_matrix, restriction_matrix, split_tables
+from glnq.hopf import antipode_matrix
+from glnq.orbits import enumerate_orbits
+
+
+class TupleFunction:
+    """A function on gl_n(F_q) constant on adjoint orbits: one value per orbit."""
+
+    __slots__ = ("table", "values")
+
+    def __init__(self, table, values):
+        values = tuple(v if isinstance(v, Cyclotomic)
+                       else Cyclotomic.rational(table.ctx.p, v) for v in values)
+        if len(values) != len(table):
+            raise ValueError("one value per orbit required")
+        self.table = table
+        self.values = values
+
+    @property
+    def n(self):
+        return self.table.n
+
+    def __add__(self, other):
+        return TupleFunction(self.table,
+                             [a + b for a, b in zip(self.values, other.values)])
+
+    def __sub__(self, other):
+        return TupleFunction(self.table,
+                             [a - b for a, b in zip(self.values, other.values)])
+
+    def __neg__(self):
+        return TupleFunction(self.table, [-a for a in self.values])
+
+    def scale(self, c) -> "TupleFunction":
+        return TupleFunction(self.table, [v * c for v in self.values])
+
+    def is_zero(self):
+        return all(v.is_zero() for v in self.values)
+
+    def __eq__(self, other):
+        return (isinstance(other, TupleFunction)
+                and other.table is self.table and other.values == self.values)
+
+    def __hash__(self):
+        return hash((id(self.table), self.values))
+
+    def to_json(self):
+        return {"n": self.n, "q": self.table.ctx.serialize(),
+                "values": {lab.serialize(): v.serialize()
+                           for lab, v in zip(self.table.labels, self.values)}}
+
+
+class DictTensor:
+    """An element of C_{n_1} x ... x C_{n_k}, dense over orbit-label tuples."""
+
+    __slots__ = ("tables", "values")
+
+    def __init__(self, tables, values):
+        self.tables = tuple(tables)
+        self.values = dict(values)
+        if len(self.values) != math.prod(len(t) for t in self.tables):
+            raise ValueError("dense value grid required")
+
+    @property
+    def degrees(self):
+        return tuple(t.n for t in self.tables)
+
+    @property
+    def p(self):
+        return self.tables[0].ctx.p if self.tables else 2
+
+    def index_tuples(self):
+        return product(*(range(len(t)) for t in self.tables))
+
+    @classmethod
+    def outer(cls, factors) -> "DictTensor":
+        factors = list(factors)
+        tables = [f.table for f in factors]
+        vals = {}
+        for idx in product(*(range(len(t)) for t in tables)):
+            v = factors[0].values[idx[0]]
+            for pos in range(1, len(factors)):
+                v = v * factors[pos].values[idx[pos]]
+            vals[idx] = v
+        return cls(tables, vals)
+
+    def __add__(self, other):
+        return DictTensor(self.tables,
+                          {k: v + other.values[k] for k, v in self.values.items()})
+
+    def __sub__(self, other):
+        return DictTensor(self.tables,
+                          {k: v - other.values[k] for k, v in self.values.items()})
+
+    def scale(self, c) -> "DictTensor":
+        return DictTensor(self.tables, {k: v * c for k, v in self.values.items()})
+
+    def permute(self, perm) -> "DictTensor":
+        """Reorder tensor factors: new factor i is old factor perm[i]."""
+        tables = tuple(self.tables[p] for p in perm)
+        return DictTensor(tables, {tuple(idx[p] for p in perm): v
+                                   for idx, v in self.values.items()})
+
+    def is_zero(self):
+        return all(v.is_zero() for v in self.values.values())
+
+    def __eq__(self, other):
+        return (isinstance(other, DictTensor) and other.tables == self.tables
+                and other.values == self.values)
+
+    def as_function(self) -> TupleFunction:
+        if len(self.tables) != 1:
+            raise ValueError("not a single-factor tensor")
+        t = self.tables[0]
+        return TupleFunction(t, [self.values[(i,)] for i in range(len(t))])
+
+
+def tensor_concat(a: DictTensor, b: DictTensor) -> DictTensor:
+    vals = {}
+    for ia, va in a.values.items():
+        for ib, vb in b.values.items():
+            vals[ia + ib] = va * vb
+    return DictTensor(a.tables + b.tables, vals)
+
+
+def apply_operator(op, t: DictTensor, start: int, count: int, tables) -> DictTensor:
+    """Apply the rational operator op = (x, den) along the factors
+    [start, start + count) of t, building each output value on its own."""
+    x, den = op
+    p = t.p
+    pre = math.prod(len(tb) for tb in t.tables[:start])
+    vals = [t.values[idx] for idx in t.index_tuples()]
+    vden = math.lcm(*(v.den for v in vals))
+    ints = np.array([a * (vden // v.den) for v in vals for a in v.num], dtype=object)
+    out = (x @ ints.reshape(pre, x.shape[1], -1)).reshape(-1, p - 1)
+    d = den * vden
+    tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
+    return DictTensor(tables, zip(
+        product(*(range(len(tb)) for tb in tables)),
+        (Cyclotomic._from_ints(p, row, d) for row in out.tolist())))
+
+
+# ---------------------------------------------------------------------------
+# the operators of glnq.hc, glnq.duality and glnq.hopf through this layer
+
+
+def hc_restrict(f: TupleFunction, c, lower: bool = False) -> DictTensor:
+    parts = _parts(c)
+    ctx = f.table.ctx
+    return apply_operator(restriction_matrix(ctx, parts, lower),
+                          DictTensor.outer([f]), 0, 1, split_tables(ctx, parts))
+
+
+def hc_induce(t: DictTensor, c, lower: bool = False) -> TupleFunction:
+    parts = _parts(c)
+    ctx = t.tables[0].ctx
+    return apply_operator(induction_matrix(ctx, parts, lower), t, 0, len(t.tables),
+                          (enumerate_orbits(sum(parts), ctx),)).as_function()
+
+
+def duality_apply(f: TupleFunction) -> TupleFunction:
+    return apply_operator(duality_operator(f.n, f.table.ctx).matrix,
+                          DictTensor.outer([f]), 0, 1, (f.table,)).as_function()
+
+
+def antipode_function(f: TupleFunction) -> TupleFunction:
+    return apply_operator(antipode_matrix(f.table.ctx, f.n),
+                          DictTensor.outer([f]), 0, 1, (f.table,)).as_function()

@@ -190,6 +190,18 @@ class TestCyclotomic:
         assert val.conj() == val
         assert z.conj().conj() == z
 
+    @pytest.mark.parametrize("build", [
+        lambda: Cyclotomic(4, (1, 2, 3)), lambda: Cyclotomic(1, ()),
+        lambda: Cyclotomic(9, (0,) * 8), lambda: Cyclotomic.rational(1, 0),
+        lambda: Cyclotomic.rational(0, 1), lambda: Cyclotomic.rational(6, 1),
+        lambda: Cyclotomic.zeta(4), lambda: Cyclotomic.zeta(1, 0),
+    ])
+    def test_p_must_be_prime(self, build):
+        # Cyclotomic(4, (1, 2, 3)) used to read as 1 + 2z + 3z^2 in a field
+        # whose basis is not 1, z, z^2, and rational(1, 0) as one coordinate
+        with pytest.raises(ValueError, match="p prime"):
+            build()
+
 
 @given(st.sampled_from([2, 3, 5]), st.data())
 @settings(max_examples=60, deadline=None)

@@ -1,16 +1,24 @@
-"""Invariant functions: bases, inner products, tensors, graded sums."""
+"""Invariant functions: bases, inner products, tensors, graded sums, and the
+integer-array value layer against its per-value oracle."""
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glnq.field import Cyclotomic, fq
-from glnq.glmat import Matrix, conjugate, enumerate_gl
+import invfun_oracle
+from glnq import hc, linalg
+from glnq.duality import duality_operator
+from glnq.field import ContextMismatchError, Cyclotomic, fq
+from glnq.glmat import Matrix, compositions, conjugate, enumerate_gl
+from glnq.hopf import antipode_function
 from glnq.invfun import (GradedElement, InvariantFunction, TensorFunction,
-                         constant_one, coords, fourier_character_basis,
-                         indicator, indicator_by_index, inner_product,
+                         apply_operator, constant_one, coords,
+                         fourier_character_basis, indicator,
+                         indicator_by_index, inner_product,
                          inner_product_rational, tensor_inner_product)
 from glnq.orbits import enumerate_orbits
 
@@ -210,3 +218,155 @@ def test_json_roundtrip_on_random_values(qn, data):
         Cyclotomic(p, tuple(data.draw(st.fractions()) for _ in range(p - 1)))
         for _ in table.labels])
     assert InvariantFunction.from_json(table, f.to_json()) == f
+
+
+# ---------------------------------------------------------------------------
+# the integer-array value layer against its per-value oracle
+
+
+# largest degree drawn per field size
+ORACLE_MAX_N = {2: 3, 3: 2, 4: 2, 5: 2}
+
+
+def _draw_values(data, p, count):
+    """Values in Q(zeta_p) as a mix of Cyclotomics, ints and Fractions."""
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    rational = st.one_of(st.integers(-5, 5), coeff)
+    cyclotomic = st.lists(coeff, min_size=p - 1, max_size=p - 1).map(
+        lambda c: Cyclotomic(p, c))
+    return data.draw(st.lists(st.one_of(rational, cyclotomic, st.just(0)),
+                              min_size=count, max_size=count))
+
+
+def _pair(data, ctx, n):
+    """One function of degree n, in the new layer and in the oracle's."""
+    table = enumerate_orbits(n, ctx)
+    vals = _draw_values(data, ctx.p, len(table))
+    return InvariantFunction(table, vals), invfun_oracle.TupleFunction(table, vals)
+
+
+def _same(new, old):
+    assert new.values == old.values
+    if isinstance(new, InvariantFunction):
+        assert new.to_json() == old.to_json()
+        assert (hash(new) == hash(InvariantFunction(new.table, new.values))
+                == hash(InvariantFunction(new.table, old.values)))
+    assert new.is_zero() == old.is_zero()
+
+
+@given(st.sampled_from(sorted(ORACLE_MAX_N)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_value_layer_matches_oracle(q, data):
+    ctx = fq(q)
+    p = ctx.p
+    n = data.draw(st.integers(1, ORACLE_MAX_N[q]), label="n")
+    f, of = _pair(data, ctx, n)
+    g, og = _pair(data, ctx, n)
+    scalars = [data.draw(st.integers(-4, 4)),
+               data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+               _draw_values(data, p, 1)[0]]
+    for new, old in [(f + g, of + og), (f - g, of - og), (-f, -of), (f - f, of - of)]:
+        _same(new, old)
+    for c in scalars:
+        _same(f.scale(c), of.scale(c))
+    assert (f == g) == (of == og)
+    assert f == InvariantFunction(f.table, of.values)
+
+    comp = data.draw(st.sampled_from([c.parts for c in compositions(n)]
+                                     + [(0, n), (n, 0)]), label="composition")
+    _same(hc.hc_restrict(f, comp), invfun_oracle.hc_restrict(of, comp))
+    _same(duality_operator(n, ctx).apply(f), invfun_oracle.duality_apply(of))
+    _same(antipode_function(f), invfun_oracle.antipode_function(of))
+
+    # tensors: outer, permute, concat, sums, scaling and induction
+    a = data.draw(st.integers(1, ORACLE_MAX_N[q] - 1), label="a") if n > 1 else 1
+    (fa, ofa), (fb, ofb) = _pair(data, ctx, a), _pair(data, ctx, max(n - a, 1))
+    s, os_ = TensorFunction.outer([fa, fb]), invfun_oracle.DictTensor.outer([ofa, ofb])
+    _same(s, os_)
+    _same(s.permute((1, 0)), os_.permute((1, 0)))
+    _same(hc.tensor_concat(s, TensorFunction.outer([f])),
+          invfun_oracle.tensor_concat(os_, invfun_oracle.DictTensor.outer([of])))
+    r, or_ = hc.hc_restrict(g, comp), invfun_oracle.hc_restrict(og, comp)
+    _same(r + hc.hc_restrict(f, comp), or_ + invfun_oracle.hc_restrict(of, comp))
+    _same(r - r.scale(scalars[2]), or_ - or_.scale(scalars[2]))
+    assert (s == s.scale(scalars[0])) == (os_ == os_.scale(scalars[0]))
+    parts = (fa.n, fb.n)
+    _same(hc.hc_induce(s, parts), invfun_oracle.hc_induce(os_, parts))
+
+
+class TestCanonicalForm:
+    def test_num_is_read_only(self, q3):
+        f = constant_one(enumerate_orbits(2, q3))
+        t = TensorFunction.outer([f, f])
+        for arr in (f.num, t.num, hc.hc_restrict(f, (1, 1)).num, t.permute((1, 0)).num):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 7
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_lowest_terms(self, q, data):
+        ctx = fq(q)
+        f, _ = _pair(data, ctx, 1)
+        g, _ = _pair(data, ctx, 2)
+        for h in (f, f + f, f.scale(Fraction(3, 4)), -f, f - f, TensorFunction.outer([f, f]),
+                  hc.hc_restrict(g, (1, 1)), duality_operator(2, ctx).apply(g)):
+            assert h.den > 0
+            assert math.gcd(h.den, *h.num.flat) == 1
+            assert all(type(a) is int for a in h.num.flat)
+
+    def test_one_form_however_built(self, q3):
+        table = enumerate_orbits(2, q3)
+        z = Cyclotomic.zeta(3)
+        # values sharing a factor with their common denominator
+        built = InvariantFunction(table, [Fraction(2 * i, 6) * (z if i % 2 else 1)
+                                          for i in range(len(table))])
+        by_arith = built.scale(3) - built.scale(Fraction(4, 2))
+        x, den = linalg.identity(len(table))
+        by_operator = apply_operator((x * 6, den * 6), TensorFunction.outer([built]),
+                                     0, 1, (table,)).as_function()
+        for h in (by_arith, by_operator):
+            assert h.den == built.den
+            assert np.array_equal(h.num, built.num)
+            assert hash(h) == hash(built)
+            assert h == built
+
+    def test_hash_reads_the_ints_not_the_pointers(self, q3):
+        table = enumerate_orbits(1, q3)
+        big = 10 ** 30 + 7
+        f = InvariantFunction(table, [Cyclotomic(3, (big, -big)), big, Fraction(big, 3)])
+        g = InvariantFunction.from_json(table, f.to_json())
+        # equal ints held by different objects
+        assert f.num.tobytes() != g.num.tobytes()
+        assert f == g and hash(f) == hash(g)
+        t, u = TensorFunction.outer([f, f]), TensorFunction.outer([g, g])
+        assert t == u and hash(t) == hash(u)
+
+
+class TestFieldOfValues:
+    def test_function_rejects_another_p(self):
+        table = enumerate_orbits(1, fq(3))
+        with pytest.raises(ContextMismatchError):
+            InvariantFunction(table, [Cyclotomic(2, [1])] * 3)
+        with pytest.raises(ContextMismatchError):
+            constant_one(table).scale(Cyclotomic.zeta(5))
+
+    def test_tensor_rejects_another_p(self):
+        tables = [enumerate_orbits(1, fq(3))] * 2
+        vals = {idx: Cyclotomic(5, [1, 0, 0, 0]) for idx in product(range(3), repeat=2)}
+        with pytest.raises(ContextMismatchError):
+            TensorFunction(tables, vals)
+
+    def test_tensor_converts_ints_and_fractions(self, q3):
+        table = enumerate_orbits(1, q3)
+        t = TensorFunction([table, table], {(i, j): Fraction(i, j + 1) if i else 2
+                                            for i in range(3) for j in range(3)})
+        assert all(isinstance(v, Cyclotomic) and v.p == 3 for v in t.values.values())
+        assert t.values[(0, 1)] == 2 and t.values[(2, 1)] == 1
+        assert t == TensorFunction([table, table], t.values)
+
+    def test_tensor_requires_every_index_tuple(self, q3):
+        table = enumerate_orbits(1, q3)
+        vals = {(i, j): 1 for i in range(3) for j in range(3)}
+        vals[(3, 0)] = vals.pop((2, 2))
+        with pytest.raises(ValueError, match="dense"):
+            TensorFunction([table, table], vals)

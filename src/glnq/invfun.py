@@ -5,8 +5,10 @@ A function or tensor holds its values in Q(zeta_p) as one read-only numpy
 object array `num` of Python ints, of shape (orbit dims..., p - 1) in the
 basis of Cyclotomic.num, over one int `den` > 0 with gcd(den, *num.flat) == 1,
 so equal functions have equal (num, den).  `.values` (Cyclotomics) is kept
-from construction or built when first read: by the inner products, output
-and evaluate, never by the arithmetic or apply_operator.
+from construction or built when first read: by output and evaluate, never
+by the arithmetic, the inner products (one weighted integer contraction of
+the num arrays) or apply_operator (an int64 matmul when
+cols * max|x| * max|num| < 2^63 makes it exact, else over Python ints).
 """
 from __future__ import annotations
 
@@ -73,6 +75,10 @@ class _Values:
         self = object.__new__(cls)
         self._set(tuple(tables), num, den)
         return self
+
+    def __reduce__(self):
+        # unpickle through _from_array, so the copy's num is read-only too
+        return self._from_array, (self.tables, self.num, self.den)
 
     @property
     def p(self):
@@ -192,11 +198,7 @@ def inner_product(f: InvariantFunction, g: InvariantFunction) -> Cyclotomic:
     """(f, g) = (1/|G^F|) sum over the space of f * conj(g), orbitwise."""
     if f.table is not g.table:
         raise ValueError("functions over different orbit tables")
-    table = f.table
-    acc = Cyclotomic.rational(table.ctx.p, 0)
-    for size, a, b in zip(table.sizes, f.values, g.values):
-        acc = acc + (a * b.conj()) * size
-    return acc * Fraction(1, table.gl_order)
+    return _pairing(f, g)
 
 
 def inner_product_rational(f, g) -> Fraction:
@@ -330,20 +332,63 @@ def apply_operator(op, t: TensorFunction, start: int, count: int,
     x, den = op
     tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
     pre = math.prod(len(tb) for tb in t.tables[:start])
-    out = x @ t.num.reshape(pre, x.shape[1], -1)
+    a = t.num.reshape(pre, x.shape[1], -1)
+    ints = _int64_operands(x, a)
+    out = x @ a if ints is None else (ints[0] @ ints[1]).astype(object)
     return TensorFunction._from_array(
         tables, out.reshape(tuple(len(tb) for tb in tables) + (t.p - 1,)), den * t.den)
+
+
+# id(x) -> (x, x as int64, cols * max|x|) for each read-only operator x
+# applied so far; holding x keeps its id from being reused
+_INT64_OPERATORS = {}
+
+
+def _int64_operands(x, a):
+    """x and a as int64 when cols * max|x| * max|a| < 2^63 (cols the column
+    count of x, each factor at least 1): every partial sum of x @ a is then
+    below 2^63 in absolute value, so the int64 product is exact.  Else None."""
+    hit = _INT64_OPERATORS.get(id(x))
+    if hit is None:
+        bound = max(x.shape[1], 1) * max(int(np.abs(x).max(initial=0)), 1)
+        hit = (x, x.astype(np.int64) if bound < 2 ** 63 else None, bound)
+        if not x.flags.writeable:
+            _INT64_OPERATORS[id(x)] = hit
+    if hit[2] * max(int(np.abs(a).max(initial=0)), 1) >= 2 ** 63:
+        return None
+    return hit[1], a.astype(np.int64)
 
 
 def tensor_inner_product(s: TensorFunction, t: TensorFunction) -> Cyclotomic:
     """Inner product on the tensor space: factorwise orbit sums."""
     if s.tables != t.tables:
         raise ValueError("tensors over different tables")
-    acc = Cyclotomic.rational(s.p, 0)
-    for idx in s.index_tuples():
-        w = math.prod(tab.sizes[i] for tab, i in zip(s.tables, idx))
-        acc = acc + (s.values[idx] * t.values[idx].conj()) * w
-    return acc * Fraction(1, math.prod(tab.gl_order for tab in s.tables))
+    return _pairing(s, t)
+
+
+@lru_cache(maxsize=None)
+def _weights(tables):
+    """The products |O_1|...|O_k| of the orbit sizes over the index tuples
+    of tables in product order, as an object column, and |G| = the product
+    of the GL orders."""
+    w = np.ones(1, dtype=object)
+    for tab in tables:
+        w = np.multiply.outer(w, np.array(tab.sizes, dtype=object)).ravel()
+    w.setflags(write=False)
+    return w[:, None], math.prod(tab.gl_order for tab in tables)
+
+
+def _pairing(s: _Values, t: _Values) -> Cyclotomic:
+    """(1/|G|) sum over the index tuples of |O_1|...|O_k| s * conj(t), as one
+    integer contraction M = S^T (w G) of the value planes: M[a, b] is the
+    weighted sum of the coefficients of zeta^a in s times those of zeta^b in
+    t, so the sum is sum_a zeta^a conj(sum_b M[a, b] zeta^b), over den_s den_t."""
+    p = s.p
+    w, order = _weights(s.tables)
+    m = s.num.reshape(-1, p - 1).T @ (w * t.num.reshape(-1, p - 1))
+    acc = sum(Cyclotomic.zeta(p, a) * Cyclotomic._from_ints(p, row, 1).conj()
+              for a, row in enumerate(m.tolist()))
+    return acc * Fraction(1, order * s.den * t.den)
 
 
 # ---------------------------------------------------------------------------

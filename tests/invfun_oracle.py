@@ -1,9 +1,10 @@
 """Reference value layer kept as the oracle for glnq.invfun: TupleFunction,
 an invariant function as one Cyclotomic per orbit, and DictTensor, a tensor
 as a dict from orbit-index tuples to Cyclotomic, with every sum, product and
-permutation taken one value at a time; and the per-value apply_operator,
-which scales the values to one denominator, multiplies by the operator and
-builds each output value with its own gcd.
+permutation taken one value at a time; the per-value apply_operator, which
+scales the values to one denominator, multiplies by the operator and builds
+each output value with its own gcd; and the inner products as sums of one
+Cyclotomic product per orbit or orbit tuple.
 
 This is the layer that glnq.invfun's integer arrays over one denominator
 replaced; the tests feed both the same values and compare the results.  The
@@ -11,6 +12,7 @@ operator builders are bound here at import, so a test that patches glnq.hc's
 bindings reaches the fast path only.
 """
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -157,6 +159,31 @@ def apply_operator(op, t: DictTensor, start: int, count: int, tables) -> DictTen
     return DictTensor(tables, zip(
         product(*(range(len(tb)) for tb in tables)),
         (Cyclotomic._from_ints(p, row, d) for row in out.tolist())))
+
+
+def inner_product(f, g) -> Cyclotomic:
+    """(f, g) = (1/|G^F|) sum over the space of f * conj(g), orbitwise, for
+    any two functions with .table and .values."""
+    if f.table is not g.table:
+        raise ValueError("functions over different orbit tables")
+    table = f.table
+    acc = Cyclotomic.rational(table.ctx.p, 0)
+    for size, a, b in zip(table.sizes, f.values, g.values):
+        acc = acc + (a * b.conj()) * size
+    return acc * Fraction(1, table.gl_order)
+
+
+def tensor_inner_product(s, t) -> Cyclotomic:
+    """Inner product on the tensor space, one orbit tuple at a time, for any
+    two tensors with .tables and .values."""
+    if s.tables != t.tables:
+        raise ValueError("tensors over different tables")
+    p = s.tables[0].ctx.p if s.tables else 2
+    acc = Cyclotomic.rational(p, 0)
+    for idx in product(*(range(len(tab)) for tab in s.tables)):
+        w = math.prod(tab.sizes[i] for tab, i in zip(s.tables, idx))
+        acc = acc + (s.values[idx] * t.values[idx].conj()) * w
+    return acc * Fraction(1, math.prod(tab.gl_order for tab in s.tables))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Invariant functions: bases, inner products, tensors, graded sums, and the
-integer-array value layer against its per-value oracle."""
+integer-array value layer, its inner products and its int64 operator
+products against their per-value oracles."""
 import math
+import pickle
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import invfun_oracle
-from glnq import hc, linalg
+from glnq import hc, invfun, linalg
 from glnq.duality import duality_operator
 from glnq.field import ContextMismatchError, Cyclotomic, fq
 from glnq.glmat import Matrix, compositions, conjugate, enumerate_gl
@@ -294,6 +297,129 @@ def test_value_layer_matches_oracle(q, data):
     _same(hc.hc_induce(s, parts), invfun_oracle.hc_induce(os_, parts))
 
 
+# ---------------------------------------------------------------------------
+# the inner products against the scalar loops of the oracle
+
+
+# largest degree drawn per field size, for functions and for tensor factors
+PAIRING_MAX_N = {2: 3, 3: 3, 4: 2, 5: 2}
+FACTOR_MAX_N = {2: 2, 3: 2, 4: 1, 5: 1}
+
+
+def _tensor_pair(data, ctx, degrees):
+    """One tensor over the given factor degrees, in both layers."""
+    pairs = [_pair(data, ctx, m) for m in degrees]
+    return (TensorFunction.outer([f for f, _ in pairs]),
+            invfun_oracle.DictTensor.outer([of for _, of in pairs]))
+
+
+@given(st.sampled_from(sorted(PAIRING_MAX_N)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_pairing_matches_oracle(q, data):
+    ctx = fq(q)
+    p = ctx.p
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    c = (Cyclotomic(p, data.draw(st.lists(coeff, min_size=p - 1, max_size=p - 1)))
+         * Fraction(1, data.draw(st.integers(2, 12), label="den")))
+    n = data.draw(st.integers(1, PAIRING_MAX_N[q]), label="n")
+    (f, of), (g, og) = _pair(data, ctx, n), _pair(data, ctx, n)
+    degrees = data.draw(st.lists(st.integers(1, FACTOR_MAX_N[q]), min_size=1, max_size=3),
+                        label="degrees")
+    (s, os_), (t, ot) = _tensor_pair(data, ctx, degrees), _tensor_pair(data, ctx, degrees)
+    (f, of), (s, os_) = (f.scale(c), of.scale(c)), (s.scale(c), os_.scale(c))
+    assume(f.den > 1 and s.den > 1)
+    for a, b, oa, ob in [(f, g, of, og), (g, f, og, of), (f, f, of, of)]:
+        assert inner_product(a, b) == invfun_oracle.inner_product(oa, ob)
+    assert tensor_inner_product(s, t) == invfun_oracle.tensor_inner_product(os_, ot)
+    assert tensor_inner_product(t, s) == invfun_oracle.tensor_inner_product(ot, os_)
+
+
+class TestPairing:
+    def test_rejects_other_tables(self, q3):
+        t1, t2 = enumerate_orbits(1, q3), enumerate_orbits(2, q3)
+        with pytest.raises(ValueError, match="different orbit tables"):
+            inner_product(constant_one(t1), constant_one(t2))
+        s = TensorFunction.outer([constant_one(t1), constant_one(t2)])
+        with pytest.raises(ValueError, match="different tables"):
+            tensor_inner_product(s, s.permute((1, 0)))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_sees_a_corrupted_entry(self, q):
+        # one num entry off by one changes (f, 1) by |O| zeta^a / (|G| den)
+        ctx = fq(q)
+        p, rng = ctx.p, random.Random(q)
+        table = enumerate_orbits(2, ctx)
+        f = InvariantFunction(table, [Cyclotomic(p, [Fraction(rng.randint(-5, 5), 3)
+                                                     for _ in range(p - 1)])
+                                      for _ in table.labels])
+        s = TensorFunction.outer([indicator_by_index(1, enumerate_orbits(1, ctx)), f])
+        for h, ip, oracle in ((f, inner_product, invfun_oracle.inner_product),
+                              (s, tensor_inner_product, invfun_oracle.tensor_inner_product)):
+            one = type(h)._from_array(h.tables, np.ones_like(h.num), 1)
+            want = ip(h, one)
+            assert want == oracle(h, one)
+            for idx in np.ndindex(h.num.shape):
+                num = h.num.copy()
+                num[idx] += 1
+                bad = type(h)._from_array(h.tables, num, h.den)
+                assert ip(bad, one) != want
+                assert ip(bad, one) == oracle(bad, one)
+
+
+# ---------------------------------------------------------------------------
+# apply_operator's int64 product and its Python-int fallback
+
+
+def _aligned(x, amax, tables):
+    """A tensor over tables with every coordinate +-amax, signed like the row
+    of x with the largest absolute sum, so that row's sum is as large as the
+    entries allow."""
+    row = x[np.argmax(np.abs(x).sum(axis=1))]
+    num = np.array([[amax, -amax] if v >= 0 else [-amax, amax] for v in row], dtype=object)
+    return TensorFunction._from_array(tables, num.reshape(tuple(map(len, tables)) + (2,)), 1)
+
+
+class TestInt64Path:
+    @pytest.fixture(params=["duality", "induction"])
+    def operator(self, request, q3):
+        """(op, input tables, output tables) at q=3, n=3."""
+        t3 = enumerate_orbits(3, q3)
+        if request.param == "duality":
+            return duality_operator(3, q3).matrix, (t3,), (t3,)
+        return (hc.induction_matrix(q3, (1, 2)),
+                (enumerate_orbits(1, q3), enumerate_orbits(2, q3)), (t3,))
+
+    def test_paths_and_results(self, operator):
+        (x, den), tables, out_tables = operator
+        cols = x.shape[1]
+        xmax = int(np.abs(x).max())
+        bound = (2 ** 63 - 1) // (cols * xmax)
+        # (largest coordinate, whether the int64 path is taken); the last
+        # input would overflow int64 on the duality operator, whose heaviest
+        # row sums to more than xmax, if the bound left out cols
+        for amax, fast in [(bound, True), (bound - 1, True), (bound + 1, False),
+                           (2 ** 61 + 3, False), (2 ** 61 - 5, False),
+                           ((2 ** 63 - 1) // xmax, False)]:
+            t = _aligned(x, amax, tables)
+            a = t.num.reshape(1, cols, -1)
+            assert (invfun._int64_operands(x, a) is not None) == fast, amax
+            got = apply_operator((x, den), t, 0, len(tables), out_tables)
+            want = invfun_oracle.apply_operator(
+                (x, den), invfun_oracle.DictTensor(tables, t.values), 0, len(tables),
+                out_tables)
+            assert got.values == want.values, amax
+
+    def test_int64_copy_kept_for_read_only_operators_only(self, q3):
+        x, den = duality_operator(2, q3).matrix
+        table = enumerate_orbits(2, q3)
+        t = TensorFunction.outer([constant_one(table)])
+        apply_operator((x, den), t, 0, 1, (table,))
+        assert invfun._INT64_OPERATORS[id(x)][0] is x
+        y = x * 2
+        apply_operator((y, den * 2), t, 0, 1, (table,))
+        assert id(y) not in invfun._INT64_OPERATORS
+
+
 class TestCanonicalForm:
     def test_num_is_read_only(self, q3):
         f = constant_one(enumerate_orbits(2, q3))
@@ -329,6 +455,21 @@ class TestCanonicalForm:
             assert np.array_equal(h.num, built.num)
             assert hash(h) == hash(built)
             assert h == built
+
+    def test_pickle_keeps_the_canonical_form(self, q3):
+        table = enumerate_orbits(2, q3)
+        f = InvariantFunction(table, [Fraction(i, 4) * Cyclotomic.zeta(3, i)
+                                      for i in range(len(table))])
+        for h in (f, TensorFunction.outer([f, f]), hc.hc_restrict(f, (1, 1))):
+            c = pickle.loads(pickle.dumps(h))
+            assert type(c) is type(h)
+            assert not c.num.flags.writeable
+            assert c.den == h.den and np.array_equal(c.num, h.num)
+            assert c.values == h.values
+            # a pickled state not in lowest terms comes back in lowest terms
+            rebuild, (tables, num, den) = h.__reduce__()
+            c = rebuild(tables, num * 6, den * 6)
+            assert c == h and not c.num.flags.writeable
 
     def test_hash_reads_the_ints_not_the_pointers(self, q3):
         table = enumerate_orbits(1, q3)

@@ -324,38 +324,11 @@ def _shape_mask(parts: tuple, kind: str):
         block_of[s:s + p] = b
     rows = block_of[:, None]
     cols = block_of[None, :]
-    if kind == "levi":
-        return rows != cols
     if kind == "parabolic-upper":
         return rows > cols
     if kind == "parabolic-lower":
         return rows < cols
     raise ValueError(f"unknown kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class BlockWitness:
-    composition: Composition
-    kind: str = "levi"
-
-    def __post_init__(self):
-        if self.kind not in ("levi", "parabolic-upper", "parabolic-lower"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-
-def in_shape(x: Matrix, witness: BlockWitness) -> bool:
-    parts = witness.composition.parts
-    if sum(parts) != x.n:
-        raise ShapeError("composition does not match matrix size")
-    mask = _shape_mask(parts, witness.kind)
-    return not np.any(x.a[mask])
-
-
-def _project_blocks(a: np.ndarray, parts):
-    starts, n = _block_starts(parts)
-    if a.shape[-1] != n:
-        raise ShapeError("composition does not match matrix size")
-    return [a[..., s:s + p, s:s + p] for s, p in zip(starts, parts)]
 
 
 def _embed_blocks(arrays, parts):
@@ -367,18 +340,6 @@ def _embed_blocks(arrays, parts):
             raise ShapeError("block size does not match composition part")
         out[..., s:s + p, s:s + p] = arr
     return out
-
-
-def levi_project(x: Matrix, c: Composition):
-    """Diagonal blocks of x in the pattern of c, one Matrix per part."""
-    return [Matrix(x.ctx, b) for b in _project_blocks(x.a, c.parts)]
-
-
-def block_embed(xs, c: Composition) -> Matrix:
-    if len(xs) != len(c.parts):
-        raise ShapeError("need one block per part")
-    ctx = xs[0].ctx
-    return Matrix(ctx, _embed_blocks([x.a for x in xs], c.parts))
 
 
 # ---------------------------------------------------------------------------

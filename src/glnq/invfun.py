@@ -53,9 +53,14 @@ class _Values:
     __slots__ = ("tables", "num", "den", "_values")
 
     def _set(self, tables, num, den):
-        g = math.gcd(den, *num.flat) * (1 if den > 0 else -1)
+        """num: an object array of Python ints, or apply_operator's exact
+        int64 product, reduced by numpy's gcd before it becomes Python ints."""
+        g = math.gcd(den, *num.flat) if num.dtype == object else \
+            math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        g *= 1 if den > 0 else -1
         if g != 1:
             num, den = num // g, den // g
+        num = num.astype(object, copy=False)
         num.setflags(write=False)  # functions share their arrays
         self.tables, self.num, self.den, self._values = tables, num, den, None
 
@@ -334,7 +339,7 @@ def apply_operator(op, t: TensorFunction, start: int, count: int,
     pre = math.prod(len(tb) for tb in t.tables[:start])
     a = t.num.reshape(pre, x.shape[1], -1)
     ints = _int64_operands(x, a)
-    out = x @ a if ints is None else (ints[0] @ ints[1]).astype(object)
+    out = x @ a if ints is None else ints[0] @ ints[1]
     return TensorFunction._from_array(
         tables, out.reshape(tuple(len(tb) for tb in tables) + (t.p - 1,)), den * t.den)
 

@@ -23,8 +23,8 @@ LOOKUP_BUDGET = 1 << 17
 
 class OrbitCountError(ArithmeticError):
     """An orbit count contradicts another computed independently: a label's
-    partition and its multiplicity, a BFS sweep and |G|/|C(x)|, or the orbit
-    sizes and q^(n^2)."""
+    partition and its multiplicity, a BFS sweep and |G|/|C(x)|, the orbit
+    sizes and q^(n^2), or a coset P g of a parabolic and |P|."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,30 @@
 """Scalar reference for the exact operator layer: Harish-Chandra restriction
 and induction, their tensor-factor variants, the duality operation and the
 antipode, each applied one Cyclotomic multiply-add at a time from
-Fraction-list matrices; and the duality and antipode matrices built with
-Fraction-list products and hand-written Kronecker loops.
+Fraction-list matrices; the duality and antipode matrices built with
+Fraction-list products and hand-written Kronecker loops; and the induction
+matrix counted over all of GL_n.
 
-This is the slow path that glnq.invfun.apply_operator and the (x, den)
-operators of glnq.linalg replaced; the tests use it as the witness that both
-give the same values.  The operator builders are bound here at import, so a
-test that patches glnq.hc's bindings reaches the fast path only.
+This is the slow path that glnq.invfun.apply_operator, the (x, den)
+operators of glnq.linalg and the coset count of glnq.hc.induction_matrix
+replaced; the tests use it as the witness that both give the same values.
+The operator builders are bound here at import, so a test that patches
+glnq.hc's bindings reaches the fast path only.
 """
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
+from glnq import linalg
 from glnq.duality import duality_operator
 from glnq.field import Cyclotomic, FqContext
-from glnq.glmat import compositions
-from glnq.hc import _parts, induction_matrix, restriction_matrix, split_tables
+from glnq.glmat import (_block_starts, _shape_mask, batch_matmul, compositions,
+                        gl_arrays)
+from glnq.hc import (_block_lookup, _parts, induction_matrix,
+                     parabolic_group_order, restriction_matrix, split_tables)
 from glnq.hopf import antipode_matrix
 from glnq.invfun import InvariantFunction, TensorFunction
 from glnq.orbits import enumerate_orbits
@@ -32,6 +41,39 @@ def _flat_index(idx, dims):
     for i, d in zip(idx, dims):
         out = out * d + i
     return out
+
+
+# ---------------------------------------------------------------------------
+# induction counted over all of GL_n
+
+
+@lru_cache(maxsize=None)
+def _conjugated_stack(ctx: FqContext, n: int, rep_index: int):
+    """g x g^-1 for every g in GL_n, for the rep of the given orbit index."""
+    G, Gi = gl_arrays(ctx, n)
+    rep = enumerate_orbits(n, ctx).reps[rep_index]
+    out = batch_matmul(ctx, batch_matmul(ctx, G, rep.a), Gi)
+    out.setflags(write=False)
+    return out
+
+
+def conjugation_induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
+    """The induction matrix as an (x, den) pair: entries the counts of g in
+    GL_n whose conjugate of the row's representative lies in P with Levi
+    part in each tuple, divided by |P|."""
+    parts = tuple(parts)
+    n = sum(parts)
+    tabs = split_tables(ctx, parts)
+    ntuples = math.prod(len(t) for t in tabs)
+    shape = _shape_mask(parts, "parabolic-lower" if lower else "parabolic-upper")
+    starts, _ = _block_starts(parts)
+    rows = []
+    for r in range(len(enumerate_orbits(n, ctx))):
+        conj = _conjugated_stack(ctx, n, r)
+        sub = conj[~np.any(conj[:, shape], axis=1)]
+        codes = _block_lookup(ctx, sub, starts, parts, tabs)
+        rows.append(np.bincount(codes, minlength=ntuples))
+    return linalg.reduced(np.array(rows), parabolic_group_order(ctx, parts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Matrices over F_q, block shapes, and group enumeration."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 import orbit_oracle
 from glnq import glmat
 from glnq.field import fq
-from glnq.glmat import (BlockWitness, Composition, Matrix, ShapeError,
-                        SingularMatrixError, batch_inverse, batch_matmul,
-                        block_embed, compositions, conjugate, enumerate_gl,
-                        enumerate_gl_order, gl_arrays, in_shape, levi_project,
+from glnq.glmat import (Composition, Matrix, ShapeError, SingularMatrixError,
+                        _block_starts, _embed_blocks, _shape_mask,
+                        batch_inverse, batch_matmul, compositions, conjugate,
+                        enumerate_gl, enumerate_gl_order, gl_arrays,
                         unipotent_radical_elems, unipotent_radical_order)
 
 
@@ -185,6 +187,49 @@ class TestConjugation:
         tables = orbit_oracle.batch_matmul_tables
         want = tables(ctx, tables(ctx, g.a, x.a), orbit_oracle.inverse(g).a)
         assert conjugate(g, x) == Matrix(ctx, want)
+
+
+# block-shape helpers over single matrices; the library works on stacks
+
+
+@dataclass(frozen=True)
+class BlockWitness:
+    composition: Composition
+    kind: str = "levi"
+
+    def __post_init__(self):
+        if self.kind not in ("levi", "parabolic-upper", "parabolic-lower"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+
+
+def in_shape(x: Matrix, witness: BlockWitness) -> bool:
+    parts = witness.composition.parts
+    if sum(parts) != x.n:
+        raise ShapeError("composition does not match matrix size")
+    if witness.kind == "levi":  # off the diagonal blocks: both parabolics' zeros
+        mask = _shape_mask(parts, "parabolic-upper") | _shape_mask(parts, "parabolic-lower")
+    else:
+        mask = _shape_mask(parts, witness.kind)
+    return not np.any(x.a[mask])
+
+
+def _project_blocks(a: np.ndarray, parts):
+    starts, n = _block_starts(parts)
+    if a.shape[-1] != n:
+        raise ShapeError("composition does not match matrix size")
+    return [a[..., s:s + p, s:s + p] for s, p in zip(starts, parts)]
+
+
+def levi_project(x: Matrix, c: Composition):
+    """Diagonal blocks of x in the pattern of c, one Matrix per part."""
+    return [Matrix(x.ctx, b) for b in _project_blocks(x.a, c.parts)]
+
+
+def block_embed(xs, c: Composition) -> Matrix:
+    if len(xs) != len(c.parts):
+        raise ShapeError("need one block per part")
+    ctx = xs[0].ctx
+    return Matrix(ctx, _embed_blocks([x.a for x in xs], c.parts))
 
 
 class TestBlockShapes:

@@ -1,22 +1,52 @@
 """Harish-Chandra restriction and induction: adjunction, transitivity,
 parabolic independence, and the double-coset (Mackey) identity."""
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hc_oracle
 import orbit_oracle
+from glnq import hc, linalg
 from glnq.field import fq
-from glnq.hc import (hc_induce, hc_restrict, induction_matrix,
-                     mackey_index_set, mackey_rhs, parabolic_group_order,
-                     restriction_matrix,
-                     verify_adjunction, verify_mackey,
-                     verify_parabolic_independence, verify_transitivity,
-                     verify_transitivity_induction)
+from glnq.glmat import compositions
+from glnq.hc import (HCReport, _parts, hc_induce, hc_restrict,
+                     induction_matrix, mackey_index_set, mackey_rhs,
+                     parabolic_group_order, restriction_matrix,
+                     tensor_induce_span, verify_adjunction, verify_mackey,
+                     verify_parabolic_independence, verify_transitivity)
 from glnq.invfun import (TensorFunction, constant_one, indicator_by_index,
                          inner_product_rational)
-from glnq.orbits import enumerate_orbits
+from glnq.orbits import OrbitCountError, enumerate_orbits
+
+# every default verify budget: (q, largest n)
+BUDGETS = [(2, 4), (3, 3), (4, 2), (5, 2)]
+
+
+def splits(n):
+    """Every composition of n with at least two parts, and every split of n
+    into two or three parts of which some are zero."""
+    out = {c.parts for c in compositions(n) if len(c) >= 2}
+    out |= {c for k in (2, 3) for c in product(range(n + 1), repeat=k) if sum(c) == n}
+    return sorted(out)
+
+
+def verify_transitivity_induction(t: TensorFunction, outer, subcomps) -> HCReport:
+    """Inducing in stages equals inducing in one step."""
+    outer_parts = _parts(outer)
+    subs = [_parts(s) for s in subcomps]
+    staged = t
+    for start, s in enumerate(subs):
+        staged = tensor_induce_span(staged, start, len(s))
+    staged = tensor_induce_span(staged, 0, len(outer_parts))
+    direct = tensor_induce_span(t, 0, sum(len(s) for s in subs))
+    passed = staged == direct
+    return HCReport("transitivity-induction",
+                    {"outer": list(outer_parts), "subs": [list(s) for s in subs]},
+                    passed, None if passed else "staged != direct")
 
 
 class TestRestriction:
@@ -64,6 +94,48 @@ class TestInduction:
             one2 = constant_one(enumerate_orbits(2, ctx))
             ind = hc_induce(TensorFunction.outer([one1, one1]), (1, 1))
             assert inner_product_rational(ind, one2) == Fraction(q * q, (q - 1) ** 2)
+
+
+class TestCosetCount:
+    """induction_matrix counts cosets P\\GL_n; the count over all of GL_n
+    divided by |P| (hc_oracle) is its witness."""
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS
+                                     for n in range(top + 1)])
+    def test_matches_conjugation_count(self, q, n):
+        ctx = fq(q)
+        for parts in splits(n):
+            for lower in (False, True):
+                assert linalg.mat_eq(induction_matrix(ctx, parts, lower),
+                             hc_oracle.conjugation_induction_matrix(ctx, parts, lower)), \
+                    (parts, lower)
+
+    @pytest.mark.parametrize("q,parts", [(2, (1, 3)), (2, (1, 1, 2)), (3, (1, 2)),
+                                         (5, (1, 1))])
+    def test_one_coset_rep_per_coset(self, q, parts):
+        ctx = fq(q)
+        order = parabolic_group_order(ctx, parts)
+        n = sum(parts)
+        for lower in (False, True):
+            g, gi = hc._coset_reps(ctx, parts, lower)
+            assert len(g) * order == parabolic_group_order(ctx, (n,))
+            assert (hc.batch_matmul(ctx, g, gi) == np.eye(n, dtype=np.int16)).all()
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_dropped_coset_fails_the_oracle(self, monkeypatch, q2, lower):
+        parts = (1, 2)
+        g, gi = hc._coset_reps(q2, parts, lower)
+        monkeypatch.setattr(hc, "_coset_reps", lambda *args: (g[1:], gi[1:]))
+        got = induction_matrix.__wrapped__(q2, parts, lower)
+        assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, parts, lower))
+
+    @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (0, 2)])
+    def test_wrong_parabolic_order_raises(self, monkeypatch, q3, parts):
+        order = parabolic_group_order(q3, parts)
+        monkeypatch.setattr(hc, "parabolic_group_order", lambda ctx, p: order + 1)
+        for lower in (False, True):
+            with pytest.raises(OrbitCountError, match=f"not \\|P\\| = {order + 1}"):
+                hc._coset_reps.__wrapped__(q3, parts, lower)
 
 
 class TestAdjunction:

@@ -450,8 +450,12 @@ class TestCanonicalForm:
         x, den = linalg.identity(len(table))
         by_operator = apply_operator((x * 6, den * 6), TensorFunction.outer([built]),
                                      0, 1, (table,)).as_function()
-        for h in (by_arith, by_operator):
+        # apply_operator's int64 product, reduced by numpy's gcd
+        by_int64 = InvariantFunction._from_array((table,), (built.num * 4).astype(np.int64),
+                                                 built.den * 4)
+        for h in (by_arith, by_operator, by_int64):
             assert h.den == built.den
+            assert h.num.dtype == object and not h.num.flags.writeable
             assert np.array_equal(h.num, built.num)
             assert hash(h) == hash(built)
             assert h == built

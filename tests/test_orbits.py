@@ -43,10 +43,10 @@ class TestPolynomials:
                 assert char_poly(companion(ctx, f)) == f
 
     def test_char_poly_multiplicative_on_blocks(self, q2):
-        from glnq.glmat import Composition, block_embed
+        from glnq.glmat import Matrix, _embed_blocks
         f = (1, 1)
         g = (1, 1, 1)
-        x = block_embed([companion(q2, f), companion(q2, g)], Composition((1, 2)))
+        x = Matrix(q2, _embed_blocks([companion(q2, f).a, companion(q2, g).a], (1, 2)))
         assert char_poly(x) == poly_mul(q2, f, g)
 
 

@@ -11,8 +11,9 @@ from .orbits import (OrbitLabel, OrbitTable, enumerate_orbits, orbit_of,
 from .invfun import (GradedElement, InvariantFunction, TensorFunction,
                      constant_one, coords, fourier_character_basis, indicator,
                      inner_product, inner_product_rational)
-from .hc import (HCReport, hc_induce, hc_restrict, induction_matrix,
-                 restriction_matrix, verify_adjunction, verify_mackey)
+from .report import Report
+from .hc import (hc_induce, hc_restrict, induction_matrix, restriction_matrix,
+                 verify_adjunction, verify_mackey)
 from .hopf import (antipode, antipode_function, comultiply, is_primitive,
                    multiply, multiply_functions, primitive_subspace,
                    verify_bialgebra)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import duality as duality_mod
-from . import hopf, psh
+from . import hopf, linalg, psh
 from .field import FqContext, fq
 from .glmat import Composition, ResourceBudgetError, compositions
 from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
@@ -18,6 +18,7 @@ from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
 from .invfun import InvariantFunction, TensorFunction, constant_one, indicator_by_index
 from .orbits import (enumerate_orbits, nilpotent_orbit_count,
                      orbit_table_bruteforce, partitions)
+from .report import Report
 
 # Largest degree with acceptable runtime per field size; larger q values are
 # rejected outright.
@@ -197,24 +198,34 @@ def cmd_witness(args):
 # verification suites
 
 
-def _indicator_sample(table, limit=3):
-    return [indicator_by_index(i, table) for i in range(min(limit, len(table)))]
+def _test_functions(table, all_indicators=False):
+    """Every indicator, or the constant function and the first two."""
+    if all_indicators:
+        return [indicator_by_index(i, table) for i in range(len(table))]
+    return [constant_one(table)] + [indicator_by_index(i, table)
+                                    for i in range(min(2, len(table)))]
+
+
+def _count_report(name, params, got, want, what):
+    """A check that a count `got` of `what` equals `want`."""
+    return Report(name, params, None if got == want else f"{got} {what}, expected {want}")
 
 
 def suite_orbits(ctx, max_n):
     reports = []
     for n in range(1, max_n + 1):
         table = enumerate_orbits(n, ctx)
-        nil = nilpotent_orbit_count(table)
-        reports.append({"name": "nilpotent-count", "params": {"q": ctx.q, "n": n},
-                        "passed": nil == sum(1 for _ in partitions(n))})
+        params = {"q": ctx.q, "n": n}
+        reports.append(_count_report("nilpotent-count", params, nilpotent_orbit_count(table),
+                                     sum(1 for _ in partitions(n)), "nilpotent orbits"))
         if ctx.q ** (n * n) <= 1 << 16 and table.lookup is not None:
             claim, osizes = orbit_table_bruteforce(n, ctx)
             pairs = set(zip(table.lookup.tolist(), claim.tolist()))
             same = (sorted(table.sizes) == sorted(osizes)
                     and len(pairs) == len(table) == len(osizes))
-            reports.append({"name": "orbit-oracle", "params": {"q": ctx.q, "n": n},
-                            "passed": same})
+            reports.append(Report("orbit-oracle", params, None if same else
+                                  f"{len(table)} orbits, {len(osizes)} by brute force, "
+                                  f"{len(pairs)} label pairs"))
     return reports
 
 
@@ -227,92 +238,79 @@ def suite_hc(ctx, max_n):
     for c in _compositions_upto(max_n):
         n = c.n
         table = enumerate_orbits(n, ctx)
-        for f in [constant_one(table)] + _indicator_sample(table, 2):
+        for f in _test_functions(table):
             tabs = [enumerate_orbits(m, ctx) for m in c.parts]
             t = TensorFunction.outer([constant_one(tb) for tb in tabs])
-            reports.append(verify_adjunction(t, f, c).to_json())
+            reports.append(verify_adjunction(t, f, c))
         if len(c.parts) == 2 and c.parts[0] >= 2:
             sub = ((1, c.parts[0] - 1), (c.parts[1],))
-            reports.append(verify_transitivity(constant_one(table), c.parts, sub).to_json())
-        reports.append(verify_parabolic_independence(ctx, n, c.parts).to_json())
+            reports.append(verify_transitivity(constant_one(table), c.parts, sub))
+        reports.append(verify_parabolic_independence(ctx, n, c.parts))
     return reports
+
+
+def _mackey_reports(ctx, n1, n2, s, t, all_indicators):
+    gs = _test_functions(enumerate_orbits(n2, ctx), all_indicators)
+    return [verify_mackey(f, g, s, t)
+            for f in _test_functions(enumerate_orbits(n1, ctx), all_indicators) for g in gs]
 
 
 def suite_mackey(ctx, max_n, all_indicators=False):
-    reports = []
-    for n1 in range(1, max_n):
-        for n2 in range(1, max_n - n1 + 1):
-            t1 = enumerate_orbits(n1, ctx)
-            t2 = enumerate_orbits(n2, ctx)
-            if all_indicators:
-                fs = [indicator_by_index(i, t1) for i in range(len(t1))]
-                gs = [indicator_by_index(j, t2) for j in range(len(t2))]
-            else:
-                fs = [constant_one(t1)] + _indicator_sample(t1, 2)
-                gs = [constant_one(t2)] + _indicator_sample(t2, 2)
-            n = n1 + n2
-            for s in range(n + 1):
-                for f in fs:
-                    for g in gs:
-                        reports.append(verify_mackey(f, g, s, n - s).to_json())
-    return reports
+    return [r for n1 in range(1, max_n) for n2 in range(1, max_n - n1 + 1)
+            for s in range(n1 + n2 + 1)
+            for r in _mackey_reports(ctx, n1, n2, s, n1 + n2 - s, all_indicators)]
 
 
 def suite_bialgebra(ctx, max_n):
     reports = []
     for n1 in range(1, max_n):
         for n2 in range(1, max_n - n1 + 1):
-            t1 = enumerate_orbits(n1, ctx)
-            t2 = enumerate_orbits(n2, ctx)
-            for f in [constant_one(t1)] + _indicator_sample(t1, 2):
-                for g in [constant_one(t2)] + _indicator_sample(t2, 2):
-                    reports.append(hopf.verify_bialgebra(f, g).to_json())
-    reports.append(hopf.hilbert_series_check(ctx, max_n).to_json())
-    return reports
+            for f in _test_functions(enumerate_orbits(n1, ctx)):
+                for g in _test_functions(enumerate_orbits(n2, ctx)):
+                    reports.append(hopf.verify_bialgebra(f, g))
+    return reports + [hopf.hilbert_series_check(ctx, max_n)]
 
 
 def suite_antipode(ctx, max_n):
-    from . import linalg
-    reports = [duality_mod.verify_antipode_is_duality(max_n, ctx).to_json()]
+    reports = [duality_mod.verify_antipode_is_duality(max_n, ctx)]
     for n in range(max_n + 1):
         s = hopf.antipode_matrix(ctx, n)
         ok = linalg.mat_eq(linalg.matmul(s, s), linalg.identity(len(s[0])))
-        reports.append({"name": "antipode-involutive",
-                        "params": {"q": ctx.q, "n": n}, "passed": ok})
+        reports.append(Report("antipode-involutive", {"q": ctx.q, "n": n},
+                              None if ok else "S^2 != id"))
     for n in range(1, max_n + 1):
-        for p in hopf.primitive_subspace(ctx, n).members:
+        for i, p in enumerate(hopf.primitive_subspace(ctx, n).members):
             ok = hopf.antipode_function(p) == p.scale(Fraction(-1))
-            reports.append({"name": "antipode-on-primitives",
-                            "params": {"q": ctx.q, "n": n}, "passed": ok})
+            reports.append(Report("antipode-on-primitives", {"q": ctx.q, "n": n},
+                                  None if ok else f"S(p) != -p for primitive {i}"))
     return reports
 
 
 def suite_duality(ctx, max_n):
-    return [duality_mod.verify_involutive_isometric(n, ctx).to_json()
-            for n in range(1, max_n + 1)]
+    return [duality_mod.verify_involutive_isometric(n, ctx) for n in range(1, max_n + 1)]
 
 
 def suite_characterization(ctx, max_n):
-    return [duality_mod.verify_characterization(max_n, ctx).to_json()]
+    return [duality_mod.verify_characterization(max_n, ctx)]
 
 
 def suite_psh(ctx, max_n):
     reports = []
     for n1 in range(1, max_n):
         for n2 in range(1, max_n - n1 + 1):
-            reports.append(psh.verify_positivity(ctx, n1, n2).to_json())
-            reports.append(psh.verify_self_adjointness(ctx, n1, n2).to_json())
-    return reports + [psh.verify_second_psh(ctx, n).to_json() for n in range(1, max_n + 1)]
+            reports.append(psh.verify_positivity(ctx, n1, n2))
+            reports.append(psh.verify_self_adjointness(ctx, n1, n2))
+    return reports + [psh.verify_second_psh(ctx, n) for n in range(1, max_n + 1)]
 
 
 def suite_witness(ctx, max_n):
-    return [psh.verify_nondescending(ctx).to_json()]
+    return [psh.verify_nondescending(ctx)]
 
 
 def suite_steinberg(ctx, max_n):
     counts = [duality_mod.steinberg_constituents(n, ctx) for n in range(1, max_n + 1)]
-    return [{"name": "steinberg-constituents", "params": {"q": ctx.q, "n": n, "count": count},
-             "passed": count == sum(1 for _ in partitions(n))}
+    return [_count_report("steinberg-constituents", {"q": ctx.q, "n": n, "count": count},
+                          count, sum(1 for _ in partitions(n)), "constituents")
             for n, count in enumerate(counts, 1)]
 
 
@@ -348,15 +346,7 @@ def cmd_verify(args):
             raise ConfigError(f"--n1 + --n2 = {args.n1 + args.n2} differs from "
                               f"--s + --t = {args.s + args.t}")
         _check_budget(ctx, args.n1 + args.n2, args.budget)
-        t1 = enumerate_orbits(args.n1, ctx)
-        t2 = enumerate_orbits(args.n2, ctx)
-        if args.all_indicators:
-            fs = [indicator_by_index(i, t1) for i in range(len(t1))]
-            gs = [indicator_by_index(j, t2) for j in range(len(t2))]
-        else:
-            fs, gs = [constant_one(t1)], [constant_one(t2)]
-        reports = [verify_mackey(f, g, args.s, args.t).to_json()
-                   for f in fs for g in gs]
+        reports = _mackey_reports(ctx, args.n1, args.n2, args.s, args.t, args.all_indicators)
     else:
         names = ALL_SUITES if args.suite == "all" else (args.suite,)
         reports = []
@@ -365,17 +355,12 @@ def cmd_verify(args):
                 reports.extend(SUITE_RUNNERS[name](ctx, max_n, args.all_indicators))
             else:
                 reports.extend(SUITE_RUNNERS[name](ctx, max_n))
-    all_passed = all(r["passed"] for r in reports)
-    lines = []
-    for r in reports:
-        status = "PASS" if r["passed"] else "FAIL"
-        params = " ".join(f"{k}={v}" for k, v in r.get("params", {}).items())
-        lines.append(f"[{status}] {r['name']} {params}".rstrip())
-        if not r["passed"] and r.get("witness"):
-            lines.append(f"       witness: {r['witness']}")
+    passed = sum(r.passed for r in reports)
+    all_passed = passed == len(reports)
+    lines = [line for r in reports for line in r.lines()]
     lines.append(f"{'OK' if all_passed else 'FAILED'}: "
-                 f"{sum(r['passed'] for r in reports)}/{len(reports)} checks passed")
-    _emit(args, {"passed": all_passed, "reports": reports}, lines)
+                 f"{passed}/{len(reports)} checks passed")
+    _emit(args, {"passed": all_passed, "reports": [r.to_json() for r in reports]}, lines)
     return 0 if all_passed else 1
 
 

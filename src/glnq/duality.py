@@ -12,11 +12,12 @@ import numpy as np
 from . import linalg
 from .field import FqContext
 from .glmat import compositions
-from .hc import HCReport, induction_matrix, restriction_matrix
-from .hopf import antipode_matrix, primitive_subspace
+from .hc import induction_matrix, restriction_matrix
+from .hopf import antipode_matrix, precuspidal_spanning_rank, primitive_subspace
 from .invfun import (InvariantFunction, TensorFunction, apply_operator,
                      constant_one, coords, fourier_character_basis)
 from .orbits import enumerate_orbits
+from .report import Report
 
 
 @dataclass
@@ -51,35 +52,33 @@ def steinberg(n: int, ctx: FqContext) -> InvariantFunction:
     return duality_operator(n, ctx).apply(constant_one(table))
 
 
-def verify_antipode_is_duality(max_n: int, ctx: FqContext) -> HCReport:
+def verify_antipode_is_duality(max_n: int, ctx: FqContext) -> Report:
     """S restricted to degree n equals (-1)^n D_n, as matrices."""
     for n in range(max_n + 1):
         x, den = duality_operator(n, ctx).matrix
         if not linalg.mat_eq(antipode_matrix(ctx, n), ((-1) ** n * x, den)):
-            return HCReport("antipode-is-duality", {"q": ctx.q, "n": n},
-                            False, f"matrices differ in degree {n}")
-    return HCReport("antipode-is-duality", {"q": ctx.q, "max_n": max_n}, True)
+            return Report("antipode-is-duality", {"q": ctx.q, "n": n},
+                          f"matrices differ in degree {n}")
+    return Report("antipode-is-duality", {"q": ctx.q, "max_n": max_n})
 
 
-def verify_involutive_isometric(n: int, ctx: FqContext) -> HCReport:
+def verify_involutive_isometric(n: int, ctx: FqContext) -> Report:
+    params = {"q": ctx.q, "n": n}
     d = duality_operator(n, ctx).matrix
     if not linalg.mat_eq(linalg.matmul(d, d), linalg.identity(len(d[0]))):
-        return HCReport("duality-involutive-isometric", {"q": ctx.q, "n": n},
-                        False, "D^2 != id")
+        return Report("duality-involutive-isometric", params, "D^2 != id")
     table = enumerate_orbits(n, ctx)
     gram = linalg.reduced(np.diag(np.array(table.sizes, dtype=object)),
                           table.gl_order)
     if not linalg.mat_eq(linalg.matmul(linalg.conj_t(d), linalg.matmul(gram, d)),
                          gram):
-        return HCReport("duality-involutive-isometric", {"q": ctx.q, "n": n},
-                        False, "Gram matrix not preserved")
-    return HCReport("duality-involutive-isometric", {"q": ctx.q, "n": n}, True)
+        return Report("duality-involutive-isometric", params, "Gram matrix not preserved")
+    return Report("duality-involutive-isometric", params)
 
 
-def verify_characterization(max_n: int, ctx: FqContext) -> HCReport:
+def verify_characterization(max_n: int, ctx: FqContext) -> Report:
     """The two defining conditions of the choices-free characterization, plus
     the finite-level spanning precondition for uniqueness."""
-    from .hopf import precuspidal_spanning_rank
     for n in range(1, max_n + 1):
         # (ii) duality is (-1)^(n-1) on the pre-cuspidal subspace
         d = duality_operator(n, ctx)
@@ -87,13 +86,13 @@ def verify_characterization(max_n: int, ctx: FqContext) -> HCReport:
             image = d.apply(p)
             want = p.scale(Fraction((-1) ** (n - 1)))
             if image != want:
-                return HCReport("duality-characterization", {"q": ctx.q, "n": n},
-                                False, "condition (ii) fails on a primitive")
+                return Report("duality-characterization", {"q": ctx.q, "n": n},
+                              "condition (ii) fails on a primitive")
         # uniqueness precondition: induced primitives span C_n
         rank, dim = precuspidal_spanning_rank(ctx, n)
         if rank != dim:
-            return HCReport("duality-characterization", {"q": ctx.q, "n": n},
-                            False, f"spanning rank {rank} < dim {dim}")
+            return Report("duality-characterization", {"q": ctx.q, "n": n},
+                          f"spanning rank {rank} < dim {dim}")
     # (i) duality commutes with Harish-Chandra induction
     for n1 in range(1, max_n):
         for n2 in range(1, max_n - n1 + 1):
@@ -104,10 +103,9 @@ def verify_characterization(max_n: int, ctx: FqContext) -> HCReport:
             lhs = linalg.matmul(duality_operator(n, ctx).matrix, ind)
             rhs = linalg.matmul(ind, dkron)
             if not linalg.mat_eq(lhs, rhs):
-                return HCReport("duality-characterization",
-                                {"q": ctx.q, "n1": n1, "n2": n2},
-                                False, "condition (i) fails")
-    return HCReport("duality-characterization", {"q": ctx.q, "max_n": max_n}, True)
+                return Report("duality-characterization",
+                              {"q": ctx.q, "n1": n1, "n2": n2}, "condition (i) fails")
+    return Report("duality-characterization", {"q": ctx.q, "max_n": max_n})
 
 
 def steinberg_constituents(n: int, ctx: FqContext) -> int:

@@ -8,7 +8,6 @@ degree-0 tensor factors); the public Composition type has positive parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -21,24 +20,9 @@ from .glmat import (Composition, ResourceBudgetError, _block_starts,
                     enumerate_gl_order, gl_arrays, unipotent_radical_elems,
                     unipotent_radical_order)
 from .invfun import (InvariantFunction, TensorFunction, apply_operator,
-                     tensor_inner_product)
+                     inner_product, tensor_inner_product)
 from .orbits import LOOKUP_BUDGET, OrbitCountError, enumerate_orbits
-
-
-@dataclass
-class HCReport:
-    name: str
-    params: dict
-    passed: bool
-    witness: str | None = None
-
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
-            raise ValueError("failing report requires a witness")
-
-    def to_json(self):
-        return {"name": self.name, "params": self.params,
-                "passed": self.passed, "witness": self.witness}
+from .report import Report
 
 
 def _parts(c):
@@ -202,18 +186,16 @@ def tensor_induce_span(t: TensorFunction, start: int, count: int,
 # verifiers
 
 
-def verify_adjunction(t: TensorFunction, g: InvariantFunction, c) -> HCReport:
+def verify_adjunction(t: TensorFunction, g: InvariantFunction, c) -> Report:
     """(R t, g) = (t, *R g), exactly."""
     parts = _parts(c)
-    from .invfun import inner_product
     lhs = inner_product(hc_induce(t, parts), g)
     rhs = tensor_inner_product(t, hc_restrict(g, parts))
-    passed = lhs == rhs
-    return HCReport("adjunction", {"parts": list(parts), "q": t.tables[0].ctx.q},
-                    passed, None if passed else f"{lhs!r} != {rhs!r}")
+    return Report("adjunction", {"parts": list(parts), "q": t.tables[0].ctx.q},
+                  None if lhs == rhs else f"{lhs!r} != {rhs!r}")
 
 
-def verify_transitivity(f: InvariantFunction, outer, subcomps) -> HCReport:
+def verify_transitivity(f: InvariantFunction, outer, subcomps) -> Report:
     """Restricting in stages equals restricting in one step."""
     outer_parts = _parts(outer)
     subs = [_parts(s) for s in subcomps]
@@ -224,20 +206,19 @@ def verify_transitivity(f: InvariantFunction, outer, subcomps) -> HCReport:
     for pos in reversed(range(len(outer_parts))):
         staged = tensor_restrict_factor(staged, pos, subs[pos])
     direct = hc_restrict(f, tuple(x for s in subs for x in s))
-    passed = staged == direct
-    return HCReport("transitivity-restriction",
-                    {"outer": list(outer_parts), "subs": [list(s) for s in subs]},
-                    passed, None if passed else "staged != direct")
+    return Report("transitivity-restriction",
+                  {"outer": list(outer_parts), "subs": [list(s) for s in subs]},
+                  None if staged == direct else "staged != direct")
 
 
-def verify_parabolic_independence(ctx: FqContext, n: int, c) -> HCReport:
+def verify_parabolic_independence(ctx: FqContext, n: int, c) -> Report:
     """Upper and lower parabolics give the same R and *R."""
     parts = _parts(c)
     params = {"n": n, "parts": list(parts)}
     for kind, build in (("restriction", restriction_matrix), ("induction", induction_matrix)):
         if not linalg.mat_eq(build(ctx, parts, lower=False), build(ctx, parts, lower=True)):
-            return HCReport("parabolic-independence", params, False, f"{kind} matrices differ")
-    return HCReport("parabolic-independence", params, True)
+            return Report("parabolic-independence", params, f"{kind} matrices differ")
+    return Report("parabolic-independence", params)
 
 
 def mackey_index_set(n1, n2, s, t):
@@ -270,16 +251,15 @@ def mackey_rhs(rho1: InvariantFunction, rho2: InvariantFunction,
 
 
 def verify_mackey(rho1: InvariantFunction, rho2: InvariantFunction,
-                  s: int, t: int) -> HCReport:
+                  s: int, t: int) -> Report:
     n1, n2 = rho1.n, rho2.n
     if n1 + n2 != s + t:
         raise ValueError("degree mismatch")
     lhs = hc_restrict(hc_induce(TensorFunction.outer([rho1, rho2]), (n1, n2)),
                       (s, t))
     rhs = mackey_rhs(rho1, rho2, s, t)
-    passed = lhs == rhs
-    witness = None if passed else next((f"orbit pair {idx}: {v!r} != {rhs.values[idx]!r}"
-                                        for idx, v in lhs.values.items()
-                                        if v != rhs.values[idx]), None)
-    return HCReport("mackey", {"n1": n1, "n2": n2, "s": s, "t": t,
-                               "q": rho1.table.ctx.q}, passed, witness)
+    witness = None if lhs == rhs else next(
+        (f"orbit pair {idx}: {v!r} != {rhs.values[idx]!r}"
+         for idx, v in lhs.values.items() if v != rhs.values[idx]), "tensors differ")
+    return Report("mackey", {"n1": n1, "n2": n2, "s": s, "t": t,
+                             "q": rho1.table.ctx.q}, witness)

@@ -13,11 +13,12 @@ import numpy as np
 
 from . import linalg
 from .field import FqContext
-from .hc import (HCReport, hc_induce, hc_restrict, induction_matrix, mackey_rhs,
+from .hc import (hc_induce, hc_restrict, induction_matrix, mackey_rhs,
                  restriction_matrix)
 from .invfun import (GradedElement, InvariantFunction, TensorFunction,
                      apply_operator)
 from .orbits import enumerate_orbits, partitions
+from .report import Report
 
 
 def multiply_functions(a: InvariantFunction, b: InvariantFunction) -> InvariantFunction:
@@ -64,15 +65,15 @@ def is_primitive(f: InvariantFunction) -> bool:
     return all(t.is_zero() for t in comultiply(f).proper().values())
 
 
-def verify_bialgebra(rho1: InvariantFunction, rho2: InvariantFunction) -> HCReport:
+def verify_bialgebra(rho1: InvariantFunction, rho2: InvariantFunction) -> Report:
     """m*(m(rho1 x rho2)) = m*(rho1) . m*(rho2), checked split by split."""
     n = rho1.n + rho2.n
     prod = multiply_functions(rho1, rho2)
     params = {"n1": rho1.n, "n2": rho2.n, "q": rho1.table.ctx.q}
     for s in range(n + 1):
         if hc_restrict(prod, (s, n - s)) != mackey_rhs(rho1, rho2, s, n - s):
-            return HCReport("bialgebra", params, False, f"split ({s},{n - s}) differs")
-    return HCReport("bialgebra", params, True)
+            return Report("bialgebra", params, f"split ({s},{n - s}) differs")
+    return Report("bialgebra", params)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def precuspidal_spanning_rank(ctx: FqContext, n: int):
     return (linalg.rank(vectors) if vectors else 0, dim)
 
 
-def hilbert_series_check(ctx: FqContext, max_n: int) -> HCReport:
+def hilbert_series_check(ctx: FqContext, max_n: int) -> Report:
     """prod_k (1 - t^k)^(-dim p_k) must match sum_n (dim C_n) t^n."""
     prim_dims = {k: primitive_subspace(ctx, k).dimension for k in range(1, max_n + 1)}
     series = [Fraction(1)] + [Fraction(0)] * max_n
@@ -161,7 +162,6 @@ def hilbert_series_check(ctx: FqContext, max_n: int) -> HCReport:
                 series[i] += series[i - k]
     expected = [len(enumerate_orbits(m, ctx)) for m in range(max_n + 1)]
     got = [int(series[m]) for m in range(max_n + 1)]
-    passed = got == expected
-    return HCReport("hilbert-series", {"q": ctx.q, "max_n": max_n,
-                                       "primitive_dims": prim_dims},
-                    passed, None if passed else f"{got} != {expected}")
+    return Report("hilbert-series", {"q": ctx.q, "max_n": max_n,
+                                     "primitive_dims": prim_dims},
+                  None if got == expected else f"{got} != {expected}")

@@ -226,18 +226,13 @@ def character_matrix(table: OrbitTable):
         orb = table.lookup
         if orb is None:
             raise ResourceBudgetError(ctx.q ** (n * n), LOOKUP_BUDGET)
-        mats = all_matrices(ctx, n)
-        # Tr_{F_q/F_p}(trace(a x)) for all a at once, per representative x
+        # Tr(trace(a x)) = sum_ij Tr(a_ij x_ji) = sum_ij tau . MULMAT[x_ji] . digits(a_ij)
+        # mod p, with tau_d = Tr(t^d): one integer product per representative x
+        tau = ctx.TR[p ** np.arange(ctx.k)].astype(np.int64)
+        coeffs = np.array(ctx._coeffs, np.int32)[all_matrices(ctx, n)].reshape(-1, n * n * ctx.k)
         for xi, rep in enumerate(table.reps):
-            xa = rep.a
-            if ctx.k == 1:
-                prod_tr = np.einsum("mij,ji->m", mats.astype(np.int64), xa.astype(np.int64)) % p
-            else:
-                acc = np.zeros(len(mats), dtype=np.int16)
-                for i in range(n):
-                    for j in range(n):
-                        acc = ctx.ADD[acc, ctx.MUL[mats[:, i, j], xa[j, i]]]
-                prod_tr = ctx.TR[acc].astype(np.int64)
+            w = np.einsum("d,jide->ije", tau, ctx.MULMAT[rep.a]).astype(np.int32)
+            prod_tr = coeffs @ w.ravel() % p
             counts[xi] = np.bincount(orb * p + prod_tr, minlength=norb * p).reshape(norb, p)
     return linalg.reduced(counts.transpose(2, 1, 0), 1)
 

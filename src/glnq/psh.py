@@ -2,33 +2,25 @@
 the orthogonal character basis, nonnegative structure constants,
 self-adjointness, and the irrational structure constant witnessing that no
 rescaling descends to the rational numbers.  Each is a few exact matrix
-products over Q(zeta_p) (see linalg).
+products over Q(zeta_p) (see linalg).  The checks' reports hold their
+params as strings.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-
-import numpy as np
+from functools import lru_cache
 
 from . import linalg
 from .duality import duality_operator, steinberg_constituents
 from .field import FqContext, SqrtRational, rational_is_square
 from .hc import hc_restrict  # noqa: F401  (a binding the perfbench tracer checks)
-from .hc import HCReport, induction_matrix, restriction_matrix
+from .hc import induction_matrix, restriction_matrix
 from .hopf import multiply_functions
-from .invfun import (character_matrix, constant_one, fourier_character_basis,
-                     inner_product_rational)
+from .invfun import (_weights, character_matrix, constant_one,
+                     fourier_character_basis, inner_product_rational)
 from .orbits import enumerate_orbits
-
-
-def _report(name, witness, **params) -> HCReport:
-    """A check report whose params and witness are strings; it passes iff
-    there is no witness."""
-    return HCReport(name, {k: str(v) for k, v in params.items()},
-                    witness is None, None if witness is None else str(witness))
+from .report import Report
 
 
 @dataclass
@@ -45,10 +37,9 @@ def _pairing(a, b, *tables):
     """The rational matrix a . W . b^* of inner products between the rows of
     a and of b, where W = W_n1 x ... x W_nk over the given tables and
     W_n = diag(|O|) / |G_n| is the Gram matrix of the orbit indicators."""
-    sizes = reduce(np.kron, (np.array(t.sizes, dtype=object) for t in tables))
+    sizes, order = _weights(tables)
     x, d = a
-    return linalg.rational_part(linalg.matmul(
-        (x * sizes, d * math.prod(t.gl_order for t in tables)), linalg.conj_t(b)))
+    return linalg.rational_part(linalg.matmul((x * sizes.T, d * order), linalg.conj_t(b)))
 
 
 def _first_difference(lhs, rhs, index=()):
@@ -112,7 +103,7 @@ def coproduct_constants(ctx: FqContext, n1: int, n2: int):
              for i, ni in enumerate(norms1)] for k in range(len(cop[0][0]))]
 
 
-def verify_positivity(ctx: FqContext, n1: int, n2: int) -> HCReport:
+def verify_positivity(ctx: FqContext, n1: int, n2: int) -> Report:
     """Every product and coproduct structure constant in the character basis
     is >= 0."""
     cs = structure_constants(ctx, n1, n2, "character")
@@ -122,15 +113,15 @@ def verify_positivity(ctx: FqContext, n1: int, n2: int) -> HCReport:
         negative = [f"coproduct c^{i},{j}_{k} = {c} < 0"
                     for k, entry in enumerate(coproduct_constants(ctx, n1, n2))
                     for i, row in enumerate(entry) for j, c in enumerate(row) if c < 0]
-    return _report("psh-positivity", negative[0] if negative else None,
-                   q=ctx.q, n1=n1, n2=n2)
+    return Report("psh-positivity", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)},
+                  negative[0] if negative else None)
 
 
-def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> HCReport:
+def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> Report:
     """(m(chi_i x chi_j), chi_k) = (chi_i x chi_j, m* chi_k), exactly, on all
     character-basis triples."""
-    witness = _first_difference(*_pairings(ctx, n1, n2))
-    return _report("psh-self-adjoint", witness, q=ctx.q, n1=n1, n2=n2)
+    return Report("psh-self-adjoint", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)},
+                  _first_difference(*_pairings(ctx, n1, n2)))
 
 
 def nondescending_witness(ctx: FqContext) -> SqrtRational:
@@ -148,13 +139,13 @@ def nondescending_witness(ctx: FqContext) -> SqrtRational:
     return SqrtRational(1, square)
 
 
-def verify_nondescending(ctx: FqContext) -> HCReport:
+def verify_nondescending(ctx: FqContext) -> Report:
     w = nondescending_witness(ctx)
     passed = w.square == Fraction(ctx.q + 1, ctx.q) and not rational_is_square(w.square)
-    return _report("psh-nondescending", None if passed else w, q=ctx.q)
+    return Report("psh-nondescending", {"q": str(ctx.q)}, None if passed else str(w))
 
 
-def verify_second_psh(ctx: FqContext, n: int) -> HCReport:
+def verify_second_psh(ctx: FqContext, n: int) -> Report:
     """The basis transported by x -> (-1)^n D_n(x), the rows of +-X_n . D^T,
     is again orthogonal with the same norms, and in degree 2 it genuinely
     differs from the original basis."""
@@ -166,4 +157,4 @@ def verify_second_psh(ctx: FqContext, n: int) -> HCReport:
     witness = _first_difference(_pairing(dual, dual, table), want)
     if witness is None and n == 2 and steinberg_constituents(2, ctx) < 2:
         witness = "transported basis does not differ in degree 2"
-    return _report("psh-second-structure", witness, q=ctx.q, n=n)
+    return Report("psh-second-structure", {"q": str(ctx.q), "n": str(n)}, witness)

@@ -7,7 +7,9 @@ each output value with its own gcd; and the inner products as sums of one
 Cyclotomic product per orbit or orbit tuple.
 
 This is the layer that glnq.invfun's integer arrays over one denominator
-replaced; the tests feed both the same values and compare the results.  The
+replaced; the tests feed both the same values and compare the results.
+character_counts is the entry-by-entry table sum that character_matrix's
+one integer product per representative replaced.  The
 operator builders are bound here at import, so a test that patches glnq.hc's
 bindings reaches the fast path only.
 """
@@ -19,6 +21,7 @@ import numpy as np
 
 from glnq.duality import duality_operator
 from glnq.field import Cyclotomic
+from glnq.glmat import all_matrices
 from glnq.hc import _parts, induction_matrix, restriction_matrix, split_tables
 from glnq.hopf import antipode_matrix
 from glnq.orbits import enumerate_orbits
@@ -212,3 +215,20 @@ def duality_apply(f: TupleFunction) -> TupleFunction:
 def antipode_function(f: TupleFunction) -> TupleFunction:
     return apply_operator(antipode_matrix(f.table.ctx, f.n),
                           DictTensor.outer([f]), 0, 1, (f.table,)).as_function()
+
+
+def character_counts(table):
+    """N[x, O, t] = #{a in O : Tr(trace(a x)) = t} at each representative x
+    (degree n >= 1), with trace(a x) summed entry by entry through the
+    field's ADD and MUL tables."""
+    ctx, n, p = table.ctx, table.n, table.ctx.p
+    mats = all_matrices(ctx, n)
+    counts = np.zeros((len(table), len(table), p), dtype=np.int64)
+    for xi, rep in enumerate(table.reps):
+        acc = np.zeros(len(mats), dtype=np.int16)
+        for i in range(n):
+            for j in range(n):
+                acc = ctx.ADD[acc, ctx.MUL[mats[:, i, j], rep.a[j, i]]]
+        counts[xi] = np.bincount(table.lookup * p + ctx.TR[acc],
+                                 minlength=len(table) * p).reshape(len(table), p)
+    return counts

@@ -9,17 +9,18 @@ from fractions import Fraction
 
 from glnq.duality import duality_operator, steinberg_constituents
 from glnq.field import FqContext, SqrtRational
-from glnq.hc import HCReport, hc_restrict
+from glnq.hc import hc_restrict
 from glnq.hopf import multiply_functions
 from glnq.invfun import (TensorFunction, fourier_character_basis,
                          inner_product_rational, tensor_inner_product)
 from glnq.orbits import enumerate_orbits
+from glnq.report import Report
 
 
-def _report(name, params, passed, witness=None) -> HCReport:
+def _report(name, params, witness=None) -> Report:
     """The psh suite's report form: params and witness as strings."""
-    return HCReport(name, {k: str(v) for k, v in params.items()}, passed,
-                    None if witness is None else str(witness))
+    return Report(name, {k: str(v) for k, v in params.items()},
+                  None if witness is None else str(witness))
 
 
 def characters(ctx: FqContext, n: int):
@@ -65,24 +66,24 @@ def coproduct_constants(ctx: FqContext, n1: int, n2: int):
     return out
 
 
-def verify_positivity(ctx: FqContext, n1: int, n2: int) -> HCReport:
+def verify_positivity(ctx: FqContext, n1: int, n2: int) -> Report:
     cs = structure_constants(ctx, n1, n2, "character")
     for i, row in enumerate(cs):
         for j, entry in enumerate(row):
             for k, c in enumerate(entry):
                 if c < 0:
                     return _report("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2},
-                                   False, f"c^{k}_{i},{j} = {c} < 0")
+                                   f"c^{k}_{i},{j} = {c} < 0")
     for k, entry in enumerate(coproduct_constants(ctx, n1, n2)):
         for i, row in enumerate(entry):
             for j, c in enumerate(row):
                 if c < 0:
                     return _report("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2},
-                                   False, f"coproduct c^{i},{j}_{k} = {c} < 0")
-    return _report("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2}, True)
+                                   f"coproduct c^{i},{j}_{k} = {c} < 0")
+    return _report("psh-positivity", {"q": ctx.q, "n1": n1, "n2": n2})
 
 
-def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> HCReport:
+def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> Report:
     chars1, chars2, chars3 = (characters(ctx, n) for n in (n1, n2, n1 + n2))
     restrictions = [hc_restrict(ck, (n1, n2)) for ck in chars3]
     for i, ci in enumerate(chars1):
@@ -95,8 +96,8 @@ def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> HCReport:
                 if lhs != rhs:
                     return _report("psh-self-adjoint",
                                    {"q": ctx.q, "n1": n1, "n2": n2},
-                                   False, f"({i},{j},{k}): {lhs} != {rhs}")
-    return _report("psh-self-adjoint", {"q": ctx.q, "n1": n1, "n2": n2}, True)
+                                   f"({i},{j},{k}): {lhs} != {rhs}")
+    return _report("psh-self-adjoint", {"q": ctx.q, "n1": n1, "n2": n2})
 
 
 def dual_omega_basis(ctx: FqContext, n: int):
@@ -107,7 +108,7 @@ def dual_omega_basis(ctx: FqContext, n: int):
     return tuple(d.apply(b).scale(sign) for b in characters(ctx, n))
 
 
-def verify_second_psh(ctx: FqContext, n: int) -> HCReport:
+def verify_second_psh(ctx: FqContext, n: int) -> Report:
     base_norms = norms(ctx, n)
     dual = dual_omega_basis(ctx, n)
     for i, bi in enumerate(dual):
@@ -116,8 +117,8 @@ def verify_second_psh(ctx: FqContext, n: int) -> HCReport:
             want = base_norms[i] if i == j else Fraction(0)
             if ip != want:
                 return _report("psh-second-structure", {"q": ctx.q, "n": n},
-                               False, f"({i},{j}): {ip} != {want}")
+                               f"({i},{j}): {ip} != {want}")
     if n == 2 and steinberg_constituents(2, ctx) < 2:
         return _report("psh-second-structure", {"q": ctx.q, "n": n},
-                       False, "transported basis does not differ in degree 2")
-    return _report("psh-second-structure", {"q": ctx.q, "n": n}, True)
+                       "transported basis does not differ in degree 2")
+    return _report("psh-second-structure", {"q": ctx.q, "n": n})

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from glnq import cli, duality, hc, hopf
 from glnq.cli import main
 from glnq.invfun import constant_one
 from glnq.orbits import enumerate_orbits
@@ -141,6 +142,66 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--q", str(q), "--format", "json")
         assert code == 0
         assert out.encode() == golden.read_bytes()
+
+
+def _merged_last_orbit(real):
+    """orbit_table_bruteforce with its last two orbits counted as one."""
+    def wrapper(n, ctx):
+        claim, sizes = real(n, ctx)
+        return claim, sizes[:-2] + [sizes[-2] + sizes[-1]]
+    return wrapper
+
+
+def _doubled(real):
+    """An operator builder whose (x, den) matrices come out doubled."""
+    def wrapper(*args):
+        x, den = real(*args)
+        return 2 * x, den
+    return wrapper
+
+
+# (check, module, attribute, corrupted replacement of real, verify argv);
+# each corrupted input is read by no cached builder, and antipode_matrix
+# recurses (through the patched binding) only above --max-n 1
+CORRUPTIONS = [
+    ("nilpotent-count", cli, "nilpotent_orbit_count", lambda real: lambda t: real(t) + 1,
+     ["orbits", "--max-n", "2"]),
+    ("orbit-oracle", cli, "orbit_table_bruteforce", _merged_last_orbit,
+     ["orbits", "--max-n", "2"]),
+    ("antipode-involutive", hopf, "antipode_matrix", _doubled,
+     ["antipode", "--max-n", "1"]),
+    ("antipode-on-primitives", hopf, "antipode_function", lambda real: lambda f: f,
+     ["antipode", "--max-n", "2"]),
+    ("steinberg-constituents", duality, "steinberg_constituents",
+     lambda real: lambda n, ctx: real(n, ctx) + 1, ["steinberg", "--max-n", "2"]),
+    ("antipode-is-duality", duality, "antipode_matrix", _doubled,
+     ["antipode", "--max-n", "2"]),
+    ("mackey", hc, "mackey_rhs", lambda real: lambda *args: real(*args).scale(2),
+     ["mackey", "--n1", "1", "--n2", "1", "--s", "1", "--t", "1"]),
+]
+
+
+class TestVerifyFailures:
+    """A corrupted input fails its check with a witness, in text and JSON."""
+
+    @pytest.mark.parametrize("check,module,attr,corrupt,argv", CORRUPTIONS,
+                             ids=[c[0] for c in CORRUPTIONS])
+    def test_failing_check_has_witness(self, capsys, monkeypatch, check, module,
+                                       attr, corrupt, argv):
+        monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+        code, out, _ = run(capsys, "verify", *argv, "--q", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1].startswith("FAILED:")
+        failed = [i for i, line in enumerate(lines) if line.startswith(f"[FAIL] {check} ")]
+        assert failed and all(lines[i + 1].startswith("       witness: ") for i in failed)
+
+        code, out, _ = run(capsys, "verify", *argv, "--q", "2", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["passed"] is False
+        records = [r for r in data["reports"] if r["name"] == check and not r["passed"]]
+        assert records and all(isinstance(r["witness"], str) for r in records)
 
 
 class TestErrors:

@@ -13,7 +13,7 @@ import orbit_oracle
 from glnq import hc, linalg
 from glnq.field import fq
 from glnq.glmat import compositions
-from glnq.hc import (HCReport, _parts, hc_induce, hc_restrict,
+from glnq.hc import (_parts, hc_induce, hc_restrict,
                      induction_matrix, mackey_index_set, mackey_rhs,
                      parabolic_group_order, restriction_matrix,
                      tensor_induce_span, verify_adjunction, verify_mackey,
@@ -21,6 +21,7 @@ from glnq.hc import (HCReport, _parts, hc_induce, hc_restrict,
 from glnq.invfun import (TensorFunction, constant_one, indicator_by_index,
                          inner_product_rational)
 from glnq.orbits import OrbitCountError, enumerate_orbits
+from glnq.report import Report
 
 # every default verify budget: (q, largest n)
 BUDGETS = [(2, 4), (3, 3), (4, 2), (5, 2)]
@@ -34,7 +35,7 @@ def splits(n):
     return sorted(out)
 
 
-def verify_transitivity_induction(t: TensorFunction, outer, subcomps) -> HCReport:
+def verify_transitivity_induction(t: TensorFunction, outer, subcomps) -> Report:
     """Inducing in stages equals inducing in one step."""
     outer_parts = _parts(outer)
     subs = [_parts(s) for s in subcomps]
@@ -43,10 +44,9 @@ def verify_transitivity_induction(t: TensorFunction, outer, subcomps) -> HCRepor
         staged = tensor_induce_span(staged, start, len(s))
     staged = tensor_induce_span(staged, 0, len(outer_parts))
     direct = tensor_induce_span(t, 0, sum(len(s) for s in subs))
-    passed = staged == direct
-    return HCReport("transitivity-induction",
-                    {"outer": list(outer_parts), "subs": [list(s) for s in subs]},
-                    passed, None if passed else "staged != direct")
+    return Report("transitivity-induction",
+                  {"outer": list(outer_parts), "subs": [list(s) for s in subs]},
+                  None if staged == direct else "staged != direct")
 
 
 class TestRestriction:

@@ -199,11 +199,12 @@ def cmd_witness(args):
 
 
 def _test_functions(table, all_indicators=False):
-    """Every indicator, or the constant function and the first two."""
+    """Every indicator, or the constant function and the first two (none for
+    a one-orbit table, whose only indicator is the constant function)."""
     if all_indicators:
         return [indicator_by_index(i, table) for i in range(len(table))]
     return [constant_one(table)] + [indicator_by_index(i, table)
-                                    for i in range(min(2, len(table)))]
+                                    for i in range(2 if len(table) > 1 else 0)]
 
 
 def _count_report(name, params, got, want, what):

@@ -51,7 +51,9 @@ def digits(codes, base, width):
 def undigits(digs, base):
     """The codes whose base-`base` digits, lowest first, run along the last
     axis of digs."""
-    digs = np.asarray(digs, dtype=np.int64)
+    digs = np.asarray(digs)
+    # against int64 weights einsum casts the digits in buffered chunks, so a
+    # stack of int16 digits is never copied whole to int64
     return np.einsum("...i,i->...", digs,
                      base ** np.arange(digs.shape[-1], dtype=np.int64))
 
@@ -65,20 +67,6 @@ def poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def poly_add(ctx, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim(int(ctx.ADD[x, y]) for x, y in zip(a, b))
-
-
-def poly_sub(ctx, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim(int(ctx.SUB[x, y]) for x, y in zip(a, b))
 
 
 def poly_mul(ctx, a, b):

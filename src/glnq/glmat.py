@@ -86,60 +86,51 @@ def batch_det(ctx, a):
     return acc
 
 
-def batch_inverse(ctx, a):
-    """Inverses of a stack of square matrices, a: (m, n, n).
+def row_reduce(ctx, a):
+    """Reduced row echelon forms and ranks of a stack of matrices, a: (m, r, c).
 
-    One Gauss-Jordan sweep over the stacked [a | I]: at each of the n column
-    steps every matrix picks its own pivot row, swaps it up, scales it and
-    clears the column in the other rows, all through the field tables.
+    One Gauss-Jordan sweep over the whole stack: at each column every matrix
+    with a nonzero entry at or below its next pivot row swaps the first such
+    row up, scales it to 1 and clears the column in its other rows, all
+    through the field tables; a matrix with no such entry is left as it is.
+    The sweep stops once every rank is r.  A writeable int16 stack is reduced
+    in place and returned as the forms.
     """
-    m, n = a.shape[0], a.shape[-1]
-    aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int16), a.shape)],
-                         axis=-1)
-    stack = np.arange(m)
-    for c in range(n):
-        nonzero = aug[:, c:, c] != 0
-        if not nonzero.any(axis=1).all():
-            raise SingularMatrixError("matrix is singular")
-        piv = c + nonzero.argmax(axis=1)
-        top = aug[:, c].copy()
-        aug[:, c] = aug[stack, piv]
-        aug[stack, piv] = top
-        aug[:, c] = ctx.MUL[ctx.INV[aug[:, c, c]][:, None], aug[:, c]]
-        factor = aug[:, :, c].copy()
-        factor[:, c] = 0
-        aug = ctx.SUB[aug, ctx.MUL[factor[:, :, None], aug[:, None, c]]]
-    return aug[:, :, n:]
-
-
-def _fq_row_reduce(ctx, rows):
-    """In-place Gauss-Jordan on a list-of-lists of indices; returns pivot cols."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    MUL, SUB, INV = ctx.MUL, ctx.SUB, ctx.INV
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = int(INV[rows[r][c]])
-        rows[r] = [int(MUL[inv, x]) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [int(SUB[x, MUL[f, y]]) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    a = np.asarray(a, dtype=np.int16)
+    if not a.flags.writeable:
+        a = a.copy()
+    m, r, c = a.shape
+    stack, rows = np.arange(m), np.arange(r)
+    ranks = np.zeros(m, dtype=np.intp)
+    for col in range(c):
+        if (ranks == r).all():
             break
-    return pivots
+        # rows from the next pivot row down are zero left of col, so a swap
+        # and the clearing touch columns col.. only
+        cand = (a[:, :, col] != 0) & (rows >= ranks[:, None])
+        has = cand.any(axis=1)
+        top = np.minimum(ranks, r - 1)
+        piv = np.where(has, cand.argmax(axis=1), top)
+        row = a[stack, piv, col:]
+        a[stack, piv, col:] = a[stack, top, col:]
+        row = ctx.MUL[np.where(has, ctx.INV[row[:, 0]], 1)[:, None], row]
+        a[stack, top, col:] = row
+        factor = np.where(has[:, None], a[:, :, col], 0)
+        factor[stack, top] = 0
+        a[:, :, col:] = ctx.SUB[a[:, :, col:], ctx.MUL[factor[:, :, None], row[:, None]]]
+        ranks += has
+    return a, ranks
 
 
-def fq_rank(ctx, a) -> int:
-    rows = [list(map(int, row)) for row in np.asarray(a)]
-    return len(_fq_row_reduce(ctx, rows))
+def batch_inverse(ctx, a):
+    """Inverses of a stack of square matrices, a: (m, n, n): the right half of
+    the reduced [a | I], whose left half is I exactly when a is invertible."""
+    n = a.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int16), a.shape)
+    forms = row_reduce(ctx, np.concatenate([a, eye], axis=-1))[0]
+    if not (forms[..., :n] == eye).all():
+        raise SingularMatrixError("matrix is singular")
+    return forms[..., n:]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +207,7 @@ class Matrix:
         return FqElem(self.ctx, int(batch_det(self.ctx, self.a[None])[0]))
 
     def rank(self) -> int:
-        return fq_rank(self.ctx, self.a)
+        return int(row_reduce(self.ctx, self.a[None])[1][0])
 
     def inverse(self) -> "Matrix":
         return Matrix(self.ctx, batch_inverse(self.ctx, self.a[None])[0])
@@ -380,13 +371,6 @@ def gl_arrays(ctx: FqContext, n: int):
     G.setflags(write=False)
     Ginv.setflags(write=False)
     return G, Ginv
-
-
-def enumerate_gl(n: int, ctx: FqContext):
-    """Invertible matrices, in row-major-lexicographic code order."""
-    G, _ = gl_arrays(ctx, n)
-    for g in G:
-        yield Matrix(ctx, g)
 
 
 def enumerate_gl_order(n: int, ctx: FqContext) -> int:

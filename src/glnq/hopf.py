@@ -141,14 +141,15 @@ def antipode(x: GradedElement) -> GradedElement:
 def precuspidal_spanning_rank(ctx: FqContext, n: int):
     """(rank of the span of induced products of primitive elements, dim C_n)."""
     dim = len(enumerate_orbits(n, ctx))
-    vectors = []
+    vectors, rank = [], 0
     for lam in sorted(partitions(n), reverse=True):
         bases = [primitive_subspace(ctx, m).members for m in lam]
         vectors.extend(hc_induce(TensorFunction.outer(choice), lam).rational_values()
                        for choice in product(*bases))
-        if vectors and linalg.rank(vectors) == dim:
+        rank = linalg.rank(vectors) if vectors else 0
+        if rank == dim:
             break
-    return (linalg.rank(vectors) if vectors else 0, dim)
+    return (rank, dim)
 
 
 def hilbert_series_check(ctx: FqContext, max_n: int) -> Report:

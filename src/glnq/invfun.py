@@ -298,7 +298,9 @@ class TensorFunction(_Values):
     @classmethod
     def zero(cls, tables) -> "TensorFunction":
         tables = tuple(tables)
-        return cls(tables, dict.fromkeys(product(*(range(len(t)) for t in tables)), 0))
+        p = tables[0].ctx.p if tables else 2
+        return cls._from_array(tables, np.zeros(tuple(map(len, tables)) + (p - 1,),
+                                                dtype=object), 1)
 
     def concat(self, other) -> "TensorFunction":
         """The tensor over self's factors then other's, with values s(i) t(j)."""

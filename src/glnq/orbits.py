@@ -13,17 +13,16 @@ from itertools import permutations
 
 import numpy as np
 
-from .field import (FqContext, digits, irreducibles, poly_add, poly_divmod,
-                    poly_mul, poly_pow, poly_sub, poly_trim)
-from .glmat import (Matrix, ResourceBudgetError, encode_matrices,
-                    enumerate_gl_order)
+from .field import FqContext, digits, irreducibles, poly_pow
+from .glmat import (Matrix, ResourceBudgetError, batch_matmul, encode_matrices,
+                    enumerate_gl_order, row_reduce)
 
 LOOKUP_BUDGET = 1 << 17
 
 
 class OrbitCountError(ArithmeticError):
-    """An orbit count contradicts another computed independently: a label's
-    partition and its multiplicity, a BFS sweep and |G|/|C(x)|, the orbit
+    """An orbit count contradicts another computed independently: the kernel
+    dimensions behind a label and n, a BFS sweep and |G|/|C(x)|, the orbit
     sizes and q^(n^2), or a coset P g of a parabolic and |P|."""
 
 
@@ -38,43 +37,6 @@ def companion(ctx: FqContext, f) -> Matrix:
     for i in range(d):
         a[i, d - 1] = ctx.NEG[f[i]]
     return Matrix(ctx, a)
-
-
-def char_poly(x: Matrix):
-    """Characteristic polynomial det(tI - x) over F_q[t]."""
-    ctx = x.ctx
-    grid = [[(int(ctx.NEG[x.a[i, j]]), 1) if i == j else (int(ctx.NEG[x.a[i, j]]),)
-             for j in range(x.n)] for i in range(x.n)]
-    grid = [[poly_trim(e) for e in row] for row in grid]
-
-    def det(rows, cols):
-        if not rows:
-            return (1,)
-        i = rows[0]
-        acc = ()
-        for pos, j in enumerate(cols):
-            entry = grid[i][j]
-            if not entry:
-                continue
-            sub = det(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = poly_mul(ctx, entry, sub)
-            if pos % 2:
-                term = poly_sub(ctx, (), term)
-            acc = poly_add(ctx, acc, term)
-        return acc
-
-    return det(tuple(range(x.n)), tuple(range(x.n)))
-
-
-def poly_at_matrix(f, x: Matrix) -> Matrix:
-    acc = Matrix.zero(x.ctx, x.n)
-    for c in reversed(f):
-        acc = acc @ x
-        if c:
-            scal = np.full((x.n, x.n), 0, dtype=np.int16)
-            np.fill_diagonal(scal, c)
-            acc = acc + Matrix(x.ctx, scal)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -143,47 +105,47 @@ class OrbitLabel:
 
 
 def matrix_label(x: Matrix) -> OrbitLabel:
-    """Similarity-class label via elementary divisors (kernel filtration ranks)."""
+    """Similarity-class label via elementary divisors, read from kernel ranks:
+    for a monic irreducible g of degree d, dim ker g(x)^j - dim ker g(x)^(j-1)
+    is d times the number of parts >= j of lam_g (Macdonald, Symmetric
+    Functions and Hall Polynomials, IV).  Every g(x)^j with d <= n and
+    j <= n / d, which suffices as d |lam_g| <= n, goes through one row_reduce
+    call; each g(x) is one F_q product of g's coefficients with x^0..x^n."""
     ctx, n = x.ctx, x.n
     if n == 0:
         return OrbitLabel(())
-    f = char_poly(x)
-    pairs = []
-    remaining = f
-    for g in irreducibles(ctx, n):
-        mult = 0
-        while True:
-            quot, rem = poly_divmod(ctx, remaining, g)
-            if rem:
-                break
-            remaining = quot
-            mult += 1
-        if not mult:
-            continue
-        d = len(g) - 1
-        gx = poly_at_matrix(g, x)
-        power = Matrix.identity(ctx, n)
-        nullities = [0]
-        blocks_ge = []
-        while True:
-            power = power @ gx
-            nullities.append(n - power.rank())
-            ge = (nullities[-1] - nullities[-2]) // d
-            if ge == 0:
-                break
-            blocks_ge.append(ge)
-        lam = []
-        for j, ge in enumerate(blocks_ge, start=1):
-            nxt = blocks_ge[j] if j < len(blocks_ge) else 0
-            lam.extend([j] * (ge - nxt))
-        lam.sort(reverse=True)
-        if sum(lam) != mult:
-            raise OrbitCountError(f"elementary divisors of {g} have total degree "
-                                  f"{sum(lam)}, multiplicity {mult}")
-        pairs.append((g, tuple(lam)))
-        if len(remaining) == 1:
-            break
-    return OrbitLabel(tuple(pairs))
+    gs = irreducibles(ctx, n)
+    deg = np.array([len(g) - 1 for g in gs])
+    powers = [np.eye(n, dtype=np.int16)]
+    for _ in range(n):
+        powers.append(batch_matmul(ctx, powers[-1], x.a))
+    coeffs = np.zeros((len(gs), n + 1), dtype=np.int16)
+    for i, g in enumerate(gs):
+        coeffs[i, :len(g)] = g
+    levels = [batch_matmul(ctx, coeffs, np.reshape(powers, (n + 1, n * n)))
+              .reshape(len(gs), n, n)]
+    for j in range(2, n + 1):
+        # irreducibles run by degree, so the g with j <= n / deg g are a prefix
+        m = int(np.count_nonzero(n // deg >= j))
+        levels.append(batch_matmul(ctx, levels[-1][:m], levels[0][:m]))
+    ranks = row_reduce(ctx, np.concatenate(levels))[1]
+    null = np.zeros((len(gs), n + 1), dtype=np.intp)  # dim ker g(x)^j, j = 0..n
+    pos = 0
+    for j, level in enumerate(levels, start=1):
+        null[:, j] = null[:, j - 1]  # past n / deg g the kernel has stopped growing
+        null[:len(level), j] = n - ranks[pos:pos + len(level)]
+        pos += len(level)
+    ge = np.diff(null, axis=1)  # deg g * (number of parts of lam_g that are >= j)
+    eq = -np.diff(ge, axis=1, append=0)  # ... that are == j
+    if (ge % deg[:, None]).any() or (eq < 0).any():
+        raise OrbitCountError(f"kernel dimensions {null[:, 1:].tolist()} of g(x)^j "
+                              "are not those of elementary divisors")
+    if null[:, n].sum() != n:
+        raise OrbitCountError(f"elementary divisors have total degree "
+                              f"{null[:, n].sum()}, not n = {n}")
+    parts = np.arange(n, 0, -1)
+    return OrbitLabel(tuple((g, tuple(np.repeat(parts, eq[i, ::-1] // deg[i]).tolist()))
+                            for i, g in enumerate(gs) if null[i, n]))
 
 
 # ---------------------------------------------------------------------------

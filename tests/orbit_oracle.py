@@ -1,21 +1,28 @@
-"""Brute-force references for the F_q kernels behind matrix products, orbit
-enumeration, GL inversion, centralizer orders and parabolic orders.
+"""Brute-force references for the F_q kernels behind matrix products, row
+reduction, orbit labels, orbit enumeration, GL inversion, centralizer orders
+and parabolic orders.
 
 These are the slow paths that glnq replaced: the F_q matrix product looks up
-every entry product and sum in the field tables, the conjugation BFS
-multiplies each frontier matrix by every generator and its inverse as full
-matrix products, each inverse is one Gauss-Jordan elimination on a Python
-list, |C(x)| is counted by enumerating the commutant algebra of x, and |P| is
-counted by testing the block shape of every invertible matrix.  The tests use
-them as witnesses that the integer matmul over F_p, the elementary-move BFS,
-the stack-wide Gauss-Jordan, the closed form |C(x)| = prod_f a_lam(f)(q^deg f)
-and the closed form |P| = |L| q^dim U give the same results.
+every entry product and sum in the field tables, each row reduction (and so
+each inverse and rank) is one Gauss-Jordan elimination on a Python list, an
+orbit label divides the Laplace-expanded characteristic polynomial by each
+irreducible g and reads the kernel filtration of g(x) one power at a time,
+the conjugation BFS multiplies each frontier matrix by every generator and
+its inverse as full matrix products, |C(x)| is counted by enumerating the
+commutant algebra of x, and |P| is counted by testing the block shape of
+every invertible matrix.  The tests use them as witnesses that the integer
+matmul over F_p, the stack-wide row reduction, the labels read from one
+stack of kernel ranks, the elementary-move BFS, the closed form
+|C(x)| = prod_f a_lam(f)(q^deg f) and the closed form |P| = |L| q^dim U give
+the same results.
 """
 import numpy as np
 
-from glnq.glmat import (Matrix, SingularMatrixError, _fq_row_reduce,
-                        _shape_mask, all_matrices, batch_det, encode_matrices,
+from glnq.field import irreducibles, poly_divmod, poly_mul, poly_trim
+from glnq.glmat import (Matrix, SingularMatrixError, _shape_mask,
+                        all_matrices, batch_det, encode_matrices, gl_arrays,
                         gl_mask)
+from glnq.orbits import OrbitCountError, OrbitLabel
 
 
 def batch_matmul_tables(ctx, a, b):
@@ -30,6 +37,140 @@ def batch_matmul_tables(ctx, a, b):
     for k in range(1, m):
         acc = ctx.ADD[acc, prod[..., k, :]]
     return acc
+
+
+def _fq_row_reduce(ctx, rows):
+    """In-place Gauss-Jordan on a list-of-lists of indices; returns pivot cols."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    MUL, SUB, INV = ctx.MUL, ctx.SUB, ctx.INV
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = int(INV[rows[r][c]])
+        rows[r] = [int(MUL[inv, x]) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [int(SUB[x, MUL[f, y]]) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def row_reduce(ctx, a):
+    """(forms, ranks) of a stack (m, r, c), one list elimination per matrix."""
+    a = np.asarray(a)
+    forms = np.empty(a.shape, dtype=np.int16)
+    ranks = np.zeros(len(a), dtype=np.intp)
+    for i, mat in enumerate(a):
+        rows = mat.tolist()
+        ranks[i] = len(_fq_row_reduce(ctx, rows))
+        forms[i] = np.array(rows, dtype=np.int16).reshape(mat.shape)
+    return forms, ranks
+
+
+def rank(ctx, a) -> int:
+    return len(_fq_row_reduce(ctx, np.asarray(a).tolist()))
+
+
+def enumerate_gl(n, ctx):
+    """Invertible matrices, in row-major-lexicographic code order."""
+    G, _ = gl_arrays(ctx, n)
+    for g in G:
+        yield Matrix(ctx, g)
+
+
+def _poly_add(ctx, a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return poly_trim(int(ctx.ADD[x, y]) for x, y in zip(a, b))
+
+
+def char_poly(x: Matrix):
+    """Characteristic polynomial det(tI - x) over F_q[t], by Laplace expansion."""
+    ctx = x.ctx
+    grid = [[(int(ctx.NEG[x.a[i, j]]), 1) if i == j else (int(ctx.NEG[x.a[i, j]]),)
+             for j in range(x.n)] for i in range(x.n)]
+    grid = [[poly_trim(e) for e in row] for row in grid]
+
+    def det(rows, cols):
+        if not rows:
+            return (1,)
+        i = rows[0]
+        acc = ()
+        for pos, j in enumerate(cols):
+            entry = grid[i][j]
+            if not entry:
+                continue
+            term = poly_mul(ctx, entry, det(rows[1:], cols[:pos] + cols[pos + 1:]))
+            if pos % 2:
+                term = poly_mul(ctx, (ctx.NEG[1],), term)
+            acc = _poly_add(ctx, acc, term)
+        return acc
+
+    return det(tuple(range(x.n)), tuple(range(x.n)))
+
+
+def poly_at_matrix(f, x: Matrix) -> np.ndarray:
+    """f(x) by Horner's rule, through the table product."""
+    acc = np.zeros((x.n, x.n), dtype=np.int16)
+    for c in reversed(f):
+        acc = batch_matmul_tables(x.ctx, acc, x.a)
+        acc[np.diag_indices(x.n)] = x.ctx.ADD[acc.diagonal(), c]
+    return acc
+
+
+def matrix_label(x: Matrix) -> OrbitLabel:
+    """The label of x: the multiplicity of each irreducible g in the
+    characteristic polynomial, split into the partition read from the
+    kernel filtration of g(x), one power and one list elimination at a time."""
+    ctx, n = x.ctx, x.n
+    if n == 0:
+        return OrbitLabel(())
+    pairs = []
+    remaining = char_poly(x)
+    for g in irreducibles(ctx, n):
+        mult = 0
+        while True:
+            quot, rem = poly_divmod(ctx, remaining, g)
+            if rem:
+                break
+            remaining = quot
+            mult += 1
+        if not mult:
+            continue
+        d = len(g) - 1
+        gx = poly_at_matrix(g, x)
+        power = np.eye(n, dtype=np.int16)
+        nullities = [0]
+        blocks_ge = []
+        while True:
+            power = batch_matmul_tables(ctx, power, gx)
+            nullities.append(n - rank(ctx, power))
+            ge = (nullities[-1] - nullities[-2]) // d
+            if ge == 0:
+                break
+            blocks_ge.append(ge)
+        lam = []
+        for j, ge in enumerate(blocks_ge, start=1):
+            nxt = blocks_ge[j] if j < len(blocks_ge) else 0
+            lam.extend([j] * (ge - nxt))
+        lam.sort(reverse=True)
+        if sum(lam) != mult:
+            raise OrbitCountError(f"elementary divisors of {g} have total degree "
+                                  f"{sum(lam)}, multiplicity {mult}")
+        pairs.append((g, tuple(lam)))
+        if len(remaining) == 1:
+            break
+    return OrbitLabel(tuple(pairs))
 
 
 def inverse(x: Matrix) -> Matrix:

@@ -134,6 +134,15 @@ class TestVerify:
         assert code == 0
         assert out.count("[PASS] mackey") == 4
 
+    def test_mackey_pointwise_degree_zero(self, capsys):
+        # the constant function is the only test function of degree 0
+        code, out, _ = run(capsys, "verify", "mackey", "--q", "2", "--n1", "0",
+                           "--n2", "1", "--s", "0", "--t", "1", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 3
+        assert all(r["passed"] and r["name"] == "mackey" for r in reports)
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_golden_report(self, capsys, q):
         # q=4, 5 recorded before the PSH checks became matrix products; q=2, 3

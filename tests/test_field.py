@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import field_oracle
 from glnq.field import (ContextMismatchError, Cyclotomic, FieldTableError,
-                        FqContext, NotRationalError, SqrtRational, fq,
-                        rational_is_square)
+                        FqContext, NotRationalError, SqrtRational, digits, fq,
+                        rational_is_square, undigits)
 
 
 class TestFqArithmetic:
@@ -103,6 +103,26 @@ class TestFqArithmetic:
 DEFAULT_MODULI = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),
                   16: (1, 1, 0, 0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1),
                   32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1)}
+
+
+class TestDigitCodes:
+    def test_codes_past_the_digit_dtype(self):
+        # 20 base-2 digits held as int16 encode codes up to 2^20 - 1
+        codes = np.random.default_rng(1).integers(0, 1 << 20, 300)
+        codes[:2] = 0, (1 << 20) - 1
+        digs = digits(codes, 2, 20)
+        assert digs.dtype == np.int16
+        got = undigits(digs, 2)
+        assert got.dtype == np.int64
+        assert got.tolist() == [sum(int(d) << i for i, d in enumerate(row))
+                                for row in digs.tolist()] == codes.tolist()
+
+    @pytest.mark.parametrize("base,width", [(3, 12), (9, 6), (49, 4)])
+    def test_roundtrip(self, base, width):
+        codes = np.arange(0, base ** width, base ** width // 97 + 1)
+        digs = digits(codes.reshape(-1, 1), base, width)
+        assert digs.shape == (len(codes), 1, width)
+        assert np.array_equal(undigits(digs, base), codes.reshape(-1, 1))
 
 
 class TestFqTables:

@@ -12,8 +12,9 @@ from glnq.field import fq
 from glnq.glmat import (Composition, Matrix, ShapeError, SingularMatrixError,
                         _block_starts, _embed_blocks, _shape_mask,
                         batch_inverse, batch_matmul, compositions, conjugate,
-                        enumerate_gl, enumerate_gl_order, gl_arrays,
+                        enumerate_gl_order, gl_arrays, row_reduce,
                         unipotent_radical_elems, unipotent_radical_order)
+from orbit_oracle import enumerate_gl
 
 
 def random_matrix(data, ctx, n):
@@ -141,8 +142,46 @@ class TestBatchMatmul:
             check_against_tables(ctx, a, b, bad)
 
 
+class TestRowReduce:
+    """The stack-wide row reduction against one list elimination per matrix."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    @pytest.mark.parametrize("shape", [(40, 3, 3), (40, 2, 5), (40, 5, 2), (30, 4, 4),
+                                       (0, 3, 3), (5, 0, 3), (5, 3, 0)])
+    def test_matches_oracle(self, q, shape):
+        ctx = fq(q)
+        rng = np.random.default_rng(q * 1000 + sum(shape))
+        a = rng.integers(0, q, size=shape).astype(np.int16)
+        # low-rank members: a product through a thinner middle dimension
+        k = shape[0] // 2
+        if shape[1] > 1 and shape[2] > 1:
+            thin = shape[1] // 2
+            a[:k] = batch_matmul(ctx, a[:k, :, :thin], a[:k, :thin, :])
+        a[k:k + 1] = 0
+        want_forms, want_ranks = orbit_oracle.row_reduce(ctx, a)
+        forms, ranks = row_reduce(ctx, a.copy())
+        assert np.array_equal(forms, want_forms)
+        assert np.array_equal(ranks, want_ranks)
+
+    def test_in_place_only_when_writeable(self, q3):
+        a = np.array([[[1, 2], [2, 1]], [[0, 1], [1, 0]]], dtype=np.int16)
+        forms, ranks = row_reduce(q3, a)
+        assert forms is a and ranks.tolist() == [1, 2]
+        b = a.copy()
+        b.setflags(write=False)
+        forms, _ = row_reduce(q3, b)
+        assert forms is not b
+
+    @given(st.sampled_from([2, 3, 4, 5]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank(self, q, data):
+        ctx = fq(q)
+        x = random_matrix(data, ctx, data.draw(st.integers(0, 4)))
+        assert x.rank() == orbit_oracle.rank(ctx, x.a)
+
+
 class TestBatchInverse:
-    """The stack-wide Gauss-Jordan against one elimination per matrix."""
+    """The reduced [a | I] against one elimination per matrix."""
 
     @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                      (4, 2), (5, 2)])

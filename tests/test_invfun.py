@@ -13,10 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import invfun_oracle
+import orbit_oracle
 from glnq import hc, invfun, linalg
 from glnq.duality import duality_operator
 from glnq.field import ContextMismatchError, Cyclotomic, fq
-from glnq.glmat import Matrix, compositions, conjugate, enumerate_gl
+from glnq.glmat import Matrix, compositions, conjugate
 from glnq.hopf import antipode_function
 from glnq.invfun import (GradedElement, InvariantFunction, TensorFunction,
                          apply_operator, constant_one, coords,
@@ -47,7 +48,7 @@ class TestBasics:
         table = enumerate_orbits(2, q2)
         f = indicator_by_index(3, table)
         x = table.reps[3]
-        for g in enumerate_gl(2, q2):
+        for g in orbit_oracle.enumerate_gl(2, q2):
             assert f.evaluate(conjugate(g, x)) == 1
 
     def test_constant_on_degree_zero(self, q2):
@@ -181,11 +182,14 @@ class TestTensors:
         assert p.degrees == (2, 1)
         assert p.permute((1, 0)) == s
 
-    def test_zero(self, q2):
-        t1 = enumerate_orbits(1, q2)
-        z = TensorFunction.zero([t1, t1])
-        assert z.is_zero()
-        assert (z + z) == z
+    def test_zero(self, q2, q3):
+        t = {(ctx.q, n): enumerate_orbits(n, ctx) for ctx in (q2, q3) for n in (1, 2)}
+        for tables in ([t[2, 1], t[2, 1]], [t[3, 1], t[3, 2]], [t[2, 2]], []):
+            z = TensorFunction.zero(tables)
+            grid = product(*(range(len(t)) for t in tables))
+            assert z == TensorFunction(tables, dict.fromkeys(grid, 0))
+            assert z.is_zero() and all(v == 0 for v in z.values.values())
+            assert (z + z) == z
 
 
 class TestGradedElement:

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 import orbit_oracle
 from glnq import orbits
-from glnq.field import fq
-from glnq.glmat import Matrix, conjugate, enumerate_gl, enumerate_gl_order
+from glnq.field import fq, poly_mul
+from glnq.glmat import Matrix, conjugate, enumerate_gl_order
 from glnq.orbits import (OrbitCountError, OrbitLabel, OrbitTable,
-                         centralizer_order, char_poly, companion,
-                         enumerate_orbits, irreducibles, matrix_label,
-                         nilpotent_orbit_count, orbit_of,
-                         orbit_table_bruteforce, partitions, poly_mul,
+                         centralizer_order, companion, enumerate_orbits,
+                         irreducibles, matrix_label, nilpotent_orbit_count,
+                         orbit_of, orbit_table_bruteforce, partitions,
                          representative)
+from orbit_oracle import char_poly, enumerate_gl
 
 # sizes the oracle sweeps quickly; q=4 is the one extension field, and q > 2
 # is where the torus generator takes part
@@ -188,12 +188,19 @@ class TestMoveBFS:
 class TestTypedErrors:
     """Each orbit count check raises OrbitCountError, also under python -O."""
 
-    def test_label_partition_against_multiplicity(self, q2, monkeypatch):
-        # g(x) = 0 makes the kernel filtration of t claim both dimensions of
-        # diag(0, 1), where t divides the characteristic polynomial once
-        monkeypatch.setattr(orbits, "poly_at_matrix",
-                            lambda f, x: Matrix.zero(x.ctx, x.n))
-        with pytest.raises(OrbitCountError, match="multiplicity 1"):
+    def test_label_weight_against_n(self, q2, monkeypatch):
+        # rank 0 for every g(x)^j makes each of t, t + 1 and t^2 + t + 1 claim
+        # all of F_2^2: a partition for each, of total degree 2 + 2 + 2
+        monkeypatch.setattr(orbits, "row_reduce",
+                            lambda ctx, a: (a, np.zeros(len(a), dtype=np.intp)))
+        with pytest.raises(OrbitCountError, match="total degree 6, not n = 2"):
+            matrix_label(Matrix.from_rows(q2, [[0, 0], [0, 1]]))
+
+    def test_label_kernels_against_partitions(self, q2, monkeypatch):
+        # rank 1 for every g(x)^j gives t^2 + t + 1 a kernel of odd dimension
+        monkeypatch.setattr(orbits, "row_reduce",
+                            lambda ctx, a: (a, np.ones(len(a), dtype=np.intp)))
+        with pytest.raises(OrbitCountError, match="not those of elementary divisors"):
             matrix_label(Matrix.from_rows(q2, [[0, 0], [0, 1]]))
 
     def test_table_sizes_against_total(self, q2):
@@ -237,6 +244,57 @@ def test_lookup_agrees_with_label(qn, data):
     x = Matrix(ctx, np.array(entries, dtype=np.int16).reshape(n, n))
     idx = table.index_of_matrix(x)
     assert table.labels[idx] == matrix_label(x)
+
+
+# q=2 n=5 is past the lookup; q=8 and 9 have 28 and 45 irreducibles of degree <= 2
+LABEL_SIZES = [(2, 5), (4, 3), (8, 2), (9, 2)]
+
+
+def draw_matrix(data, ctx, n):
+    entries = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n * n,
+                                 max_size=n * n))
+    # half the draws are upper bidiagonal with eigenvalues 0 and 1, so
+    # repeated factors and several parts per irreducible come up
+    if data.draw(st.booleans()):
+        entries = [e % 2 if i // n == i % n else e if i % n == i // n + 1 else 0
+                   for i, e in enumerate(entries)]
+    return Matrix(ctx, np.array(entries, dtype=np.int16).reshape(n, n))
+
+
+@given(st.sampled_from(LABEL_SIZES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_label_matches_char_poly_oracle(qn, data):
+    """Labels read from one stack of kernel ranks against the characteristic
+    polynomial and per-g kernel filtration."""
+    q, n = qn
+    ctx = fq(q)
+    x = draw_matrix(data, ctx, n)
+    assert matrix_label(x) == orbit_oracle.matrix_label(x)
+
+
+@given(st.sampled_from(LABEL_SIZES), st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_corrupted_rank_fails_the_comparison(qn, data):
+    """Any one rank one too large makes the label differ from the oracle's or
+    raises OrbitCountError."""
+    q, n = qn
+    ctx = fq(q)
+    x = draw_matrix(data, ctx, n)
+    real = orbits.row_reduce
+
+    def corrupted(ctx, a):
+        forms, ranks = real(ctx, a)
+        ranks[data.draw(st.integers(0, len(ranks) - 1))] += 1
+        return forms, ranks
+
+    want = orbit_oracle.matrix_label(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "row_reduce", corrupted)
+        try:
+            got = matrix_label(x)
+        except OrbitCountError:
+            return
+    assert got != want
 
 
 @given(st.sampled_from([(2, 3), (3, 2), (4, 2)]), st.data())

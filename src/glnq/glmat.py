@@ -69,6 +69,16 @@ def batch_matmul(ctx, a, b):
     return out.reshape(shape + (n, r))
 
 
+def sub_mul(ctx, x, f, y):
+    """x - f y elementwise (f y of x's shape; x + lam y is x - NEG[lam] y) as
+    two 1-D gathers from the flattened tables, on flat indices a q + b kept
+    int16 while q^2 fits; a gather casts them in chunks, where `take` copies."""
+    q = np.int16(ctx.q) if ctx.q ** 2 <= 1 << 15 else np.intp(ctx.q)
+    idx = ctx.MUL.ravel()[f * q + y].astype(q.dtype, copy=False)
+    idx += x * q
+    return ctx.SUB.ravel()[idx]
+
+
 def batch_det(ctx, a):
     """Determinants of a stack of square matrices, by cofactor expansion."""
     n = a.shape[-1]
@@ -117,7 +127,7 @@ def row_reduce(ctx, a):
         a[stack, top, col:] = row
         factor = np.where(has[:, None], a[:, :, col], 0)
         factor[stack, top] = 0
-        a[:, :, col:] = ctx.SUB[a[:, :, col:], ctx.MUL[factor[:, :, None], row[:, None]]]
+        a[:, :, col:] = sub_mul(ctx, a[:, :, col:], factor[:, :, None], row[:, None])
         ranks += has
     return a, ranks
 

@@ -13,17 +13,18 @@ from itertools import permutations
 
 import numpy as np
 
-from .field import FqContext, digits, irreducibles, poly_pow
-from .glmat import (Matrix, ResourceBudgetError, batch_matmul, encode_matrices,
-                    enumerate_gl_order, row_reduce)
+from .field import FqContext, irreducibles, poly_pow
+from .glmat import (Matrix, ResourceBudgetError, all_matrices, batch_matmul,
+                    encode_matrices, enumerate_gl_order, row_reduce, sub_mul)
 
 LOOKUP_BUDGET = 1 << 17
 
 
 class OrbitCountError(ArithmeticError):
     """An orbit count contradicts another computed independently: the kernel
-    dimensions behind a label and n, a BFS sweep and |G|/|C(x)|, the orbit
-    sizes and q^(n^2), or a coset P g of a parabolic and |P|."""
+    dimensions behind a label and n, a BFS sweep and |G|/|C(x)| or the other
+    seeds, a conjugation move and bijectivity, the orbit sizes and q^(n^2), or
+    a coset P g of a parabolic and |P|."""
 
 
 # ---------------------------------------------------------------------------
@@ -151,42 +152,35 @@ def matrix_label(x: Matrix) -> OrbitLabel:
 # ---------------------------------------------------------------------------
 
 
-def _expand_orbit(ctx, n, seed_codes, claim, marker):
-    """Mark every code conjugate to the seeds in `claim` with `marker`.
+@lru_cache(maxsize=None)
+def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
+    """Row k holds the code of g_k x g_k^-1 for every code x, in code order.
 
-    GL_n(F_q) is generated by the transvections I + lam E_ij (i != j,
+    The g_k generate GL_n(F_q): the transvections I + lam E_ij (i != j,
     lam != 0) and, for q > 2, diag(gamma, 1, ..., 1) with gamma a generator of
-    F_q^x.  Conjugating by a transvection adds lam * (row j) to row i, then
-    subtracts lam * (column i) from column j; the torus generator scales row 0
-    by gamma and column 0 by gamma^-1.  Each move is applied to the whole
-    frontier at once.  Returns the number of codes marked. `claim` entries
-    must be -1 where unvisited.
-    """
-    ADD, SUB, MUL = ctx.ADD, ctx.SUB, ctx.MUL
-    lams = np.arange(1, ctx.q, dtype=np.int16)[:, None, None]
-    gamma = ctx.generator_index() if ctx.q > 2 and n > 0 else None
-    frontier = np.unique(np.asarray(seed_codes, dtype=np.int64))
-    frontier = frontier[claim[frontier] == -1]
-    claim[frontier] = marker
-    count = len(frontier)
-    while len(frontier):
-        x = digits(frontier, ctx.q, n * n).reshape(len(frontier), n, n)
-        images = [np.empty(0, np.int64)]
-        for i, j in permutations(range(n), 2):
-            y = np.repeat(x[None], len(lams), axis=0)
-            y[..., i, :] = ADD[y[..., i, :], MUL[lams, y[..., j, :]]]
-            y[..., :, j] = SUB[y[..., :, j], MUL[lams, y[..., :, i]]]
-            images.append(encode_matrices(ctx, y).ravel())
-        if gamma is not None:
-            y = x.copy()
-            y[:, 0, :] = MUL[gamma, y[:, 0, :]]
-            y[:, :, 0] = MUL[ctx.INV[gamma], y[:, :, 0]]
-            images.append(encode_matrices(ctx, y))
-        codes = np.concatenate(images)
-        frontier = np.unique(codes[claim[codes] == -1])
-        claim[frontier] = marker
-        count += len(frontier)
-    return count
+    F_q^x.  Each conjugation is a row move, row i -= f * (row j), then a
+    column move, column j -= g * (column i): (f, g) = (-lam, lam) for a
+    transvection, and (1 - gamma, 1 - gamma^-1) with i = j = 0 for the torus
+    generator.  Each row must permute the codes."""
+    total = ctx.q ** (n * n)
+    x = all_matrices(ctx, n)
+    gens = [(i, j, ctx.NEG[lam], lam) for i, j in permutations(range(n), 2)
+            for lam in range(1, ctx.q)]
+    if ctx.q > 2 and n > 0:
+        gamma = ctx.generator_index()
+        gens.append((0, 0, ctx.SUB[1, gamma], ctx.SUB[1, ctx.INV[gamma]]))
+    moves = np.empty((len(gens), total), dtype=np.min_scalar_type(total - 1))
+    for k, (i, j, f, g) in enumerate(gens):
+        y = x.copy()
+        y[:, i] = sub_mul(ctx, y[:, i], f, y[:, j])
+        y[:, :, j] = sub_mul(ctx, y[:, :, j], g, y[:, :, i])
+        moves[k] = encode_matrices(ctx, y)
+    for row in moves:
+        if (np.bincount(row, minlength=total) != 1).any():
+            raise OrbitCountError(f"a conjugation move on gl_{n}(F_{ctx.q}) "
+                                  "is not a permutation")
+    moves.setflags(write=False)
+    return moves
 
 
 def centralizer_order(ctx: FqContext, label: OrbitLabel) -> int:
@@ -298,8 +292,11 @@ def representative(ctx, label: OrbitLabel, n: int) -> Matrix:
 @lru_cache(maxsize=None)
 def enumerate_orbits(n: int, ctx: FqContext) -> OrbitTable:
     """The adjoint orbits of gl_n(F_q), sized |G|/|C(x)| by the closed form.
-    Up to LOOKUP_BUDGET matrices a BFS sweep also builds the code -> orbit
-    lookup and checks every size; past it the table has no lookup."""
+    Up to LOOKUP_BUDGET matrices one BFS over _move_codes from all the
+    representatives at once also builds the code -> orbit lookup, each code
+    taking its parent's orbit; it checks that no code is reached from two
+    representatives, that every code is reached, and every BFS count against
+    its size.  Past the budget the table has no lookup."""
     if n < 0:
         raise ValueError(f"degree n={n} is negative")
     labels = sorted(_label_candidates(ctx, n), key=lambda lab: lab.pairs)
@@ -309,17 +306,31 @@ def enumerate_orbits(n: int, ctx: FqContext) -> OrbitTable:
     lookup = None
     total = ctx.q ** (n * n)
     if total <= LOOKUP_BUDGET:
+        moves = _move_codes(ctx, n)
         lookup = np.full(total, -1, dtype=np.int32)
-        for i, rep in enumerate(reps):
-            seed = encode_matrices(ctx, rep.a[None])
-            count = _expand_orbit(ctx, n, seed, lookup, i)
-            if count != sizes[i]:
-                raise OrbitCountError(f"orbit {labels[i].serialize()}: BFS reached "
-                                      f"{count} matrices, |G|/|C(x)| = {sizes[i]}")
+        frontier = encode_matrices(ctx, np.stack([rep.a for rep in reps]))
+        marks = np.arange(len(reps), dtype=np.int32)
+        while len(frontier):
+            fresh = lookup[frontier] < 0
+            lookup[frontier[fresh]] = marks[fresh]
+            met = np.flatnonzero(lookup[frontier] != marks)
+            if len(met):
+                code = frontier[met[0]]
+                a, b = sorted((marks[met[0]], lookup[code]))
+                raise OrbitCountError(f"orbits {labels[a].serialize()} and "
+                                      f"{labels[b].serialize()} meet at code {code}")
+            codes, first = np.unique(frontier[fresh], return_index=True)
+            frontier = moves[:, codes].ravel()
+            marks = np.tile(marks[fresh][first], len(moves))
         missed = np.flatnonzero(lookup < 0)
         if len(missed):
             raise OrbitCountError(f"{len(missed)} matrices lie in no enumerated "
                                   f"orbit, first code {missed[0]}")
+        counts = np.bincount(lookup, minlength=len(labels))
+        for lab, count, size in zip(labels, counts.tolist(), sizes):
+            if count != size:
+                raise OrbitCountError(f"orbit {lab.serialize()}: BFS reached "
+                                      f"{count} matrices, |G|/|C(x)| = {size}")
         lookup.setflags(write=False)
     return OrbitTable(ctx, n, labels, reps, sizes, lookup)
 
@@ -331,20 +342,27 @@ def orbit_of(x: Matrix, table: OrbitTable) -> OrbitLabel:
 
 
 def orbit_table_bruteforce(n: int, ctx: FqContext):
-    """Independent BFS partition of all q^(n^2) matrices into conjugacy classes.
+    """Partition of all q^(n^2) matrices into conjugacy classes, seeded by no
+    representative: every code takes the least label among its images under
+    _move_codes, with pointer jumping between passes, until no label changes.
+    As every move permutes the codes, each class then holds its least code.
 
-    Returns (class_id array in code order, list of class sizes).
+    Returns (class id of each code, class sizes), classes numbered by least code.
     """
     total = ctx.q ** (n * n)
     if total > LOOKUP_BUDGET:
         raise ResourceBudgetError(total, LOOKUP_BUDGET)
-    claim = np.full(total, -1, dtype=np.int32)
-    sizes = []
-    for code in range(total):
-        if claim[code] != -1:
-            continue
-        sizes.append(_expand_orbit(ctx, n, [code], claim, len(sizes)))
-    return claim, sizes
+    moves = _move_codes(ctx, n)
+    least = np.arange(total, dtype=moves.dtype)
+    while True:
+        before = least
+        for row in moves:
+            least = np.minimum(least, least[row])
+        least = least[least]
+        if np.array_equal(least, before):
+            break
+    _, claim, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    return claim.astype(np.int32), sizes.tolist()
 
 
 def nilpotent_orbit_count(table: OrbitTable) -> int:

@@ -12,7 +12,7 @@ its inverse as full matrix products, |C(x)| is counted by enumerating the
 commutant algebra of x, and |P| is counted by testing the block shape of
 every invertible matrix.  The tests use them as witnesses that the integer
 matmul over F_p, the stack-wide row reduction, the labels read from one
-stack of kernel ranks, the elementary-move BFS, the closed form
+stack of kernel ranks, the move-table sweep and partition, the closed form
 |C(x)| = prod_f a_lam(f)(q^deg f) and the closed form |P| = |L| q^dim U give
 the same results.
 """

@@ -6,6 +6,7 @@ import pytest
 
 from glnq import cli, duality, hc, hopf
 from glnq.cli import main
+from glnq.field import fq
 from glnq.invfun import constant_one
 from glnq.orbits import enumerate_orbits
 
@@ -142,6 +143,14 @@ class TestVerify:
         reports = json.loads(out)["reports"]
         assert len(reports) == 3
         assert all(r["passed"] and r["name"] == "mackey" for r in reports)
+
+    def test_orbit_oracle_wherever_there_is_a_lookup(self):
+        # q=17 n=2 has 83521 > 2^16 matrices, inside LOOKUP_BUDGET
+        reports = cli.suite_orbits(fq(17), 2)
+        assert [(r.name, r.params["n"]) for r in reports] == [
+            ("nilpotent-count", 1), ("orbit-oracle", 1),
+            ("nilpotent-count", 2), ("orbit-oracle", 2)]
+        assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_golden_report(self, capsys, q):

@@ -12,7 +12,7 @@ from glnq.field import fq
 from glnq.glmat import (Composition, Matrix, ShapeError, SingularMatrixError,
                         _block_starts, _embed_blocks, _shape_mask,
                         batch_inverse, batch_matmul, compositions, conjugate,
-                        enumerate_gl_order, gl_arrays, row_reduce,
+                        enumerate_gl_order, gl_arrays, row_reduce, sub_mul,
                         unipotent_radical_elems, unipotent_radical_order)
 from orbit_oracle import enumerate_gl
 
@@ -162,6 +162,18 @@ class TestRowReduce:
         forms, ranks = row_reduce(ctx, a.copy())
         assert np.array_equal(forms, want_forms)
         assert np.array_equal(ranks, want_ranks)
+
+    @pytest.mark.parametrize("q", [2, 9, 181, 191])
+    def test_sub_mul_matches_tables(self, q):
+        # 181^2 - 1 is the largest flat index int16 holds; q=191 takes intp
+        ctx = fq(q)
+        rng = np.random.default_rng(q)
+        x, y = rng.integers(0, q, size=(2, 50, 6)).astype(np.int16)
+        f = rng.integers(0, q, size=(50, 1)).astype(np.int16)
+        x[0, 0] = y[0, 0] = f[0, 0] = q - 1
+        assert np.array_equal(sub_mul(ctx, x, f, y), ctx.SUB[x, ctx.MUL[f, y]])
+        assert np.array_equal(sub_mul(ctx, x, ctx.NEG[q - 1], y),
+                              ctx.ADD[x, ctx.MUL[q - 1, y]])
 
     def test_in_place_only_when_writeable(self, q3):
         a = np.array([[[1, 2], [2, 1]], [[0, 1], [1, 0]]], dtype=np.int16)

@@ -20,6 +20,8 @@ from orbit_oracle import char_poly, enumerate_gl
 # sizes the oracle sweeps quickly; q=4 is the one extension field, and q > 2
 # is where the torus generator takes part
 ORACLE_SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (5, 2)]
+# the largest default budgets (q=2 n=4, q=3 n=3) and two more extension fields
+BUDGET_SIZES = ORACLE_SIZES + [(2, 4), (3, 3), (8, 2), (9, 2)]
 
 
 class TestPolynomials:
@@ -167,22 +169,58 @@ class TestCentralizerOrder:
 
 
 class TestMoveBFS:
-    """The elementary-move BFS against the matrix-product BFS it replaced."""
+    """The move-table sweep and the seedless partition against the
+    matrix-product BFS they replaced."""
 
-    @pytest.mark.parametrize("q,n", ORACLE_SIZES)
+    @pytest.mark.parametrize("q,n", BUDGET_SIZES)
     def test_lookup_matches_oracle(self, q, n):
         table = enumerate_orbits(n, fq(q))
         claim, counts = orbit_oracle.lookup(table)
         assert np.array_equal(table.lookup, claim)
         assert counts == list(table.sizes)
 
-    @pytest.mark.parametrize("q,n", ORACLE_SIZES)
+    @pytest.mark.parametrize("q,n", BUDGET_SIZES)
     def test_bruteforce_matches_oracle(self, q, n):
         ctx = fq(q)
         claim, sizes = orbit_table_bruteforce(n, ctx)
         want_claim, want_sizes = orbit_oracle.partition(ctx, n)
         assert np.array_equal(claim, want_claim)
         assert sizes == want_sizes
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (17, 2)])
+    def test_codes_fit_their_dtype(self, q, n):
+        moves = orbits._move_codes(fq(q), n)
+        assert moves.dtype == np.min_scalar_type(q ** (n * n) - 1)
+        assert not moves.flags.writeable
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.data())
+@settings(max_examples=20, deadline=None)
+def test_swapped_move_fails_the_comparison(qn, data):
+    """Swapping the images of two codes from different orbits in one row of
+    the move table keeps it a permutation, but the seeded sweep raises
+    OrbitCountError or disagrees with the oracle, and so does the partition."""
+    q, n = qn
+    ctx = fq(q)
+    table = enumerate_orbits(n, ctx)
+    moves = orbits._move_codes(ctx, n)
+    k = data.draw(st.integers(0, len(moves) - 1))
+    a = data.draw(st.integers(0, q ** (n * n) - 1))
+    others = np.flatnonzero(table.lookup != table.lookup[a])
+    b = int(others[data.draw(st.integers(0, len(others) - 1))])
+    swapped = moves.copy()
+    swapped[k, [a, b]] = swapped[k, [b, a]]
+    want_lookup, _ = orbit_oracle.lookup(table)
+    want_claim, want_sizes = orbit_oracle.partition(ctx, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_move_codes", lambda ctx, n: swapped)
+        try:
+            got = enumerate_orbits.__wrapped__(n, ctx).lookup
+        except OrbitCountError:
+            got = None
+        claim, sizes = orbit_table_bruteforce(n, ctx)
+    assert got is None or not np.array_equal(got, want_lookup)
+    assert not np.array_equal(claim, want_claim) and sizes != want_sizes
 
 
 class TestTypedErrors:
@@ -222,6 +260,33 @@ class TestTypedErrors:
         with pytest.raises(OrbitCountError,
                            match=re.escape(table.labels[k].serialize())):
             enumerate_orbits.__wrapped__(2, q3)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_two_seeds_in_one_orbit(self, q3, monkeypatch, conjugated):
+        # label k's representative replaced by (a conjugate of) label j's
+        labels = enumerate_orbits(2, q3).labels
+        j, k = 4, 7
+        real = orbits.representative
+        g = Matrix.from_rows(q3, [[1, 1], [0, 1]])
+
+        def corrupted(ctx, label, n):
+            if label != labels[k]:
+                return real(ctx, label, n)
+            x = real(ctx, labels[j], n)
+            return conjugate(g, x) if conjugated else x
+
+        assert conjugate(g, real(q3, labels[j], 2)) != real(q3, labels[j], 2)
+        monkeypatch.setattr(orbits, "representative", corrupted)
+        with pytest.raises(OrbitCountError) as err:
+            enumerate_orbits.__wrapped__(2, q3)
+        assert re.search(f"orbits {re.escape(labels[j].serialize())} and "
+                         f"{re.escape(labels[k].serialize())} meet", str(err.value))
+
+    def test_move_not_a_permutation(self, q3, monkeypatch):
+        # a row move that zeroes row i sends q^n matrices to each image
+        monkeypatch.setattr(orbits, "sub_mul", lambda ctx, x, f, y: np.zeros_like(x))
+        with pytest.raises(OrbitCountError, match="not a permutation"):
+            orbits._move_codes.__wrapped__(q3, 2)
 
     def test_lookup_coverage(self, q2, monkeypatch):
         real = orbits._label_candidates

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import duality as duality_mod
@@ -281,7 +280,7 @@ def suite_antipode(ctx, max_n):
                               None if ok else "S^2 != id"))
     for n in range(1, max_n + 1):
         for i, p in enumerate(hopf.primitive_subspace(ctx, n).members):
-            ok = hopf.antipode_function(p) == p.scale(Fraction(-1))
+            ok = hopf.antipode_function(p) == p.scale(-1)
             reports.append(Report("antipode-on-primitives", {"q": ctx.q, "n": n},
                                   None if ok else f"S(p) != -p for primitive {i}"))
     return reports

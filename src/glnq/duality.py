@@ -4,7 +4,6 @@ Steinberg function, and the antipode/pre-cuspidal characterizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -84,7 +83,7 @@ def verify_characterization(max_n: int, ctx: FqContext) -> Report:
         d = duality_operator(n, ctx)
         for p in primitive_subspace(ctx, n).members:
             image = d.apply(p)
-            want = p.scale(Fraction((-1) ** (n - 1)))
+            want = p.scale((-1) ** (n - 1))
             if image != want:
                 return Report("duality-characterization", {"q": ctx.q, "n": n},
                               "condition (ii) fails on a primitive")

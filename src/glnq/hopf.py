@@ -5,9 +5,7 @@ primitive (pre-cuspidal) subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -83,7 +81,8 @@ def verify_bialgebra(rho1: InvariantFunction, rho2: InvariantFunction) -> Report
 @dataclass
 class PrimitiveBasis:
     n: int
-    members: list  # InvariantFunction, rational values, reduced echelon form
+    members: list  # InvariantFunction, one per row of matrix
+    matrix: tuple  # (x, den) in reduced echelon form, rows in the indicator basis
 
     @property
     def dimension(self):
@@ -96,14 +95,15 @@ def primitive_subspace(ctx: FqContext, n: int) -> PrimitiveBasis:
     if n < 1:
         raise ValueError("primitive subspaces start in degree 1")
     table = enumerate_orbits(n, ctx)
-    if n == 1:
-        basis = linalg.identity(len(table))[0]
-    else:
-        basis = linalg.kernel(np.vstack([restriction_matrix(ctx, (k, n - k))[0]
-                                         for k in range(1, n)]))
-    reduced, _ = linalg.rref(basis)
-    members = [InvariantFunction(table, vec) for vec in reduced if any(vec)]
-    return PrimitiveBasis(n, members)
+    # no restriction in degree 1, where every function is primitive; scaling
+    # a row of the stack leaves its kernel, so the dens are dropped
+    stack = np.vstack([np.zeros((0, len(table)), dtype=object)]
+                      + [restriction_matrix(ctx, (k, n - k))[0] for k in range(1, n)])
+    (x, den), _ = linalg.rref(linalg.kernel((stack, 1)))
+    num = np.zeros(x.shape + (ctx.p - 1,), dtype=object)
+    num[..., 0] = x  # rational values: the coordinate of 1 only
+    members = [InvariantFunction._from_array((table,), row, den) for row in num]
+    return PrimitiveBasis(n, members, (x, den))
 
 
 @lru_cache(maxsize=None)
@@ -139,30 +139,31 @@ def antipode(x: GradedElement) -> GradedElement:
 
 
 def precuspidal_spanning_rank(ctx: FqContext, n: int):
-    """(rank of the span of induced products of primitive elements, dim C_n)."""
+    """(rank of the span of induced products of primitive elements, dim C_n):
+    one rank of the products Ind_lam . (B_lam1^T x ... x B_lamk^T) side by
+    side over the partitions lam of n, B_m the primitive basis of degree m,
+    so each column is one induced product."""
     dim = len(enumerate_orbits(n, ctx))
-    vectors, rank = [], 0
-    for lam in sorted(partitions(n), reverse=True):
-        bases = [primitive_subspace(ctx, m).members for m in lam]
-        vectors.extend(hc_induce(TensorFunction.outer(choice), lam).rational_values()
-                       for choice in product(*bases))
-        rank = linalg.rank(vectors) if vectors else 0
-        if rank == dim:
-            break
-    return (rank, dim)
+    # scaling a column leaves the rank, so each product's den is dropped; in
+    # degree 0 the one partition is empty and its product is the unit
+    products = []
+    for lam in partitions(n):
+        kron = reduce(linalg.kron, (linalg.conj_t(primitive_subspace(ctx, m).matrix)
+                                    for m in lam), linalg.identity(1))
+        products.append(linalg.matmul(induction_matrix(ctx, lam), kron)[0])
+    return (linalg.rank((np.hstack(products), 1)), dim)
 
 
 def hilbert_series_check(ctx: FqContext, max_n: int) -> Report:
     """prod_k (1 - t^k)^(-dim p_k) must match sum_n (dim C_n) t^n."""
     prim_dims = {k: primitive_subspace(ctx, k).dimension for k in range(1, max_n + 1)}
-    series = [Fraction(1)] + [Fraction(0)] * max_n
+    series = [1] + [0] * max_n
     for k, d in prim_dims.items():
         # multiply by (1 - t^k)^(-d) = product of d geometric series
         for _ in range(d):
             for i in range(k, max_n + 1):
                 series[i] += series[i - k]
     expected = [len(enumerate_orbits(m, ctx)) for m in range(max_n + 1)]
-    got = [int(series[m]) for m in range(max_n + 1)]
     return Report("hilbert-series", {"q": ctx.q, "max_n": max_n,
                                      "primitive_dims": prim_dims},
-                  None if got == expected else f"{got} != {expected}")
+                  None if series == expected else f"{series} != {expected}")

@@ -157,9 +157,6 @@ class InvariantFunction(_Values):
     def evaluate(self, x: Matrix) -> Cyclotomic:
         return self.values[self.table.index_of_matrix(x)]
 
-    def rational_values(self):
-        return [v.as_rational() for v in self.values]
-
     def to_json(self):
         return {"n": self.n, "q": self.table.ctx.serialize(),
                 "values": {lab.serialize(): v.serialize()

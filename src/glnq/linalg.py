@@ -9,17 +9,14 @@ one matrix to every plane changes nothing, as 1 + zeta + ... + zeta^(p-1) = 0)
 and the gcd of den and all entries is 1.  So two pairs are equal as matrices
 exactly when they are equal as pairs.  Nothing here rounds or wraps.
 
-rref, kernel and rank are Gauss-Jordan over Fractions on lists of rows; they
-accept rows of ints or Fractions.
+rref, kernel and rank are Gauss-Jordan over Q on 2-D pairs, fraction-free on
+the integer rows.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
-
-from .field import NotRationalError
 
 
 def reduced(x, den):
@@ -83,48 +80,38 @@ def mat_eq(a, b) -> bool:
     return a[1] == b[1] and np.array_equal(a[0], b[0])
 
 
-def rational_part(a):
-    """The entries of a (x, den) matrix as Fractions, list-of-lists.
-    An entry is rational iff its planes 1..p-1 agree, and then equals
-    (plane0 - plane1) / den; otherwise NotRationalError names the first
-    offending entry in row-major order."""
-    x, d = a
-    if x.ndim == 3:
-        bad = np.argwhere((x[1:] != x[1]).any(axis=0))
-        if len(bad):
-            i, j = (int(v) for v in bad[0])
-            raise NotRationalError(f"entry ({i},{j}) is not rational")
-        x = x[0] - x[1]
-    return [[Fraction(int(v), d) for v in row] for row in x]
-
-
 # ---------------------------------------------------------------------------
-# Gauss-Jordan over Q
+# Gauss-Jordan over Q, fraction-free on the integer rows
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    rows = [list(map(Fraction, r)) for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    """Reduced row echelon form of a rational (x, den) matrix, as (the form
+    as a pair in lowest terms, pivot columns).  Each pivot clears its column
+    from the other rows by integer cross-multiplication, and each changed
+    row is divided by the gcd of its entries; the pivot rows are divided by
+    their pivots once, at the end.  The scale den plays no part."""
+    x = np.array(a[0], dtype=object)
+    nrows, ncols = x.shape
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return rows, pivots
+        nonzero = np.flatnonzero(x[r:, c])
+        if not len(nonzero):
+            continue
+        x[[r, r + nonzero[0]]] = x[[r + nonzero[0], r]]
+        rows = np.flatnonzero(x[:, c])
+        rows = rows[rows != r]
+        x[rows] = x[r, c] * x[rows] - np.outer(x[rows, c], x[r])
+        changed = np.append(rows, r)
+        g = np.gcd.reduce(x[changed], axis=1)
+        x[changed] //= np.where(g == 0, 1, g)[:, None]  # a row may vanish
+        pivots.append(c)
+    den = math.lcm(*(abs(x[r, c]) for r, c in enumerate(pivots)))
+    for r, c in enumerate(pivots):
+        x[r] *= den // x[r, c]
+    return reduced(x, den), pivots
 
 
 def rank(a) -> int:
@@ -132,17 +119,12 @@ def rank(a) -> int:
 
 
 def kernel(a):
-    """Basis of the right kernel, in reduced-echelon order."""
-    rows, pivots = rref(a)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][f]
-        basis.append(vec)
-    return basis
+    """Basis of the right kernel of a rational (x, den) matrix, one row per
+    free column in increasing order (1 there, 0 at the other free columns),
+    as a pair in lowest terms."""
+    (x, den), pivots = rref(a)
+    free = [c for c in range(x.shape[1]) if c not in pivots]
+    out = np.zeros((len(free), x.shape[1]), dtype=object)
+    out[range(len(free)), free] = den
+    out[:, pivots] = -x[:len(pivots), free].T
+    return reduced(out, den)

@@ -1,0 +1,94 @@
+"""Fraction-list reference for the Gauss-Jordan of glnq.linalg and the two
+computations on it in glnq.hopf: the primitive (pre-cuspidal) basis and the
+spanning rank of induced products of primitives, one induction per choice of
+primitives and one rank after each partition.
+
+This is the slow path that the fraction-free elimination on (x, den) pairs
+and the one stacked rank replaced; the tests use it as the witness that both
+give the same forms, pivots, bases and ranks.  The spanning rank reads
+glnq.hopf.primitive_subspace at call time, so a test that patches it reaches
+both routes.
+"""
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+
+from glnq import hopf
+from glnq.hc import hc_induce, restriction_matrix
+from glnq.invfun import InvariantFunction, TensorFunction
+from glnq.orbits import enumerate_orbits, partitions
+
+
+def rref(a):
+    """Reduced row echelon form; returns (rows, pivot columns)."""
+    rows = [list(map(Fraction, r)) for r in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rank(a) -> int:
+    return len(rref(a)[1])
+
+
+def kernel(a):
+    """Basis of the right kernel, in reduced-echelon order.  A matrix with no
+    rows gives [], as its width is unknown."""
+    rows, pivots = rref(a)
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][f]
+        basis.append(vec)
+    return basis
+
+
+def primitive_members(ctx, n):
+    """The primitive basis of degree n: the reduced echelon form of the kernel
+    of every proper two-part restriction, one InvariantFunction per row."""
+    table = enumerate_orbits(n, ctx)
+    if n == 1:
+        basis = np.identity(len(table), dtype=int).tolist()
+    else:
+        basis = kernel(np.vstack([restriction_matrix(ctx, (k, n - k))[0]
+                                  for k in range(1, n)]))
+    reduced, _ = rref(basis)
+    return [InvariantFunction(table, vec) for vec in reduced if any(vec)]
+
+
+def precuspidal_spanning_rank(ctx, n):
+    """(rank of the span of induced products of primitive elements, dim C_n)."""
+    dim = len(enumerate_orbits(n, ctx))
+    vectors, r = [], 0
+    for lam in sorted(partitions(n), reverse=True):
+        bases = [hopf.primitive_subspace(ctx, m).members for m in lam]
+        vectors.extend([v.as_rational() for v in hc_induce(TensorFunction.outer(choice), lam).values]
+                       for choice in product(*bases))
+        r = rank(vectors) if vectors else 0
+        if r == dim:
+            break
+    return (r, dim)

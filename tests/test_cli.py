@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from glnq import cli, duality, hc, hopf
+from glnq import cli, duality, hc, hopf, psh
 from glnq.cli import main
 from glnq.field import fq
 from glnq.invfun import constant_one
@@ -116,6 +116,16 @@ class TestFunctionIO:
         assert code == 0
         assert "dimension 3" in out
 
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                     (3, 3), (4, 1), (4, 2), (5, 1), (5, 2)])
+    def test_primitives_golden(self, capsys, q, n):
+        # recorded while the basis came from Fraction-list Gauss-Jordan
+        golden = Path(__file__).parent / "data" / f"primitives_q{q}_n{n}.json"
+        code, out, _ = run(capsys, "primitives", "--q", str(q), "--n", str(n),
+                           "--format", "json")
+        assert code == 0
+        assert out.encode() == golden.read_bytes()
+
 
 class TestVerify:
     def test_all_small(self, capsys):
@@ -196,6 +206,8 @@ CORRUPTIONS = [
      ["antipode", "--max-n", "2"]),
     ("mackey", hc, "mackey_rhs", lambda real: lambda *args: real(*args).scale(2),
      ["mackey", "--n1", "1", "--n2", "1", "--s", "1", "--t", "1"]),
+    ("psh-nondescending", psh, "multiply_functions",
+     lambda real: lambda a, b: real(a, b).scale(2), ["witness"]),
 ]
 
 

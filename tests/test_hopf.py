@@ -6,16 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hc_oracle
-from glnq import linalg
+import linalg_oracle
+from glnq import hopf, linalg
 from glnq.field import fq
 from glnq.hc import hc_restrict
-from glnq.hopf import (antipode, antipode_function, antipode_matrix,
+from glnq.hopf import (PrimitiveBasis, antipode, antipode_function, antipode_matrix,
                        comultiply, counit, hilbert_series_check, is_primitive,
                        multiply, multiply_functions, precuspidal_spanning_rank,
                        primitive_subspace, unit, verify_bialgebra)
 from glnq.invfun import (GradedElement, InvariantFunction, TensorFunction,
                          constant_one, indicator_by_index)
 from glnq.orbits import enumerate_orbits
+
+# every (q, n) that glnq verify runs by default
+DEFAULT_BUDGETS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                   (4, 1), (4, 2), (5, 1), (5, 2)]
 
 
 class TestProduct:
@@ -121,9 +126,17 @@ class TestPrimitives:
         # independent cross-check: dim ker = dim - rank of stacked restrictions
         from glnq.hc import restriction_matrix
         table = enumerate_orbits(2, q2)
-        counts, _ = restriction_matrix(q2, (1, 1))
         assert primitive_subspace(q2, 2).dimension == \
-            len(table) - linalg.rank(counts)
+            len(table) - linalg.rank(restriction_matrix(q2, (1, 1)))
+
+    @pytest.mark.parametrize("q,n", DEFAULT_BUDGETS)
+    def test_members_match_oracle(self, q, n):
+        basis = primitive_subspace(fq(q), n)
+        want = linalg_oracle.primitive_members(fq(q), n)
+        assert basis.members == want
+        x, den = basis.matrix
+        assert [[Fraction(int(v), den) for v in row] for row in x] == \
+            [[v.as_rational() for v in f.values] for f in want]
 
 
 class TestAntipode:
@@ -181,6 +194,31 @@ class TestAntipode:
 
 
 class TestSpanning:
+    @pytest.mark.parametrize("q,n", DEFAULT_BUDGETS)
+    def test_matches_oracle(self, q, n):
+        rank, dim = precuspidal_spanning_rank(fq(q), n)
+        assert (rank, dim) == linalg_oracle.precuspidal_spanning_rank(fq(q), n)
+        assert rank == dim
+
+    def test_dropped_primitive_lowers_rank(self, monkeypatch, q2):
+        # without one degree-1 primitive, the products of degree 2 miss C_2
+        real = hopf.primitive_subspace
+
+        def dropped(ctx, m):
+            basis = real(ctx, m)
+            if m != 1:
+                return basis
+            x, den = basis.matrix
+            return PrimitiveBasis(m, basis.members[1:], linalg.reduced(x[1:], den))
+        monkeypatch.setattr(hopf, "primitive_subspace", dropped)
+        rank, dim = precuspidal_spanning_rank(q2, 2)
+        assert rank < dim == 6
+        assert linalg_oracle.precuspidal_spanning_rank(q2, 2) == (rank, dim)
+
+    def test_degree_zero(self, q2):
+        # the empty product of primitives is the unit, which spans C_0
+        assert precuspidal_spanning_rank(q2, 0) == (1, 1)
+
     def test_degree_one(self, q2):
         assert precuspidal_spanning_rank(q2, 1) == (2, 2)
 

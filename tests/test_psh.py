@@ -2,12 +2,13 @@
 transported second orthogonal basis."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from glnq import duality, hc, linalg, psh
-from glnq.field import fq, rational_is_square
+from glnq.field import NotRationalError, fq, rational_is_square
 from glnq.hopf import multiply_functions
-from glnq.invfun import constant_one, inner_product_rational
+from glnq.invfun import character_matrix, constant_one, inner_product_rational
 from glnq.orbits import enumerate_orbits
 from glnq.psh import (coproduct_constants, nondescending_witness, omega_basis,
                       structure_constants, verify_nondescending,
@@ -28,6 +29,14 @@ class TestOmegaBasis:
         ob = omega_basis(q2, 1)
         # two characters (trivial and sign), each of squared norm q/(q-1) = 2
         assert ob.norms == (2, 2)
+
+    def test_irrational_pairing_raises(self, q3):
+        # the characters against zeta times themselves pair to zeta^-1 times
+        # the Gram matrix, whose first entry is not rational
+        table = enumerate_orbits(1, q3)
+        x, den = character_matrix(table)
+        with pytest.raises(NotRationalError, match=r"entry \(0,0\)"):
+            psh._pairing((x, den), linalg.reduced(np.roll(x, 1, axis=0), den), table)
 
 
 class TestStructureConstants:
@@ -224,6 +233,9 @@ class TestTypedErrors:
                             lambda a, b: real(a, b).scale(2))
         with pytest.raises(ArithmeticError):
             nondescending_witness(q2)
+        # the check reports the error instead of raising it
+        assert verify_nondescending(q2).witness == \
+            "witness square 6 is not (q+1)/q, a non-square"
 
     def test_steinberg_reconstruction_raises(self, monkeypatch, q2):
         real = duality.coords

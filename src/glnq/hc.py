@@ -258,8 +258,9 @@ def verify_mackey(rho1: InvariantFunction, rho2: InvariantFunction,
     lhs = hc_restrict(hc_induce(TensorFunction.outer([rho1, rho2]), (n1, n2)),
                       (s, t))
     rhs = mackey_rhs(rho1, rho2, s, t)
+    rhs_values = rhs.values  # built on each read, so bind it once
     witness = None if lhs == rhs else next(
-        (f"orbit pair {idx}: {v!r} != {rhs.values[idx]!r}"
-         for idx, v in lhs.values.items() if v != rhs.values[idx]), "tensors differ")
+        (f"orbit pair {idx}: {v!r} != {rhs_values[idx]!r}"
+         for idx, v in lhs.values.items() if v != rhs_values[idx]), "tensors differ")
     return Report("mackey", {"n1": n1, "n2": n2, "s": s, "t": t,
                              "q": rho1.table.ctx.q}, witness)

@@ -4,11 +4,12 @@ products, indicator and Fourier-character bases, tensors, and graded sums.
 A function or tensor holds its values in Q(zeta_p) as one read-only numpy
 object array `num` of Python ints, of shape (orbit dims..., p - 1) in the
 basis of Cyclotomic.num, over one int `den` > 0 with gcd(den, *num.flat) == 1,
-so equal functions have equal (num, den).  `.values` (Cyclotomics) is kept
-from construction or built when first read: by output and evaluate, never
-by the arithmetic, the inner products (one weighted integer contraction of
-the num arrays) or apply_operator (an int64 matmul when
-cols * max|x| * max|num| < 2^63 makes it exact, else over Python ints).
+so equal functions have equal (num, den), the only state they keep (about
+1.1 kB for a degree-3 function at q=3).  `.values` (Cyclotomics) is built
+from num on each read and never kept: by output, never by the arithmetic,
+the inner products (one weighted integer contraction of the num arrays) or
+apply_operator (an int64 matmul when cols * max|x| * max|num| < 2^63 makes
+it exact, else over Python ints).
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ class _Values:
     """The values num / den over the orbit tables `tables` and their
     arithmetic, shared by InvariantFunction and TensorFunction."""
 
-    __slots__ = ("tables", "num", "den", "_values")
+    __slots__ = ("tables", "num", "den")
 
     def _set(self, tables, num, den):
         """num: an object array of Python ints, or apply_operator's exact
@@ -62,17 +63,15 @@ class _Values:
             num, den = num // g, den // g
         num = num.astype(object, copy=False)
         num.setflags(write=False)  # functions share their arrays
-        self.tables, self.num, self.den, self._values = tables, num, den, None
+        self.tables, self.num, self.den = tables, num, den
 
     def _set_values(self, tables, values):
-        """Set from values (Cyclotomic, int or Fraction) in product order,
-        returned as Cyclotomics."""
+        """Set from values (Cyclotomic, int or Fraction) in product order."""
         p = tables[0].ctx.p if tables else 2
         vals = [_in_field(p, v) for v in values]
         den = math.lcm(*(v.den for v in vals))
         num = np.array([[a * (den // v.den) for a in v.num] for v in vals], dtype=object)
         self._set(tables, num.reshape(tuple(map(len, tables)) + (p - 1,)), den)
-        return vals
 
     @classmethod
     def _from_array(cls, tables, num, den: int):
@@ -90,6 +89,7 @@ class _Values:
         return self.tables[0].ctx.p if self.tables else 2
 
     def _cyclotomics(self):
+        """The values in product order, built afresh from num."""
         p, den = self.p, self.den
         return (Cyclotomic._from_ints(p, row, den)
                 for row in self.num.reshape(-1, p - 1).tolist())
@@ -137,7 +137,7 @@ class InvariantFunction(_Values):
         values = list(values)
         if len(values) != len(table):
             raise ValueError("one value per orbit required")
-        self._values = tuple(self._set_values((table,), values))
+        self._set_values((table,), values)
 
     @property
     def table(self) -> OrbitTable:
@@ -145,17 +145,16 @@ class InvariantFunction(_Values):
 
     @property
     def values(self) -> tuple:
-        """One Cyclotomic per orbit, in table order."""
-        if self._values is None:
-            self._values = tuple(self._cyclotomics())
-        return self._values
+        """One Cyclotomic per orbit, in table order, built on each read."""
+        return tuple(self._cyclotomics())
 
     @property
     def n(self):
         return self.table.n
 
     def evaluate(self, x: Matrix) -> Cyclotomic:
-        return self.values[self.table.index_of_matrix(x)]
+        row = self.num[self.table.index_of_matrix(x)].tolist()
+        return Cyclotomic._from_ints(self.p, row, self.den)
 
     def to_json(self):
         return {"n": self.n, "q": self.table.ctx.serialize(),
@@ -268,14 +267,13 @@ class TensorFunction(_Values):
         idx = list(product(*(range(len(t)) for t in tables)))
         if values.keys() != set(idx):
             raise ValueError("dense value grid required")
-        self._values = dict(zip(idx, self._set_values(tables, [values[i] for i in idx])))
+        self._set_values(tables, [values[i] for i in idx])
 
     @property
     def values(self) -> dict:
-        """One Cyclotomic per orbit-index tuple, in product order."""
-        if self._values is None:
-            self._values = dict(zip(self.index_tuples(), self._cyclotomics()))
-        return self._values
+        """One Cyclotomic per orbit-index tuple, in product order, built on
+        each read."""
+        return dict(zip(self.index_tuples(), self._cyclotomics()))
 
     @property
     def degrees(self):

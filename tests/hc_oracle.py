@@ -166,12 +166,12 @@ def antipode_rows(ctx: FqContext, n: int):
 
 
 def _apply_rows(mat, f: InvariantFunction) -> InvariantFunction:
-    values = []
+    values, f_values = [], f.values  # read once: glnq builds them per read
     for row in mat:
-        acc = f.values[0] * row[0]
+        acc = f_values[0] * row[0]
         for j in range(1, len(row)):
             if row[j]:
-                acc = acc + f.values[j] * row[j]
+                acc = acc + f_values[j] * row[j]
         values.append(acc)
     return InvariantFunction(f.table, values)
 
@@ -190,12 +190,12 @@ def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
     tabs = split_tables(ctx, parts)
     mat = rows(restriction_matrix(ctx, parts, lower))
     zero = Cyclotomic.rational(ctx.p, 0)
-    vals = {}
+    vals, f_values = {}, f.values
     for pos, idx in enumerate(product(*(range(len(t)) for t in tabs))):
         acc = zero
         for j, coef in enumerate(mat[pos]):
             if coef:
-                acc = acc + f.values[j] * coef
+                acc = acc + f_values[j] * coef
         vals[idx] = acc
     return TensorFunction(tabs, vals)
 
@@ -207,10 +207,10 @@ def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
     mat = rows(induction_matrix(ctx, parts, lower))
     dims = [len(tab) for tab in t.tables]
     zero = Cyclotomic.rational(ctx.p, 0)
-    values = []
+    values, t_values = [], t.values
     for r in range(len(table_n)):
         acc = zero
-        for idx, v in t.values.items():
+        for idx, v in t_values.items():
             coef = mat[r][_flat_index(idx, dims)]
             if coef and not v.is_zero():
                 acc = acc + v * coef
@@ -227,7 +227,7 @@ def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
     subdims = [len(x) for x in subtabs]
     tables = t.tables[:pos] + subtabs + t.tables[pos + 1:]
     zero = Cyclotomic.rational(ctx.p, 0)
-    vals = {}
+    vals, t_values = {}, t.values
     for pre in product(*(range(len(x)) for x in t.tables[:pos])):
         for post in product(*(range(len(x)) for x in t.tables[pos + 1:])):
             for spos, sidx in enumerate(product(*(range(d) for d in subdims))):
@@ -235,7 +235,7 @@ def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
                 for j in range(len(t.tables[pos])):
                     coef = mat[spos][j]
                     if coef:
-                        acc = acc + t.values[pre + (j,) + post] * coef
+                        acc = acc + t_values[pre + (j,) + post] * coef
                 vals[pre + sidx + post] = acc
     return TensorFunction(tables, vals)
 
@@ -249,7 +249,7 @@ def tensor_induce_span(t: TensorFunction, start: int, count: int,
     subdims = [len(t.tables[start + i]) for i in range(count)]
     tables = t.tables[:start] + (target,) + t.tables[start + count:]
     zero = Cyclotomic.rational(ctx.p, 0)
-    vals = {}
+    vals, t_values = {}, t.values
     for pre in product(*(range(len(x)) for x in t.tables[:start])):
         for post in product(*(range(len(x)) for x in t.tables[start + count:])):
             for r in range(len(target)):
@@ -257,7 +257,7 @@ def tensor_induce_span(t: TensorFunction, start: int, count: int,
                 for sidx in product(*(range(d) for d in subdims)):
                     coef = mat[r][_flat_index(sidx, subdims)]
                     if coef:
-                        v = t.values[pre + sidx + post]
+                        v = t_values[pre + sidx + post]
                         if not v.is_zero():
                             acc = acc + v * coef
                 vals[pre + (r,) + post] = acc

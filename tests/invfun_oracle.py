@@ -100,21 +100,24 @@ class DictTensor:
     def outer(cls, factors) -> "DictTensor":
         factors = list(factors)
         tables = [f.table for f in factors]
+        values = [f.values for f in factors]  # read once: glnq builds them per read
         vals = {}
         for idx in product(*(range(len(t)) for t in tables)):
-            v = factors[0].values[idx[0]]
+            v = values[0][idx[0]]
             for pos in range(1, len(factors)):
-                v = v * factors[pos].values[idx[pos]]
+                v = v * values[pos][idx[pos]]
             vals[idx] = v
         return cls(tables, vals)
 
     def __add__(self, other):
+        other_values = other.values
         return DictTensor(self.tables,
-                          {k: v + other.values[k] for k, v in self.values.items()})
+                          {k: v + other_values[k] for k, v in self.values.items()})
 
     def __sub__(self, other):
+        other_values = other.values
         return DictTensor(self.tables,
-                          {k: v - other.values[k] for k, v in self.values.items()})
+                          {k: v - other_values[k] for k, v in self.values.items()})
 
     def scale(self, c) -> "DictTensor":
         return DictTensor(self.tables, {k: v * c for k, v in self.values.items()})
@@ -140,9 +143,9 @@ class DictTensor:
 
 
 def tensor_concat(a: DictTensor, b: DictTensor) -> DictTensor:
-    vals = {}
+    vals, b_values = {}, b.values
     for ia, va in a.values.items():
-        for ib, vb in b.values.items():
+        for ib, vb in b_values.items():
             vals[ia + ib] = va * vb
     return DictTensor(a.tables + b.tables, vals)
 
@@ -153,7 +156,8 @@ def apply_operator(op, t: DictTensor, start: int, count: int, tables) -> DictTen
     x, den = op
     p = t.p
     pre = math.prod(len(tb) for tb in t.tables[:start])
-    vals = [t.values[idx] for idx in t.index_tuples()]
+    t_values = t.values
+    vals = [t_values[idx] for idx in t.index_tuples()]
     vden = math.lcm(*(v.den for v in vals))
     ints = np.array([a * (vden // v.den) for v in vals for a in v.num], dtype=object)
     out = (x @ ints.reshape(pre, x.shape[1], -1)).reshape(-1, p - 1)
@@ -183,9 +187,10 @@ def tensor_inner_product(s, t) -> Cyclotomic:
         raise ValueError("tensors over different tables")
     p = s.tables[0].ctx.p if s.tables else 2
     acc = Cyclotomic.rational(p, 0)
+    s_values, t_values = s.values, t.values
     for idx in product(*(range(len(tab)) for tab in s.tables)):
         w = math.prod(tab.sizes[i] for tab, i in zip(s.tables, idx))
-        acc = acc + (s.values[idx] * t.values[idx].conj()) * w
+        acc = acc + (s_values[idx] * t_values[idx].conj()) * w
     return acc * Fraction(1, math.prod(tab.gl_order for tab in s.tables))
 
 

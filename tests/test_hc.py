@@ -234,6 +234,22 @@ class TestMackey:
         prod = hc_induce(TensorFunction.outer([one1, one1]), (1, 1))
         assert hc_restrict(prod, (1, 1)) == mackey_rhs(one1, one1, 1, 1)
 
+    def test_witness_names_the_first_differing_pair(self, q3, monkeypatch):
+        one1 = constant_one(enumerate_orbits(1, q3))
+        one2 = constant_one(enumerate_orbits(2, q3))
+        true_rhs = mackey_rhs(one1, one2, 1, 2)
+        vals = dict(true_rhs.values)
+        # two entries off by one; the witness is the first in product order
+        first, later = (1, 3), (2, 0)
+        want = vals[first]
+        for idx in (later, first):
+            vals[idx] = vals[idx] + 1
+        monkeypatch.setattr(hc, "mackey_rhs",
+                            lambda *args: TensorFunction(true_rhs.tables, vals))
+        r = verify_mackey(one1, one2, 1, 2)
+        assert not r.passed
+        assert r.witness == f"orbit pair {first}: {want!r} != {want + 1!r}"
+
 
 class TestParabolicOrder:
     @pytest.mark.parametrize("q,parts", [

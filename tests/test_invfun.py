@@ -4,6 +4,7 @@ products against their per-value oracles."""
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -496,6 +497,48 @@ class TestCanonicalForm:
         assert f == g and hash(f) == hash(g)
         t, u = TensorFunction.outer([f, f]), TensorFunction.outer([g, g])
         assert t == u and hash(t) == hash(u)
+
+
+class TestSingleStore:
+    """A function keeps only its (num, den) planes; .values is built per read."""
+
+    def test_slots(self):
+        assert invfun._Values.__slots__ == ("tables", "num", "den")
+        assert InvariantFunction.__slots__ == TensorFunction.__slots__ == ()
+
+    def test_values_are_built_on_each_read(self, q3):
+        table = enumerate_orbits(2, q3)
+        f = InvariantFunction(table, [Cyclotomic.zeta(3, i) * i for i in range(len(table))])
+        for h in (f, TensorFunction.outer([f, f])):
+            first, second = h.values, h.values
+            assert first == second and first is not second
+
+    def test_built_from_values_keeps_what_from_array_keeps(self, q3):
+        table = enumerate_orbits(2, q3)
+        f = InvariantFunction(table, [Fraction(i, 3) * Cyclotomic.zeta(3, i)
+                                      for i in range(len(table))])
+        g = InvariantFunction._from_array((table,), f.num.copy(), f.den)
+        (rf, (tf, nf, df)), (rg, (tg, ng, dg)) = f.__reduce__(), g.__reduce__()
+        assert rf == rg and tf == tg and df == dg and np.array_equal(nf, ng)
+        assert f.evaluate(table.reps[5]) == f.values[5]
+
+    def test_bytes_per_function(self, q3):
+        table = enumerate_orbits(3, q3)
+        rng = random.Random(0)
+
+        def build():
+            return InvariantFunction(table, [
+                Cyclotomic(3, [rng.randint(-3, 3), rng.randint(-3, 3)])
+                for _ in range(len(table))])
+        build()  # warm every lazy cache before tracing
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = [build() for _ in range(1000)]
+            per_function = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+        finally:
+            tracemalloc.stop()
+        assert per_function < 2500, per_function
 
 
 class TestFieldOfValues:

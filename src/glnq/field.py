@@ -483,8 +483,9 @@ class Cyclotomic:
         return (isinstance(other, Cyclotomic) and other.p == self.p
                 and other.num == self.num and other.den == self.den)
 
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
+    def __hash__(self):  # a rational value hashes as the Fraction it equals
+        rational = not any(self.num[1:])
+        return hash(Fraction(self.num[0], self.den) if rational else (self.p, self.num, self.den))
 
     def serialize(self) -> str:
         return f"{self.p}:[" + ",".join(str(c) for c in self.coeffs) + "]"
@@ -570,8 +571,8 @@ class SqrtRational:
         return (isinstance(other, SqrtRational)
                 and (self.sign, self.square) == (other.sign, other.square))
 
-    def __hash__(self):
-        return hash((self.sign, self.square))
+    def __hash__(self):  # a rational value hashes as the Fraction it equals
+        return hash(self.as_rational() if self.is_rational() else (self.sign, self.square))
 
     def __repr__(self):
         if self.sign == 0:

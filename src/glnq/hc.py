@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from . import linalg
 from .field import FqContext, digits, undigits
-from .glmat import (Composition, ResourceBudgetError, _block_starts,
+from .glmat import (Composition, ResourceBudgetError, _block_starts, _embed_blocks,
                     _shape_mask, batch_matmul, encode_matrices,
                     enumerate_gl_order, gl_arrays, unipotent_radical_elems,
                     unipotent_radical_order)
@@ -67,19 +66,16 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     table_n = enumerate_orbits(n, ctx)
     if table_n.lookup is None:
         raise ResourceBudgetError(ctx.q ** (n * n), LOOKUP_BUDGET)
-    dims = [len(t) for t in tabs]
     U = unipotent_radical_elems(ctx, parts, lower=lower)
-    starts, _ = _block_starts(parts)
-    rows = []
-    for idx in product(*(range(d) for d in dims)):
-        emb = np.zeros((n, n), dtype=np.int16)
-        for s, p, tab, i in zip(starts, parts, tabs, idx):
-            emb[s:s + p, s:s + p] = tab.reps[i].a
-        shifted = ctx.ADD[emb[None], U]
-        codes = encode_matrices(ctx, shifted)
-        orb = table_n.lookup[codes]
-        rows.append(np.bincount(orb, minlength=len(table_n)))
-    return linalg.reduced(np.array(rows), len(U))
+    # every Levi representative tuple, in product order, as one block-diagonal stack
+    idx = np.indices([len(t) for t in tabs]).reshape(len(tabs), -1)
+    levi = _embed_blocks([np.stack([r.a for r in tab.reps])[i] for tab, i in zip(tabs, idx)],
+                         parts)
+    orb = table_n.lookup[encode_matrices(ctx, ctx.ADD[levi[:, None], U])]
+    norb = len(table_n)
+    counts = np.bincount((np.arange(len(levi))[:, None] * norb + orb).ravel(),
+                         minlength=len(levi) * norb)
+    return linalg.reduced(counts.reshape(len(levi), norb), len(U))
 
 
 @lru_cache(maxsize=None)

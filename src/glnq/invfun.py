@@ -35,16 +35,12 @@ def _in_field(p: int, v) -> Cyclotomic:
     return v
 
 
-def _times(a, b, p: int):
+def _times(a, b):
     """The products a[i] * b[j] in Z[zeta_p] of the value rows of two integer
-    arrays, indexed by a's axes then b's: planes s and t add into plane
-    s + t mod p, and plane p - 1 folds into the others, as linalg.kron does."""
-    a2, b2 = a.reshape(-1, p - 1), b.reshape(-1, p - 1)
-    out = np.zeros((len(a2), len(b2), p), dtype=object)
-    for s in range(p - 1):
-        for t in range(p - 1):
-            out[:, :, (s + t) % p] += np.multiply.outer(a2[:, s], b2[:, t])
-    return (out[..., :-1] - out[..., -1:]).reshape(a.shape[:-1] + b.shape[:-1] + (p - 1,))
+    arrays, indexed by a's axes then b's (see linalg.convolve)."""
+    k = a.shape[-1]
+    out = linalg.convolve(a.reshape(-1, k).T, b.reshape(-1, k).T, np.multiply.outer)
+    return np.moveaxis(out, 0, -1).reshape(a.shape[:-1] + b.shape[:-1] + (k,))
 
 
 class _Values:
@@ -114,8 +110,8 @@ class _Values:
     def scale(self, c):
         """Every value times c, a Cyclotomic, int or Fraction."""
         c = _in_field(self.p, c)
-        return self._from_array(self.tables, _times(self.num, np.array(c.num, dtype=object),
-                                                    self.p), self.den * c.den)
+        return self._from_array(self.tables, _times(self.num, np.array(c.num, dtype=object)),
+                                self.den * c.den)
 
     def is_zero(self):
         return not any(self.num.flat)
@@ -210,7 +206,7 @@ def inner_product_rational(f, g) -> Fraction:
 def character_matrix(table: OrbitTable):
     """The Fourier characters at the orbit representatives as an integer
     matrix over Q(zeta_p) (see linalg): (X, 1), where X has shape
-    (p, orbits, orbits) and X[t, O, x] = N_t - N_(p-1) with
+    (p - 1, orbits, orbits) and X[t, O, x] = N_t - N_(p-1) with
     N_t = #{a in O : Tr(trace(a x)) = t}, so chi_O(x) = sum_t X[t, O, x] zeta_p^t."""
     ctx, n = table.ctx, table.n
     p = ctx.p
@@ -230,7 +226,7 @@ def character_matrix(table: OrbitTable):
             w = np.einsum("d,jide->ije", tau, ctx.MULMAT[rep.a]).astype(np.int32)
             prod_tr = coeffs @ w.ravel() % p
             counts[xi] = np.bincount(orb * p + prod_tr, minlength=norb * p).reshape(norb, p)
-    return linalg.reduced(counts.transpose(2, 1, 0), 1)
+    return linalg.reduced((counts[..., :-1] - counts[..., -1:]).transpose(2, 1, 0), 1)
 
 
 @lru_cache(maxsize=None)
@@ -238,8 +234,7 @@ def fourier_character_basis(table: OrbitTable):
     """One character per orbit O: chi_O(x) = sum over a in O of psi(trace(a x)),
     with psi(a) = zeta_p^Tr(a). Orthogonal; chi_O(0) = |O|."""
     planes, _ = character_matrix(table)
-    p = table.ctx.p
-    return tuple(InvariantFunction._from_array((table,), planes[:p - 1, oi].T, 1)
+    return tuple(InvariantFunction._from_array((table,), planes[:, oi].T, 1)
                  for oi in range(len(table)))
 
 
@@ -300,7 +295,7 @@ class TensorFunction(_Values):
     def concat(self, other) -> "TensorFunction":
         """The tensor over self's factors then other's, with values s(i) t(j)."""
         return TensorFunction._from_array(self.tables + other.tables,
-                                          _times(self.num, other.num, self.p),
+                                          _times(self.num, other.num),
                                           self.den * other.den)
 
     def permute(self, perm) -> "TensorFunction":

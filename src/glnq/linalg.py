@@ -2,19 +2,18 @@
 
 Every exact operator is a pair (x, den): x is a numpy object array of Python
 ints and den one positive integer, standing for the matrix x / den.  A 2-D x
-is a rational matrix; a 3-D x of shape (p, rows, cols) is a matrix over
-Q(zeta_p) whose plane t holds the coefficient of zeta^t.  Every constructor
-here returns the pair in lowest terms: plane p-1 of a 3-D x is zero (adding
-one matrix to every plane changes nothing, as 1 + zeta + ... + zeta^(p-1) = 0)
-and the gcd of den and all entries is 1.  So two pairs are equal as matrices
-exactly when they are equal as pairs.  Nothing here rounds or wraps.
-
-rref, kernel and rank are Gauss-Jordan over Q on 2-D pairs, fraction-free on
-the integer rows.
+is a rational matrix; a 3-D x of shape (p - 1, rows, cols) is a matrix over
+Q(zeta_p) whose plane t holds the coefficient of zeta^t, in the basis
+1, zeta, ..., zeta^(p-2) of Cyclotomic.num.  Every constructor here returns
+the pair in lowest terms, the gcd of den and all entries 1, so two pairs
+are equal as matrices exactly when they are equal as pairs.  Nothing here
+rounds or wraps.  rref, kernel and rank are Gauss-Jordan over Q on 2-D
+pairs, fraction-free on the integer rows.
 """
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -23,8 +22,6 @@ def reduced(x, den):
     """The pair (x, den) in lowest terms, x a read-only object array of
     ints: cached operators are shared by every caller."""
     x = np.asarray(x, dtype=object)
-    if x.ndim == 3:
-        x = x - x[-1]
     g = math.gcd(den, *x.flat)
     if g > 1:
         x, den = x // g, den // g
@@ -42,21 +39,29 @@ def add(*terms):
     return reduced(sum(x * (den // d) for x, d in terms), den)
 
 
-def _convolve(x, y, op):
-    """op over Q(zeta_p) of two 3-D integer matrices: plane t of the result
-    is the sum over s of op(x[s], y[t - s mod p])."""
-    p = len(x)
-    return np.array([sum(op(x[s], y[(t - s) % p]) for s in range(p))
-                     for t in range(p)], dtype=object)
+def _fold(planes):
+    """p planes over 1, zeta, ..., zeta^(p-1) as p - 1 planes in the basis:
+    zeta^(p-1) = -(1 + ... + zeta^(p-2)) is subtracted from every other plane."""
+    return np.array(planes[:-1], dtype=object) - planes[-1]
+
+
+def convolve(x, y, op):
+    """op over Z[zeta_p] of two integer arrays with their p - 1 planes on axis
+    0: op(x[s], y[t]) adds into plane s + t mod p, then the planes fold."""
+    p = len(x) + 1
+    planes = [0] * p
+    for s, t in product(range(p - 1), repeat=2):
+        planes[(s + t) % p] += op(x[s], y[t])
+    return _fold(planes)
 
 
 def matmul(a, b):
-    """Product of two (x, den) matrices; over Q(zeta_p) the planes convolve
-    mod p, and a 2-D factor acts on every plane of a 3-D one."""
+    """Product of two (x, den) matrices; over Q(zeta_p) the planes convolve,
+    and a 2-D factor acts on every plane of a 3-D one."""
     (x, dx), (y, dy) = a, b
     if x.ndim == 2 or y.ndim == 2:
         return reduced(x @ y, dx * dy)
-    return reduced(_convolve(x, y, np.matmul), dx * dy)
+    return reduced(convolve(x, y, np.matmul), dx * dy)
 
 
 def kron(a, b):
@@ -64,14 +69,14 @@ def kron(a, b):
     (x, dx), (y, dy) = a, b
     if x.ndim == 2:
         return reduced(np.kron(x, y), dx * dy)
-    return reduced(_convolve(x, y, np.kron), dx * dy)
+    return reduced(convolve(x, y, np.kron), dx * dy)
 
 
 def conj_t(a):
-    """Conjugate transpose: plane t moves to plane -t mod p."""
+    """Conjugate transpose: plane t moves to plane -t mod p, then folds."""
     x, d = a
     if x.ndim == 3:
-        x = x[[(-t) % len(x) for t in range(len(x))]]
+        x = _fold([x[0], np.zeros_like(x[0]), *x[:0:-1]])
     return reduced(np.swapaxes(x, -1, -2), d)
 
 

@@ -40,16 +40,16 @@ def _pairing(a, b, *tables):
     a and of b (pairs over Q(zeta_p)), as nested lists of Fractions, where
     W = W_n1 x ... x W_nk over the given tables and W_n = diag(|O|) / |G_n|
     is the Gram matrix of the orbit indicators.  An entry is rational iff its
-    planes 1..p-1 agree, and then equals (plane0 - plane1) / den; otherwise
+    planes 1..p-2 are zero, and then equals plane0 / den; otherwise
     NotRationalError names the first offending entry in row-major order."""
     sizes, order = _weights(tables)
     x, d = a
     x, d = linalg.matmul((x * sizes.T, d * order), linalg.conj_t(b))
-    bad = np.argwhere((x[1:] != x[1]).any(axis=0))
+    bad = np.argwhere(x[1:].any(axis=0))
     if len(bad):
         i, j = (int(v) for v in bad[0])
         raise NotRationalError(f"entry ({i},{j}) is not rational")
-    return [[Fraction(int(v), d) for v in row] for row in x[0] - x[1]]
+    return [[Fraction(int(v), d) for v in row] for row in x[0]]
 
 
 def _first_difference(lhs, rhs, index=()):

@@ -8,6 +8,7 @@ tables are filled one element pair at a time by multiplying and reducing
 mod the modulus; the default modulus is the first monic irreducible of
 degree k in code order (the tail digits c_0 + c_1 p + ..., lowest first).
 """
+import math
 from fractions import Fraction
 
 from glnq.field import ContextMismatchError, NotRationalError
@@ -198,7 +199,12 @@ class FractionCyclotomic:
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        # a rational value hashes as the Fraction it equals, any other by its
+        # integer numerators over their least common denominator
+        if any(self.coeffs[1:]):
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            return hash((self.p, tuple(int(c * den) for c in self.coeffs), den))
+        return hash(self.coeffs[0])
 
     def serialize(self) -> str:
         return f"{self.p}:[" + ",".join(str(c) for c in self.coeffs) + "]"

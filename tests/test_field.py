@@ -364,6 +364,19 @@ class TestSqrtRational:
             SqrtRational(0, 1)
 
 
+@pytest.mark.parametrize("value,plain", [
+    (Cyclotomic.rational(3, 2), 2), (Cyclotomic.rational(5, Fraction(3, 2)), Fraction(3, 2)),
+    (Cyclotomic.rational(2, -7), -7), (Cyclotomic.zeta(2), -1), (Cyclotomic.rational(7, 0), 0),
+    (SqrtRational(1, 4), 2), (SqrtRational.from_rational(Fraction(-2, 3)), Fraction(-2, 3)),
+    (SqrtRational(0, 0), 0)])
+def test_equal_values_find_each_other(value, plain):
+    # hash agrees with ==, so a value and the int or Fraction it equals are
+    # one key in a set or a dict
+    assert value == plain and hash(value) == hash(plain)
+    assert plain in {value} and value in {plain}
+    assert {value: 1}[plain] == 1 and {plain: 1}[value] == 1
+
+
 def test_rational_is_square():
     assert rational_is_square(Fraction(4, 9))
     assert rational_is_square(0)

@@ -126,16 +126,40 @@ def test_pairs_in_lowest_terms(q2):
         assert linalg.mat_eq(op, linalg.reduced(*scaled))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_cyclotomic_pairs_are_canonical(p):
-    # 1 + zeta + ... + zeta^(p-1) = 0 was a nonzero pair, and conj(zeta) =
-    # zeta^(p-1) = -(1 + ... + zeta^(p-2)) kept its nonzero plane p-1
-    def pair(*planes):
-        return linalg.reduced(np.array(planes).reshape(p, 1, 1), 1)
+def _cyclotomic_pair(rows, p):
+    """A nested list of Cyclotomics as a 3-D (x, den) pair (see linalg)."""
+    den = math.lcm(*(v.den for row in rows for v in row))
+    x = np.array([[[a * (den // v.den) for a in v.num] for v in row] for row in rows],
+                 dtype=object)
+    return linalg.reduced(np.moveaxis(x, -1, 0), den)
 
-    assert linalg.mat_eq(pair(*[1] * p), pair(*[0] * p))
-    zeta = pair(0, 1, *[0] * (p - 2))
-    assert linalg.mat_eq(linalg.conj_t(zeta), pair(*[-1] * (p - 1), 0))
+
+def _entries(pair, p):
+    x, den = pair
+    return [[Cyclotomic._from_ints(p, list(x[:, i, j]), den) for j in range(x.shape[2])]
+            for i in range(x.shape[1])]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cyclotomic_pairs_match_scalar_arithmetic(p):
+    # matmul, kron and conj_t of 3-D pairs equal Cyclotomic arithmetic entry
+    # by entry; zeta * zeta^(p-2) and conj(zeta) land on zeta^(p-1), which
+    # has no plane of its own
+    rng = random.Random(p)
+    a, b, c = ([[random_value(rng, p) for _ in range(cols)] for _ in range(rows)]
+               for rows, cols in ((2, 3), (3, 2), (2, 2)))
+    pa, pb, pc = (_cyclotomic_pair(m, p) for m in (a, b, c))
+    assert _entries(linalg.matmul(pa, pb), p) == \
+        [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(2)] for i in range(2)]
+    assert _entries(linalg.kron(pa, pc), p) == \
+        [[a[i // 2][j // 2] * c[i % 2][j % 2] for j in range(6)] for i in range(4)]
+    assert _entries(linalg.conj_t(pa), p) == [[a[j][i].conj() for j in range(2)]
+                                               for i in range(3)]
+    zeta, before, last = (_cyclotomic_pair([[Cyclotomic.zeta(p, e)]], p)
+                          for e in (1, p - 2, p - 1))
+    assert linalg.mat_eq(last, (np.full((p - 1, 1, 1), -1, dtype=object), 1))
+    for got in (linalg.matmul(zeta, before), linalg.kron(before, zeta), linalg.conj_t(zeta)):
+        assert linalg.mat_eq(got, last)
 
 
 def _one_count_changed(real):

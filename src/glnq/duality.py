@@ -19,7 +19,7 @@ from .orbits import enumerate_orbits
 from .report import Report
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualityOperator:
     n: int
     ctx: FqContext

@@ -78,10 +78,10 @@ def verify_bialgebra(rho1: InvariantFunction, rho2: InvariantFunction) -> Report
 # primitive subspaces
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimitiveBasis:
     n: int
-    members: list  # InvariantFunction, one per row of matrix
+    members: tuple  # InvariantFunction, one per row of matrix
     matrix: tuple  # (x, den) in reduced echelon form, rows in the indicator basis
 
     @property
@@ -102,7 +102,7 @@ def primitive_subspace(ctx: FqContext, n: int) -> PrimitiveBasis:
     (x, den), _ = linalg.rref(linalg.kernel((stack, 1)))
     num = np.zeros(x.shape + (ctx.p - 1,), dtype=object)
     num[..., 0] = x  # rational values: the coordinate of 1 only
-    members = [InvariantFunction._from_array((table,), row, den) for row in num]
+    members = tuple(InvariantFunction._from_array((table,), row, den) for row in num)
     return PrimitiveBasis(n, members, (x, den))
 
 

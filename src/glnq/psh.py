@@ -2,11 +2,11 @@
 the orthogonal character basis, nonnegative structure constants,
 self-adjointness, and the irrational structure constant witnessing that no
 rescaling descends to the rational numbers.  Each is a few exact matrix
-products over Q(zeta_p) (see linalg).  The checks' reports hold their
-params as strings.
+products on (x, den) pairs (see linalg); the reports hold params as strings.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +25,7 @@ from .orbits import enumerate_orbits
 from .report import Report
 
 
-@dataclass
+@dataclass(frozen=True)
 class OmegaBasis:
     """The orthogonal character basis of C_n together with its squared norms.
     The unit-length basis vectors are chi_i / sqrt(norms[i])."""
@@ -36,11 +36,10 @@ class OmegaBasis:
 
 
 def _pairing(a, b, *tables):
-    """The rational matrix a . W . b^* of inner products between the rows of
-    a and of b (pairs over Q(zeta_p)), as nested lists of Fractions, where
-    W = W_n1 x ... x W_nk over the given tables and W_n = diag(|O|) / |G_n|
-    is the Gram matrix of the orbit indicators.  An entry is rational iff its
-    planes 1..p-2 are zero, and then equals plane0 / den; otherwise
+    """The rational pair a . W . b^* of inner products between the rows of a
+    and of b (pairs over Q(zeta_p)), W = W_n1 x ... x W_nk over the tables
+    and W_n = diag(|O|) / |G_n| the Gram matrix of the orbit indicators.  An
+    entry is rational iff its planes 1..p-2 are zero; otherwise
     NotRationalError names the first offending entry in row-major order."""
     sizes, order = _weights(tables)
     x, d = a
@@ -49,32 +48,43 @@ def _pairing(a, b, *tables):
     if len(bad):
         i, j = (int(v) for v in bad[0])
         raise NotRationalError(f"entry ({i},{j}) is not rational")
-    return [[Fraction(int(v), d) for v in row] for row in x[0]]
+    return linalg.reduced(x[0], d)
 
 
-def _first_difference(lhs, rhs, index=()):
+def _first_difference(a, b):
     """Witness text for the first entry, in row-major order, at which two
-    nested lists of rationals differ; None if they are equal."""
-    if not isinstance(lhs, list):
-        return None if lhs == rhs else f"({','.join(map(str, index))}): {lhs} != {rhs}"
-    return next(filter(None, (_first_difference(a, b, index + (r,))
-                              for r, (a, b) in enumerate(zip(lhs, rhs)))), None)
+    rational pairs of one shape differ; None if they are equal."""
+    (x, dx), (y, dy) = a, b
+    bad = np.argwhere(x * dy != y * dx)
+    if len(bad):
+        index = tuple(bad[0])
+        return (f"({','.join(map(str, index))}): "
+                f"{Fraction(int(x[index]), dx)} != {Fraction(int(y[index]), dy)}")
 
 
 @lru_cache(maxsize=None)
 def omega_basis(ctx: FqContext, n: int) -> OmegaBasis:
     table = enumerate_orbits(n, ctx)
-    gram = _pairing(character_matrix(table), character_matrix(table), table)
-    norms = tuple(gram[i][i] for i in range(len(table)))
-    if any(x <= 0 for x in norms):
+    x, d = _pairing(character_matrix(table), character_matrix(table), table)
+    if (np.diagonal(x) <= 0).any():
         raise ArithmeticError("character basis must have positive norms")
-    return OmegaBasis(n, fourier_character_basis(table), norms)
+    return OmegaBasis(n, fourier_character_basis(table),
+                      tuple(Fraction(int(v), d) for v in np.diagonal(x)))
+
+
+@lru_cache(maxsize=None)
+def _inverse_norms(ctx: FqContext, n: int):
+    """The pair diag(1 / |chi_k|^2) over the characters of degree n."""
+    norms = omega_basis(ctx, n).norms
+    den = math.lcm(*(c.numerator for c in norms))
+    return linalg.reduced(np.diag(np.array(
+        [den // c.numerator * c.denominator for c in norms], dtype=object)), den)
 
 
 @lru_cache(maxsize=None)
 def _pairings(ctx: FqContext, n1: int, n2: int):
-    """Two independently computed rational arrays p[i][j][k], the rows (i, j)
-    of two matrix products unflattened:
+    """Two independently computed rational pairs with x of shape (i, j, k),
+    the rows (i, j) of two matrix products unflattened:
     (m(chi_i x chi_j), chi_k) = (X_n1 x X_n2) . Ind^T . W_n . X_n^*, and
     (chi_i x chi_j, m* chi_k) = (X_n1 x X_n2) . (W_n1 x W_n2) . Res . X_n^*."""
     t1, t2, t3 = (enumerate_orbits(n, ctx) for n in (n1, n2, n1 + n2))
@@ -83,48 +93,38 @@ def _pairings(ctx: FqContext, n1: int, n2: int):
     res_t = linalg.conj_t(restriction_matrix(ctx, (n1, n2)))
     pairings = (_pairing(linalg.matmul(outer, ind_t), character_matrix(t3), t3),
                 _pairing(outer, linalg.matmul(character_matrix(t3), res_t), t1, t2))
-    return tuple([m[r:r + len(t2)] for r in range(0, len(m), len(t2))]
-                 for m in pairings)
+    return tuple((x.reshape(len(t1), len(t2), -1), d) for x, d in pairings)
 
 
 @lru_cache(maxsize=None)
-def structure_constants(ctx: FqContext, n1: int, n2: int, basis: str = "character"):
-    """c[i][j][k] with m(chi_i x chi_j) = sum_k c^k_ij chi_k (basis="character",
-    exact rationals), or the same constants for the unit-normalized basis
-    (basis="omega", values SqrtRational)."""
-    if basis not in ("character", "omega"):
-        raise ValueError("basis must be 'character' or 'omega'")
-    norms1, norms2, norms3 = (omega_basis(ctx, n).norms for n in (n1, n2, n1 + n2))
-    cs = [[[c / n3 for c, n3 in zip(entry, norms3)] for entry in row]
-          for row in _pairings(ctx, n1, n2)[0]]
-    if basis == "omega":
-        cs = [[[SqrtRational((c > 0) - (c < 0), c * c * n3 / (norms1[i] * norms2[j]))
-                for c, n3 in zip(entry, norms3)] for j, entry in enumerate(row)]
-              for i, row in enumerate(cs)]
-    return cs
+def structure_constants(ctx: FqContext, n1: int, n2: int):
+    """m(chi_i x chi_j) = sum_k c^k_ij chi_k in the character basis, as a
+    read-only rational pair with x of shape (i, j, k)."""
+    return linalg.matmul(_pairings(ctx, n1, n2)[0], _inverse_norms(ctx, n1 + n2))
 
 
 def coproduct_constants(ctx: FqContext, n1: int, n2: int):
-    """c[k][i][j] with m*(chi_k) = sum_ij c^ij_k chi_i x chi_j on the (n1, n2)
-    component, exact rationals."""
-    norms1, norms2 = omega_basis(ctx, n1).norms, omega_basis(ctx, n2).norms
-    cop = _pairings(ctx, n1, n2)[1]
-    return [[[cop[i][j][k] / (ni * nj) for j, nj in enumerate(norms2)]
-             for i, ni in enumerate(norms1)] for k in range(len(cop[0][0]))]
+    """m*(chi_k) = sum_ij c^ij_k chi_i x chi_j on the (n1, n2) component, as
+    a read-only rational pair with x of shape (k, i, j): plane k of the
+    coproduct pairing, scaled by 1 / |chi_i|^2 |chi_j|^2 at (i, j)."""
+    x, d = _pairings(ctx, n1, n2)[1]
+    return linalg.matmul(linalg.matmul(_inverse_norms(ctx, n1), (x.transpose(2, 0, 1), d)),
+                         _inverse_norms(ctx, n2))
 
 
 def verify_positivity(ctx: FqContext, n1: int, n2: int) -> Report:
     """Every product and coproduct structure constant in the character basis
     is >= 0."""
-    cs = structure_constants(ctx, n1, n2, "character")
-    negative = [f"c^{k}_{i},{j} = {c} < 0" for i, row in enumerate(cs)
-                for j, entry in enumerate(row) for k, c in enumerate(entry) if c < 0]
-    if not negative:
-        negative = [f"coproduct c^{i},{j}_{k} = {c} < 0"
-                    for k, entry in enumerate(coproduct_constants(ctx, n1, n2))
-                    for i, row in enumerate(entry) for j, c in enumerate(row) if c < 0]
-    return Report("psh-positivity", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)},
-                  negative[0] if negative else None)
+    witness = None
+    for form, constants in (("c^{2}_{0},{1}", structure_constants),
+                            ("coproduct c^{1},{2}_{0}", coproduct_constants)):
+        x, d = constants(ctx, n1, n2)
+        negative = np.argwhere(x < 0)
+        if len(negative):
+            index = tuple(negative[0])
+            witness = f"{form.format(*index)} = {Fraction(int(x[index]), d)} < 0"
+            break
+    return Report("psh-positivity", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)}, witness)
 
 
 def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> Report:
@@ -141,8 +141,7 @@ def nondescending_witness(ctx: FqContext) -> SqrtRational:
     one1 = constant_one(enumerate_orbits(1, ctx))
     one2 = constant_one(enumerate_orbits(2, ctx))
     c = inner_product_rational(multiply_functions(one1, one1), one2)
-    n1 = inner_product_rational(one1, one1)
-    n2 = inner_product_rational(one2, one2)
+    n1, n2 = (inner_product_rational(f, f) for f in (one1, one2))
     square = c * c / (n1 * n1 * n2)
     if square != Fraction(ctx.q + 1, ctx.q) or rational_is_square(square):
         raise ArithmeticError(f"witness square {square} is not (q+1)/q, a non-square")
@@ -163,11 +162,10 @@ def verify_second_psh(ctx: FqContext, n: int) -> Report:
     is again orthogonal with the same norms, and in degree 2 it genuinely
     differs from the original basis."""
     table = enumerate_orbits(n, ctx)
-    norms = omega_basis(ctx, n).norms
-    dual = linalg.matmul(character_matrix(table),
-                         linalg.conj_t(duality_operator(n, ctx).matrix))
-    want = [[x if i == j else Fraction(0) for j in range(len(norms))] for i, x in enumerate(norms)]
-    witness = _first_difference(_pairing(dual, dual, table), want)
+    chars = character_matrix(table)
+    dual = linalg.matmul(chars, linalg.conj_t(duality_operator(n, ctx).matrix))
+    x, d = _pairing(chars, chars, table)  # the Gram pair of the characters
+    witness = _first_difference(_pairing(dual, dual, table), (np.diag(np.diagonal(x)), d))
     if witness is None and n == 2 and steinberg_constituents(2, ctx) < 2:
         witness = "transported basis does not differ in degree 2"
     return Report("psh-second-structure", {"q": str(ctx.q), "n": str(n)}, witness)

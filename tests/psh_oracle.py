@@ -5,8 +5,12 @@ This is the slow path the matrix computation in glnq.psh replaced; the tests
 use it as the witness that both give the same constants, norms and reports.
 Nothing here is cached, so a monkeypatched input reaches every call.
 """
+import math
 from fractions import Fraction
 
+import numpy as np
+
+from glnq import linalg
 from glnq.duality import duality_operator, steinberg_constituents
 from glnq.field import FqContext, SqrtRational
 from glnq.hc import hc_restrict
@@ -31,7 +35,17 @@ def norms(ctx: FqContext, n: int):
     return tuple(inner_product_rational(b, b) for b in characters(ctx, n))
 
 
+def as_pair(constants):
+    """Nested lists of rationals as the (x, den) pair in lowest terms that
+    glnq.psh returns."""
+    x = np.array(constants, dtype=object)
+    den = math.lcm(*(c.denominator for c in x.flat))
+    return linalg.reduced(np.frompyfunc(int, 1, 1)(x * den), den)
+
+
 def structure_constants(ctx: FqContext, n1: int, n2: int, basis: str = "character"):
+    """c[i][j][k] in the character basis, or with basis="omega" the same
+    constants for the unit-normalized basis, as SqrtRationals."""
     chars1, chars2, chars3 = (characters(ctx, n) for n in (n1, n2, n1 + n2))
     norms1, norms2, norms3 = (norms(ctx, n) for n in (n1, n2, n1 + n2))
     out = []

@@ -133,7 +133,7 @@ class TestPrimitives:
     def test_members_match_oracle(self, q, n):
         basis = primitive_subspace(fq(q), n)
         want = linalg_oracle.primitive_members(fq(q), n)
-        assert basis.members == want
+        assert basis.members == tuple(want)
         x, den = basis.matrix
         assert [[Fraction(int(v), den) for v in row] for row in x] == \
             [[v.as_rational() for v in f.values] for f in want]

@@ -1,11 +1,12 @@
 """Positivity, self-adjointness, the irrational structure constant, and the
 transported second orthogonal basis."""
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from glnq import duality, hc, linalg, psh
+from glnq import duality, hc, hopf, linalg, psh
 from glnq.field import NotRationalError, fq, rational_is_square
 from glnq.hopf import multiply_functions
 from glnq.invfun import character_matrix, constant_one, inner_product_rational
@@ -41,8 +42,9 @@ class TestOmegaBasis:
 
 class TestStructureConstants:
     def test_nonnegative_q2(self, q2):
-        cs = structure_constants(q2, 1, 1, "character")
-        assert all(c >= 0 for row in cs for entry in row for c in entry)
+        x, den = structure_constants(q2, 1, 1)
+        assert x.shape == (2, 2, 6) and den > 0
+        assert (x >= 0).all()
 
     def test_trivial_character_recovers_pairing(self, q2):
         # the coefficient on the trivial character chi_{0} equals
@@ -53,25 +55,18 @@ class TestStructureConstants:
         t2 = enumerate_orbits(2, q2)
         k0 = t2.index_of_matrix(Matrix.zero(q2, 2))
         one2 = constant_one(t2)
-        cs = structure_constants(q2, 1, 1, "character")
+        x, den = structure_constants(q2, 1, 1)
         for i in range(len(o1.characters)):
             for j in range(len(o1.characters)):
                 prod = multiply_functions(o1.characters[i], o1.characters[j])
                 expect = (inner_product_rational(prod, one2)
                           / inner_product_rational(one2, one2))
-                assert cs[i][j][k0] == expect
-
-    def test_omega_basis_constants_are_signed_squares(self, q2):
-        cs = structure_constants(q2, 1, 1, "omega")
-        for row in cs:
-            for entry in row:
-                for c in entry:
-                    assert c.sign >= 0
-                    assert c.square >= 0
+                assert Fraction(int(x[i, j, k0]), den) == expect
 
     def test_bad_basis_name(self, q2):
-        with pytest.raises(ValueError):
-            structure_constants(q2, 1, 1, "fourier")
+        # the constants come in the character basis only: no basis option
+        with pytest.raises(TypeError):
+            structure_constants(q2, 1, 1, "character")
 
 
 class TestAxioms:
@@ -136,14 +131,25 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("q,n1,n2", ORACLE_CASES)
     @pytest.mark.parametrize("basis", ["character", "omega"])
     def test_structure_constants(self, q, n1, n2, basis):
-        got = structure_constants(fq(q), n1, n2, basis)
-        want = psh_oracle.structure_constants(fq(q), n1, n2, basis)
-        assert got == want
+        ctx = fq(q)
+        x, den = got = structure_constants(ctx, n1, n2)
+        want = psh_oracle.structure_constants(ctx, n1, n2, basis)
+        if basis == "character":
+            assert linalg.mat_eq(got, psh_oracle.as_pair(want))
+            return
+        # the oracle's unit-normalized constants are the character pair
+        # rescaled: sign(c) sqrt(c^2 |chi_k|^2 / (|chi_i|^2 |chi_j|^2))
+        norms1, norms2, norms3 = (omega_basis(ctx, n).norms for n in (n1, n2, n1 + n2))
+        for (i, j, k), v in np.ndenumerate(x):
+            c = Fraction(int(v), den)
+            assert want[i][j][k].sign == (c > 0) - (c < 0)
+            assert want[i][j][k].square == c * c * norms3[k] / (norms1[i] * norms2[j])
 
     @pytest.mark.parametrize("q,n1,n2", ORACLE_CASES)
     def test_coproduct_constants(self, q, n1, n2):
         got = coproduct_constants(fq(q), n1, n2)
-        assert got == psh_oracle.coproduct_constants(fq(q), n1, n2)
+        want = psh_oracle.as_pair(psh_oracle.coproduct_constants(fq(q), n1, n2))
+        assert linalg.mat_eq(got, want)
 
     @pytest.mark.parametrize("q,n1,n2", ORACLE_CASES)
     def test_reports(self, q, n1, n2):
@@ -161,9 +167,11 @@ class TestAgainstOracle:
 
 @pytest.fixture
 def fresh_caches():
-    """Cached results built from a corrupted input must not outlive it."""
-    caches = (psh.omega_basis, psh._pairings, psh.structure_constants,
-              duality.duality_operator)
+    """Cached results built from a corrupted input must not outlive it: every
+    lru_cache defined in psh and duality is cleared before and after."""
+    caches = [f for mod in (psh, duality) for f in vars(mod).values()
+              if hasattr(f, "cache_clear") and f.__module__ == mod.__name__]
+    assert psh.structure_constants in caches
     for c in caches:
         c.cache_clear()
     yield
@@ -171,14 +179,15 @@ def fresh_caches():
         c.cache_clear()
 
 
-def _one_count_changed(real, parts):
-    """induction_matrix with the last count of the given split moved by one."""
+def _one_count_changed(real, parts, index=(-1, -1), by=1):
+    """induction_matrix or restriction_matrix with one count of the given
+    split (by default the last) moved by the given amount."""
     def wrapper(ctx, c, lower=False):
         x, den = real(ctx, c, lower)
         if tuple(c) != parts:
             return x, den
         x = x.copy()
-        x[-1, -1] += 1
+        x[index] += by
         return linalg.reduced(x, den)
     return wrapper
 
@@ -209,6 +218,18 @@ class TestCorruptedInputs:
         assert want.witness.startswith("c^")
         _assert_same_failure(verify_positivity(q2, 1, 1), want)
 
+    def test_lowered_restriction_count_breaks_coproduct_positivity(
+            self, monkeypatch, fresh_caches, q2):
+        # lowering one count of the (1,1) restriction far enough makes some
+        # coproduct constant negative; the product constants, read from
+        # induction, stay as they are
+        corrupt = _one_count_changed(hc.restriction_matrix, (1, 1), (0, 0), -8)
+        monkeypatch.setattr(hc, "restriction_matrix", corrupt)
+        monkeypatch.setattr(psh, "restriction_matrix", corrupt)
+        want = psh_oracle.verify_positivity(q2, 1, 1)
+        assert want.witness.startswith("coproduct c^")
+        _assert_same_failure(verify_positivity(q2, 1, 1), want)
+
     @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2)])
     def test_changed_induction_count_breaks_self_adjointness(
             self, monkeypatch, fresh_caches, q2, n1, n2):
@@ -224,6 +245,22 @@ class TestCorruptedInputs:
                             _one_count_changed(hc.induction_matrix, (1, 1)))
         _assert_same_failure(verify_second_psh(q2, 2),
                              psh_oracle.verify_second_psh(q2, 2))
+
+
+class TestReadOnlyResults:
+    def test_cached_results_cannot_be_written(self, q2):
+        # each is shared by every later caller through an lru_cache
+        holders = [(omega_basis(q2, 1), "norms"),
+                   (hopf.primitive_subspace(q2, 2), "members"),
+                   (duality.duality_operator(2, q2), "matrix")]
+        for holder, field in holders:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(holder, field, ())
+        assert isinstance(hopf.primitive_subspace(q2, 2).members, tuple)
+        for x, _ in (structure_constants(q2, 1, 1), coproduct_constants(q2, 1, 1)):
+            with pytest.raises(ValueError):
+                x[0, 0, 0] = -5
+        assert verify_positivity(q2, 1, 1).passed
 
 
 class TestTypedErrors:

@@ -4,6 +4,13 @@ Matrices are stored as numpy grids of canonical field-element indices; all
 arithmetic goes through the context's tables (products through MULMAT, the
 regular representation over F_p), so the same code path serves prime fields
 and extensions.
+
+The kernels over all q^(n^2) matrices read row codes instead of grids: the
+code of a matrix is sum_i R_i Q^i with Q = q^n and R_i = sum_j a_ij q^j the
+code of row i (row_codes), so a map on rows is one gather from a table over
+the Q row vectors.  The determinant of every matrix (determinants) is a
+Laplace expansion along row 0 over the degree-(n-1) table, which also gives
+GL_n's mask and, through the adjugate, its inverses.
 """
 from __future__ import annotations
 
@@ -21,6 +28,11 @@ class ShapeError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Inversion of a singular matrix."""
+
+
+class GLTableError(ArithmeticError):
+    """The determinant table contradicts the closed-form |GL_n|, or an
+    inverse read from it does not invert its matrix."""
 
 
 class ResourceBudgetError(RuntimeError):
@@ -82,6 +94,8 @@ def sub_mul(ctx, x, f, y):
 def batch_det(ctx, a):
     """Determinants of a stack of square matrices, by cofactor expansion."""
     n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ShapeError(f"not a stack of square matrices: {a.shape}")
     if n == 0:
         return np.ones(a.shape[:-2], dtype=np.int16)
     if n == 1:
@@ -347,12 +361,20 @@ def _embed_blocks(arrays, parts):
 # enumeration
 
 
-@lru_cache(maxsize=None)
-def all_matrices(ctx: FqContext, n: int):
-    """All q^(n^2) matrices as one stacked array, in code order."""
+def _matrix_count(ctx: FqContext, n: int) -> int:
+    """q^(n^2), the number of matrices of degree n, within DEFAULT_BUDGET."""
+    if n < 0:
+        raise ValueError(f"degree n={n} is negative")
     total = ctx.q ** (n * n)
     if total > DEFAULT_BUDGET:
         raise ResourceBudgetError(total, DEFAULT_BUDGET)
+    return total
+
+
+@lru_cache(maxsize=None)
+def all_matrices(ctx: FqContext, n: int):
+    """All q^(n^2) matrices as one stacked array, in code order."""
+    total = _matrix_count(ctx, n)
     out = digits(np.arange(total), ctx.q, n * n).reshape(total, n, n)
     out.setflags(write=False)
     return out
@@ -365,28 +387,86 @@ def encode_matrices(ctx, a) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def row_codes(ctx: FqContext, n: int):
+    """The row codes of all_matrices(ctx, n), shape (n, q^(n^2)), in the
+    smallest dtype that holds Q - 1, Q = q^n: the matrix of code
+    sum_i R_i Q^i has row i of code R_i = sum_j a_ij q^j, at [i, code]."""
+    total, Q = _matrix_count(ctx, n), ctx.q ** n
+    out = digits(np.arange(total), Q, n).T.astype(np.min_scalar_type(Q - 1), order="C")
+    out.setflags(write=False)
+    return out
+
+
+def _minor_dets(ctx, rows, i):
+    """At [j, k], the determinant of matrix k, given by its row codes
+    rows[:, k], with row i and column j struck out: the minor's code comes
+    from a table of each row code without entry j, its determinant from the
+    degree-(n-1) table."""
+    n = len(rows)
+    vecs, sub = digits(np.arange(ctx.q ** n), ctx.q, n), ctx.q ** (n - 1)
+    drop = np.stack([undigits(np.delete(vecs, j, axis=1), ctx.q) for j in range(n)])
+    codes = np.zeros(rows.shape, dtype=np.int64)
+    for pos, r in enumerate(r for r in range(n) if r != i):
+        codes += drop.take(rows[r], axis=1) * sub ** pos
+    return determinants(ctx, n - 1).take(codes)
+
+
+@lru_cache(maxsize=None)
+def determinants(ctx: FqContext, n: int):
+    """The determinant of every matrix of all_matrices(ctx, n), in code
+    order, by Laplace expansion along row 0: sum_j (-1)^j a_0j det(minor_0j),
+    with a_0j read from the row code of row 0."""
+    out = np.ones(1, dtype=np.int16)
+    if n:
+        rows = row_codes(ctx, n)
+        entries = digits(np.arange(ctx.q ** n), ctx.q, n)
+        out = np.zeros(rows.shape[1], dtype=np.int16)
+        for j, minor in enumerate(_minor_dets(ctx, rows, 0)):
+            coef = entries[:, j] if j % 2 else ctx.NEG[entries[:, j]]
+            out = sub_mul(ctx, out, coef.take(rows[0]), minor)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def gl_mask(ctx: FqContext, n: int):
-    mats = all_matrices(ctx, n)
-    mask = batch_det(ctx, mats) != 0
+    """det != 0 over all_matrices(ctx, n); its count must be |GL_n|."""
+    mask = determinants(ctx, n) != 0
+    count, order = int(np.count_nonzero(mask)), enumerate_gl_order(n, ctx)
+    if count != order:
+        raise GLTableError(f"{count} matrices of degree {n} have nonzero "
+                           f"determinant, not |GL_{n}| = {order}")
     mask.setflags(write=False)
     return mask
 
 
 @lru_cache(maxsize=None)
 def gl_arrays(ctx: FqContext, n: int):
-    """(G, Ginv): stacked invertible matrices and their inverses."""
-    mats = all_matrices(ctx, n)
-    G = mats[gl_mask(ctx, n)]
-    Ginv = batch_inverse(ctx, G)
+    """(G, Ginv): stacked invertible matrices and their inverses, each the
+    adjugate (g^-1)_ji = (-1)^(i+j) det(minor_ij) det(g)^-1 with the minors
+    read from the degree-(n-1) table.  Every g g^-1 must be I."""
+    mask = gl_mask(ctx, n)
+    G, rows = all_matrices(ctx, n)[mask], row_codes(ctx, n)[:, mask]
+    scale = ctx.INV[determinants(ctx, n)[mask]]
+    inv = np.empty((n, n, len(G)), dtype=np.int16)  # [j, i]: (g^-1)_ji
+    for i in range(n):
+        for j, minor in enumerate(_minor_dets(ctx, rows, i)):
+            # 0 - f minor, f = -det(g)^-1 for an even i + j
+            inv[j, i] = sub_mul(ctx, 0, scale if (i + j) % 2 else ctx.NEG[scale], minor)
+    Ginv = np.ascontiguousarray(inv.transpose(2, 0, 1))
+    wrong = (batch_matmul(ctx, G, Ginv) != np.eye(n, dtype=np.int16)).any(axis=(1, 2))
+    if wrong.any():
+        code = int(encode_matrices(ctx, G[wrong][:1])[0])
+        raise GLTableError(f"the adjugate of the matrix of code {code} does not invert it")
     G.setflags(write=False)
     Ginv.setflags(write=False)
     return G, Ginv
 
 
 def enumerate_gl_order(n: int, ctx: FqContext) -> int:
-    if n == 0:
-        return 1
-    # closed form; cross-checked against the scan in tests
+    """|GL_n(F_q)| = prod_{i<n} (q^n - q^i), in closed form."""
+    if n < 0:
+        raise ValueError(f"degree n={n} is negative")
     q = ctx.q
     order = 1
     for i in range(n):
@@ -396,6 +476,8 @@ def enumerate_gl_order(n: int, ctx: FqContext) -> int:
 
 def unipotent_radical_order(ctx: FqContext, parts) -> int:
     parts = tuple(parts)
+    if any(p < 0 for p in parts):
+        raise ValueError(f"parts {parts} include a negative part")
     e = sum(parts[i] * parts[j] for i in range(len(parts)) for j in range(i + 1, len(parts)))
     return ctx.q ** e
 
@@ -404,9 +486,9 @@ def unipotent_radical_elems(ctx: FqContext, parts, lower=False) -> np.ndarray:
     """All strictly-upper-block (or lower) matrices for the composition."""
     parts = tuple(parts)
     n = sum(parts)
+    codes = np.arange(unipotent_radical_order(ctx, parts))
     # positions free in U are exactly those killed by the opposite condition
     free = _shape_mask(parts, "parabolic-lower" if not lower else "parabolic-upper")
-    codes = np.arange(ctx.q ** int(free.sum()))
     out = np.zeros((len(codes), n, n), dtype=np.int16)
     out[:, free] = digits(codes, ctx.q, int(free.sum()))
     return out

@@ -155,9 +155,6 @@ def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
 # tensor-level staging helpers
 
 
-tensor_concat = TensorFunction.concat  # (a, b): a's factors, then b's
-
-
 def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
                            lower: bool = False) -> TensorFunction:
     """Expand one tensor factor by *R along subparts."""
@@ -228,22 +225,30 @@ def mackey_index_set(n1, n2, s, t):
     return out
 
 
+@lru_cache(maxsize=None)
+def mackey_operator(ctx: FqContext, n1: int, n2: int, s: int, t: int):
+    """The double-coset side of the Mackey formula as one (x, den) operator
+    from the tensors over (n1, n2) to those over (s, t): the sum over
+    mackey_index_set of (Ind_(a,c) x Ind_(b,d)) . P_w . (Res_(a,b) x Res_(c,d)),
+    where P_w reorders the rows (a, b, c, d) as (a, c, b, d)."""
+    terms = []
+    for a, b, c, d in mackey_index_set(n1, n2, s, t):
+        res, den = linalg.kron(restriction_matrix(ctx, (a, b)), restriction_matrix(ctx, (c, d)))
+        dims = [len(tab) for tab in split_tables(ctx, (a, b, c, d))]
+        twisted = res.reshape(dims + [-1]).transpose(0, 2, 1, 3, 4).reshape(res.shape)
+        ind = linalg.kron(induction_matrix(ctx, (a, c)), induction_matrix(ctx, (b, d)))
+        terms.append(linalg.matmul(ind, (twisted, den)))
+    return linalg.add(*terms)
+
+
 def mackey_rhs(rho1: InvariantFunction, rho2: InvariantFunction,
                s: int, t: int) -> TensorFunction:
-    """The double-coset side of the Mackey formula, assembled over the
-    canonical Weyl representatives."""
-    n1, n2 = rho1.n, rho2.n
+    """The double-coset side of the Mackey formula: mackey_operator applied
+    to rho1 x rho2."""
     ctx = rho1.table.ctx
-    acc = TensorFunction.zero(split_tables(ctx, (s, t)))
-    for a, b, c, d in mackey_index_set(n1, n2, s, t):
-        t1 = hc_restrict(rho1, (a, b))
-        t2 = hc_restrict(rho2, (c, d))
-        four = tensor_concat(t1, t2)          # factors (a, b, c, d)
-        four = four.permute((0, 2, 1, 3))     # w-twist: (a, c, b, d)
-        term = tensor_induce_span(four, 0, 2)  # (a, c) -> s
-        term = tensor_induce_span(term, 1, 2)  # (b, d) -> t
-        acc = acc + term
-    return acc
+    return apply_operator(mackey_operator(ctx, rho1.n, rho2.n, s, t),
+                          TensorFunction.outer([rho1, rho2]), 0, 2,
+                          split_tables(ctx, (s, t)))
 
 
 def verify_mackey(rho1: InvariantFunction, rho2: InvariantFunction,

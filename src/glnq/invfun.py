@@ -21,8 +21,8 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .field import ContextMismatchError, Cyclotomic
-from .glmat import Matrix, ResourceBudgetError, all_matrices
+from .field import ContextMismatchError, Cyclotomic, digits, undigits
+from .glmat import Matrix, ResourceBudgetError, row_codes
 from .orbits import LOOKUP_BUDGET, OrbitLabel, OrbitTable, enumerate_orbits
 
 
@@ -202,6 +202,15 @@ def inner_product_rational(f, g) -> Fraction:
     return inner_product(f, g).as_rational()
 
 
+def _trace_table(ctx, n):
+    """T[u, v] = Tr(sum_j u_j v_j) in F_p over the q^n row vectors, symmetric."""
+    vecs = digits(np.arange(ctx.q ** n), ctx.q, n)
+    dots = np.zeros((len(vecs), len(vecs)), dtype=np.int16)
+    for j in range(n):
+        dots = ctx.ADD[dots, ctx.MUL[vecs[:, None, j], vecs[None, :, j]]]
+    return ctx.TR[dots]
+
+
 @lru_cache(maxsize=None)
 def character_matrix(table: OrbitTable):
     """The Fourier characters at the orbit representatives as an integer
@@ -218,14 +227,18 @@ def character_matrix(table: OrbitTable):
         orb = table.lookup
         if orb is None:
             raise ResourceBudgetError(ctx.q ** (n * n), LOOKUP_BUDGET)
-        # Tr(trace(a x)) = sum_ij Tr(a_ij x_ji) = sum_ij tau . MULMAT[x_ji] . digits(a_ij)
-        # mod p, with tau_d = Tr(t^d): one integer product per representative x
-        tau = ctx.TR[p ** np.arange(ctx.k)].astype(np.int64)
-        coeffs = np.array(ctx._coeffs, np.int32)[all_matrices(ctx, n)].reshape(-1, n * n * ctx.k)
+        # Tr(trace(a x)) = sum_i T[R_i(a), C_i(x)] mod p, with R_i(a) the code
+        # of row i of a and C_i(x) that of column i of x: n gathers per x.
+        # The sums run below width, a multiple of p, and fold mod p per orbit.
+        T, rows = _trace_table(ctx, n).astype(np.intp), row_codes(ctx, n)
+        width = (n * (p - 1) // p + 1) * p
+        base = orb.astype(np.intp) * width
         for xi, rep in enumerate(table.reps):
-            w = np.einsum("d,jide->ije", tau, ctx.MULMAT[rep.a]).astype(np.int32)
-            prod_tr = coeffs @ w.ravel() % p
-            counts[xi] = np.bincount(orb * p + prod_tr, minlength=norb * p).reshape(norb, p)
+            idx = base.copy()
+            for c, r in zip(undigits(rep.a.T, ctx.q), rows):
+                idx += T[c].take(r)
+            hist = np.bincount(idx, minlength=norb * width)
+            counts[xi] = hist.reshape(norb, -1, p).sum(axis=1)
     return linalg.reduced((counts[..., :-1] - counts[..., -1:]).transpose(2, 1, 0), 1)
 
 

@@ -13,9 +13,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .field import FqContext, irreducibles, poly_pow
-from .glmat import (Matrix, ResourceBudgetError, all_matrices, batch_matmul,
-                    encode_matrices, enumerate_gl_order, row_reduce, sub_mul)
+from .field import FqContext, digits, irreducibles, poly_pow, undigits
+from .glmat import (Matrix, ResourceBudgetError, batch_matmul, encode_matrices,
+                    enumerate_gl_order, row_codes, row_reduce, sub_mul)
 
 LOOKUP_BUDGET = 1 << 17
 
@@ -152,6 +152,13 @@ def matrix_label(x: Matrix) -> OrbitLabel:
 # ---------------------------------------------------------------------------
 
 
+def _row_move_table(ctx: FqContext, vecs, f) -> np.ndarray:
+    """T[u, v] = the code of u - f v over the row vectors vecs (Q, n),
+    flattened to T[u Q + v]."""
+    x, y = np.broadcast_arrays(vecs[:, None], vecs[None])
+    return undigits(sub_mul(ctx, x, f, y), ctx.q).ravel()
+
+
 @lru_cache(maxsize=None)
 def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
     """Row k holds the code of g_k x g_k^-1 for every code x, in code order.
@@ -161,20 +168,26 @@ def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
     F_q^x.  Each conjugation is a row move, row i -= f * (row j), then a
     column move, column j -= g * (column i): (f, g) = (-lam, lam) for a
     transvection, and (1 - gamma, 1 - gamma^-1) with i = j = 0 for the torus
-    generator.  Each row must permute the codes."""
-    total = ctx.q ** (n * n)
-    x = all_matrices(ctx, n)
+    generator.  On the row codes R of x the row move reads R_i from a Q x Q
+    table of u - f v (Q = q^n) per distinct f, and the column move maps every
+    row through a Q-entry table.  Each row must permute the codes."""
+    total, Q = ctx.q ** (n * n), ctx.q ** n
+    rows = row_codes(ctx, n)
+    vecs = digits(np.arange(Q), ctx.q, n)
     gens = [(i, j, ctx.NEG[lam], lam) for i, j in permutations(range(n), 2)
             for lam in range(1, ctx.q)]
     if ctx.q > 2 and n > 0:
         gamma = ctx.generator_index()
         gens.append((0, 0, ctx.SUB[1, gamma], ctx.SUB[1, ctx.INV[gamma]]))
+    row_moves = {f: _row_move_table(ctx, vecs, f) for f in {gen[2] for gen in gens}}
     moves = np.empty((len(gens), total), dtype=np.min_scalar_type(total - 1))
     for k, (i, j, f, g) in enumerate(gens):
-        y = x.copy()
-        y[:, i] = sub_mul(ctx, y[:, i], f, y[:, j])
-        y[:, :, j] = sub_mul(ctx, y[:, :, j], g, y[:, :, i])
-        moves[k] = encode_matrices(ctx, y)
+        col = vecs.copy()
+        col[:, j] = sub_mul(ctx, col[:, j], g, col[:, i])
+        col = undigits(col, ctx.q)
+        moved = list(rows)
+        moved[i] = row_moves[f].take(rows[i].astype(np.intp) * Q + rows[j])
+        moves[k] = sum(col.take(r) * Q ** pos for pos, r in enumerate(moved))
     for row in moves:
         if (np.bincount(row, minlength=total) != 1).any():
             raise OrbitCountError(f"a conjugation move on gl_{n}(F_{ctx.q}) "

@@ -2,14 +2,18 @@
 and induction, their tensor-factor variants, the duality operation and the
 antipode, each applied one Cyclotomic multiply-add at a time from
 Fraction-list matrices; the duality and antipode matrices built with
-Fraction-list products and hand-written Kronecker loops; and the induction
-matrix counted over all of GL_n.
+Fraction-list products and hand-written Kronecker loops; the induction
+matrix counted over all of GL_n; and the Mackey double-coset side assembled
+term by term from tensor restrictions, a factor permutation and inductions.
 
 This is the slow path that glnq.invfun.apply_operator, the (x, den)
-operators of glnq.linalg and the coset count of glnq.hc.induction_matrix
-replaced; the tests use it as the witness that both give the same values.
+operators of glnq.linalg, the coset count of glnq.hc.induction_matrix and
+glnq.hc.mackey_operator replaced; the tests use it as the witness that both
+give the same values.
 The operator builders are bound here at import, so a test that patches
-glnq.hc's bindings reaches the fast path only.
+glnq.hc's bindings reaches the fast path only; mackey_rhs alone calls
+glnq.hc's tensor restriction and induction, so a test takes it before it
+patches them.
 """
 import math
 from fractions import Fraction
@@ -23,7 +27,8 @@ from glnq.duality import duality_operator
 from glnq.field import Cyclotomic, FqContext
 from glnq.glmat import (_block_starts, _shape_mask, batch_matmul, compositions,
                         gl_arrays)
-from glnq.hc import (_block_lookup, _parts, induction_matrix,
+from glnq import hc
+from glnq.hc import (_block_lookup, _parts, induction_matrix, mackey_index_set,
                      parabolic_group_order, restriction_matrix, split_tables)
 from glnq.hopf import antipode_matrix
 from glnq.invfun import InvariantFunction, TensorFunction
@@ -262,3 +267,21 @@ def tensor_induce_span(t: TensorFunction, start: int, count: int,
                             acc = acc + v * coef
                 vals[pre + (r,) + post] = acc
     return TensorFunction(tables, vals)
+
+
+# ---------------------------------------------------------------------------
+# the Mackey double-coset side, term by term
+
+
+def mackey_rhs(rho1: InvariantFunction, rho2: InvariantFunction,
+               s: int, t: int) -> TensorFunction:
+    """Sum over mackey_index_set of Ind_(a,c) x Ind_(b,d) applied to the
+    w-twisted (a, c, b, d) reordering of *R_(a,b) rho1 x *R_(c,d) rho2."""
+    ctx = rho1.table.ctx
+    acc = TensorFunction.zero(split_tables(ctx, (s, t)))
+    for a, b, c, d in mackey_index_set(rho1.n, rho2.n, s, t):
+        four = hc.hc_restrict(rho1, (a, b)).concat(hc.hc_restrict(rho2, (c, d)))
+        four = four.permute((0, 2, 1, 3))         # w-twist: (a, c, b, d)
+        term = hc.tensor_induce_span(four, 0, 2)  # (a, c) -> s
+        acc = acc + hc.tensor_induce_span(term, 1, 2)  # (b, d) -> t
+    return acc

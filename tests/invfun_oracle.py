@@ -9,7 +9,7 @@ Cyclotomic product per orbit or orbit tuple.
 This is the layer that glnq.invfun's integer arrays over one denominator
 replaced; the tests feed both the same values and compare the results.
 character_counts is the entry-by-entry table sum that character_matrix's
-one integer product per representative replaced.  The
+trace table over row codes replaced.  The
 operator builders are bound here at import, so a test that patches glnq.hc's
 bindings reaches the fast path only.
 """

@@ -1,6 +1,6 @@
 """Brute-force references for the F_q kernels behind matrix products, row
-reduction, orbit labels, orbit enumeration, GL inversion, centralizer orders
-and parabolic orders.
+reduction, orbit labels, orbit enumeration, GL inversion, the conjugation
+move table, centralizer orders and parabolic orders.
 
 These are the slow paths that glnq replaced: the F_q matrix product looks up
 every entry product and sum in the field tables, each row reduction (and so
@@ -8,20 +8,23 @@ each inverse and rank) is one Gauss-Jordan elimination on a Python list, an
 orbit label divides the Laplace-expanded characteristic polynomial by each
 irreducible g and reads the kernel filtration of g(x) one power at a time,
 the conjugation BFS multiplies each frontier matrix by every generator and
-its inverse as full matrix products, |C(x)| is counted by enumerating the
-commutant algebra of x, and |P| is counted by testing the block shape of
-every invertible matrix.  The tests use them as witnesses that the integer
-matmul over F_p, the stack-wide row reduction, the labels read from one
-stack of kernel ranks, the move-table sweep and partition, the closed form
-|C(x)| = prod_f a_lam(f)(q^deg f) and the closed form |P| = |L| q^dim U give
-the same results.
+its inverse as full matrix products, the move table applies each row and
+column move to the digit grids of all matrices, |C(x)| is counted by
+enumerating the commutant algebra of x, and |P| is counted by testing the
+block shape of every invertible matrix.  The tests use them as witnesses
+that the integer matmul over F_p, the stack-wide row reduction, the labels
+read from one stack of kernel ranks, the move-table sweep and partition,
+the row-code move table, the closed form |C(x)| = prod_f a_lam(f)(q^deg f)
+and the closed form |P| = |L| q^dim U give the same results.
 """
+from itertools import permutations
+
 import numpy as np
 
 from glnq.field import irreducibles, poly_divmod, poly_mul, poly_trim
 from glnq.glmat import (Matrix, SingularMatrixError, _shape_mask,
                         all_matrices, batch_det, encode_matrices, gl_arrays,
-                        gl_mask)
+                        gl_mask, sub_mul)
 from glnq.orbits import OrbitCountError, OrbitLabel
 
 
@@ -242,6 +245,25 @@ def conjugation_generators(ctx, n):
         d[0, 0] = ctx.generator_index()
         gens.append(Matrix(ctx, d))
     return tuple((g.a, inverse(g).a) for g in gens)
+
+
+def move_codes(ctx, n):
+    """The conjugation move table of glnq.orbits._move_codes, each move
+    applied to the digit grids of all matrices: row i -= f * (row j), then
+    column j -= g * (column i), for the same generators in the same order."""
+    x = all_matrices(ctx, n)
+    gens = [(i, j, ctx.NEG[lam], lam) for i, j in permutations(range(n), 2)
+            for lam in range(1, ctx.q)]
+    if ctx.q > 2 and n > 0:
+        gamma = ctx.generator_index()
+        gens.append((0, 0, ctx.SUB[1, gamma], ctx.SUB[1, ctx.INV[gamma]]))
+    moves = np.empty((len(gens), len(x)), dtype=np.min_scalar_type(len(x) - 1))
+    for k, (i, j, f, g) in enumerate(gens):
+        y = x.copy()
+        y[:, i] = sub_mul(ctx, y[:, i], f, y[:, j])
+        y[:, :, j] = sub_mul(ctx, y[:, :, j], g, y[:, :, i])
+        moves[k] = encode_matrices(ctx, y)
+    return moves
 
 
 def decode_codes(ctx, n, codes):

@@ -8,13 +8,21 @@ from hypothesis import strategies as st
 
 import orbit_oracle
 from glnq import glmat
-from glnq.field import fq
-from glnq.glmat import (Composition, Matrix, ShapeError, SingularMatrixError,
+from glnq.field import fq, undigits
+from glnq.glmat import (Composition, GLTableError, Matrix,
+                        ResourceBudgetError, ShapeError, SingularMatrixError,
                         _block_starts, _embed_blocks, _shape_mask,
-                        batch_inverse, batch_matmul, compositions, conjugate,
-                        enumerate_gl_order, gl_arrays, row_reduce, sub_mul,
-                        unipotent_radical_elems, unipotent_radical_order)
+                        all_matrices, batch_det, batch_inverse, batch_matmul,
+                        compositions, conjugate, determinants,
+                        enumerate_gl_order, gl_arrays, gl_mask, row_codes,
+                        row_reduce, sub_mul, unipotent_radical_elems,
+                        unipotent_radical_order)
 from orbit_oracle import enumerate_gl
+
+# every default verify budget, two more extension fields, and q=4 n=3: past
+# the orbit lookup but inside DEFAULT_BUDGET (glnq induce --q 4 --budget)
+KERNEL_SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1),
+                (4, 2), (5, 1), (5, 2), (8, 2), (9, 2), (4, 3)]
 
 
 def random_matrix(data, ctx, n):
@@ -211,6 +219,103 @@ class TestBatchInverse:
         stack[6] = [[1, 2], [2, 1]]          # second row = 2 * first row
         with pytest.raises(SingularMatrixError):
             batch_inverse(q3, stack)
+
+
+class TestRowCodes:
+    @pytest.mark.parametrize("q,n", [(2, 0), (2, 1), (2, 4), (3, 3), (17, 2)])
+    def test_rows_of_all_matrices(self, q, n):
+        rows = row_codes(fq(q), n)
+        assert rows.dtype == np.min_scalar_type(q ** n - 1)
+        assert not rows.flags.writeable
+        assert np.array_equal(rows, undigits(all_matrices(fq(q), n), q).T)
+
+    def test_budget(self, q2):
+        with pytest.raises(ResourceBudgetError):
+            row_codes(q2, 5)
+
+
+class TestGLTables:
+    """The determinant table, GL_n's mask and its adjugate inverses against
+    the routes they replaced: batch_det, the cofactor expansion of every
+    digit grid, and batch_inverse, one Gauss-Jordan sweep over [G | I]."""
+
+    @pytest.mark.parametrize("q,n", KERNEL_SIZES)
+    def test_matches_oracles(self, q, n):
+        ctx = fq(q)
+        mats = all_matrices(ctx, n)
+        dets = batch_det(ctx, mats)
+        assert np.array_equal(determinants(ctx, n), dets)
+        assert np.array_equal(gl_mask(ctx, n), dets != 0)
+        G, Ginv = gl_arrays(ctx, n)
+        assert np.array_equal(G, mats[dets != 0])
+        assert np.array_equal(Ginv, batch_inverse(ctx, G))
+
+    def test_degree_zero(self, q3):
+        assert determinants(q3, 0).tolist() == [1]
+        G, Ginv = gl_arrays(q3, 0)
+        assert G.shape == Ginv.shape == (1, 0, 0)
+
+    def test_mask_count_against_closed_form(self, q3, monkeypatch):
+        monkeypatch.setattr(glmat, "enumerate_gl_order", lambda n, ctx: 49)
+        with pytest.raises(GLTableError, match=r"48 matrices .* not \|GL_2\| = 49"):
+            gl_mask.__wrapped__(q3, 2)
+
+    def test_inverse_against_its_matrix(self, q3, monkeypatch):
+        # det [1] = 2 makes no cofactor vector zero or nonzero that was not,
+        # so the mask count holds, but the adjugates go wrong
+        bad = np.array([0, 2, 2], dtype=np.int16)
+        real = glmat.determinants
+        monkeypatch.setattr(glmat, "determinants",
+                            lambda ctx, m: bad if m == 1 else real.__wrapped__(ctx, m))
+        monkeypatch.setattr(glmat, "gl_mask", gl_mask.__wrapped__)
+        with pytest.raises(GLTableError, match="does not invert it"):
+            gl_arrays.__wrapped__(q3, 2)
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_corrupted_determinant_fails(qn, data):
+    """Changing one entry of the degree-(n-1) determinant table breaks the
+    mask count or an adjugate inverse: GLTableError either way."""
+    q, n = qn
+    ctx = fq(q)
+    real = glmat.determinants
+    bad = real(ctx, n - 1).copy()
+    code = data.draw(st.integers(0, len(bad) - 1))
+    bad[code] = data.draw(st.sampled_from([v for v in range(q) if v != bad[code]]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glmat, "determinants",
+                   lambda ctx, m: bad if m == n - 1 else real.__wrapped__(ctx, m))
+        mp.setattr(glmat, "gl_mask", gl_mask.__wrapped__)
+        with pytest.raises(GLTableError):
+            gl_arrays.__wrapped__(ctx, n)
+
+
+class TestNegativeDegrees:
+    def test_all_matrices(self, q2):
+        with pytest.raises(ValueError, match="n=-1"):
+            all_matrices(q2, -1)
+
+    def test_gl_arrays(self, q2):
+        with pytest.raises(ValueError, match="n=-1"):
+            gl_arrays(q2, -1)
+
+    def test_gl_order(self, q2):
+        with pytest.raises(ValueError, match="n=-1"):
+            enumerate_gl_order(-1, q2)
+
+    def test_unipotent_radical_order(self, q2):
+        with pytest.raises(ValueError, match=r"\(2, -1\)"):
+            unipotent_radical_order(q2, (2, -1))
+
+    def test_unipotent_radical_elems(self, q2):
+        with pytest.raises(ValueError, match=r"\(2, -1\)"):
+            unipotent_radical_elems(q2, (2, -1))
+
+    def test_batch_det_of_non_square_stack(self, q2):
+        with pytest.raises(ShapeError, match=r"\(3, 2, 3\)"):
+            batch_det(q2, np.zeros((3, 2, 3), dtype=np.int16))
 
 
 class TestConjugation:

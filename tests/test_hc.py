@@ -251,6 +251,44 @@ class TestMackey:
         assert r.witness == f"orbit pair {first}: {want!r} != {want + 1!r}"
 
 
+class TestMackeyOperator:
+    """mackey_rhs, one application of the cached operator, against the
+    per-term route of hc_oracle."""
+
+    @pytest.mark.parametrize("q,max_n", BUDGETS)
+    def test_matches_per_term_route(self, q, max_n):
+        # on every pair of indicators, so on every column of the operator
+        ctx = fq(q)
+        for n1 in range(max_n + 1):
+            for n2 in range(max_n + 1 - n1):
+                t1, t2 = enumerate_orbits(n1, ctx), enumerate_orbits(n2, ctx)
+                for s, (i, j) in product(range(n1 + n2 + 1),
+                                         product(range(len(t1)), range(len(t2)))):
+                    f, g = indicator_by_index(i, t1), indicator_by_index(j, t2)
+                    assert (mackey_rhs(f, g, s, n1 + n2 - s)
+                            == hc_oracle.mackey_rhs(f, g, s, n1 + n2 - s)), (n1, n2, s, i, j)
+
+    def test_corrupted_count_fails(self, q3, monkeypatch):
+        # one count of *R_(1,1) one higher: the (1, 2) -> (1, 2) operator
+        # reads it in its (0, 1, 1, 1) term; the Res . Ind side does not
+        one1 = constant_one(enumerate_orbits(1, q3))
+        one2 = constant_one(enumerate_orbits(2, q3))
+        want = hc_oracle.mackey_rhs(one1, one2, 1, 2)
+        real = hc.restriction_matrix
+
+        def corrupted(ctx, parts, lower=False):
+            x, den = real(ctx, parts, lower)
+            if parts == (1, 1):
+                x = x.copy()
+                x[0, 0] += 1
+            return x, den
+
+        monkeypatch.setattr(hc, "restriction_matrix", corrupted)
+        monkeypatch.setattr(hc, "mackey_operator", hc.mackey_operator.__wrapped__)
+        assert mackey_rhs(one1, one2, 1, 2) != want
+        assert not verify_mackey(one1, one2, 1, 2).passed
+
+
 class TestParabolicOrder:
     @pytest.mark.parametrize("q,parts", [
         (2, (1, 1)), (2, (2, 1)), (2, (1, 2)), (2, (1, 1, 1)), (2, (2, 2)),

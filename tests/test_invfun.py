@@ -105,6 +105,13 @@ class TestInnerProduct:
                     assert ip == 0
 
 
+def oracle_characters(table):
+    """character_counts as the (X, 1) pair of character_matrix: N_t counts
+    per plane t < p, and zeta^(p-1) folds into planes 0..p-2."""
+    c = invfun_oracle.character_counts(table).transpose(2, 1, 0)
+    return linalg.reduced(c[:-1] - c[-1], 1)
+
+
 class TestFourierBasis:
     def test_zero_orbit_gives_constant(self, q2):
         table = enumerate_orbits(2, q2)
@@ -127,12 +134,29 @@ class TestFourierBasis:
         for chi, size in zip(basis, table.sizes):
             assert chi.evaluate(zero) == size
 
-    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 2), (8, 1), (9, 2)])
+    # every default verify budget and two more extension fields
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 2), (8, 1), (9, 2),
+                                     (2, 1), (2, 2), (2, 4), (3, 1), (3, 3),
+                                     (4, 1), (5, 1), (8, 2)])
     def test_character_matrix_matches_oracle(self, q, n):
         table = enumerate_orbits(n, fq(q))
-        # N_t counts per plane t < p; zeta^(p-1) folds into planes 0..p-2
-        c = invfun_oracle.character_counts(table).transpose(2, 1, 0)
-        assert linalg.mat_eq(invfun.character_matrix(table), linalg.reduced(c[:-1] - c[-1], 1))
+        assert linalg.mat_eq(invfun.character_matrix(table), oracle_characters(table))
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
+    def test_corrupted_trace_table_changes_the_characters(self, q, n, monkeypatch):
+        # T[0, 0] = Tr(0) is 0; at 1 every a with zero row 0 moves its count
+        # at the zero representative from plane 0 to plane 1
+        table = enumerate_orbits(n, fq(q))
+        real = invfun._trace_table
+
+        def corrupted(ctx, m):
+            T = real(ctx, m).copy()
+            T[0, 0] = 1
+            return T
+
+        monkeypatch.setattr(invfun, "_trace_table", corrupted)
+        assert not linalg.mat_eq(invfun.character_matrix.__wrapped__(table),
+                                 oracle_characters(table))
 
     @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_gram_is_diagonal(self, q, n):
@@ -299,7 +323,7 @@ def test_value_layer_matches_oracle(q, data):
     s, os_ = TensorFunction.outer([fa, fb]), invfun_oracle.DictTensor.outer([ofa, ofb])
     _same(s, os_)
     _same(s.permute((1, 0)), os_.permute((1, 0)))
-    _same(hc.tensor_concat(s, TensorFunction.outer([f])),
+    _same(s.concat(TensorFunction.outer([f])),
           invfun_oracle.tensor_concat(os_, invfun_oracle.DictTensor.outer([of])))
     r, or_ = hc.hc_restrict(g, comp), invfun_oracle.hc_restrict(og, comp)
     _same(r + hc.hc_restrict(f, comp), or_ + invfun_oracle.hc_restrict(of, comp))

@@ -3,12 +3,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import orbit_oracle
 from glnq import orbits
-from glnq.field import fq, poly_mul
+from glnq.field import digits, fq, poly_mul
 from glnq.glmat import Matrix, conjugate, enumerate_gl_order
 from glnq.orbits import (OrbitCountError, OrbitLabel, OrbitTable,
                          centralizer_order, companion, enumerate_orbits,
@@ -187,6 +187,12 @@ class TestMoveBFS:
         assert np.array_equal(claim, want_claim)
         assert sizes == want_sizes
 
+    @pytest.mark.parametrize("q,n", BUDGET_SIZES + [(4, 3)])
+    def test_move_table_matches_oracle(self, q, n):
+        ctx = fq(q)
+        got = orbits._move_codes.__wrapped__(ctx, n)
+        assert np.array_equal(got, orbit_oracle.move_codes(ctx, n))
+
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (17, 2)])
     def test_codes_fit_their_dtype(self, q, n):
         moves = orbits._move_codes(fq(q), n)
@@ -221,6 +227,36 @@ def test_swapped_move_fails_the_comparison(qn, data):
         claim, sizes = orbit_table_bruteforce(n, ctx)
     assert got is None or not np.array_equal(got, want_lookup)
     assert not np.array_equal(claim, want_claim) and sizes != want_sizes
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_swapped_row_move_entry_fails(qn, data):
+    """Swapping two different entries of one row-move table u - f v either
+    stops a move from permuting the codes or changes the move table against
+    the digit-grid oracle."""
+    q, n = qn
+    ctx = fq(q)
+    target = data.draw(st.integers(1, q - 1))  # every f != 0 moves some row
+    real = orbits._row_move_table
+    want = real(ctx, digits(np.arange(q ** n), q, n), target)
+    a, b = data.draw(st.lists(st.integers(0, len(want) - 1), min_size=2,
+                              max_size=2, unique=True))
+    assume(want[a] != want[b])
+
+    def swapped(ctx, vecs, f):
+        table = real(ctx, vecs, f)
+        if f == target:
+            table[[a, b]] = table[[b, a]]
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_row_move_table", swapped)
+        try:
+            got = orbits._move_codes.__wrapped__(ctx, n)
+        except OrbitCountError:
+            return
+    assert not np.array_equal(got, orbit_oracle.move_codes(ctx, n))
 
 
 class TestTypedErrors:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import duality as duality_mod
@@ -197,13 +198,15 @@ def cmd_witness(args):
 # verification suites
 
 
+@lru_cache(maxsize=None)
 def _test_functions(table, all_indicators=False):
     """Every indicator, or the constant function and the first two (none for
-    a one-orbit table, whose only indicator is the constant function)."""
+    a one-orbit table, whose only indicator is the constant function), as a
+    tuple shared by every caller: the functions are read-only."""
     if all_indicators:
-        return [indicator_by_index(i, table) for i in range(len(table))]
-    return [constant_one(table)] + [indicator_by_index(i, table)
-                                    for i in range(2 if len(table) > 1 else 0)]
+        return tuple(indicator_by_index(i, table) for i in range(len(table)))
+    return (constant_one(table),) + tuple(indicator_by_index(i, table)
+                                          for i in range(2 if len(table) > 1 else 0))
 
 
 def _count_report(name, params, got, want, what):

@@ -2,6 +2,17 @@
 rational matrices over the indicator bases, plus Mackey/adjunction/
 transitivity/parabolic-independence verifiers.
 
+Restriction counts x + u over the unipotent radical through the orbit
+lookup.  Induction takes one of three routes, and a verify check sets each
+against another:
+- upper, at most two parts: cosets P\\GL_n counted; `adjunction` checks it
+  against the lookup-counted restriction;
+- upper, three or more parts: composed by transitivity from two-part
+  counts; `adjunction` checks it the same way;
+- lower: the adjoint of the lower restriction; `parabolic-independence`
+  checks the upper routes against it.
+`transitivity-restriction` checks restriction in stages against one step.
+
 Internally a "split" is a tuple of nonnegative integers (zero parts mean
 degree-0 tensor factors); the public Composition type has positive parts.
 """
@@ -18,7 +29,7 @@ from .glmat import (Composition, ResourceBudgetError, _block_starts, _embed_bloc
                     _shape_mask, batch_matmul, encode_matrices,
                     enumerate_gl_order, gl_arrays, unipotent_radical_elems,
                     unipotent_radical_order)
-from .invfun import (InvariantFunction, TensorFunction, apply_operator,
+from .invfun import (InvariantFunction, TensorFunction, _weights, apply_operator,
                      inner_product, tensor_inner_product)
 from .orbits import LOOKUP_BUDGET, OrbitCountError, enumerate_orbits
 from .report import Report
@@ -79,32 +90,31 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
 
 
 @lru_cache(maxsize=None)
-def _row_space_keys(ctx: FqContext, n: int, lo: int, hi: int):
-    """For each g of gl_arrays(ctx, n), the sorted codes of all q^(hi-lo)
-    vectors in the span of rows lo..hi-1 of g (codes < q^n, in the smallest
+def _row_space_keys(ctx: FqContext, n: int, lo: int):
+    """For each g of gl_arrays(ctx, n), the sorted codes of all q^(n-lo)
+    vectors in the span of rows lo..n-1 of g (codes < q^n, in the smallest
     dtype that holds them): equal keys, equal spans."""
     G, _ = gl_arrays(ctx, n)
-    coeffs = digits(np.arange(ctx.q ** (hi - lo)), ctx.q, hi - lo)
-    codes = undigits(batch_matmul(ctx, coeffs, G[:, lo:hi]), ctx.q)
+    coeffs = digits(np.arange(ctx.q ** (n - lo)), ctx.q, n - lo)
+    codes = undigits(batch_matmul(ctx, coeffs, G[:, lo:]), ctx.q)
     keys = np.sort(codes.astype(np.min_scalar_type(ctx.q ** n)), axis=1)
     keys.setflags(write=False)
     return keys
 
 
 @lru_cache(maxsize=None)
-def _coset_reps(ctx: FqContext, parts: tuple, lower: bool = False):
-    """(g, g^-1) stacked, one g per right coset P g in GL_n.  Row block i of
-    p g combines row blocks j >= i of g (j <= i for the lower parabolic)
-    with p_ii invertible, so P g is fixed by the row spaces of g's trailing
-    row blocks (leading blocks for the lower parabolic).  Every coset must
+def _coset_reps(ctx: FqContext, parts: tuple):
+    """(g, g^-1) stacked, one g per right coset P g in GL_n, P the upper
+    parabolic of a split with at most two parts.  The last row block of p g
+    is p_kk g_k with p_kk invertible, so it spans what g's last row block
+    spans, and the cosets are the classes of that span.  Every coset must
     hold |P| elements, else OrbitCountError."""
     n = sum(parts)
     G, Gi = gl_arrays(ctx, n)
-    starts, _ = _block_starts(parts)
-    # the zero column keeps the key nonempty where P = GL_n
-    keys = np.concatenate([np.zeros((len(G), 1), dtype=np.uint8)] + [
-        _row_space_keys(ctx, n, *((0, s) if lower else (s, n)))
-        for s in starts[1:] if 0 < s < n], axis=1)
+    lo = sum(parts[:-1])
+    # where P = GL_n one constant key makes one coset
+    keys = (_row_space_keys(ctx, n, lo) if 0 < lo < n
+            else np.zeros((len(G), 1), dtype=np.uint8))
     flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))
     _, first, sizes = np.unique(flat.ravel(), return_index=True, return_counts=True)
     order = parabolic_group_order(ctx, parts)
@@ -115,25 +125,52 @@ def _coset_reps(ctx: FqContext, parts: tuple, lower: bool = False):
     return G[first], Gi[first]
 
 
-@lru_cache(maxsize=None)
-def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
-    """Matrix of R along the split as a (x, den) pair (see linalg): rows =
-    orbits of gl_n, cols = Levi label tuples in product order, entries the
-    counts of cosets P g in P\\GL_n whose conjugate g x g^-1 of the row's
-    representative x lies in P with Levi part in each tuple.  Membership and
-    Levi label depend on the coset alone, so no count is divided by |P|."""
-    parts = tuple(parts)
+def _coset_count(ctx: FqContext, parts: tuple):
+    """The upper induction matrix of a split with at most two parts: entries
+    the counts of cosets P g in P\\GL_n whose conjugate g x g^-1 of the
+    row's representative x lies in P with Levi part in each tuple.
+    Membership and Levi label depend on the coset alone, so no count is
+    divided by |P|."""
     tabs = split_tables(ctx, parts)
     reps = np.stack([r.a for r in enumerate_orbits(sum(parts), ctx).reps])
-    g, gi = _coset_reps(ctx, parts, lower)
+    g, gi = _coset_reps(ctx, parts)
     conj = batch_matmul(ctx, batch_matmul(ctx, g, reps[:, None]), gi)  # (rep, coset)
-    shape = _shape_mask(parts, "parabolic-lower" if lower else "parabolic-upper")
-    ok = ~np.any(conj[:, :, shape], axis=-1)
+    ok = ~np.any(conj[:, :, _shape_mask(parts, "parabolic-upper")], axis=-1)
     codes = _block_lookup(ctx, conj[ok], _block_starts(parts)[0], parts, tabs)
     ntuples = math.prod(len(t) for t in tabs)
     counts = np.bincount(np.nonzero(ok)[0] * ntuples + codes,
                          minlength=len(reps) * ntuples)
     return linalg.reduced(counts.reshape(len(reps), ntuples), 1)
+
+
+def _adjoint_of_restriction(ctx: FqContext, parts: tuple):
+    """W_n^-1 Res^T W_L for the lower restriction Res, W the Gram weights
+    |O|/|G| of the indicator bases of gl_n and of the Levi tuples, so that
+    (Ind t, g) = (t, Res g)."""
+    x, den = restriction_matrix(ctx, parts, lower=True)
+    w_levi, order_levi = _weights(split_tables(ctx, parts))
+    w_n, order_n = _weights((enumerate_orbits(sum(parts), ctx),))
+    scale = math.lcm(*w_n.flat)
+    return linalg.reduced(x.T * w_levi.T * (order_n * scale // w_n),
+                          den * order_levi * scale)
+
+
+@lru_cache(maxsize=None)
+def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
+    """Matrix of R along the split as a (x, den) pair (see linalg): rows =
+    orbits of gl_n, cols = Levi label tuples in product order.  Upper splits
+    with at most two parts count cosets (witnessed by `adjunction`), longer
+    ones compose by transitivity, Ind_(p1+...+p(k-1), pk) . (Ind_(p1..p(k-1))
+    x 1) (by `adjunction` too), and lower ones are the adjoint of the lower
+    restriction (by `parabolic-independence`)."""
+    parts = tuple(parts)
+    if lower:
+        return _adjoint_of_restriction(ctx, parts)
+    if len(parts) <= 2:
+        return _coset_count(ctx, parts)
+    last = linalg.identity(len(enumerate_orbits(parts[-1], ctx)))
+    return linalg.matmul(induction_matrix(ctx, (sum(parts[:-1]), parts[-1])),
+                         linalg.kron(induction_matrix(ctx, parts[:-1]), last))
 
 
 def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
@@ -259,9 +296,11 @@ def verify_mackey(rho1: InvariantFunction, rho2: InvariantFunction,
     lhs = hc_restrict(hc_induce(TensorFunction.outer([rho1, rho2]), (n1, n2)),
                       (s, t))
     rhs = mackey_rhs(rho1, rho2, s, t)
-    rhs_values = rhs.values  # built on each read, so bind it once
-    witness = None if lhs == rhs else next(
-        (f"orbit pair {idx}: {v!r} != {rhs_values[idx]!r}"
-         for idx, v in lhs.values.items() if v != rhs_values[idx]), "tensors differ")
+    witness = None
+    if lhs != rhs:
+        rhs_values = rhs.values  # built on each read, so bind it once
+        witness = next((f"orbit pair {idx}: {v!r} != {rhs_values[idx]!r}"
+                        for idx, v in lhs.values.items() if v != rhs_values[idx]),
+                       "tensors differ")
     return Report("mackey", {"n1": n1, "n2": n2, "s": s, "t": t,
                              "q": rho1.table.ctx.q}, witness)

@@ -97,8 +97,10 @@ class TestInduction:
 
 
 class TestCosetCount:
-    """induction_matrix counts cosets P\\GL_n; the count over all of GL_n
-    divided by |P| (hc_oracle) is its witness."""
+    """induction_matrix counts cosets P\\GL_n for upper splits with at most
+    two parts, composes the longer upper splits by transitivity, and takes
+    the lower ones as the adjoint of the lower restriction; the count over
+    all of GL_n divided by |P| (hc_oracle) is the witness of all three."""
 
     @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS
                                      for n in range(top + 1)])
@@ -110,32 +112,53 @@ class TestCosetCount:
                              hc_oracle.conjugation_induction_matrix(ctx, parts, lower)), \
                     (parts, lower)
 
-    @pytest.mark.parametrize("q,parts", [(2, (1, 3)), (2, (1, 1, 2)), (3, (1, 2)),
+    @pytest.mark.parametrize("q,parts", [(2, (1, 3)), (2, (2, 2)), (3, (1, 2)),
                                          (5, (1, 1))])
     def test_one_coset_rep_per_coset(self, q, parts):
         ctx = fq(q)
         order = parabolic_group_order(ctx, parts)
         n = sum(parts)
-        for lower in (False, True):
-            g, gi = hc._coset_reps(ctx, parts, lower)
-            assert len(g) * order == parabolic_group_order(ctx, (n,))
-            assert (hc.batch_matmul(ctx, g, gi) == np.eye(n, dtype=np.int16)).all()
+        g, gi = hc._coset_reps(ctx, parts)
+        assert len(g) * order == parabolic_group_order(ctx, (n,))
+        assert (hc.batch_matmul(ctx, g, gi) == np.eye(n, dtype=np.int16)).all()
 
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_dropped_coset_fails_the_oracle(self, monkeypatch, q2, lower):
-        parts = (1, 2)
-        g, gi = hc._coset_reps(q2, parts, lower)
-        monkeypatch.setattr(hc, "_coset_reps", lambda *args: (g[1:], gi[1:]))
-        got = induction_matrix.__wrapped__(q2, parts, lower)
-        assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, parts, lower))
+    @pytest.mark.parametrize("composed", [False, True])
+    def test_dropped_coset_fails_the_oracle(self, monkeypatch, q2, composed):
+        # one coset of P_(2,1)\GL_3 dropped: the (2, 1) count, and the
+        # (1, 1, 1) matrix composed from it, differ from the oracle
+        real = hc._coset_reps
+        g, gi = real(q2, (2, 1))
+        monkeypatch.setattr(hc, "_coset_reps", lambda ctx, parts: (
+            (g[1:], gi[1:]) if parts == (2, 1) else real(ctx, parts)))
+        monkeypatch.setattr(hc, "induction_matrix", induction_matrix.__wrapped__)
+        parts = (1, 1, 1) if composed else (2, 1)
+        got = hc.induction_matrix(q2, parts)
+        assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, parts))
 
-    @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (0, 2)])
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 1), (1, 1, 1)])
+    def test_changed_lower_restriction_count_fails_the_oracle(self, monkeypatch, q2,
+                                                             parts):
+        # lower induction is the adjoint of the lower restriction: one count
+        # of that restriction one higher makes it differ from the oracle
+        real = hc.restriction_matrix
+
+        def corrupted(ctx, p, lower=False):
+            x, den = real(ctx, p, lower)
+            if p == parts and lower:
+                x = x.copy()
+                x[0, 0] += 1
+            return x, den
+
+        monkeypatch.setattr(hc, "restriction_matrix", corrupted)
+        got = induction_matrix.__wrapped__(q2, parts, True)
+        assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, parts, True))
+
+    @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (0, 2)])
     def test_wrong_parabolic_order_raises(self, monkeypatch, q3, parts):
         order = parabolic_group_order(q3, parts)
         monkeypatch.setattr(hc, "parabolic_group_order", lambda ctx, p: order + 1)
-        for lower in (False, True):
-            with pytest.raises(OrbitCountError, match=f"not \\|P\\| = {order + 1}"):
-                hc._coset_reps.__wrapped__(q3, parts, lower)
+        with pytest.raises(OrbitCountError, match=f"not \\|P\\| = {order + 1}"):
+            hc._coset_reps.__wrapped__(q3, parts)
 
 
 class TestAdjunction:

@@ -91,34 +91,18 @@ def sub_mul(ctx, x, f, y):
     return ctx.SUB.ravel()[idx]
 
 
-def batch_det(ctx, a):
-    """Determinants of a stack of square matrices, by cofactor expansion."""
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
-        raise ShapeError(f"not a stack of square matrices: {a.shape}")
-    if n == 0:
-        return np.ones(a.shape[:-2], dtype=np.int16)
-    if n == 1:
-        return a[..., 0, 0]
-    acc = None
-    for j in range(n):
-        minor = np.delete(a[..., 1:, :], j, axis=-1)
-        term = ctx.MUL[a[..., 0, j], batch_det(ctx, minor)]
-        if j % 2:
-            term = ctx.NEG[term]
-        acc = term if acc is None else ctx.ADD[acc, term]
-    return acc
-
-
 def row_reduce(ctx, a):
-    """Reduced row echelon forms and ranks of a stack of matrices, a: (m, r, c).
+    """Reduced row echelon forms, ranks and, for a square stack, determinants
+    of a stack of matrices, a: (m, r, c).
 
     One Gauss-Jordan sweep over the whole stack: at each column every matrix
     with a nonzero entry at or below its next pivot row swaps the first such
     row up, scales it to 1 and clears the column in its other rows, all
     through the field tables; a matrix with no such entry is left as it is.
     The sweep stops once every rank is r.  A writeable int16 stack is reduced
-    in place and returned as the forms.
+    in place and returned as the forms.  A determinant is the product of the
+    pivots, negated once per row swap, and 0 once a column has no pivot; a
+    stack that is not square has None for determinants.
     """
     a = np.asarray(a, dtype=np.int16)
     if not a.flags.writeable:
@@ -126,6 +110,7 @@ def row_reduce(ctx, a):
     m, r, c = a.shape
     stack, rows = np.arange(m), np.arange(r)
     ranks = np.zeros(m, dtype=np.intp)
+    dets = np.ones(m, dtype=np.int16)
     for col in range(c):
         if (ranks == r).all():
             break
@@ -137,13 +122,15 @@ def row_reduce(ctx, a):
         piv = np.where(has, cand.argmax(axis=1), top)
         row = a[stack, piv, col:]
         a[stack, piv, col:] = a[stack, top, col:]
+        dets = ctx.MUL[dets, np.where(has, row[:, 0], 0)]
+        dets = np.where(piv != top, ctx.NEG[dets], dets)
         row = ctx.MUL[np.where(has, ctx.INV[row[:, 0]], 1)[:, None], row]
         a[stack, top, col:] = row
         factor = np.where(has[:, None], a[:, :, col], 0)
         factor[stack, top] = 0
         a[:, :, col:] = sub_mul(ctx, a[:, :, col:], factor[:, :, None], row[:, None])
         ranks += has
-    return a, ranks
+    return a, ranks, dets if r == c else None
 
 
 def batch_inverse(ctx, a):
@@ -228,7 +215,7 @@ class Matrix:
         return FqElem(self.ctx, acc)
 
     def det(self) -> FqElem:
-        return FqElem(self.ctx, int(batch_det(self.ctx, self.a[None])[0]))
+        return FqElem(self.ctx, int(row_reduce(self.ctx, self.a[None])[2][0]))
 
     def rank(self) -> int:
         return int(row_reduce(self.ctx, self.a[None])[1][0])

@@ -70,8 +70,11 @@ def _block_lookup(ctx, sub, starts, parts, tabs):
 def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     """Matrix of *R along the split as a (x, den) pair (see linalg): rows =
     Levi label tuples in product order, cols = orbits of gl_n, entries the
-    counts of x + u in each orbit over u in U, divided by |U|."""
+    counts of x + u in each orbit over u in U, divided by |U|.  The empty
+    split has the 1 x 1 identity, as induction does."""
     parts = tuple(parts)
+    if not parts:
+        return linalg.identity(1)
     n = sum(parts)
     tabs = split_tables(ctx, parts)
     table_n = enumerate_orbits(n, ctx)
@@ -176,6 +179,8 @@ def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
 def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
     """*R of f along the composition, as a tensor over the part tables."""
     parts = _parts(c)
+    if not parts:
+        raise ValueError("the empty split () has no tensor factors to restrict to")
     if sum(parts) != f.n:
         raise ValueError("degree of f must equal the composition size")
     return tensor_restrict_factor(TensorFunction.outer([f]), 0, parts, lower)
@@ -183,7 +188,10 @@ def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
 
 def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
     """R of a tensor along the composition, landing in gl_n."""
-    if t.degrees != _parts(c):
+    parts = _parts(c)
+    if not parts:
+        raise ValueError("the empty split () has no tensor factors to induce from")
+    if t.degrees != parts:
         raise ValueError("tensor degrees must match the composition parts")
     return tensor_induce_span(t, 0, len(t.tables), lower).as_function()
 

@@ -7,9 +7,7 @@ basis of Cyclotomic.num, over one int `den` > 0 with gcd(den, *num.flat) == 1,
 so equal functions have equal (num, den), the only state they keep (about
 1.1 kB for a degree-3 function at q=3).  `.values` (Cyclotomics) is built
 from num on each read and never kept: by output, never by the arithmetic,
-the inner products (one weighted integer contraction of the num arrays) or
-apply_operator (an int64 matmul when cols * max|x| * max|num| < 2^63 makes
-it exact, else over Python ints).
+whose products and reduction to lowest terms are linalg's (its int64 rule).
 """
 from __future__ import annotations
 
@@ -49,31 +47,25 @@ class _Values:
 
     __slots__ = ("tables", "num", "den")
 
-    def _set(self, tables, num, den):
-        """num: an object array of Python ints, or apply_operator's exact
-        int64 product, reduced by numpy's gcd before it becomes Python ints."""
-        g = math.gcd(den, *num.flat) if num.dtype == object else \
-            math.gcd(den, int(np.gcd.reduce(num, axis=None)))
-        g *= 1 if den > 0 else -1
-        if g != 1:
-            num, den = num // g, den // g
-        num = num.astype(object, copy=False)
-        num.setflags(write=False)  # functions share their arrays
-        self.tables, self.num, self.den = tables, num, den
-
     def _set_values(self, tables, values):
         """Set from values (Cyclotomic, int or Fraction) in product order."""
         p = tables[0].ctx.p if tables else 2
         vals = [_in_field(p, v) for v in values]
         den = math.lcm(*(v.den for v in vals))
         num = np.array([[a * (den // v.den) for a in v.num] for v in vals], dtype=object)
-        self._set(tables, num.reshape(tuple(map(len, tables)) + (p - 1,)), den)
+        self.tables = tables
+        self.num, self.den = linalg.reduced(num.reshape(tuple(map(len, tables)) + (p - 1,)), den)
 
     @classmethod
     def _from_array(cls, tables, num, den: int):
         """The values num / den, num of shape (dims..., p - 1)."""
+        return cls._from_pair(tables, linalg.reduced(num, den))
+
+    @classmethod
+    def _from_pair(cls, tables, pair):
+        """The values of a pair (num, den) in lowest terms (see linalg)."""
         self = object.__new__(cls)
-        self._set(tuple(tables), num, den)
+        self.tables, (self.num, self.den) = tuple(tables), pair
         return self
 
     def __reduce__(self):
@@ -96,10 +88,8 @@ class _Values:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        d = math.lcm(self.den, other.den)
-        return self._from_array(self.tables, self.num * (d // self.den)
-                                + other.num * (d // other.den), d)
+        pairs = [(h.num, h.den) for h in (self, self._check(other))]
+        return self._from_pair(self.tables, linalg.add(*pairs))
 
     def __sub__(self, other):
         return self + -self._check(other)
@@ -333,35 +323,12 @@ def apply_operator(op, t: TensorFunction, start: int, count: int,
     """Apply the rational operator op = (x, den) (see linalg) along the
     factors [start, start + count) of t.  The columns of x are the index
     tuples of those factors in product order, its rows those of the factors
-    `tables` that replace them: one integer matmul on t.num, one gcd."""
-    x, den = op
+    `tables` that replace them: one linalg.matmul on t's values."""
     tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
     pre = math.prod(len(tb) for tb in t.tables[:start])
-    a = t.num.reshape(pre, x.shape[1], -1)
-    ints = _int64_operands(x, a)
-    out = x @ a if ints is None else ints[0] @ ints[1]
-    return TensorFunction._from_array(
-        tables, out.reshape(tuple(len(tb) for tb in tables) + (t.p - 1,)), den * t.den)
-
-
-# id(x) -> (x, x as int64, cols * max|x|) for each read-only operator x
-# applied so far; holding x keeps its id from being reused
-_INT64_OPERATORS = {}
-
-
-def _int64_operands(x, a):
-    """x and a as int64 when cols * max|x| * max|a| < 2^63 (cols the column
-    count of x, each factor at least 1): every partial sum of x @ a is then
-    below 2^63 in absolute value, so the int64 product is exact.  Else None."""
-    hit = _INT64_OPERATORS.get(id(x))
-    if hit is None:
-        bound = max(x.shape[1], 1) * max(int(np.abs(x).max(initial=0)), 1)
-        hit = (x, x.astype(np.int64) if bound < 2 ** 63 else None, bound)
-        if not x.flags.writeable:
-            _INT64_OPERATORS[id(x)] = hit
-    if hit[2] * max(int(np.abs(a).max(initial=0)), 1) >= 2 ** 63:
-        return None
-    return hit[1], a.astype(np.int64)
+    num, den = linalg.matmul(op, (t.num.reshape(pre, op[0].shape[1], -1), t.den))
+    return TensorFunction._from_pair(
+        tables, (num.reshape(tuple(len(tb) for tb in tables) + (t.p - 1,)), den))
 
 
 def tensor_inner_product(s: TensorFunction, t: TensorFunction) -> Cyclotomic:

@@ -7,26 +7,55 @@ Q(zeta_p) whose plane t holds the coefficient of zeta^t, in the basis
 1, zeta, ..., zeta^(p-2) of Cyclotomic.num.  Every constructor here returns
 the pair in lowest terms, the gcd of den and all entries 1, so two pairs
 are equal as matrices exactly when they are equal as pairs.  Nothing here
-rounds or wraps.  rref, kernel and rank are Gauss-Jordan over Q on 2-D
-pairs, fraction-free on the integer rows.
+rounds or wraps: every product of exact arrays is made here, as int64 when
+terms * max|x| * max|y| < 2^63 (an entry sums `terms` products), else over
+Python ints.  rref, kernel and rank are fraction-free Gauss-Jordan on 2-D pairs.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import product
 
 import numpy as np
 
 
 def reduced(x, den):
-    """The pair (x, den) in lowest terms, x a read-only object array of
-    ints: cached operators are shared by every caller."""
-    x = np.asarray(x, dtype=object)
-    g = math.gcd(den, *x.flat)
-    if g > 1:
+    """The pair (x, den) in lowest terms, x (an object array of ints, or an
+    exact int64 product) read-only: cached operators are shared."""
+    x = np.asarray(x)
+    g = math.gcd(den, *(x.flat if x.dtype == object else [np.gcd.reduce(x, None)]))
+    if g != 1:
         x, den = x // g, den // g
+    x = x.astype(object, copy=False)
     x.setflags(write=False)
     return x, den
+
+
+_INT64 = {}  # id(x) -> _int64(x) for a read-only x owning its data, until x dies
+
+
+def _int64(x):
+    """(x as int64, max|x|), or (None, None) when an entry is past int64."""
+    hit = _INT64.get(id(x))
+    if hit is None:
+        try:
+            y = x.astype(np.int64)
+            hit = y, max(int(y.max(initial=0)), -int(y.min(initial=0)))
+        except OverflowError:
+            hit = None, None
+        if not x.flags.writeable and x.base is None:
+            _INT64[id(x)] = hit
+            weakref.finalize(x, _INT64.pop, id(x))
+    return hit
+
+
+def _operands(x, y, terms):
+    """x and y as int64 when terms * max|x| * max|y| < 2^63, else as ints."""
+    (x64, mx), (y64, my) = _int64(x), _int64(y)
+    if x64 is not None and y64 is not None and terms * mx * my < 2 ** 63:
+        return x64, y64
+    return x.astype(object, copy=False), y.astype(object, copy=False)
 
 
 def identity(n):
@@ -42,34 +71,37 @@ def add(*terms):
 def _fold(planes):
     """p planes over 1, zeta, ..., zeta^(p-1) as p - 1 planes in the basis:
     zeta^(p-1) = -(1 + ... + zeta^(p-2)) is subtracted from every other plane."""
-    return np.array(planes[:-1], dtype=object) - planes[-1]
+    return np.stack(planes[:-1]) - planes[-1]
 
 
-def convolve(x, y, op):
-    """op over Z[zeta_p] of two integer arrays with their p - 1 planes on axis
-    0: op(x[s], y[t]) adds into plane s + t mod p, then the planes fold."""
+def convolve(x, y, op, terms=1):
+    """op over Z[zeta_p] of integer arrays with p - 1 planes on axis 0: op(x[s],
+    y[t]) adds into plane s + t mod p, then planes fold (2 (p - 1) ops an entry)."""
     p = len(x) + 1
+    x, y = _operands(x, y, 2 * (p - 1) * terms)
     planes = [0] * p
     for s, t in product(range(p - 1), repeat=2):
         planes[(s + t) % p] += op(x[s], y[t])
     return _fold(planes)
 
 
+def _product(op, a, b, terms):
+    """op of two (x, den) pairs: directly if one is 2-D, else by convolve."""
+    (x, dx), (y, dy) = a, b
+    if x.ndim == 2 or y.ndim == 2:
+        return reduced(op(*_operands(x, y, terms)), dx * dy)
+    return reduced(convolve(x, y, op, terms), dx * dy)
+
+
 def matmul(a, b):
     """Product of two (x, den) matrices; over Q(zeta_p) the planes convolve,
     and a 2-D factor acts on every plane of a 3-D one."""
-    (x, dx), (y, dy) = a, b
-    if x.ndim == 2 or y.ndim == 2:
-        return reduced(x @ y, dx * dy)
-    return reduced(convolve(x, y, np.matmul), dx * dy)
+    return _product(np.matmul, a, b, a[0].shape[-1])
 
 
 def kron(a, b):
     """Kronecker product of two (x, den) matrices, both 2-D or both 3-D."""
-    (x, dx), (y, dy) = a, b
-    if x.ndim == 2:
-        return reduced(np.kron(x, y), dx * dy)
-    return reduced(convolve(x, y, np.kron), dx * dy)
+    return _product(np.kron, a, b, 1)
 
 
 def conj_t(a):

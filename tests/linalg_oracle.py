@@ -1,13 +1,16 @@
 """Fraction-list reference for the Gauss-Jordan of glnq.linalg and the two
 computations on it in glnq.hopf: the primitive (pre-cuspidal) basis and the
 spanning rank of induced products of primitives, one induction per choice of
-primitives and one rank after each partition.
+primitives and one rank after each partition; and nested-list products over
+Python ints for the products of glnq.linalg.
 
 This is the slow path that the fraction-free elimination on (x, den) pairs
 and the one stacked rank replaced; the tests use it as the witness that both
 give the same forms, pivots, bases and ranks.  The spanning rank reads
 glnq.hopf.primitive_subspace at call time, so a test that patches it reaches
-both routes.
+both routes.  The products multiply one pair of entries at a time over
+Python ints, a Z[zeta_p] entry as the list of its p - 1 coefficients: the
+reference for the products of linalg on both sides of its int64 bound.
 """
 from fractions import Fraction
 from itertools import product
@@ -92,3 +95,46 @@ def precuspidal_spanning_rank(ctx, n):
         if r == dim:
             break
     return (r, dim)
+
+
+# ---------------------------------------------------------------------------
+# products over Python ints; an entry of Z[zeta_p] is its coefficient list
+# in the basis 1, zeta, ..., zeta^(p-2) of Cyclotomic.num
+
+
+def zmul(u, v):
+    """The product in Z[zeta_p] of two coefficient lists of length p - 1."""
+    p = len(u) + 1
+    c = [0] * p
+    for s, a in enumerate(u):
+        for t, b in enumerate(v):
+            c[(s + t) % p] += a * b
+    return [c[r] - c[p - 1] for r in range(p - 1)]
+
+
+def zadd(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def entries(x):
+    """A 3-D array of p - 1 planes as a nested list of coefficient lists."""
+    return [[[int(v) for v in x[:, i, j]] for j in range(x.shape[2])]
+            for i in range(x.shape[1])]
+
+
+def matmul(x, y, mul=lambda a, b: a * b, add=lambda a, b: a + b):
+    """x @ y for nested lists of entries, entry by entry."""
+    out = []
+    for row in x:
+        out.append([])
+        for col in zip(*y):
+            acc = mul(row[0], col[0])
+            for a, b in zip(row[1:], col[1:]):
+                acc = add(acc, mul(a, b))
+            out[-1].append(acc)
+    return out
+
+
+def kron(x, y, mul=lambda a, b: a * b):
+    """The Kronecker product of nested lists of entries."""
+    return [[mul(a, b) for a in xr for b in yr] for xr in x for yr in y]

@@ -1,21 +1,23 @@
 """Brute-force references for the F_q kernels behind matrix products, row
-reduction, orbit labels, orbit enumeration, GL inversion, the conjugation
-move table, centralizer orders and parabolic orders.
+reduction, determinants, orbit labels, orbit enumeration, GL inversion, the
+conjugation move table, centralizer orders and parabolic orders.
 
 These are the slow paths that glnq replaced: the F_q matrix product looks up
 every entry product and sum in the field tables, each row reduction (and so
-each inverse and rank) is one Gauss-Jordan elimination on a Python list, an
-orbit label divides the Laplace-expanded characteristic polynomial by each
+each inverse and rank) is one Gauss-Jordan elimination on a Python list, a
+determinant is a cofactor expansion along row 0 (n! products), an orbit
+label divides the Laplace-expanded characteristic polynomial by each
 irreducible g and reads the kernel filtration of g(x) one power at a time,
 the conjugation BFS multiplies each frontier matrix by every generator and
 its inverse as full matrix products, the move table applies each row and
 column move to the digit grids of all matrices, |C(x)| is counted by
 enumerating the commutant algebra of x, and |P| is counted by testing the
 block shape of every invertible matrix.  The tests use them as witnesses
-that the integer matmul over F_p, the stack-wide row reduction, the labels
-read from one stack of kernel ranks, the move-table sweep and partition,
-the row-code move table, the closed form |C(x)| = prod_f a_lam(f)(q^deg f)
-and the closed form |P| = |L| q^dim U give the same results.
+that the integer matmul over F_p, the stack-wide row reduction and the
+determinants it reads off its pivots, the labels read from one stack of
+kernel ranks, the move-table sweep and partition, the row-code move table,
+the closed form |C(x)| = prod_f a_lam(f)(q^deg f) and the closed form
+|P| = |L| q^dim U give the same results.
 """
 from itertools import permutations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from glnq.field import irreducibles, poly_divmod, poly_mul, poly_trim
 from glnq.glmat import (Matrix, SingularMatrixError, _shape_mask,
-                        all_matrices, batch_det, encode_matrices, gl_arrays,
+                        ShapeError, all_matrices, encode_matrices, gl_arrays,
                         gl_mask, sub_mul)
 from glnq.orbits import OrbitCountError, OrbitLabel
 
@@ -39,6 +41,25 @@ def batch_matmul_tables(ctx, a, b):
     acc = prod[..., 0, :]
     for k in range(1, m):
         acc = ctx.ADD[acc, prod[..., k, :]]
+    return acc
+
+
+def batch_det(ctx, a):
+    """Determinants of a stack of square matrices, by cofactor expansion."""
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ShapeError(f"not a stack of square matrices: {a.shape}")
+    if n == 0:
+        return np.ones(a.shape[:-2], dtype=np.int16)
+    if n == 1:
+        return a[..., 0, 0]
+    acc = None
+    for j in range(n):
+        minor = np.delete(a[..., 1:, :], j, axis=-1)
+        term = ctx.MUL[a[..., 0, j], batch_det(ctx, minor)]
+        if j % 2:
+            term = ctx.NEG[term]
+        acc = term if acc is None else ctx.ADD[acc, term]
     return acc
 
 

@@ -162,6 +162,15 @@ class TestVerify:
             ("nilpotent-count", 2), ("orbit-oracle", 2)]
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("q,checks", [(7, 94), (8, 103), (9, 113)])
+    def test_every_suite_past_the_default_fields(self, q, checks):
+        # the CLI takes q = 2..5 only; in process every suite runs at n <= 2,
+        # over six planes of Q(zeta_7) and over fields of degree k > 1
+        ctx = fq(q)
+        reports = [r for run in cli.SUITE_RUNNERS.values() for r in run(ctx, 2)]
+        assert [r for r in reports if not r.passed] == []
+        assert len(reports) == checks
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_golden_report(self, capsys, q):
         # q=4, 5 recorded before the PSH checks became matrix products; q=2, 3

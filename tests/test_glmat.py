@@ -12,7 +12,7 @@ from glnq.field import fq, undigits
 from glnq.glmat import (Composition, GLTableError, Matrix,
                         ResourceBudgetError, ShapeError, SingularMatrixError,
                         _block_starts, _embed_blocks, _shape_mask,
-                        all_matrices, batch_det, batch_inverse, batch_matmul,
+                        all_matrices, batch_inverse, batch_matmul,
                         compositions, conjugate, determinants,
                         enumerate_gl_order, gl_arrays, gl_mask, row_codes,
                         row_reduce, sub_mul, unipotent_radical_elems,
@@ -167,9 +167,47 @@ class TestRowReduce:
             a[:k] = batch_matmul(ctx, a[:k, :, :thin], a[:k, :thin, :])
         a[k:k + 1] = 0
         want_forms, want_ranks = orbit_oracle.row_reduce(ctx, a)
-        forms, ranks = row_reduce(ctx, a.copy())
+        forms, ranks, dets = row_reduce(ctx, a.copy())
         assert np.array_equal(forms, want_forms)
         assert np.array_equal(ranks, want_ranks)
+        if shape[1] == shape[2]:
+            assert np.array_equal(dets, orbit_oracle.batch_det(ctx, a))
+        else:
+            assert dets is None
+
+    @given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.integers(0, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_determinants_match_cofactor_expansion(self, q, n, data):
+        # random stacks with forced singular members: a repeated row, a zero
+        # column, and a row that is a multiple of another
+        ctx = fq(q)
+        a = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=8 * n * n,
+                                        max_size=8 * n * n)),
+                     dtype=np.int16).reshape(8, n, n)
+        if n >= 2:
+            a[1, 1] = a[1, 0]
+            a[2, :, n - 1] = 0
+            a[3, n - 1] = ctx.MUL[data.draw(st.integers(0, q - 1)), a[3, 0]]
+        assert np.array_equal(row_reduce(ctx, a.copy())[2], orbit_oracle.batch_det(ctx, a))
+        if n >= 2:
+            assert not row_reduce(ctx, a[1:4])[2].any()
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 9])
+    def test_row_swap_negates_the_determinant(self, q):
+        # a swap that the determinants missed would leave them unchanged;
+        # over F_2^k negation is the identity, so -d == d there
+        ctx = fq(q)
+        rng = np.random.default_rng(q)
+        a = rng.integers(0, q, size=(30, 4, 4)).astype(np.int16)
+        dets = row_reduce(ctx, a.copy())[2]
+        swapped = a[:, [1, 0, 2, 3]]
+        assert np.array_equal(row_reduce(ctx, swapped)[2], ctx.NEG[dets])
+        assert (dets != 0).any()
+        if q % 2:
+            assert not np.array_equal(ctx.NEG[dets], dets)
+
+    def test_no_determinants_of_a_non_square_stack(self, q2):
+        assert row_reduce(q2, np.zeros((3, 2, 3), dtype=np.int16))[2] is None
 
     @pytest.mark.parametrize("q", [2, 9, 181, 191])
     def test_sub_mul_matches_tables(self, q):
@@ -185,11 +223,11 @@ class TestRowReduce:
 
     def test_in_place_only_when_writeable(self, q3):
         a = np.array([[[1, 2], [2, 1]], [[0, 1], [1, 0]]], dtype=np.int16)
-        forms, ranks = row_reduce(q3, a)
-        assert forms is a and ranks.tolist() == [1, 2]
+        forms, ranks, dets = row_reduce(q3, a)
+        assert forms is a and ranks.tolist() == [1, 2] and dets.tolist() == [0, 2]
         b = a.copy()
         b.setflags(write=False)
-        forms, _ = row_reduce(q3, b)
+        forms = row_reduce(q3, b)[0]
         assert forms is not b
 
     @given(st.sampled_from([2, 3, 4, 5]), st.data())
@@ -236,14 +274,15 @@ class TestRowCodes:
 
 class TestGLTables:
     """The determinant table, GL_n's mask and its adjugate inverses against
-    the routes they replaced: batch_det, the cofactor expansion of every
-    digit grid, and batch_inverse, one Gauss-Jordan sweep over [G | I]."""
+    the routes they replaced: the cofactor expansion of every digit grid
+    (orbit_oracle.batch_det), and batch_inverse, one Gauss-Jordan sweep over
+    [G | I]."""
 
     @pytest.mark.parametrize("q,n", KERNEL_SIZES)
     def test_matches_oracles(self, q, n):
         ctx = fq(q)
         mats = all_matrices(ctx, n)
-        dets = batch_det(ctx, mats)
+        dets = orbit_oracle.batch_det(ctx, mats)
         assert np.array_equal(determinants(ctx, n), dets)
         assert np.array_equal(gl_mask(ctx, n), dets != 0)
         G, Ginv = gl_arrays(ctx, n)
@@ -312,10 +351,6 @@ class TestNegativeDegrees:
     def test_unipotent_radical_elems(self, q2):
         with pytest.raises(ValueError, match=r"\(2, -1\)"):
             unipotent_radical_elems(q2, (2, -1))
-
-    def test_batch_det_of_non_square_stack(self, q2):
-        with pytest.raises(ShapeError, match=r"\(3, 2, 3\)"):
-            batch_det(q2, np.zeros((3, 2, 3), dtype=np.int16))
 
 
 class TestConjugation:

@@ -96,6 +96,27 @@ class TestInduction:
             assert inner_product_rational(ind, one2) == Fraction(q * q, (q - 1) ** 2)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+class TestEmptySplit:
+    """The split () of degree 0: both matrices are the 1 x 1 identity, and
+    the function-level maps, whose tensor would have no factors and so no
+    field, refuse it in one line."""
+
+    def test_matrices_are_the_identity(self, q):
+        ctx = fq(q)
+        for lower in (False, True):
+            assert linalg.mat_eq(restriction_matrix(ctx, (), lower), linalg.identity(1))
+            assert linalg.mat_eq(induction_matrix(ctx, (), lower), linalg.identity(1))
+
+    def test_function_maps_raise(self, q):
+        f = constant_one(enumerate_orbits(0, fq(q)))
+        with pytest.raises(ValueError, match=r"empty split \(\)"):
+            hc_restrict(f, ())
+        t = TensorFunction((), {(): 1})
+        with pytest.raises(ValueError, match=r"empty split \(\)"):
+            hc_induce(t, ())
+
+
 class TestCosetCount:
     """induction_matrix counts cosets P\\GL_n for upper splits with at most
     two parts, composes the longer upper splits by transitivity, and takes

@@ -1,6 +1,6 @@
 """Invariant functions: bases, inner products, tensors, graded sums, and the
-integer-array value layer, its inner products and its int64 operator
-products against their per-value oracles."""
+integer-array value layer and its inner products against their per-value
+oracles."""
 import math
 import pickle
 import random
@@ -402,60 +402,6 @@ class TestPairing:
                 assert ip(bad, one) == oracle(bad, one)
 
 
-# ---------------------------------------------------------------------------
-# apply_operator's int64 product and its Python-int fallback
-
-
-def _aligned(x, amax, tables):
-    """A tensor over tables with every coordinate +-amax, signed like the row
-    of x with the largest absolute sum, so that row's sum is as large as the
-    entries allow."""
-    row = x[np.argmax(np.abs(x).sum(axis=1))]
-    num = np.array([[amax, -amax] if v >= 0 else [-amax, amax] for v in row], dtype=object)
-    return TensorFunction._from_array(tables, num.reshape(tuple(map(len, tables)) + (2,)), 1)
-
-
-class TestInt64Path:
-    @pytest.fixture(params=["duality", "induction"])
-    def operator(self, request, q3):
-        """(op, input tables, output tables) at q=3, n=3."""
-        t3 = enumerate_orbits(3, q3)
-        if request.param == "duality":
-            return duality_operator(3, q3).matrix, (t3,), (t3,)
-        return (hc.induction_matrix(q3, (1, 2)),
-                (enumerate_orbits(1, q3), enumerate_orbits(2, q3)), (t3,))
-
-    def test_paths_and_results(self, operator):
-        (x, den), tables, out_tables = operator
-        cols = x.shape[1]
-        xmax = int(np.abs(x).max())
-        bound = (2 ** 63 - 1) // (cols * xmax)
-        # (largest coordinate, whether the int64 path is taken); the last
-        # input would overflow int64 on the duality operator, whose heaviest
-        # row sums to more than xmax, if the bound left out cols
-        for amax, fast in [(bound, True), (bound - 1, True), (bound + 1, False),
-                           (2 ** 61 + 3, False), (2 ** 61 - 5, False),
-                           ((2 ** 63 - 1) // xmax, False)]:
-            t = _aligned(x, amax, tables)
-            a = t.num.reshape(1, cols, -1)
-            assert (invfun._int64_operands(x, a) is not None) == fast, amax
-            got = apply_operator((x, den), t, 0, len(tables), out_tables)
-            want = invfun_oracle.apply_operator(
-                (x, den), invfun_oracle.DictTensor(tables, t.values), 0, len(tables),
-                out_tables)
-            assert got.values == want.values, amax
-
-    def test_int64_copy_kept_for_read_only_operators_only(self, q3):
-        x, den = duality_operator(2, q3).matrix
-        table = enumerate_orbits(2, q3)
-        t = TensorFunction.outer([constant_one(table)])
-        apply_operator((x, den), t, 0, 1, (table,))
-        assert invfun._INT64_OPERATORS[id(x)][0] is x
-        y = x * 2
-        apply_operator((y, den * 2), t, 0, 1, (table,))
-        assert id(y) not in invfun._INT64_OPERATORS
-
-
 class TestCanonicalForm:
     def test_num_is_read_only(self, q3):
         f = constant_one(enumerate_orbits(2, q3))
@@ -486,7 +432,7 @@ class TestCanonicalForm:
         x, den = linalg.identity(len(table))
         by_operator = apply_operator((x * 6, den * 6), TensorFunction.outer([built]),
                                      0, 1, (table,)).as_function()
-        # apply_operator's int64 product, reduced by numpy's gcd
+        # an exact int64 product, reduced by numpy's gcd
         by_int64 = InvariantFunction._from_array((table,), (built.num * 4).astype(np.int64),
                                                  built.den * 4)
         for h in (by_arith, by_operator, by_int64):

@@ -266,14 +266,14 @@ class TestTypedErrors:
         # rank 0 for every g(x)^j makes each of t, t + 1 and t^2 + t + 1 claim
         # all of F_2^2: a partition for each, of total degree 2 + 2 + 2
         monkeypatch.setattr(orbits, "row_reduce",
-                            lambda ctx, a: (a, np.zeros(len(a), dtype=np.intp)))
+                            lambda ctx, a: (a, np.zeros(len(a), dtype=np.intp), None))
         with pytest.raises(OrbitCountError, match="total degree 6, not n = 2"):
             matrix_label(Matrix.from_rows(q2, [[0, 0], [0, 1]]))
 
     def test_label_kernels_against_partitions(self, q2, monkeypatch):
         # rank 1 for every g(x)^j gives t^2 + t + 1 a kernel of odd dimension
         monkeypatch.setattr(orbits, "row_reduce",
-                            lambda ctx, a: (a, np.ones(len(a), dtype=np.intp)))
+                            lambda ctx, a: (a, np.ones(len(a), dtype=np.intp), None))
         with pytest.raises(OrbitCountError, match="not those of elementary divisors"):
             matrix_label(Matrix.from_rows(q2, [[0, 0], [0, 1]]))
 
@@ -384,9 +384,9 @@ def test_one_corrupted_rank_fails_the_comparison(qn, data):
     real = orbits.row_reduce
 
     def corrupted(ctx, a):
-        forms, ranks = real(ctx, a)
+        forms, ranks, dets = real(ctx, a)
         ranks[data.draw(st.integers(0, len(ranks) - 1))] += 1
-        return forms, ranks
+        return forms, ranks, dets
 
     want = orbit_oracle.matrix_label(x)
     with pytest.MonkeyPatch.context() as mp:

@@ -358,9 +358,10 @@ def _matrix_count(ctx: FqContext, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def all_matrices(ctx: FqContext, n: int):
-    """All q^(n^2) matrices as one stacked array, in code order."""
+    """All q^(n^2) matrices as one stacked array, in code order, built anew
+    on every call: its one caller in glnq, the cached gl_arrays, keeps only
+    the invertible ones."""
     total = _matrix_count(ctx, n)
     out = digits(np.arange(total), ctx.q, n * n).reshape(total, n, n)
     out.setflags(write=False)

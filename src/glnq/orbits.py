@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -163,30 +162,36 @@ def _row_move_table(ctx: FqContext, vecs, f) -> np.ndarray:
 def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
     """Row k holds the code of g_k x g_k^-1 for every code x, in code order.
 
-    The g_k generate GL_n(F_q): the transvections I + lam E_ij (i != j,
-    lam != 0) and, for q > 2, diag(gamma, 1, ..., 1) with gamma a generator of
-    F_q^x.  Each conjugation is a row move, row i -= f * (row j), then a
-    column move, column j -= g * (column i): (f, g) = (-lam, lam) for a
-    transvection, and (1 - gamma, 1 - gamma^-1) with i = j = 0 for the torus
-    generator.  On the row codes R of x the row move reads R_i from a Q x Q
-    table of u - f v (Q = q^n) per distinct f, and the column move maps every
-    row through a Q-entry table.  Each row must permute the codes."""
+    The g_k are I + E_01 and the cyclic shift P (e_j -> e_(j+1 mod n)) for
+    n >= 2, then diag(gamma, 1, ..., 1), gamma a generator of F_q^x, for
+    q > 2.  They generate GL_n(F_q): the conjugates of I + E_01 by powers of
+    P are the I + E_(i,i+1), their commutators give every I + E_ij, the torus
+    generator scales each by gamma, so they give SL_n(F_q), and det = gamma
+    the rest.  I + E_01 and the torus generator are a row move,
+    row i -= f * (row j), then a column move, column j -= g * (column i):
+    (i, j, f, g) = (0, 1, -1, 1) and (0, 0, 1 - gamma, 1 - gamma^-1).  P moves
+    row i - 1 to row i and each entry one column on.  On the row codes R of x
+    a row move reads R_i from a Q x Q table of u - f v (Q = q^n), and a
+    column move maps every row through a Q-entry table.  Each row must
+    permute the codes."""
     total, Q = ctx.q ** (n * n), ctx.q ** n
     rows = row_codes(ctx, n)
     vecs = digits(np.arange(Q), ctx.q, n)
-    gens = [(i, j, ctx.NEG[lam], lam) for i, j in permutations(range(n), 2)
-            for lam in range(1, ctx.q)]
+    gens = [(0, 1, ctx.NEG[1], 1), "P"] if n >= 2 else []
     if ctx.q > 2 and n > 0:
         gamma = ctx.generator_index()
         gens.append((0, 0, ctx.SUB[1, gamma], ctx.SUB[1, ctx.INV[gamma]]))
-    row_moves = {f: _row_move_table(ctx, vecs, f) for f in {gen[2] for gen in gens}}
     moves = np.empty((len(gens), total), dtype=np.min_scalar_type(total - 1))
-    for k, (i, j, f, g) in enumerate(gens):
-        col = vecs.copy()
-        col[:, j] = sub_mul(ctx, col[:, j], g, col[:, i])
+    for k, gen in enumerate(gens):
+        if gen == "P":  # row i of P x P^-1 is row i - 1 of x, shifted
+            moved, col = [rows[i - 1] for i in range(n)], np.roll(vecs, 1, axis=1)
+        else:
+            i, j, f, g = gen
+            col = vecs.copy()
+            col[:, j] = sub_mul(ctx, col[:, j], g, col[:, i])
+            moved = list(rows)
+            moved[i] = _row_move_table(ctx, vecs, f).take(rows[i].astype(np.intp) * Q + rows[j])
         col = undigits(col, ctx.q)
-        moved = list(rows)
-        moved[i] = row_moves[f].take(rows[i].astype(np.intp) * Q + rows[j])
         moves[k] = sum(col.take(r) * Q ** pos for pos, r in enumerate(moved))
     for row in moves:
         if (np.bincount(row, minlength=total) != 1).any():

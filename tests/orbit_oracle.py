@@ -9,24 +9,22 @@ determinant is a cofactor expansion along row 0 (n! products), an orbit
 label divides the Laplace-expanded characteristic polynomial by each
 irreducible g and reads the kernel filtration of g(x) one power at a time,
 the conjugation BFS multiplies each frontier matrix by every generator and
-its inverse as full matrix products, the move table applies each row and
-column move to the digit grids of all matrices, |C(x)| is counted by
-enumerating the commutant algebra of x, and |P| is counted by testing the
-block shape of every invertible matrix.  The tests use them as witnesses
-that the integer matmul over F_p, the stack-wide row reduction and the
+its inverse as full matrix products, the move table conjugates the digit
+grids of all matrices by each of its generators as table products, |C(x)|
+is counted by enumerating the commutant algebra of x, and |P| is counted by
+testing the block shape of every invertible matrix.  The tests use them as
+witnesses that the integer matmul over F_p, the stack-wide row reduction and the
 determinants it reads off its pivots, the labels read from one stack of
 kernel ranks, the move-table sweep and partition, the row-code move table,
 the closed form |C(x)| = prod_f a_lam(f)(q^deg f) and the closed form
 |P| = |L| q^dim U give the same results.
 """
-from itertools import permutations
-
 import numpy as np
 
 from glnq.field import irreducibles, poly_divmod, poly_mul, poly_trim
 from glnq.glmat import (Matrix, SingularMatrixError, _shape_mask,
                         ShapeError, all_matrices, encode_matrices, gl_arrays,
-                        gl_mask, sub_mul)
+                        gl_mask)
 from glnq.orbits import OrbitCountError, OrbitLabel
 
 
@@ -251,7 +249,8 @@ def commutant_order(x: Matrix) -> int:
 
 def conjugation_generators(ctx, n):
     """Generating set of GL_n(F_q): elementary transvections + a torus
-    generator, each with its inverse, as index arrays."""
+    generator, each with its inverse, as index arrays.  The BFS oracle uses
+    it, so it shares no generating set with glnq.orbits._move_codes."""
     gens = []
     for i in range(n):
         for j in range(n):
@@ -269,21 +268,26 @@ def conjugation_generators(ctx, n):
 
 
 def move_codes(ctx, n):
-    """The conjugation move table of glnq.orbits._move_codes, each move
-    applied to the digit grids of all matrices: row i -= f * (row j), then
-    column j -= g * (column i), for the same generators in the same order."""
-    x = all_matrices(ctx, n)
-    gens = [(i, j, ctx.NEG[lam], lam) for i, j in permutations(range(n), 2)
-            for lam in range(1, ctx.q)]
+    """The conjugation move table of glnq.orbits._move_codes: row k holds the
+    code of g x g^-1 for the k-th of its generators g, in its order (I + E_01
+    and the cyclic shift P, e_j -> e_(j+1 mod n), for n >= 2, then
+    diag(gamma, 1, ..., 1) for q > 2), and every matrix x of all_matrices,
+    as two table products of digit grids."""
+    gens = []
+    if n >= 2:
+        e = np.eye(n, dtype=np.int16)
+        e[0, 1] = 1
+        gens += [e, np.roll(np.eye(n, dtype=np.int16), 1, axis=0)]
     if ctx.q > 2 and n > 0:
-        gamma = ctx.generator_index()
-        gens.append((0, 0, ctx.SUB[1, gamma], ctx.SUB[1, ctx.INV[gamma]]))
+        d = np.eye(n, dtype=np.int16)
+        d[0, 0] = ctx.generator_index()
+        gens.append(d)
+    x = all_matrices(ctx, n)
     moves = np.empty((len(gens), len(x)), dtype=np.min_scalar_type(len(x) - 1))
-    for k, (i, j, f, g) in enumerate(gens):
-        y = x.copy()
-        y[:, i] = sub_mul(ctx, y[:, i], f, y[:, j])
-        y[:, :, j] = sub_mul(ctx, y[:, :, j], g, y[:, :, i])
-        moves[k] = encode_matrices(ctx, y)
+    for k, g in enumerate(gens):
+        gi = inverse(Matrix(ctx, g)).a
+        moves[k] = encode_matrices(ctx, batch_matmul_tables(
+            ctx, batch_matmul_tables(ctx, g, x), gi))
     return moves
 
 

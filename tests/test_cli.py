@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, budgets, exit codes."""
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -247,6 +249,15 @@ class TestErrors:
     def test_bad_q(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "6", "--n", "1")
         assert code == 2 and "budget table" in err
+
+    @pytest.mark.parametrize("arg", ["6", "x"])
+    def test_large_fields_script_rejects_a_field(self, arg):
+        # no suite runs: the error comes before the first field
+        script = Path(__file__).parent.parent / "scripts" / "large_fields.py"
+        done = subprocess.run([sys.executable, str(script), "11", arg],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("large_fields.py: ")
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "3", "--n", "4")

@@ -187,17 +187,42 @@ class TestMoveBFS:
         assert np.array_equal(claim, want_claim)
         assert sizes == want_sizes
 
-    @pytest.mark.parametrize("q,n", BUDGET_SIZES + [(4, 3)])
+    @pytest.mark.parametrize("q,n", BUDGET_SIZES + [(4, 3), (16, 2)])
     def test_move_table_matches_oracle(self, q, n):
         ctx = fq(q)
         got = orbits._move_codes.__wrapped__(ctx, n)
         assert np.array_equal(got, orbit_oracle.move_codes(ctx, n))
+
+    @pytest.mark.parametrize("q,n,rows", [(2, 0, 0), (2, 1, 0), (3, 1, 1), (2, 4, 2),
+                                          (3, 3, 3), (16, 2, 3)])
+    def test_one_move_per_generator(self, q, n, rows):
+        # I + E_01 and P for n >= 2, diag(gamma, 1, ..., 1) for q > 2
+        assert len(orbits._move_codes(fq(q), n)) == rows
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (17, 2)])
     def test_codes_fit_their_dtype(self, q, n):
         moves = orbits._move_codes(fq(q), n)
         assert moves.dtype == np.min_scalar_type(q ** (n * n) - 1)
         assert not moves.flags.writeable
+
+
+class TestMissingGenerator:
+    """A move table without the cyclic shift, or without the torus generator
+    where I + E_01 and P generate only GL_n(F_p) (not at q = 3, where the
+    torus generator is redundant), leaves codes unreached: the seeded sweep
+    raises OrbitCountError and the seedless partition splits classes."""
+
+    @pytest.mark.parametrize("q,n,dropped", [(2, 3, 1), (2, 4, 1), (4, 2, 2), (9, 2, 2)])
+    def test_table_without_a_generator(self, q, n, dropped):
+        ctx = fq(q)
+        moves = np.delete(orbits._move_codes(ctx, n), dropped, axis=0)
+        want_claim, want_sizes = orbit_oracle.partition(ctx, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "_move_codes", lambda ctx, n: moves)
+            with pytest.raises(OrbitCountError, match="lie in no enumerated orbit"):
+                enumerate_orbits.__wrapped__(n, ctx)
+            claim, sizes = orbit_table_bruteforce(n, ctx)
+        assert not np.array_equal(claim, want_claim) and sizes != want_sizes
 
 
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.data())
@@ -232,15 +257,20 @@ def test_swapped_move_fails_the_comparison(qn, data):
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.data())
 @settings(max_examples=30, deadline=None)
 def test_swapped_row_move_entry_fails(qn, data):
-    """Swapping two different entries of one row-move table u - f v either
-    stops a move from permuting the codes or changes the move table against
-    the digit-grid oracle."""
+    """Swapping two different entries of one row-move table u - f v, among
+    those a move reads, either stops a move from permuting the codes or
+    changes the move table against the digit-grid oracle."""
     q, n = qn
-    ctx = fq(q)
-    target = data.draw(st.integers(1, q - 1))  # every f != 0 moves some row
+    ctx, Q = fq(q), q ** n
+    # I + E_01 (row 0 -= f row 1) reads every (u, v), diag(gamma, 1, ..., 1)
+    # (row 0 -= f row 0) only u = v
+    read = {int(ctx.NEG[1]): np.arange(Q * Q)}
+    if q > 2:
+        read.setdefault(int(ctx.SUB[1, ctx.generator_index()]), np.arange(Q) * (Q + 1))
+    target = data.draw(st.sampled_from(sorted(read)))
     real = orbits._row_move_table
-    want = real(ctx, digits(np.arange(q ** n), q, n), target)
-    a, b = data.draw(st.lists(st.integers(0, len(want) - 1), min_size=2,
+    want = real(ctx, digits(np.arange(Q), q, n), target)
+    a, b = data.draw(st.lists(st.sampled_from(read[target].tolist()), min_size=2,
                               max_size=2, unique=True))
     assume(want[a] != want[b])
 

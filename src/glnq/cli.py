@@ -5,49 +5,55 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 from pathlib import Path
 
 from . import duality as duality_mod
 from . import hopf, linalg, psh
-from .field import FqContext, fq
+from .field import FqContext, fq, is_prime
 from .glmat import Composition, ResourceBudgetError, compositions
 from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
                  verify_parabolic_independence, verify_transitivity)
 from .invfun import InvariantFunction, TensorFunction, constant_one, indicator_by_index
-from .orbits import (enumerate_orbits, nilpotent_orbit_count,
+from .orbits import (LOOKUP_BUDGET, enumerate_orbits, nilpotent_orbit_count,
                      orbit_table_bruteforce, partitions)
 from .report import Report
-
-# Largest degree with acceptable runtime per field size; larger q values are
-# rejected outright.
-DEFAULT_MAX_N = {2: 4, 3: 3, 4: 2, 5: 2}
-
-ALL_SUITES = ("orbits", "hc", "mackey", "bialgebra", "antipode", "duality",
-              "characterization", "psh", "witness", "steinberg")
 
 
 class ConfigError(Exception):
     pass
 
 
-def _context(args) -> FqContext:
-    q = args.q
-    if q not in DEFAULT_MAX_N:
-        raise ConfigError(f"q={q} is outside the supported budget table "
-                          f"{sorted(DEFAULT_MAX_N)}")
-    return fq(q)
+def default_max_n(q: int) -> int:
+    """The default --max-n and --budget threshold: the largest n with
+    q^(n^2) <= LOOKUP_BUDGET, past which restriction matrices stop.  F_q is
+    supported when q is a prime power with gl_2 inside it, so q <= 19; any
+    other q is a ConfigError, raised before fq(q) builds q x q tables."""
+    n = 0
+    while q >= 2 and q ** ((n + 1) ** 2) <= LOOKUP_BUDGET:
+        n += 1
+    if n < 2 or sum(q % p == 0 and is_prime(p) for p in range(2, q + 1)) != 1:
+        raise ConfigError(f"q={q} is outside the supported budget table: a prime power "
+                          f"q <= {math.isqrt(math.isqrt(LOOKUP_BUDGET))} (q^4 <= {LOOKUP_BUDGET})")
+    return n
 
 
-def _check_budget(ctx: FqContext, n: int, override: bool):
-    cap = DEFAULT_MAX_N[ctx.q]
+def _check_budget(q: int, n: int, override: bool):
+    cap = default_max_n(q)
     if n < 0:
         raise ConfigError(f"n={n} is negative")
     if n > cap and not override:
         raise ConfigError(
-            f"n={n} exceeds the default budget n<={cap} for q={ctx.q}; "
+            f"n={n} exceeds the default budget n<={cap} for q={q}; "
             f"pass --budget to acknowledge the cost")
+
+
+def _context(args, n: int = 0) -> FqContext:
+    """F_q for --q, once q is supported and degree n is within its budget."""
+    _check_budget(args.q, n, args.budget)
+    return fq(args.q)
 
 
 def _composition(text: str) -> Composition:
@@ -66,7 +72,7 @@ def _load_function(path: str, ctx: FqContext, override: bool) -> InvariantFuncti
         n = int(data["n"])
         if n < 0:
             raise ValueError(f'"n" is {n}')
-        _check_budget(ctx, n, override)
+        _check_budget(ctx.q, n, override)
         return InvariantFunction.from_json(enumerate_orbits(n, ctx), data)
     except (ValueError, KeyError, TypeError, OSError) as e:
         raise ConfigError(f"{path}: {type(e).__name__}: {e}") from e
@@ -100,8 +106,7 @@ def _tensor_json(t: TensorFunction):
 
 
 def cmd_orbits(args):
-    ctx = _context(args)
-    _check_budget(ctx, args.n, args.budget)
+    ctx = _context(args, args.n)
     table = enumerate_orbits(args.n, ctx)
     payload = table.to_json()
     lines = [f"gl_{args.n}(F_{ctx.q}): {len(table)} adjoint orbits"]
@@ -112,9 +117,8 @@ def cmd_orbits(args):
 
 
 def cmd_induce(args):
-    ctx = _context(args)
     c = _composition(args.composition)
-    _check_budget(ctx, c.n, args.budget)
+    ctx = _context(args, c.n)
     factors = [_load_function(p, ctx, args.budget) for p in args.input.split(",")]
     if tuple(f.n for f in factors) != c.parts:
         raise ConfigError("input degrees do not match the composition")
@@ -124,9 +128,8 @@ def cmd_induce(args):
 
 
 def cmd_restrict(args):
-    ctx = _context(args)
     c = _composition(args.composition)
-    _check_budget(ctx, c.n, args.budget)
+    ctx = _context(args, c.n)
     f = _load_function(args.input, ctx, args.budget)
     if f.n != c.n:
         raise ConfigError("input degree does not match the composition")
@@ -139,8 +142,7 @@ def cmd_restrict(args):
 
 
 def cmd_dual(args):
-    ctx = _context(args)
-    _check_budget(ctx, args.n, args.budget)
+    ctx = _context(args, args.n)
     f = _load_function(args.input, ctx, args.budget)
     if f.n != args.n:
         raise ConfigError("input degree does not match --n")
@@ -151,8 +153,7 @@ def cmd_dual(args):
 
 
 def cmd_steinberg(args):
-    ctx = _context(args)
-    _check_budget(ctx, args.n, args.budget)
+    ctx = _context(args, args.n)
     st = duality_mod.steinberg(args.n, ctx)
     count = duality_mod.steinberg_constituents(args.n, ctx)
     payload = {"function": st.to_json(), "constituents": count}
@@ -170,8 +171,7 @@ def cmd_antipode(args):
 
 
 def cmd_primitives(args):
-    ctx = _context(args)
-    _check_budget(ctx, args.n, args.budget)
+    ctx = _context(args, args.n)
     if args.n < 1:
         raise ConfigError(f"n={args.n}: primitive subspaces start in degree 1")
     basis = hopf.primitive_subspace(ctx, args.n)
@@ -332,11 +332,10 @@ SUITE_RUNNERS = {
 
 
 def cmd_verify(args):
-    ctx = _context(args)
-    max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N[ctx.q]
+    max_n = args.max_n if args.max_n is not None else default_max_n(args.q)
     if max_n < 1:
         raise ConfigError(f"--max-n {max_n} checks nothing; it must be at least 1")
-    _check_budget(ctx, max_n, args.budget)
+    ctx = _context(args, max_n)
     degrees = (args.n1, args.n2, args.s, args.t)
     if degrees != (None,) * 4:
         if args.suite != "mackey":
@@ -348,16 +347,13 @@ def cmd_verify(args):
         if args.n1 + args.n2 != args.s + args.t:
             raise ConfigError(f"--n1 + --n2 = {args.n1 + args.n2} differs from "
                               f"--s + --t = {args.s + args.t}")
-        _check_budget(ctx, args.n1 + args.n2, args.budget)
+        _check_budget(ctx.q, args.n1 + args.n2, args.budget)
         reports = _mackey_reports(ctx, args.n1, args.n2, args.s, args.t, args.all_indicators)
     else:
-        names = ALL_SUITES if args.suite == "all" else (args.suite,)
-        reports = []
-        for name in names:
-            if name == "mackey":
-                reports.extend(SUITE_RUNNERS[name](ctx, max_n, args.all_indicators))
-            else:
-                reports.extend(SUITE_RUNNERS[name](ctx, max_n))
+        names = SUITE_RUNNERS if args.suite == "all" else (args.suite,)
+        reports = [r for name in names for r in (
+            SUITE_RUNNERS[name](ctx, max_n, args.all_indicators) if name == "mackey"
+            else SUITE_RUNNERS[name](ctx, max_n))]
     passed = sum(r.passed for r in reports)
     all_passed = passed == len(reports)
     lines = [line for r in reports for line in r.lines()]
@@ -426,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
-                   choices=("all",) + ALL_SUITES)
+                   choices=("all", *SUITE_RUNNERS))
     common(p)
     p.add_argument("--max-n", type=int, help="largest degree to check")
     p.add_argument("--n1", type=int)

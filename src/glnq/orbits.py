@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .field import FqContext, digits, irreducibles, poly_pow, undigits
-from .glmat import (Matrix, ResourceBudgetError, batch_matmul, encode_matrices,
-                    enumerate_gl_order, row_codes, row_reduce, sub_mul)
+from .glmat import (Matrix, ResourceBudgetError, _embed_blocks, batch_matmul,
+                    encode_matrices, enumerate_gl_order, row_codes, row_reduce, sub_mul)
 
 LOOKUP_BUDGET = 1 << 17
 
@@ -158,6 +158,11 @@ def _row_move_table(ctx: FqContext, vecs, f) -> np.ndarray:
     return undigits(sub_mul(ctx, x, f, y), ctx.q).ravel()
 
 
+def _row_scale_table(ctx: FqContext, vecs, f) -> np.ndarray:
+    """T[u] = the code of u - f u = (1 - f) u over the row vectors vecs."""
+    return undigits(sub_mul(ctx, vecs, f, vecs), ctx.q)
+
+
 @lru_cache(maxsize=None)
 def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
     """Row k holds the code of g_k x g_k^-1 for every code x, in code order.
@@ -171,7 +176,8 @@ def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
     row i -= f * (row j), then a column move, column j -= g * (column i):
     (i, j, f, g) = (0, 1, -1, 1) and (0, 0, 1 - gamma, 1 - gamma^-1).  P moves
     row i - 1 to row i and each entry one column on.  On the row codes R of x
-    a row move reads R_i from a Q x Q table of u - f v (Q = q^n), and a
+    a row move with i != j reads R_i from a Q x Q table of u - f v (Q = q^n),
+    one with i = j maps R_i through a Q-entry table of (1 - f) u, and a
     column move maps every row through a Q-entry table.  Each row must
     permute the codes."""
     total, Q = ctx.q ** (n * n), ctx.q ** n
@@ -190,7 +196,8 @@ def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
             col = vecs.copy()
             col[:, j] = sub_mul(ctx, col[:, j], g, col[:, i])
             moved = list(rows)
-            moved[i] = _row_move_table(ctx, vecs, f).take(rows[i].astype(np.intp) * Q + rows[j])
+            moved[i] = (_row_scale_table(ctx, vecs, f).take(rows[i]) if i == j else
+                        _row_move_table(ctx, vecs, f).take(rows[i].astype(np.intp) * Q + rows[j]))
         col = undigits(col, ctx.q)
         moves[k] = sum(col.take(r) * Q ** pos for pos, r in enumerate(moved))
     for row in moves:
@@ -296,15 +303,10 @@ def _label_candidates(ctx, n):
 
 
 def representative(ctx, label: OrbitLabel, n: int) -> Matrix:
-    blocks = []
-    for f, lam in label.pairs:
-        for part in lam:
-            blocks.append(companion(ctx, poly_pow(ctx, f, part)).a)
+    blocks = [companion(ctx, poly_pow(ctx, f, part)).a for f, lam in label.pairs for part in lam]
     if not blocks:
         return Matrix.zero(ctx, n)
-    from .glmat import _embed_blocks
-    parts = tuple(b.shape[0] for b in blocks)
-    return Matrix(ctx, _embed_blocks(blocks, parts))
+    return Matrix(ctx, _embed_blocks(blocks, tuple(len(b) for b in blocks)))
 
 
 @lru_cache(maxsize=None)

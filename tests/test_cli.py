@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, budgets, exit codes."""
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -164,23 +166,26 @@ class TestVerify:
             ("nilpotent-count", 2), ("orbit-oracle", 2)]
         assert all(r.passed for r in reports)
 
-    @pytest.mark.parametrize("q,checks", [(7, 94), (8, 103), (9, 113)])
-    def test_every_suite_past_the_default_fields(self, q, checks):
-        # the CLI takes q = 2..5 only; in process every suite runs at n <= 2,
-        # over six planes of Q(zeta_7) and over fields of degree k > 1
-        ctx = fq(q)
-        reports = [r for run in cli.SUITE_RUNNERS.values() for r in run(ctx, 2)]
-        assert [r for r in reports if not r.passed] == []
-        assert len(reports) == checks
-
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_golden_report(self, capsys, q):
         # q=4, 5 recorded before the PSH checks became matrix products; q=2, 3
-        # before orbit BFS used elementary moves and GL inversion was batched
+        # before orbit BFS used elementary moves and GL inversion was batched;
+        # q=7 (six planes of Q(zeta_7)), 8 and 9 (fields of degree k > 1) at
+        # their default max_n=2, 94, 103 and 113 checks
         golden = Path(__file__).parent / "data" / f"verify_q{q}.json"
         code, out, _ = run(capsys, "verify", "--q", str(q), "--format", "json")
         assert code == 0
         assert out.encode() == golden.read_bytes()
+
+    def test_default_degree_from_the_lookup_budget(self):
+        # the largest n with q^(n^2) <= LOOKUP_BUDGET, for the prime powers
+        # q <= 19 (q^4 <= LOOKUP_BUDGET), and no other q
+        assert {q: cli.default_max_n(q) for q in (2, 3, 4, 5)} == {2: 4, 3: 3, 4: 2, 5: 2}
+        for q in (7, 8, 9, 11, 13, 16, 17, 19):
+            assert cli.default_max_n(q) == 2
+        for q in (6, 10, 12, 14, 15, 18, 20, 25, 32):
+            with pytest.raises(cli.ConfigError, match="budget table"):
+                cli.default_max_n(q)
 
 
 def _merged_last_orbit(real):
@@ -250,14 +255,17 @@ class TestErrors:
         code, _, err = run(capsys, "orbits", "--q", "6", "--n", "1")
         assert code == 2 and "budget table" in err
 
-    @pytest.mark.parametrize("arg", ["6", "x"])
-    def test_large_fields_script_rejects_a_field(self, arg):
-        # no suite runs: the error comes before the first field
-        script = Path(__file__).parent.parent / "scripts" / "large_fields.py"
-        done = subprocess.run([sys.executable, str(script), "11", arg],
-                              capture_output=True, text=True, timeout=120)
+    @pytest.mark.parametrize("q", [0, 1, 6, 23, 131071])
+    def test_unsupported_field(self, q):
+        # the field check comes before fq(q): its q x q tables at q=131071
+        # would take gigabytes, so the address space is capped as well
+        done = subprocess.run(
+            [sys.executable, "-m", "glnq.cli", "witness", "--q", str(q)],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
         assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr.count("\n") == 1 and done.stderr.startswith("large_fields.py: ")
+        assert done.stderr.count("\n") == 1 and "budget table" in done.stderr
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "3", "--n", "4")

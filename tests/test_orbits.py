@@ -257,31 +257,30 @@ def test_swapped_move_fails_the_comparison(qn, data):
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.data())
 @settings(max_examples=30, deadline=None)
 def test_swapped_row_move_entry_fails(qn, data):
-    """Swapping two different entries of one row-move table u - f v, among
-    those a move reads, either stops a move from permuting the codes or
-    changes the move table against the digit-grid oracle."""
+    """Swapping two different entries of one row-move table either stops a
+    move from permuting the codes or changes the move table against the
+    digit-grid oracle."""
     q, n = qn
     ctx, Q = fq(q), q ** n
-    # I + E_01 (row 0 -= f row 1) reads every (u, v), diag(gamma, 1, ..., 1)
-    # (row 0 -= f row 0) only u = v
-    read = {int(ctx.NEG[1]): np.arange(Q * Q)}
+    # I + E_01 (row 0 -= f row 1) reads the Q x Q table u - f v,
+    # diag(gamma, 1, ..., 1) (row 0 -= f row 0) the Q-entry table (1 - f) u
+    tables = {"_row_move_table": ctx.NEG[1]}
     if q > 2:
-        read.setdefault(int(ctx.SUB[1, ctx.generator_index()]), np.arange(Q) * (Q + 1))
-    target = data.draw(st.sampled_from(sorted(read)))
-    real = orbits._row_move_table
-    want = real(ctx, digits(np.arange(Q), q, n), target)
-    a, b = data.draw(st.lists(st.sampled_from(read[target].tolist()), min_size=2,
+        tables["_row_scale_table"] = ctx.SUB[1, ctx.generator_index()]
+    name = data.draw(st.sampled_from(sorted(tables)))
+    real = getattr(orbits, name)
+    want = real(ctx, digits(np.arange(Q), q, n), tables[name])
+    a, b = data.draw(st.lists(st.integers(0, len(want) - 1), min_size=2,
                               max_size=2, unique=True))
     assume(want[a] != want[b])
 
     def swapped(ctx, vecs, f):
         table = real(ctx, vecs, f)
-        if f == target:
-            table[[a, b]] = table[[b, a]]
+        table[[a, b]] = table[[b, a]]
         return table
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbits, "_row_move_table", swapped)
+        mp.setattr(orbits, name, swapped)
         try:
             got = orbits._move_codes.__wrapped__(ctx, n)
         except OrbitCountError:

@@ -354,6 +354,8 @@ def cmd_verify(args):
         reports = [r for name in names for r in (
             SUITE_RUNNERS[name](ctx, max_n, args.all_indicators) if name == "mackey"
             else SUITE_RUNNERS[name](ctx, max_n))]
+        if not reports:
+            raise ConfigError(f"verify {args.suite} checks nothing at --max-n {max_n}")
     passed = sum(r.passed for r in reports)
     all_passed = passed == len(reports)
     lines = [line for r in reports for line in r.lines()]

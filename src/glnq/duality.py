@@ -6,14 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import linalg
 from .field import FqContext
 from .glmat import compositions
 from .hc import induction_matrix, restriction_matrix
 from .hopf import antipode_matrix, precuspidal_spanning_rank, primitive_subspace
-from .invfun import (InvariantFunction, TensorFunction, apply_operator,
+from .invfun import (InvariantFunction, TensorFunction, adjoint, apply_operator,
                      constant_one, coords, fourier_character_basis)
 from .orbits import enumerate_orbits
 from .report import Report
@@ -66,11 +64,9 @@ def verify_involutive_isometric(n: int, ctx: FqContext) -> Report:
     d = duality_operator(n, ctx).matrix
     if not linalg.mat_eq(linalg.matmul(d, d), linalg.identity(len(d[0]))):
         return Report("duality-involutive-isometric", params, "D^2 != id")
-    table = enumerate_orbits(n, ctx)
-    gram = linalg.reduced(np.diag(np.array(table.sizes, dtype=object)),
-                          table.gl_order)
-    if not linalg.mat_eq(linalg.matmul(linalg.conj_t(d), linalg.matmul(gram, d)),
-                         gram):
+    # with D^2 = id, D* W D = W exactly when D is its own adjoint
+    table = (enumerate_orbits(n, ctx),)
+    if not linalg.mat_eq(adjoint(d, table, table), d):
         return Report("duality-involutive-isometric", params, "Gram matrix not preserved")
     return Report("duality-involutive-isometric", params)
 

@@ -3,15 +3,15 @@ rational matrices over the indicator bases, plus Mackey/adjunction/
 transitivity/parabolic-independence verifiers.
 
 Restriction counts x + u over the unipotent radical through the orbit
-lookup.  Induction takes one of three routes, and a verify check sets each
-against another:
+lookup.  Induction takes one of two routes:
 - upper, at most two parts: cosets P\\GL_n counted; `adjunction` checks it
-  against the lookup-counted restriction;
-- upper, three or more parts: composed by transitivity from two-part
-  counts; `adjunction` checks it the same way;
-- lower: the adjoint of the lower restriction; `parabolic-independence`
-  checks the upper routes against it.
+  against the lookup-counted restriction, `parabolic-independence` against
+  the lower route;
+- every other split, lower or upper with three or more parts: the adjoint
+  (invfun.adjoint) of the restriction along it, so `adjunction` holds there
+  by construction.
 `transitivity-restriction` checks restriction in stages against one step.
+The function-level maps take no parabolic (both give one result).
 
 Internally a "split" is a tuple of nonnegative integers (zero parts mean
 degree-0 tensor factors); the public Composition type has positive parts.
@@ -29,7 +29,7 @@ from .glmat import (Composition, ResourceBudgetError, _block_starts, _embed_bloc
                     _shape_mask, batch_matmul, encode_matrices,
                     enumerate_gl_order, gl_arrays, unipotent_radical_elems,
                     unipotent_radical_order)
-from .invfun import (InvariantFunction, TensorFunction, _weights, apply_operator,
+from .invfun import (InvariantFunction, TensorFunction, adjoint, apply_operator,
                      inner_product, tensor_inner_product)
 from .orbits import LOOKUP_BUDGET, OrbitCountError, enumerate_orbits
 from .report import Report
@@ -146,77 +146,58 @@ def _coset_count(ctx: FqContext, parts: tuple):
     return linalg.reduced(counts.reshape(len(reps), ntuples), 1)
 
 
-def _adjoint_of_restriction(ctx: FqContext, parts: tuple):
-    """W_n^-1 Res^T W_L for the lower restriction Res, W the Gram weights
-    |O|/|G| of the indicator bases of gl_n and of the Levi tuples, so that
-    (Ind t, g) = (t, Res g)."""
-    x, den = restriction_matrix(ctx, parts, lower=True)
-    w_levi, order_levi = _weights(split_tables(ctx, parts))
-    w_n, order_n = _weights((enumerate_orbits(sum(parts), ctx),))
-    scale = math.lcm(*w_n.flat)
-    return linalg.reduced(x.T * w_levi.T * (order_n * scale // w_n),
-                          den * order_levi * scale)
-
-
 @lru_cache(maxsize=None)
 def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     """Matrix of R along the split as a (x, den) pair (see linalg): rows =
     orbits of gl_n, cols = Levi label tuples in product order.  Upper splits
-    with at most two parts count cosets (witnessed by `adjunction`), longer
-    ones compose by transitivity, Ind_(p1+...+p(k-1), pk) . (Ind_(p1..p(k-1))
-    x 1) (by `adjunction` too), and lower ones are the adjoint of the lower
-    restriction (by `parabolic-independence`)."""
+    with at most two parts count cosets (witnessed by `adjunction`); every
+    other split is the adjoint of its restriction, (R t, g) = (t, *R g)."""
     parts = tuple(parts)
-    if lower:
-        return _adjoint_of_restriction(ctx, parts)
-    if len(parts) <= 2:
+    if not lower and len(parts) <= 2:
         return _coset_count(ctx, parts)
-    last = linalg.identity(len(enumerate_orbits(parts[-1], ctx)))
-    return linalg.matmul(induction_matrix(ctx, (sum(parts[:-1]), parts[-1])),
-                         linalg.kron(induction_matrix(ctx, parts[:-1]), last))
+    return adjoint(restriction_matrix(ctx, parts, lower),
+                   (enumerate_orbits(sum(parts), ctx),), split_tables(ctx, parts))
 
 
-def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
+def hc_restrict(f: InvariantFunction, c) -> TensorFunction:
     """*R of f along the composition, as a tensor over the part tables."""
     parts = _parts(c)
     if not parts:
         raise ValueError("the empty split () has no tensor factors to restrict to")
     if sum(parts) != f.n:
         raise ValueError("degree of f must equal the composition size")
-    return tensor_restrict_factor(TensorFunction.outer([f]), 0, parts, lower)
+    return tensor_restrict_factor(TensorFunction.outer([f]), 0, parts)
 
 
-def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
+def hc_induce(t: TensorFunction, c) -> InvariantFunction:
     """R of a tensor along the composition, landing in gl_n."""
     parts = _parts(c)
     if not parts:
         raise ValueError("the empty split () has no tensor factors to induce from")
     if t.degrees != parts:
         raise ValueError("tensor degrees must match the composition parts")
-    return tensor_induce_span(t, 0, len(t.tables), lower).as_function()
+    return tensor_induce_span(t, 0, len(t.tables)).as_function()
 
 
 # ---------------------------------------------------------------------------
 # tensor-level staging helpers
 
 
-def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
-                           lower: bool = False) -> TensorFunction:
+def tensor_restrict_factor(t: TensorFunction, pos: int, subparts) -> TensorFunction:
     """Expand one tensor factor by *R along subparts."""
     subparts = _parts(subparts)
     ctx = t.tables[pos].ctx
     if sum(subparts) != t.tables[pos].n:
         raise ValueError("subcomposition size mismatch")
-    return apply_operator(restriction_matrix(ctx, subparts, lower), t, pos, 1,
+    return apply_operator(restriction_matrix(ctx, subparts), t, pos, 1,
                           split_tables(ctx, subparts))
 
 
-def tensor_induce_span(t: TensorFunction, start: int, count: int,
-                       lower: bool = False) -> TensorFunction:
+def tensor_induce_span(t: TensorFunction, start: int, count: int) -> TensorFunction:
     """Induce the consecutive factors [start, start+count) into one factor."""
     ctx = t.tables[start].ctx
     subparts = tuple(t.tables[start + i].n for i in range(count))
-    return apply_operator(induction_matrix(ctx, subparts, lower), t, start, count,
+    return apply_operator(induction_matrix(ctx, subparts), t, start, count,
                           (enumerate_orbits(sum(subparts), ctx),))
 
 

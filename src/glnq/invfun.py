@@ -350,6 +350,17 @@ def _weights(tables):
     return w[:, None], math.prod(tab.gl_order for tab in tables)
 
 
+def adjoint(op, source, target):
+    """W_source^-1 conj(op)^T W_target for an operator op = (x, den) (see
+    linalg), rational or over Q(zeta_p), from the functions over the index
+    tuples of the tables `source` (its columns) to those over `target` (its
+    rows), W the Gram weights of _weights: (op s, t) = (s, adjoint(op) t)."""
+    (w_s, order_s), (w_t, order_t) = _weights(source), _weights(target)
+    scale = math.lcm(*w_s.flat)  # makes order_s / w_s integral
+    x, den = linalg.conj_t(op)
+    return linalg.reduced(x * w_t.T * (order_s * scale // w_s), den * order_t * scale)
+
+
 def _pairing(s: _Values, t: _Values) -> Cyclotomic:
     """(1/|G|) sum over the index tuples of |O_1|...|O_k| s * conj(t), as one
     integer contraction M = S^T (w G) of the value planes: M[a, b] is the

@@ -83,42 +83,49 @@ def _inverse_norms(ctx: FqContext, n: int):
 
 @lru_cache(maxsize=None)
 def _pairings(ctx: FqContext, n1: int, n2: int):
-    """Two independently computed rational pairs with x of shape (i, j, k),
-    the rows (i, j) of two matrix products unflattened:
+    """Two independently computed rational pairs, rows (i, j) in product
+    order and columns k, as restriction_matrix((n1, n2)) lays out its rows:
     (m(chi_i x chi_j), chi_k) = (X_n1 x X_n2) . Ind^T . W_n . X_n^*, and
     (chi_i x chi_j, m* chi_k) = (X_n1 x X_n2) . (W_n1 x W_n2) . Res . X_n^*."""
     t1, t2, t3 = (enumerate_orbits(n, ctx) for n in (n1, n2, n1 + n2))
     outer = linalg.kron(character_matrix(t1), character_matrix(t2))
     ind_t = linalg.conj_t(induction_matrix(ctx, (n1, n2)))
     res_t = linalg.conj_t(restriction_matrix(ctx, (n1, n2)))
-    pairings = (_pairing(linalg.matmul(outer, ind_t), character_matrix(t3), t3),
-                _pairing(outer, linalg.matmul(character_matrix(t3), res_t), t1, t2))
-    return tuple((x.reshape(len(t1), len(t2), -1), d) for x, d in pairings)
+    return (_pairing(linalg.matmul(outer, ind_t), character_matrix(t3), t3),
+            _pairing(outer, linalg.matmul(character_matrix(t3), res_t), t1, t2))
+
+
+def _triples(ctx: FqContext, n1: int, pair, axes=(0, 1, 2)):
+    """A pair with rows (i, j) in product order, its x indexed (i, j, k) and
+    the axes then put in the order `axes`."""
+    x, d = pair
+    return x.reshape(len(enumerate_orbits(n1, ctx)), -1, x.shape[1]).transpose(axes), d
 
 
 @lru_cache(maxsize=None)
 def structure_constants(ctx: FqContext, n1: int, n2: int):
     """m(chi_i x chi_j) = sum_k c^k_ij chi_k in the character basis, as a
-    read-only rational pair with x of shape (i, j, k)."""
+    read-only rational pair with rows (i, j) in product order, columns k."""
     return linalg.matmul(_pairings(ctx, n1, n2)[0], _inverse_norms(ctx, n1 + n2))
 
 
 def coproduct_constants(ctx: FqContext, n1: int, n2: int):
     """m*(chi_k) = sum_ij c^ij_k chi_i x chi_j on the (n1, n2) component, as
-    a read-only rational pair with x of shape (k, i, j): plane k of the
-    coproduct pairing, scaled by 1 / |chi_i|^2 |chi_j|^2 at (i, j)."""
-    x, d = _pairings(ctx, n1, n2)[1]
-    return linalg.matmul(linalg.matmul(_inverse_norms(ctx, n1), (x.transpose(2, 0, 1), d)),
-                         _inverse_norms(ctx, n2))
+    a read-only rational pair with rows (i, j) in product order, columns k:
+    the coproduct pairing scaled by 1 / |chi_i|^2 |chi_j|^2 on row (i, j)."""
+    return linalg.matmul(linalg.kron(_inverse_norms(ctx, n1), _inverse_norms(ctx, n2)),
+                         _pairings(ctx, n1, n2)[1])
 
 
 def verify_positivity(ctx: FqContext, n1: int, n2: int) -> Report:
     """Every product and coproduct structure constant in the character basis
-    is >= 0."""
+    is >= 0; the product constants are scanned in (i, j, k) order, the
+    coproduct ones in (k, i, j) order."""
     witness = None
-    for form, constants in (("c^{2}_{0},{1}", structure_constants),
-                            ("coproduct c^{1},{2}_{0}", coproduct_constants)):
-        x, d = constants(ctx, n1, n2)
+    for form, constants, axes in (("c^{2}_{0},{1}", structure_constants, (0, 1, 2)),
+                                  ("coproduct c^{1},{2}_{0}", coproduct_constants,
+                                   (2, 0, 1))):
+        x, d = _triples(ctx, n1, constants(ctx, n1, n2), axes)
         negative = np.argwhere(x < 0)
         if len(negative):
             index = tuple(negative[0])
@@ -131,7 +138,7 @@ def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> Report:
     """(m(chi_i x chi_j), chi_k) = (chi_i x chi_j, m* chi_k), exactly, on all
     character-basis triples."""
     return Report("psh-self-adjoint", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)},
-                  _first_difference(*_pairings(ctx, n1, n2)))
+                  _first_difference(*(_triples(ctx, n1, p) for p in _pairings(ctx, n1, n2))))
 
 
 def nondescending_witness(ctx: FqContext) -> SqrtRational:

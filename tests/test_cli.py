@@ -344,6 +344,18 @@ class TestErrors:
         code, out, err = run(capsys, "verify", "--q", "2", "--max-n", "0")
         assert code == 2 and out == "" and "--max-n" in err
 
+    @pytest.mark.parametrize("suite", ["hc", "mackey"])
+    def test_suite_with_no_check_at_max_n(self, capsys, suite):
+        # both printed "OK: 0/0 checks passed" and exited 0: neither suite
+        # has a check below degree 2
+        code, out, err = run(capsys, "verify", suite, "--q", "2", "--max-n", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"verify {suite} " in err and "--max-n 1" in err
+
+    def test_all_suites_at_max_n_one_still_run(self, capsys):
+        code, out, _ = run(capsys, "verify", "--q", "2", "--max-n", "1")
+        assert code == 0 and out.splitlines()[-1].startswith("OK: ")
+
     @pytest.mark.parametrize("argv,message", [
         (["induce", "--composition", "2+", "--input", "a.json"], "--composition"),
         (["restrict", "--composition", "a", "--input", "a.json"], "--composition"),

@@ -1,13 +1,15 @@
 """The alternating-sum duality operation, the Steinberg function, and the
 antipode comparison."""
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from glnq import linalg
-from glnq.duality import (duality_operator, steinberg, steinberg_constituents,
-                          verify_antipode_is_duality, verify_characterization,
-                          verify_involutive_isometric)
+from glnq import duality, linalg
+from glnq.duality import (DualityOperator, duality_operator, steinberg,
+                          steinberg_constituents, verify_antipode_is_duality,
+                          verify_characterization, verify_involutive_isometric)
 from glnq.field import fq
 from glnq.hc import hc_induce
 from glnq.hopf import antipode_function, is_primitive
@@ -87,6 +89,24 @@ class TestProperties:
                                      (3, 1), (3, 2), (3, 3)])
     def test_involutive_isometric(self, q, n):
         assert verify_involutive_isometric(n, fq(q)).passed
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2)])
+    def test_involution_that_is_no_isometry_fails(self, monkeypatch, q, n):
+        # P D P^-1 with P = diag(1, 2, ..., k) squares to the identity, but
+        # preserves the Gram matrix only where D commutes with P^2, and D is
+        # not diagonal
+        ctx = fq(q)
+        x, den = duality_operator(n, ctx).matrix
+        diag = np.arange(1, len(x) + 1, dtype=object)
+        scale = math.lcm(*diag)
+        conjugated = linalg.reduced(diag[:, None] * x * (scale // diag), den * scale)
+        assert linalg.mat_eq(linalg.matmul(conjugated, conjugated),
+                             linalg.identity(len(x)))
+        monkeypatch.setattr(duality, "duality_operator",
+                            lambda n, ctx: DualityOperator(n, ctx, conjugated))
+        report = verify_involutive_isometric(n, ctx)
+        assert not report.passed
+        assert report.witness == "Gram matrix not preserved"
 
     @pytest.mark.parametrize("q,max_n", [(2, 3), (3, 2)])
     def test_characterization(self, q, max_n):

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 import hc_oracle
 import orbit_oracle
-from glnq import hc, linalg
+from glnq import hc, invfun, linalg
 from glnq.field import fq
 from glnq.glmat import compositions
 from glnq.hc import (_parts, hc_induce, hc_restrict,
                      induction_matrix, mackey_index_set, mackey_rhs,
                      parabolic_group_order, restriction_matrix,
-                     tensor_induce_span, verify_adjunction, verify_mackey,
+                     split_tables, tensor_induce_span, verify_adjunction, verify_mackey,
                      verify_parabolic_independence, verify_transitivity)
-from glnq.invfun import (TensorFunction, constant_one, indicator_by_index,
+from glnq.invfun import (TensorFunction, adjoint, constant_one, indicator_by_index,
                          inner_product_rational)
 from glnq.orbits import OrbitCountError, enumerate_orbits
 from glnq.report import Report
@@ -119,19 +119,24 @@ class TestEmptySplit:
 
 class TestCosetCount:
     """induction_matrix counts cosets P\\GL_n for upper splits with at most
-    two parts, composes the longer upper splits by transitivity, and takes
-    the lower ones as the adjoint of the lower restriction; the count over
-    all of GL_n divided by |P| (hc_oracle) is the witness of all three."""
+    two parts, and takes every other split as the adjoint of its
+    restriction; the count over all of GL_n divided by |P| (hc_oracle) is
+    the witness of both routes, and of the adjoint of every upper
+    restriction, the route the two-part upper splits are to take."""
 
     @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS
                                      for n in range(top + 1)])
     def test_matches_conjugation_count(self, q, n):
         ctx = fq(q)
+        table_n = (enumerate_orbits(n, ctx),)
         for parts in splits(n):
             for lower in (False, True):
-                assert linalg.mat_eq(induction_matrix(ctx, parts, lower),
-                             hc_oracle.conjugation_induction_matrix(ctx, parts, lower)), \
+                want = hc_oracle.conjugation_induction_matrix(ctx, parts, lower)
+                assert linalg.mat_eq(induction_matrix(ctx, parts, lower), want), \
                     (parts, lower)
+            res = restriction_matrix(ctx, parts)
+            assert linalg.mat_eq(adjoint(res, table_n, split_tables(ctx, parts)),
+                                 hc_oracle.conjugation_induction_matrix(ctx, parts)), parts
 
     @pytest.mark.parametrize("q,parts", [(2, (1, 3)), (2, (2, 2)), (3, (1, 2)),
                                          (5, (1, 1))])
@@ -143,18 +148,15 @@ class TestCosetCount:
         assert len(g) * order == parabolic_group_order(ctx, (n,))
         assert (hc.batch_matmul(ctx, g, gi) == np.eye(n, dtype=np.int16)).all()
 
-    @pytest.mark.parametrize("composed", [False, True])
-    def test_dropped_coset_fails_the_oracle(self, monkeypatch, q2, composed):
-        # one coset of P_(2,1)\GL_3 dropped: the (2, 1) count, and the
-        # (1, 1, 1) matrix composed from it, differ from the oracle
+    def test_dropped_coset_fails_the_oracle(self, monkeypatch, q2):
+        # one coset of P_(2,1)\GL_3 dropped: the (2, 1) count differs from
+        # the oracle
         real = hc._coset_reps
         g, gi = real(q2, (2, 1))
         monkeypatch.setattr(hc, "_coset_reps", lambda ctx, parts: (
             (g[1:], gi[1:]) if parts == (2, 1) else real(ctx, parts)))
-        monkeypatch.setattr(hc, "induction_matrix", induction_matrix.__wrapped__)
-        parts = (1, 1, 1) if composed else (2, 1)
-        got = hc.induction_matrix(q2, parts)
-        assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, parts))
+        got = induction_matrix.__wrapped__(q2, (2, 1))
+        assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, (2, 1)))
 
     @pytest.mark.parametrize("parts", [(1, 2), (2, 1), (1, 1, 1)])
     def test_changed_lower_restriction_count_fails_the_oracle(self, monkeypatch, q2,
@@ -173,6 +175,51 @@ class TestCosetCount:
         monkeypatch.setattr(hc, "restriction_matrix", corrupted)
         got = induction_matrix.__wrapped__(q2, parts, True)
         assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, parts, True))
+
+    @pytest.mark.parametrize("q,parts", [(2, (1, 1, 1)), (2, (1, 2, 1)), (2, (1, 1, 1, 1)),
+                                         (3, (1, 1, 1))])
+    def test_changed_upper_restriction_count_fails_the_oracle(self, monkeypatch, q,
+                                                             parts):
+        # upper induction along three or more parts is the adjoint of the
+        # upper restriction: one count of it one higher shows
+        ctx = fq(q)
+        real = hc.restriction_matrix
+
+        def corrupted(ctx, p, lower=False):
+            x, den = real(ctx, p, lower)
+            if p == parts and not lower:
+                x = x.copy()
+                x[0, 0] += 1
+            return x, den
+
+        monkeypatch.setattr(hc, "restriction_matrix", corrupted)
+        got = induction_matrix.__wrapped__(ctx, parts)
+        assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(ctx, parts))
+
+    @pytest.mark.parametrize("side", ["gl_n", "levi"])
+    @pytest.mark.parametrize("q,parts,lower", [(2, (1, 1, 1), False), (2, (2, 1), True),
+                                               (3, (1, 1, 1), False)])
+    def test_changed_weight_fails_the_oracle(self, monkeypatch, q, parts, lower, side):
+        # one orbit size in the Gram weights of gl_n or of the Levi tuples
+        # one higher, at an orbit the induction reaches: the adjoint differs
+        ctx = fq(q)
+        want = hc_oracle.conjugation_induction_matrix(ctx, parts, lower)
+        tables = ((enumerate_orbits(sum(parts), ctx),) if side == "gl_n"
+                  else split_tables(ctx, parts))
+        axis = 1 if side == "gl_n" else 0
+        reached = int(np.flatnonzero(want[0].any(axis=axis))[-1])
+        real = invfun._weights
+
+        def corrupted(tabs):
+            w, order = real(tabs)
+            if tabs == tables:
+                w = w.copy()
+                w[reached, 0] += 1
+            return w, order
+
+        monkeypatch.setattr(invfun, "_weights", corrupted)
+        got = induction_matrix.__wrapped__(ctx, parts, lower)
+        assert not linalg.mat_eq(got, want)
 
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (0, 2)])
     def test_wrong_parabolic_order_raises(self, monkeypatch, q3, parts):

@@ -539,3 +539,65 @@ class TestFieldOfValues:
         vals[(3, 0)] = vals.pop((2, 2))
         with pytest.raises(ValueError, match="dense"):
             TensorFunction([table, table], vals)
+
+
+def _random_values(rng, p, count):
+    return [Cyclotomic(p, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                           for _ in range(p - 1)]) for _ in range(count)]
+
+
+def _random_tensor(rng, tables):
+    idx = list(product(*(range(len(t)) for t in tables)))
+    return TensorFunction(tables, dict(zip(idx, _random_values(rng, tables[0].ctx.p,
+                                                                 len(idx)))))
+
+
+def _apply_entrywise(op, s, tables):
+    """A Q(zeta_p) operator applied to the whole of s, one Cyclotomic
+    multiply-add at a time."""
+    (x, den), p = op, s.p
+    values = list(s.values.values())
+    rows = list(product(*(range(len(t)) for t in tables)))
+    return TensorFunction(tables, {
+        row: sum((Cyclotomic._from_ints(p, list(x[:, r, c]), den) * v
+                  for c, v in enumerate(values)), Cyclotomic.rational(p, 0))
+        for r, row in enumerate(rows)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("source,target", [((1, 1), (2,)), ((2,), (1, 1)), ((1,), (0, 1))])
+class TestAdjoint:
+    """invfun.adjoint moves an operator across the pairing of the indicator
+    bases: (op s, t) = (s, adjoint(op) t) for every s over `source` and t
+    over `target`, on random Q(zeta_p) values."""
+
+    def _tables(self, ctx, source, target):
+        return tuple(tuple(enumerate_orbits(m, ctx) for m in degrees)
+                     for degrees in (source, target))
+
+    def test_rational_operator(self, q, source, target):
+        ctx, rng = fq(q), random.Random(f"adjoint-{q}-{source}-{target}")
+        src, tgt = self._tables(ctx, source, target)
+        rows, cols = (math.prod(map(len, tabs)) for tabs in (tgt, src))
+        op = linalg.reduced(np.array([[rng.randint(-5, 5) for _ in range(cols)]
+                                      for _ in range(rows)], dtype=object), rng.randint(1, 6))
+        adj = invfun.adjoint(op, src, tgt)
+        for _ in range(3):
+            s, t = _random_tensor(rng, src), _random_tensor(rng, tgt)
+            lhs = tensor_inner_product(apply_operator(op, s, 0, len(src), tgt), t)
+            assert lhs == tensor_inner_product(s, apply_operator(adj, t, 0, len(tgt), src))
+        assert linalg.mat_eq(invfun.adjoint(adj, tgt, src), op)
+
+    def test_cyclotomic_operator(self, q, source, target):
+        ctx, rng = fq(q), random.Random(f"adjoint-zeta-{q}-{source}-{target}")
+        p = ctx.p
+        src, tgt = self._tables(ctx, source, target)
+        rows, cols = (math.prod(map(len, tabs)) for tabs in (tgt, src))
+        op = linalg.reduced(np.array([[[rng.randint(-5, 5) for _ in range(cols)]
+                                       for _ in range(rows)] for _ in range(p - 1)],
+                                     dtype=object), rng.randint(1, 6))
+        adj = invfun.adjoint(op, src, tgt)
+        s, t = _random_tensor(rng, src), _random_tensor(rng, tgt)
+        assert (tensor_inner_product(_apply_entrywise(op, s, tgt), t)
+                == tensor_inner_product(s, _apply_entrywise(adj, t, src)))
+        assert linalg.mat_eq(invfun.adjoint(adj, tgt, src), op)

@@ -39,8 +39,11 @@ def is_prime(p: int) -> bool:
 
 def digits(codes, base, width):
     """The `width` base-`base` digits of each code, lowest first, as an int16
-    array of shape codes.shape + (width,); the inverse of undigits."""
-    codes = np.asarray(codes, dtype=np.int64)
+    array of shape codes.shape + (width,); the inverse of undigits.  Codes
+    keep an integer dtype that holds base, so narrow codes are never copied
+    whole to int64."""
+    codes = np.asarray(codes)
+    codes = codes.astype(np.promote_types(codes.dtype, np.min_scalar_type(base)), copy=False)
     out = np.empty(codes.shape + (width,), dtype=np.int16)
     for i in range(width):
         out[..., i] = codes % base

@@ -363,7 +363,8 @@ def all_matrices(ctx: FqContext, n: int):
     on every call: its one caller in glnq, the cached gl_arrays, keeps only
     the invertible ones."""
     total = _matrix_count(ctx, n)
-    out = digits(np.arange(total), ctx.q, n * n).reshape(total, n, n)
+    codes = np.arange(total, dtype=np.min_scalar_type(total - 1))
+    out = digits(codes, ctx.q, n * n).reshape(total, n, n)
     out.setflags(write=False)
     return out
 
@@ -380,23 +381,27 @@ def row_codes(ctx: FqContext, n: int):
     smallest dtype that holds Q - 1, Q = q^n: the matrix of code
     sum_i R_i Q^i has row i of code R_i = sum_j a_ij q^j, at [i, code]."""
     total, Q = _matrix_count(ctx, n), ctx.q ** n
-    out = digits(np.arange(total), Q, n).T.astype(np.min_scalar_type(Q - 1), order="C")
+    codes = np.arange(total, dtype=np.min_scalar_type(total - 1))
+    out = digits(codes, Q, n).T.astype(np.min_scalar_type(Q - 1), order="C")
     out.setflags(write=False)
     return out
 
 
 def _minor_dets(ctx, rows, i):
-    """At [j, k], the determinant of matrix k, given by its row codes
-    rows[:, k], with row i and column j struck out: the minor's code comes
-    from a table of each row code without entry j, its determinant from the
-    degree-(n-1) table."""
+    """For each column j in turn, the determinant of every matrix k, given by
+    its row codes rows[:, k], with row i and column j struck out: the
+    minor's code, in the smallest dtype that holds it, comes from a table of
+    each row code without entry j, its determinant from the degree-(n-1)
+    table."""
     n = len(rows)
     vecs, sub = digits(np.arange(ctx.q ** n), ctx.q, n), ctx.q ** (n - 1)
-    drop = np.stack([undigits(np.delete(vecs, j, axis=1), ctx.q) for j in range(n)])
-    codes = np.zeros(rows.shape, dtype=np.int64)
-    for pos, r in enumerate(r for r in range(n) if r != i):
-        codes += drop.take(rows[r], axis=1) * sub ** pos
-    return determinants(ctx, n - 1).take(codes)
+    dtype, dets = np.min_scalar_type(sub ** (n - 1) - 1), determinants(ctx, n - 1)
+    for j in range(n):
+        drop = undigits(np.delete(vecs, j, axis=1), ctx.q).astype(dtype)
+        codes = np.zeros(rows.shape[1], dtype=dtype)
+        for pos, r in enumerate(r for r in range(n) if r != i):
+            codes += drop.take(rows[r]) * sub ** pos
+        yield dets.take(codes)
 
 
 @lru_cache(maxsize=None)
@@ -436,12 +441,11 @@ def gl_arrays(ctx: FqContext, n: int):
     mask = gl_mask(ctx, n)
     G, rows = all_matrices(ctx, n)[mask], row_codes(ctx, n)[:, mask]
     scale = ctx.INV[determinants(ctx, n)[mask]]
-    inv = np.empty((n, n, len(G)), dtype=np.int16)  # [j, i]: (g^-1)_ji
+    Ginv = np.empty((len(G), n, n), dtype=np.int16)
     for i in range(n):
         for j, minor in enumerate(_minor_dets(ctx, rows, i)):
-            # 0 - f minor, f = -det(g)^-1 for an even i + j
-            inv[j, i] = sub_mul(ctx, 0, scale if (i + j) % 2 else ctx.NEG[scale], minor)
-    Ginv = np.ascontiguousarray(inv.transpose(2, 0, 1))
+            # (g^-1)_ji = 0 - f minor, f = -det(g)^-1 for an even i + j
+            Ginv[:, j, i] = sub_mul(ctx, 0, scale if (i + j) % 2 else ctx.NEG[scale], minor)
     wrong = (batch_matmul(ctx, G, Ginv) != np.eye(n, dtype=np.int16)).any(axis=(1, 2))
     if wrong.any():
         code = int(encode_matrices(ctx, G[wrong][:1])[0])

@@ -13,6 +13,13 @@ lookup.  Induction takes one of two routes:
 `transitivity-restriction` checks restriction in stages against one step.
 The function-level maps take no parabolic (both give one result).
 
+The Mackey check takes two sequences of test functions and checks every
+pair at once: the pairs rho1 x rho2 (rho1 outer, rho2 inner) are the
+columns of one 3-D block X = kron(F, G), F and G the functions' value
+planes side by side, so each side is one product chain,
+Res_(s,t) . (Ind_(n1,n2) . X) against mackey_operator . X, with one
+Report per pair.
+
 Internally a "split" is a tuple of nonnegative integers (zero parts mean
 degree-0 tensor factors); the public Composition type has positive parts.
 """
@@ -96,11 +103,15 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
 def _row_space_keys(ctx: FqContext, n: int, lo: int):
     """For each g of gl_arrays(ctx, n), the sorted codes of all q^(n-lo)
     vectors in the span of rows lo..n-1 of g (codes < q^n, in the smallest
-    dtype that holds them): equal keys, equal spans."""
+    dtype that holds them): equal keys, equal spans.  They are filled 4,096
+    matrices at a time, so no int64 code array spans the whole stack."""
     G, _ = gl_arrays(ctx, n)
     coeffs = digits(np.arange(ctx.q ** (n - lo)), ctx.q, n - lo)
-    codes = undigits(batch_matmul(ctx, coeffs, G[:, lo:]), ctx.q)
-    keys = np.sort(codes.astype(np.min_scalar_type(ctx.q ** n)), axis=1)
+    keys = np.empty((len(G), len(coeffs)), dtype=np.min_scalar_type(ctx.q ** n))
+    for start in range(0, len(G), 4096):
+        keys[start:start + 4096] = undigits(
+            batch_matmul(ctx, coeffs, G[start:start + 4096, lo:]), ctx.q)
+    keys.sort(axis=1)
     keys.setflags(write=False)
     return keys
 
@@ -267,29 +278,82 @@ def mackey_operator(ctx: FqContext, n1: int, n2: int, s: int, t: int):
     return linalg.add(*terms)
 
 
-def mackey_rhs(rho1: InvariantFunction, rho2: InvariantFunction,
-               s: int, t: int) -> TensorFunction:
-    """The double-coset side of the Mackey formula: mackey_operator applied
-    to rho1 x rho2."""
-    ctx = rho1.table.ctx
-    return apply_operator(mackey_operator(ctx, rho1.n, rho2.n, s, t),
-                          TensorFunction.outer([rho1, rho2]), 0, 2,
-                          split_tables(ctx, (s, t)))
+def _pair_context(rhos1, rhos2):
+    """(ctx, n1, n2) for two nonempty sequences of test functions, each over
+    one orbit table, both over one field."""
+    if not rhos1 or not rhos2:
+        raise ValueError("each side needs at least one test function")
+    t1, t2 = rhos1[0].table, rhos2[0].table
+    if (any(f.table is not t1 for f in rhos1) or any(f.table is not t2 for f in rhos2)
+            or t1.ctx != t2.ctx):
+        raise ValueError("test functions over different orbit tables")
+    return t1.ctx, t1.n, t2.n
 
 
-def verify_mackey(rho1: InvariantFunction, rho2: InvariantFunction,
-                  s: int, t: int) -> Report:
-    n1, n2 = rho1.n, rho2.n
+def _function_block(rhos):
+    """Functions over one table side by side as a 3-D (x, den) pair (see
+    linalg): x[t, o, i] / den is the coefficient of zeta^t in rhos[i] at orbit o."""
+    den = math.lcm(*(f.den for f in rhos))
+    return linalg.reduced(np.stack([f.num.T * (den // f.den) for f in rhos], axis=-1), den)
+
+
+def _pair_block(rhos1, rhos2):
+    """The tensors rho1 x rho2 over every pair, rho1 outer and rho2 inner, as
+    the columns of one 3-D (x, den) pair over the index tuples of (T_n1, T_n2)."""
+    return linalg.kron(_function_block(rhos1), _function_block(rhos2))
+
+
+def _columns(pair, tables) -> tuple:
+    """One TensorFunction over tables per column of a 3-D (x, den) pair whose
+    rows are their index tuples in product order."""
+    x, den = pair
+    shape = tuple(map(len, tables)) + (len(x),)
+    return tuple(TensorFunction._from_array(tables, col.T.reshape(shape), den)
+                 for col in np.moveaxis(x, -1, 0))
+
+
+def mackey_rhs(rhos1, rhos2, s: int, t: int) -> tuple:
+    """The double-coset side of the Mackey formula on every pair of test
+    functions, one tensor over (s, t) per pair, rho1 outer and rho2 inner:
+    one product of mackey_operator with the stacked block of rho1 x rho2."""
+    rhos1, rhos2 = tuple(rhos1), tuple(rhos2)
+    ctx, n1, n2 = _pair_context(rhos1, rhos2)
+    return _columns(linalg.matmul(mackey_operator(ctx, n1, n2, s, t), _pair_block(rhos1, rhos2)),
+                    split_tables(ctx, (s, t)))
+
+
+def _mackey_sides(rhos1, rhos2, splits):
+    """For each (s, t) of splits, the pairs (*R_(s,t) R_(n1,n2) (rho1 x rho2),
+    mackey_rhs) over every pair of test functions, rho1 outer and rho2
+    inner.  The induced block Ind . X, X the stacked rho1 x rho2, is formed
+    once, and each restriction of it is one product."""
+    rhos1, rhos2 = tuple(rhos1), tuple(rhos2)
+    ctx, n1, n2 = _pair_context(rhos1, rhos2)
+    induced = linalg.matmul(induction_matrix(ctx, (n1, n2)), _pair_block(rhos1, rhos2))
+    for s, t in splits:
+        tables = split_tables(ctx, (s, t))
+        lhs = _columns(linalg.matmul(restriction_matrix(ctx, (s, t)), induced), tables)
+        yield zip(lhs, mackey_rhs(rhos1, rhos2, s, t))
+
+
+def _tensor_witness(lhs: TensorFunction, rhs: TensorFunction):
+    """None if the tensors are equal, else the first index tuple, in product
+    order, at which their values differ."""
+    if lhs == rhs:
+        return None
+    rhs_values = rhs.values  # built on each read, so bind it once
+    return next((f"orbit pair {idx}: {v!r} != {rhs_values[idx]!r}"
+                 for idx, v in lhs.values.items() if v != rhs_values[idx]),
+                "tensors differ")
+
+
+def verify_mackey(rhos1, rhos2, s: int, t: int) -> list:
+    """*R_(s,t) R_(n1,n2) (rho1 x rho2) = mackey_rhs on every pair of test
+    functions, one Report per pair, rho1 outer and rho2 inner."""
+    rhos1, rhos2 = tuple(rhos1), tuple(rhos2)
+    ctx, n1, n2 = _pair_context(rhos1, rhos2)
     if n1 + n2 != s + t:
         raise ValueError("degree mismatch")
-    lhs = hc_restrict(hc_induce(TensorFunction.outer([rho1, rho2]), (n1, n2)),
-                      (s, t))
-    rhs = mackey_rhs(rho1, rho2, s, t)
-    witness = None
-    if lhs != rhs:
-        rhs_values = rhs.values  # built on each read, so bind it once
-        witness = next((f"orbit pair {idx}: {v!r} != {rhs_values[idx]!r}"
-                        for idx, v in lhs.values.items() if v != rhs_values[idx]),
-                       "tensors differ")
-    return Report("mackey", {"n1": n1, "n2": n2, "s": s, "t": t,
-                             "q": rho1.table.ctx.q}, witness)
+    sides, = _mackey_sides(rhos1, rhos2, [(s, t)])
+    return [Report("mackey", {"n1": n1, "n2": n2, "s": s, "t": t, "q": ctx.q},
+                   _tensor_witness(lhs, rhs)) for lhs, rhs in sides]

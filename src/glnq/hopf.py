@@ -1,6 +1,10 @@
 """The graded bialgebra structure on the tower of invariant-function spaces:
 product, coproduct, unit/counit, the inductively computed antipode, and the
 primitive (pre-cuspidal) subspaces.
+
+The bialgebra check, like hc.verify_mackey, takes two sequences of test
+functions: their products are induced as one block, restricted along every
+(s, n - s) and compared with mackey_rhs, one Report per pair.
 """
 from __future__ import annotations
 
@@ -11,8 +15,8 @@ import numpy as np
 
 from . import linalg
 from .field import FqContext
-from .hc import (hc_induce, hc_restrict, induction_matrix, mackey_rhs,
-                 restriction_matrix)
+from .hc import (_mackey_sides, _pair_context, hc_induce, hc_restrict,
+                 induction_matrix, restriction_matrix)
 from .invfun import (GradedElement, InvariantFunction, TensorFunction,
                      apply_operator)
 from .orbits import enumerate_orbits, partitions
@@ -63,15 +67,21 @@ def is_primitive(f: InvariantFunction) -> bool:
     return all(t.is_zero() for t in comultiply(f).proper().values())
 
 
-def verify_bialgebra(rho1: InvariantFunction, rho2: InvariantFunction) -> Report:
-    """m*(m(rho1 x rho2)) = m*(rho1) . m*(rho2), checked split by split."""
-    n = rho1.n + rho2.n
-    prod = multiply_functions(rho1, rho2)
-    params = {"n1": rho1.n, "n2": rho2.n, "q": rho1.table.ctx.q}
-    for s in range(n + 1):
-        if hc_restrict(prod, (s, n - s)) != mackey_rhs(rho1, rho2, s, n - s):
-            return Report("bialgebra", params, f"split ({s},{n - s}) differs")
-    return Report("bialgebra", params)
+def verify_bialgebra(rhos1, rhos2) -> list:
+    """m*(m(rho1 x rho2)) = m*(rho1) . m*(rho2) on every pair of test
+    functions, split by split, one Report per pair, rho1 outer and rho2
+    inner: the product block is induced once and restricted along every
+    (s, n - s), and a pair's witness names its first differing split."""
+    rhos1, rhos2 = tuple(rhos1), tuple(rhos2)
+    ctx, n1, n2 = _pair_context(rhos1, rhos2)
+    n = n1 + n2
+    witnesses = [None] * (len(rhos1) * len(rhos2))
+    for s, pairs in enumerate(_mackey_sides(rhos1, rhos2, [(s, n - s) for s in range(n + 1)])):
+        for i, (lhs, rhs) in enumerate(pairs):
+            if witnesses[i] is None and lhs != rhs:
+                witnesses[i] = f"split ({s},{n - s}) differs"
+    return [Report("bialgebra", {"n1": n1, "n2": n2, "q": ctx.q}, w)
+            for w in witnesses]
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,10 @@ def character_matrix(table: OrbitTable):
         # Tr(trace(a x)) = sum_i T[R_i(a), C_i(x)] mod p, with R_i(a) the code
         # of row i of a and C_i(x) that of column i of x: n gathers per x.
         # The sums run below width, a multiple of p, and fold mod p per orbit.
-        T, rows = _trace_table(ctx, n).astype(np.intp), row_codes(ctx, n)
+        # int32 indices: orbits * width is far below 2^31
+        T, rows = _trace_table(ctx, n).astype(np.int32), row_codes(ctx, n)
         width = (n * (p - 1) // p + 1) * p
-        base = orb.astype(np.intp) * width
+        base = orb.astype(np.int32) * width
         for xi, rep in enumerate(table.reps):
             idx = base.copy()
             for c, r in zip(undigits(rep.a.T, ctx.q), rows):
@@ -323,7 +324,11 @@ def apply_operator(op, t: TensorFunction, start: int, count: int,
     """Apply the rational operator op = (x, den) (see linalg) along the
     factors [start, start + count) of t.  The columns of x are the index
     tuples of those factors in product order, its rows those of the factors
-    `tables` that replace them: one linalg.matmul on t's values."""
+    `tables` that replace them: one linalg.matmul on t's values.  A Q(zeta_p)
+    operator, whose x is 3-D, raises ValueError."""
+    if op[0].ndim != 2:
+        raise ValueError(f"apply_operator takes 2-D rational operators only, "
+                         f"not one of shape {op[0].shape}")
     tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
     pre = math.prod(len(tb) for tb in t.tables[:start])
     num, den = linalg.matmul(op, (t.num.reshape(pre, op[0].shape[1], -1), t.den))

@@ -187,7 +187,8 @@ def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
     if ctx.q > 2 and n > 0:
         gamma = ctx.generator_index()
         gens.append((0, 0, ctx.SUB[1, gamma], ctx.SUB[1, ctx.INV[gamma]]))
-    moves = np.empty((len(gens), total), dtype=np.min_scalar_type(total - 1))
+    dtype = np.min_scalar_type(total - 1)  # holds Q^2 - 1 too, for n >= 2
+    moves = np.zeros((len(gens), total), dtype=dtype)
     for k, gen in enumerate(gens):
         if gen == "P":  # row i of P x P^-1 is row i - 1 of x, shifted
             moved, col = [rows[i - 1] for i in range(n)], np.roll(vecs, 1, axis=1)
@@ -196,12 +197,16 @@ def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
             col = vecs.copy()
             col[:, j] = sub_mul(ctx, col[:, j], g, col[:, i])
             moved = list(rows)
-            moved[i] = (_row_scale_table(ctx, vecs, f).take(rows[i]) if i == j else
-                        _row_move_table(ctx, vecs, f).take(rows[i].astype(np.intp) * Q + rows[j]))
-        col = undigits(col, ctx.q)
-        moves[k] = sum(col.take(r) * Q ** pos for pos, r in enumerate(moved))
-    for row in moves:
-        if (np.bincount(row, minlength=total) != 1).any():
+            moved[i] = (_row_scale_table(ctx, vecs, f).astype(rows.dtype).take(rows[i])
+                        if i == j else _row_move_table(ctx, vecs, f).astype(rows.dtype)
+                        .take(rows[i].astype(dtype) * Q + rows[j]))
+        col = undigits(col, ctx.q).astype(dtype)
+        for pos, r in enumerate(moved):
+            moves[k] += col.take(r) * Q ** pos
+        # a map of a finite set into itself is a permutation iff it is onto
+        hit = np.zeros(total, dtype=bool)
+        hit[moves[k]] = True
+        if not hit.all():
             raise OrbitCountError(f"a conjugation move on gl_{n}(F_{ctx.q}) "
                                   "is not a permutation")
     moves.setflags(write=False)
@@ -381,8 +386,10 @@ def orbit_table_bruteforce(n: int, ctx: FqContext):
         least = least[least]
         if np.array_equal(least, before):
             break
-    _, claim, sizes = np.unique(least, return_inverse=True, return_counts=True)
-    return claim.astype(np.int32), sizes.tolist()
+    # each class counted at its least code; classes numbered in that order
+    counts = np.bincount(least, minlength=total)
+    number = np.cumsum(counts > 0, dtype=np.int32) - 1
+    return number[least], counts[counts > 0].tolist()
 
 
 def nilpotent_orbit_count(table: OrbitTable) -> int:

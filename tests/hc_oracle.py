@@ -4,7 +4,8 @@ antipode, each applied one Cyclotomic multiply-add at a time from
 Fraction-list matrices; the duality and antipode matrices built with
 Fraction-list products and hand-written Kronecker loops; the induction
 matrix counted over all of GL_n; and the Mackey double-coset side assembled
-term by term from tensor restrictions, a factor permutation and inductions.
+term by term from tensor restrictions, a factor permutation and inductions;
+and the mackey and bialgebra checks one pair of test functions at a time.
 
 This is the slow path that glnq.invfun.apply_operator, the (x, den)
 operators of glnq.linalg, the coset count of glnq.hc.induction_matrix and
@@ -13,7 +14,11 @@ give the same values.
 The operator builders are bound here at import, so a test that patches
 glnq.hc's bindings reaches the fast path only; mackey_rhs alone calls
 glnq.hc's tensor restriction and induction, so a test takes it before it
-patches them.
+patches them.  The per-pair checks, verify_mackey and verify_bialgebra,
+are the routes that glnq.hc.verify_mackey and glnq.hopf.verify_bialgebra
+stacked into one product per block of test functions; they call glnq.hc's
+function maps and mackey_operator through the module, so a patched
+operator reaches both routes alike.
 """
 import math
 from fractions import Fraction
@@ -31,8 +36,9 @@ from glnq import hc
 from glnq.hc import (_block_lookup, _parts, induction_matrix, mackey_index_set,
                      parabolic_group_order, restriction_matrix, split_tables)
 from glnq.hopf import antipode_matrix
-from glnq.invfun import InvariantFunction, TensorFunction
+from glnq.invfun import InvariantFunction, TensorFunction, apply_operator
 from glnq.orbits import enumerate_orbits
+from glnq.report import Report
 
 
 def rows(op):
@@ -285,3 +291,45 @@ def mackey_rhs(rho1: InvariantFunction, rho2: InvariantFunction,
         term = hc.tensor_induce_span(four, 0, 2)  # (a, c) -> s
         acc = acc + hc.tensor_induce_span(term, 1, 2)  # (b, d) -> t
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the Mackey and bialgebra checks, one pair of test functions at a time
+
+
+def mackey_rhs_pair(rho1: InvariantFunction, rho2: InvariantFunction,
+                    s: int, t: int) -> TensorFunction:
+    """mackey_operator applied to the one tensor rho1 x rho2."""
+    ctx = rho1.table.ctx
+    return apply_operator(hc.mackey_operator(ctx, rho1.n, rho2.n, s, t),
+                          TensorFunction.outer([rho1, rho2]), 0, 2,
+                          split_tables(ctx, (s, t)))
+
+
+def verify_mackey(rho1: InvariantFunction, rho2: InvariantFunction,
+                  s: int, t: int) -> Report:
+    n1, n2 = rho1.n, rho2.n
+    if n1 + n2 != s + t:
+        raise ValueError("degree mismatch")
+    lhs = hc.hc_restrict(hc.hc_induce(TensorFunction.outer([rho1, rho2]), (n1, n2)),
+                         (s, t))
+    rhs = mackey_rhs_pair(rho1, rho2, s, t)
+    witness = None
+    if lhs != rhs:
+        rhs_values = rhs.values  # built on each read, so bind it once
+        witness = next((f"orbit pair {idx}: {v!r} != {rhs_values[idx]!r}"
+                        for idx, v in lhs.values.items() if v != rhs_values[idx]),
+                       "tensors differ")
+    return Report("mackey", {"n1": n1, "n2": n2, "s": s, "t": t,
+                             "q": rho1.table.ctx.q}, witness)
+
+
+def verify_bialgebra(rho1: InvariantFunction, rho2: InvariantFunction) -> Report:
+    """m*(m(rho1 x rho2)) = m*(rho1) . m*(rho2), checked split by split."""
+    n = rho1.n + rho2.n
+    prod = hc.hc_induce(TensorFunction.outer([rho1, rho2]), (rho1.n, rho2.n))
+    params = {"n1": rho1.n, "n2": rho2.n, "q": rho1.table.ctx.q}
+    for s in range(n + 1):
+        if hc.hc_restrict(prod, (s, n - s)) != mackey_rhs_pair(rho1, rho2, s, n - s):
+            return Report("bialgebra", params, f"split ({s},{n - s}) differs")
+    return Report("bialgebra", params)

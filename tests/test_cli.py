@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from glnq import cli, duality, hc, hopf, psh
@@ -196,6 +197,11 @@ def _merged_last_orbit(real):
     return wrapper
 
 
+def _tensors_doubled(real):
+    """mackey_rhs with every tensor it returns doubled."""
+    return lambda *args: tuple(t.scale(2) for t in real(*args))
+
+
 def _doubled(real):
     """An operator builder whose (x, den) matrices come out doubled."""
     def wrapper(*args):
@@ -220,8 +226,9 @@ CORRUPTIONS = [
      lambda real: lambda n, ctx: real(n, ctx) + 1, ["steinberg", "--max-n", "2"]),
     ("antipode-is-duality", duality, "antipode_matrix", _doubled,
      ["antipode", "--max-n", "2"]),
-    ("mackey", hc, "mackey_rhs", lambda real: lambda *args: real(*args).scale(2),
+    ("mackey", hc, "mackey_rhs", _tensors_doubled,
      ["mackey", "--n1", "1", "--n2", "1", "--s", "1", "--t", "1"]),
+    ("bialgebra", hc, "mackey_rhs", _tensors_doubled, ["bialgebra", "--max-n", "2"]),
     ("psh-nondescending", psh, "multiply_functions",
      lambda real: lambda a, b: real(a, b).scale(2), ["witness"]),
 ]
@@ -248,6 +255,34 @@ class TestVerifyFailures:
         assert data["passed"] is False
         records = [r for r in data["reports"] if r["name"] == check and not r["passed"]]
         assert records and all(isinstance(r["witness"], str) for r in records)
+
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 3)])
+    def test_orbit_oracle_counts_label_pairs(self, capsys, monkeypatch, q, n):
+        # two codes from two classes of the lookup trade brute-force classes:
+        # sizes and class count stay, and the label pairs are those of a set
+        ctx = fq(q)
+        lookup = enumerate_orbits(n, ctx).lookup
+        real = cli.orbit_table_bruteforce
+
+        def traded(m, ctx):
+            claim, sizes = real(m, ctx)
+            if m == n:
+                a = int(np.flatnonzero(lookup == lookup[-1])[0])
+                claim = claim.copy()
+                claim[[a, -1 - a]] = claim[[-1 - a, a]]
+            return claim, sizes
+
+        monkeypatch.setattr(cli, "orbit_table_bruteforce", traded)
+        code, out, _ = run(capsys, "verify", "orbits", "--q", str(q), "--max-n", str(n),
+                           "--format", "json")
+        claim, _ = traded(n, ctx)
+        pairs = len(set(zip(lookup.tolist(), claim.tolist())))
+        want = f"{len(set(lookup.tolist()))} orbits, {len(set(claim.tolist()))} by brute force"
+        [record] = [r for r in json.loads(out)["reports"]
+                    if r["name"] == "orbit-oracle" and r["params"]["n"] == n]
+        assert code == 1 and pairs > len(set(lookup.tolist()))
+        assert record["witness"] == f"{want}, {pairs} label pairs"
 
 
 class TestErrors:

@@ -2,6 +2,7 @@
 rationals."""
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,19 @@ class TestDigitCodes:
         assert got.dtype == np.int64
         assert got.tolist() == [sum(int(d) << i for i, d in enumerate(row))
                                 for row in digs.tolist()] == codes.tolist()
+
+    def test_narrow_codes_stay_narrow(self):
+        # the 2^16 codes of gl_4(F_2) fill uint16 exactly; copied to int64,
+        # each pass would hold three 512 kB arrays beside the 2 MB of digits
+        codes = np.arange(1 << 16, dtype=np.uint16)
+        tracemalloc.start()
+        try:
+            digs = digits(codes, 2, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digs.nbytes == 1 << 21 and peak < digs.nbytes + (1 << 19)
+        assert np.array_equal(undigits(digs, 2), codes)
 
     @pytest.mark.parametrize("base,width", [(3, 12), (9, 6), (49, 4)])
     def test_roundtrip(self, base, width):

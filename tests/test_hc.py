@@ -5,21 +5,24 @@ from itertools import product
 
 import numpy as np
 import pytest
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hc_oracle
 import orbit_oracle
-from glnq import hc, invfun, linalg
-from glnq.field import fq
+from glnq import cli, hc, invfun, linalg
+from glnq.field import Cyclotomic, fq
 from glnq.glmat import compositions
 from glnq.hc import (_parts, hc_induce, hc_restrict,
                      induction_matrix, mackey_index_set, mackey_rhs,
                      parabolic_group_order, restriction_matrix,
                      split_tables, tensor_induce_span, verify_adjunction, verify_mackey,
                      verify_parabolic_independence, verify_transitivity)
-from glnq.invfun import (TensorFunction, adjoint, constant_one, indicator_by_index,
-                         inner_product_rational)
+from glnq.hopf import verify_bialgebra
+from glnq.invfun import (InvariantFunction, TensorFunction, adjoint, constant_one,
+                         indicator_by_index, inner_product_rational)
 from glnq.orbits import OrbitCountError, enumerate_orbits
 from glnq.report import Report
 
@@ -296,26 +299,29 @@ class TestMackey:
 
     def test_all_indicator_pairs_n2_q2(self, q2):
         t1 = enumerate_orbits(1, q2)
+        fs = [indicator_by_index(i, t1) for i in range(len(t1))]
         for s in (0, 1, 2):
-            for i in range(len(t1)):
-                for j in range(len(t1)):
-                    r = verify_mackey(indicator_by_index(i, t1),
-                                      indicator_by_index(j, t1), s, 2 - s)
-                    assert r.passed, r.witness
+            reports = verify_mackey(fs, fs, s, 2 - s)
+            assert len(reports) == len(t1) ** 2
+            for r in reports:
+                assert r.passed, r.witness
 
     def test_degenerate_split(self, q2):
         t1 = enumerate_orbits(1, q2)
         t2 = enumerate_orbits(2, q2)
         f = indicator_by_index(1, t1)
         g = indicator_by_index(4, t2)
-        assert verify_mackey(f, g, 3, 0).passed
-        assert verify_mackey(f, g, 0, 3).passed
+        [r] = verify_mackey((f,), (g,), 3, 0)
+        assert r.passed
+        [r] = verify_mackey((f,), (g,), 0, 3)
+        assert r.passed
 
     def test_constants_q3(self, q3):
         one1 = constant_one(enumerate_orbits(1, q3))
         one2 = constant_one(enumerate_orbits(2, q3))
         for s in range(4):
-            assert verify_mackey(one1, one2, s, 3 - s).passed
+            [r] = verify_mackey((one1,), (one2,), s, 3 - s)
+            assert r.passed
 
     def test_rhs_matches_direct_restriction(self, q2):
         # cross-check the double-coset assembly against restricting the
@@ -323,12 +329,12 @@ class TestMackey:
         one2 = constant_one(enumerate_orbits(2, q2))
         one1 = constant_one(enumerate_orbits(1, q2))
         prod = hc_induce(TensorFunction.outer([one1, one1]), (1, 1))
-        assert hc_restrict(prod, (1, 1)) == mackey_rhs(one1, one1, 1, 1)
+        assert (hc_restrict(prod, (1, 1)),) == mackey_rhs((one1,), (one1,), 1, 1)
 
     def test_witness_names_the_first_differing_pair(self, q3, monkeypatch):
         one1 = constant_one(enumerate_orbits(1, q3))
         one2 = constant_one(enumerate_orbits(2, q3))
-        true_rhs = mackey_rhs(one1, one2, 1, 2)
+        true_rhs, = mackey_rhs((one1,), (one2,), 1, 2)
         vals = dict(true_rhs.values)
         # two entries off by one; the witness is the first in product order
         first, later = (1, 3), (2, 0)
@@ -336,8 +342,8 @@ class TestMackey:
         for idx in (later, first):
             vals[idx] = vals[idx] + 1
         monkeypatch.setattr(hc, "mackey_rhs",
-                            lambda *args: TensorFunction(true_rhs.tables, vals))
-        r = verify_mackey(one1, one2, 1, 2)
+                            lambda *args: (TensorFunction(true_rhs.tables, vals),))
+        [r] = verify_mackey((one1,), (one2,), 1, 2)
         assert not r.passed
         assert r.witness == f"orbit pair {first}: {want!r} != {want + 1!r}"
 
@@ -352,12 +358,13 @@ class TestMackeyOperator:
         ctx = fq(q)
         for n1 in range(max_n + 1):
             for n2 in range(max_n + 1 - n1):
-                t1, t2 = enumerate_orbits(n1, ctx), enumerate_orbits(n2, ctx)
-                for s, (i, j) in product(range(n1 + n2 + 1),
-                                         product(range(len(t1)), range(len(t2)))):
-                    f, g = indicator_by_index(i, t1), indicator_by_index(j, t2)
-                    assert (mackey_rhs(f, g, s, n1 + n2 - s)
-                            == hc_oracle.mackey_rhs(f, g, s, n1 + n2 - s)), (n1, n2, s, i, j)
+                fs, gs = (tuple(indicator_by_index(i, tab) for i in range(len(tab)))
+                          for tab in (enumerate_orbits(n1, ctx), enumerate_orbits(n2, ctx)))
+                for s in range(n1 + n2 + 1):
+                    got = mackey_rhs(fs, gs, s, n1 + n2 - s)
+                    assert len(got) == len(fs) * len(gs)
+                    for k, (f, g) in enumerate(product(fs, gs)):
+                        assert got[k] == hc_oracle.mackey_rhs(f, g, s, n1 + n2 - s), (n1, n2, s, k)
 
     def test_corrupted_count_fails(self, q3, monkeypatch):
         # one count of *R_(1,1) one higher: the (1, 2) -> (1, 2) operator
@@ -376,8 +383,116 @@ class TestMackeyOperator:
 
         monkeypatch.setattr(hc, "restriction_matrix", corrupted)
         monkeypatch.setattr(hc, "mackey_operator", hc.mackey_operator.__wrapped__)
-        assert mackey_rhs(one1, one2, 1, 2) != want
-        assert not verify_mackey(one1, one2, 1, 2).passed
+        assert mackey_rhs((one1,), (one2,), 1, 2) != (want,)
+        [r] = verify_mackey((one1,), (one2,), 1, 2)
+        assert not r.passed
+
+
+def _pinned_reports(fs, gs):
+    """The mackey reports of a block of test functions along every split,
+    then its bialgebra reports, each list asserted equal, pair by pair
+    (rho1 outer, rho2 inner), to the per-pair route of hc_oracle: name,
+    params and witness."""
+    n = fs[0].n + gs[0].n
+    out = []
+    for s in range(n + 1):
+        got = verify_mackey(fs, gs, s, n - s)
+        assert got == [hc_oracle.verify_mackey(f, g, s, n - s) for f, g in product(fs, gs)]
+        out.append(got)
+    got = verify_bialgebra(fs, gs)
+    assert got == [hc_oracle.verify_bialgebra(f, g) for f, g in product(fs, gs)]
+    return out, got
+
+
+class TestStackedChecks:
+    """verify_mackey and verify_bialgebra make one product per block of
+    test functions; hc_oracle checks one pair at a time."""
+
+    @pytest.mark.parametrize("all_indicators", [False, True],
+                             ids=["default", "all-indicators"])
+    @pytest.mark.parametrize("q,max_n", [(2, 4), (3, 3)])
+    def test_matches_per_pair_route(self, q, max_n, all_indicators):
+        ctx = fq(q)
+        for n1 in range(max_n + 1):
+            for n2 in range(max_n + 1 - n1):
+                fs, gs = (cli._test_functions(enumerate_orbits(n, ctx), all_indicators)
+                          for n in (n1, n2))
+                mackey, bialgebra = _pinned_reports(fs, gs)
+                assert all(r.passed for reports in mackey for r in reports + bialgebra)
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 32))
+    @settings(max_examples=25, deadline=None)
+    def test_random_cyclotomic_blocks(self, n1, n2, seed):
+        ctx, rng = fq(3), random.Random(seed)
+        n2 = min(n2, 3 - n1)
+
+        def block(n):
+            table = enumerate_orbits(n, ctx)
+            return tuple(InvariantFunction(table, [
+                Cyclotomic(3, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(2)]) for _ in range(len(table))])
+                for _ in range(rng.randint(1, 3)))
+
+        mackey, bialgebra = _pinned_reports(block(n1), block(n2))
+        assert all(r.passed for reports in mackey for r in reports + bialgebra)
+
+    @staticmethod
+    def _some_fail(reports):
+        failed = sum(not r.passed for r in reports)
+        return 0 < failed < len(reports)
+
+    @pytest.mark.parametrize("all_indicators", [False, True],
+                             ids=["default", "all-indicators"])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_corrupted_induction(self, q, all_indicators, monkeypatch):
+        # one count of R_(1,1) one higher, read by Res . Ind along (1, 1)
+        # and by no term of the (1, 1) -> (1, 1) operator
+        real = hc.induction_matrix
+
+        def corrupted(ctx, parts, lower=False):
+            x, den = real(ctx, parts, lower)
+            if tuple(parts) == (1, 1) and not lower:
+                x = x.copy()
+                x[0, 0] += 1
+            return x, den
+
+        monkeypatch.setattr(hc, "induction_matrix", corrupted)
+        # so that no Mackey operator is cached from the corrupted count
+        monkeypatch.setattr(hc, "mackey_operator", hc.mackey_operator.__wrapped__)
+        fs = cli._test_functions(enumerate_orbits(1, fq(q)), all_indicators)
+        # a second block in another order tells rho1 from rho2
+        mackey, bialgebra = _pinned_reports(fs, fs[::-1])
+        assert self._some_fail(mackey[1]) and self._some_fail(bialgebra)
+
+    @pytest.mark.parametrize("all_indicators", [False, True],
+                             ids=["default", "all-indicators"])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_corrupted_mackey_operator(self, q, all_indicators, monkeypatch):
+        # one entry of the (1, 1) -> (1, 1) and (1, 1) -> (2, 0) operators one
+        # higher: a failing pair's bialgebra witness names the first split
+        real = hc.mackey_operator
+
+        def corrupted(ctx, n1, n2, s, t):
+            x, den = real(ctx, n1, n2, s, t)
+            if (n1, n2, s, t) in ((1, 1, 1, 1), (1, 1, 2, 0)):
+                x = x.copy()
+                x[0, 0] += 1
+            return x, den
+
+        monkeypatch.setattr(hc, "mackey_operator", corrupted)
+        fs = cli._test_functions(enumerate_orbits(1, fq(q)), all_indicators)
+        mackey, bialgebra = _pinned_reports(fs, fs[::-1])
+        assert self._some_fail(mackey[1]) and self._some_fail(mackey[2])
+        assert self._some_fail(bialgebra) and all(r.passed for r in mackey[0])
+
+    def test_empty_or_mixed_blocks_raise(self, q2, q3):
+        one1, one2 = (constant_one(enumerate_orbits(n, q2)) for n in (1, 2))
+        with pytest.raises(ValueError, match="at least one test function"):
+            verify_mackey((), (one1,), 1, 0)
+        with pytest.raises(ValueError, match="different orbit tables"):
+            verify_bialgebra((one1, one2), (one1,))
+        with pytest.raises(ValueError, match="different orbit tables"):
+            mackey_rhs((one1,), (constant_one(enumerate_orbits(1, q3)),), 1, 1)
 
 
 class TestParabolicOrder:

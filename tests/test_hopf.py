@@ -95,17 +95,18 @@ class TestCoproduct:
 class TestBialgebra:
     def test_constants(self, q2):
         one1 = constant_one(enumerate_orbits(1, q2))
-        assert verify_bialgebra(one1, one1).passed
+        [r] = verify_bialgebra((one1,), (one1,))
+        assert r.passed
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_all_indicators_degree_three(self, q):
         ctx = fq(q)
         t1 = enumerate_orbits(1, ctx)
         t2 = enumerate_orbits(2, ctx)
-        for i in range(len(t1)):
-            for j in range(len(t2)):
-                assert verify_bialgebra(indicator_by_index(i, t1),
-                                        indicator_by_index(j, t2)).passed
+        reports = verify_bialgebra([indicator_by_index(i, t1) for i in range(len(t1))],
+                                   [indicator_by_index(j, t2) for j in range(len(t2))])
+        assert len(reports) == len(t1) * len(t2)
+        assert all(r.passed for r in reports)
 
 
 class TestPrimitives:

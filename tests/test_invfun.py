@@ -601,3 +601,25 @@ class TestAdjoint:
         assert (tensor_inner_product(_apply_entrywise(op, s, tgt), t)
                 == tensor_inner_product(s, _apply_entrywise(adj, t, src)))
         assert linalg.mat_eq(invfun.adjoint(adj, tgt, src), op)
+
+
+class TestApplyOperatorLayout:
+    """apply_operator takes 2-D rational operators only; a Q(zeta_p)
+    operator, such as invfun.adjoint returns for one, raises a one-line
+    ValueError naming its shape instead of failing inside a reshape."""
+
+    @pytest.mark.parametrize("target", [(1, 1), (2,)])
+    def test_cyclotomic_operator_is_rejected(self, q3, target):
+        rng = random.Random(f"apply-zeta-{target}")
+        t2 = enumerate_orbits(2, q3)
+        tgt = tuple(enumerate_orbits(m, q3) for m in target)
+        rows = math.prod(map(len, tgt))
+        op = linalg.reduced(np.array([[[rng.randint(-3, 3) for _ in range(len(t2))]
+                                       for _ in range(rows)] for _ in range(2)],
+                                     dtype=object), 1)
+        f = _random_tensor(rng, (t2,))
+        shape = (2, rows, len(t2))
+        assert shape in ((2, 9, 12), (2, 12, 12))
+        with pytest.raises(ValueError, match=r"2-D rational operators only") as err:
+            apply_operator(op, f, 0, 1, tgt)
+        assert str(shape) in str(err.value) and "\n" not in str(err.value)

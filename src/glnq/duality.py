@@ -40,7 +40,7 @@ def duality_operator(n: int, ctx: FqContext) -> DualityOperator:
     for c in compositions(n):
         x, den = linalg.matmul(induction_matrix(ctx, c.parts),
                                restriction_matrix(ctx, c.parts))
-        terms.append(((-1) ** (n - len(c.parts)) * x, den))
+        terms.append((linalg.scaled(x, (-1) ** (n - len(c.parts))), den))
     return DualityOperator(n, ctx, linalg.add(*terms))
 
 
@@ -53,7 +53,7 @@ def verify_antipode_is_duality(max_n: int, ctx: FqContext) -> Report:
     """S restricted to degree n equals (-1)^n D_n, as matrices."""
     for n in range(max_n + 1):
         x, den = duality_operator(n, ctx).matrix
-        if not linalg.mat_eq(antipode_matrix(ctx, n), ((-1) ** n * x, den)):
+        if not linalg.mat_eq(antipode_matrix(ctx, n), (linalg.scaled(x, (-1) ** n), den)):
             return Report("antipode-is-duality", {"q": ctx.q, "n": n},
                           f"matrices differ in degree {n}")
     return Report("antipode-is-duality", {"q": ctx.q, "max_n": max_n})

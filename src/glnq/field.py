@@ -53,12 +53,16 @@ def digits(codes, base, width):
 
 def undigits(digs, base):
     """The codes whose base-`base` digits, lowest first, run along the last
-    axis of digs."""
+    axis of digs (integers): in digs' dtype when it holds base^width - 1,
+    else int64."""
     digs = np.asarray(digs)
-    # against int64 weights einsum casts the digits in buffered chunks, so a
-    # stack of int16 digits is never copied whole to int64
+    width = digs.shape[-1]
+    # weights of the digits' own dtype, where it holds every code, spare
+    # einsum its buffered casts; against int64 weights it casts the digits
+    # chunk by chunk, so an int16 stack is never copied whole to int64
+    dtype = digs.dtype if base ** width - 1 <= np.iinfo(digs.dtype).max else np.int64
     return np.einsum("...i,i->...", digs,
-                     base ** np.arange(digs.shape[-1], dtype=np.int64))
+                     (base ** np.arange(width, dtype=np.int64)).astype(dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +180,10 @@ class FqContext:
         INV = np.argmax(MUL == 1, axis=1).astype(np.int16)
         INV[0] = -1
         # the regular representation: MULMAT[v] is the k x k matrix over F_p
-        # of multiplication by v, whose column j holds the digits of v t^j
-        MULMAT = digits(MUL[:, p ** np.arange(k)], p, k).swapaxes(1, 2).astype(np.int64)
+        # of multiplication by v, whose column j holds the digits of v t^j,
+        # in the narrowest signed dtype that holds p - 1 (int8 below p = 128)
+        MULMAT = digits(MUL[:, p ** np.arange(k)], p, k).swapaxes(1, 2).astype(
+            np.min_scalar_type(1 - p))
         self.ADD, self.SUB, self.MUL, self.NEG, self.INV = ADD, SUB, MUL, NEG, INV
         self.MULMAT = MULMAT
         for t in (ADD, SUB, MUL, NEG, INV, MULMAT):

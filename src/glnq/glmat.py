@@ -53,18 +53,29 @@ DEFAULT_BUDGET = 1 << 20
 MATMUL_CHUNK = 4096  # stacked matrices per integer matmul; keeps operands in cache
 
 
+def _accumulator(ctx, m):
+    """The narrowest of int16, int32 and int64 that holds an output digit of
+    batch_matmul with inner dimension m: it sums m k products of digits
+    below p, each at most (p - 1)^2."""
+    bound = m * ctx.k * (ctx.p - 1) ** 2
+    return next(dt for dt in (np.int16, np.int32, np.int64) if bound <= np.iinfo(dt).max)
+
+
 def batch_matmul(ctx, a, b):
     """Stacked matrix product; a: (..., n, m), b: (..., m, r).
 
     Integer matmuls over F_p via the regular representation of F_q: each entry
-    of a becomes its k x k multiplication matrix ctx.MULMAT, each entry of b
-    its k base-p digits (column 0 of that matrix), and each product is reduced
-    mod p once.  An output digit sums m k products below p^2, so int64 is
-    exact.  At k = 1 this is (a @ b) % p.  Stacks go MATMUL_CHUNK matrices at
-    a time along their first axis, which bounds the int64 temporaries.
+    of a becomes its k x k multiplication matrix ctx.MULMAT (int8 digits
+    below p = 128, else int16), each entry of b its k base-p digits (column
+    0 of that matrix), and each product accumulates in _accumulator(ctx, m),
+    the narrowest integer type that holds the m k products below p^2 summed
+    into an output digit, and is reduced mod p once.  Stacks go
+    MATMUL_CHUNK matrices at a time along their first axis, which bounds
+    the temporaries.
     """
     p, k = ctx.p, ctx.k
     n, m, r = a.shape[-2], a.shape[-1], b.shape[-1]
+    dt = _accumulator(ctx, m)
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     lead = shape or (1,)
     out = np.empty(lead + (n, r), dtype=np.int16)
@@ -74,10 +85,10 @@ def batch_matmul(ctx, a, b):
                   else x for x in (a, b))
         A = ctx.MULMAT[sa].swapaxes(-3, -2).reshape(sa.shape[:-2] + (n * k, m * k))
         B = ctx.MULMAT[sb, :, 0].swapaxes(-2, -1).reshape(sb.shape[:-2] + (m * k, r))
-        C = np.matmul(A, B)
+        C = np.matmul(A, B, dtype=dt)
         C -= C // p * p  # C %= p: numpy divides by a scalar faster than it takes %
         C = C.reshape(C.shape[:-2] + (n, k, r)).swapaxes(-2, -1)
-        out[s:s + MATMUL_CHUNK] = undigits(C, p)
+        out[s:s + MATMUL_CHUNK] = undigits(C, p)  # codes below q, in C's dtype
     return out.reshape(shape + (n, r))
 
 

@@ -294,7 +294,8 @@ def _function_block(rhos):
     """Functions over one table side by side as a 3-D (x, den) pair (see
     linalg): x[t, o, i] / den is the coefficient of zeta^t in rhos[i] at orbit o."""
     den = math.lcm(*(f.den for f in rhos))
-    return linalg.reduced(np.stack([f.num.T * (den // f.den) for f in rhos], axis=-1), den)
+    return linalg.reduced(np.stack([linalg.scaled(f.num.T, den // f.den) for f in rhos],
+                                   axis=-1), den)
 
 
 def _pair_block(rhos1, rhos2):
@@ -312,28 +313,32 @@ def _columns(pair, tables) -> tuple:
                  for col in np.moveaxis(x, -1, 0))
 
 
-def mackey_rhs(rhos1, rhos2, s: int, t: int) -> tuple:
+def mackey_rhs(rhos1, rhos2, s: int, t: int, block=None) -> tuple:
     """The double-coset side of the Mackey formula on every pair of test
     functions, one tensor over (s, t) per pair, rho1 outer and rho2 inner:
-    one product of mackey_operator with the stacked block of rho1 x rho2."""
+    one product of mackey_operator with the stacked block of rho1 x rho2,
+    the _pair_block the caller passes or else built here."""
     rhos1, rhos2 = tuple(rhos1), tuple(rhos2)
     ctx, n1, n2 = _pair_context(rhos1, rhos2)
-    return _columns(linalg.matmul(mackey_operator(ctx, n1, n2, s, t), _pair_block(rhos1, rhos2)),
+    if block is None:
+        block = _pair_block(rhos1, rhos2)
+    return _columns(linalg.matmul(mackey_operator(ctx, n1, n2, s, t), block),
                     split_tables(ctx, (s, t)))
 
 
 def _mackey_sides(rhos1, rhos2, splits):
     """For each (s, t) of splits, the pairs (*R_(s,t) R_(n1,n2) (rho1 x rho2),
     mackey_rhs) over every pair of test functions, rho1 outer and rho2
-    inner.  The induced block Ind . X, X the stacked rho1 x rho2, is formed
-    once, and each restriction of it is one product."""
+    inner.  The block X of the stacked rho1 x rho2 and the induced block
+    Ind . X are formed once, and each side of a split is one product."""
     rhos1, rhos2 = tuple(rhos1), tuple(rhos2)
     ctx, n1, n2 = _pair_context(rhos1, rhos2)
-    induced = linalg.matmul(induction_matrix(ctx, (n1, n2)), _pair_block(rhos1, rhos2))
+    block = _pair_block(rhos1, rhos2)
+    induced = linalg.matmul(induction_matrix(ctx, (n1, n2)), block)
     for s, t in splits:
-        tables = split_tables(ctx, (s, t))
-        lhs = _columns(linalg.matmul(restriction_matrix(ctx, (s, t)), induced), tables)
-        yield zip(lhs, mackey_rhs(rhos1, rhos2, s, t))
+        lhs = _columns(linalg.matmul(restriction_matrix(ctx, (s, t)), induced),
+                       split_tables(ctx, (s, t)))
+        yield zip(lhs, mackey_rhs(rhos1, rhos2, s, t, block))
 
 
 def _tensor_witness(lhs: TensorFunction, rhs: TensorFunction):

@@ -107,10 +107,10 @@ def primitive_subspace(ctx: FqContext, n: int) -> PrimitiveBasis:
     table = enumerate_orbits(n, ctx)
     # no restriction in degree 1, where every function is primitive; scaling
     # a row of the stack leaves its kernel, so the dens are dropped
-    stack = np.vstack([np.zeros((0, len(table)), dtype=object)]
+    stack = np.vstack([np.zeros((0, len(table)), dtype=np.int64)]
                       + [restriction_matrix(ctx, (k, n - k))[0] for k in range(1, n)])
     (x, den), _ = linalg.rref(linalg.kernel((stack, 1)))
-    num = np.zeros(x.shape + (ctx.p - 1,), dtype=object)
+    num = np.zeros(x.shape + (ctx.p - 1,), dtype=x.dtype)
     num[..., 0] = x  # rational values: the coordinate of 1 only
     members = tuple(InvariantFunction._from_array((table,), row, den) for row in num)
     return PrimitiveBasis(n, members, (x, den))
@@ -131,7 +131,7 @@ def antipode_matrix(ctx: FqContext, n: int):
                             linalg.identity(len(enumerate_orbits(l, ctx))))
         terms.append(linalg.matmul(induction_matrix(ctx, (k, l)), linalg.matmul(
             skron, restriction_matrix(ctx, (k, l)))))
-    return linalg.add(*((-x, den) for x, den in terms))
+    return linalg.add(*((linalg.scaled(x, -1), den) for x, den in terms))
 
 
 def antipode_function(f: InvariantFunction) -> InvariantFunction:

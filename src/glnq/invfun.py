@@ -2,12 +2,14 @@
 products, indicator and Fourier-character bases, tensors, and graded sums.
 
 A function or tensor holds its values in Q(zeta_p) as one read-only numpy
-object array `num` of Python ints, of shape (orbit dims..., p - 1) in the
-basis of Cyclotomic.num, over one int `den` > 0 with gcd(den, *num.flat) == 1,
-so equal functions have equal (num, den), the only state they keep (about
-1.1 kB for a degree-3 function at q=3).  `.values` (Cyclotomics) is built
-from num on each read and never kept: by output, never by the arithmetic,
-whose products and reduction to lowest terms are linalg's (its int64 rule).
+integer array `num`, of shape (orbit dims..., p - 1) in the basis of
+Cyclotomic.num, over one int `den` > 0 with gcd(den, *num.flat) == 1: the
+pair (num, den) of linalg, in lowest terms, with num int64 when every entry
+e has |e| < 2^63 and an object array of Python ints otherwise.  So equal
+functions have equal (num, den), dtype included, the only state they keep.
+`.values` (Cyclotomics) is built from num on each read and never kept: by
+output, never by the arithmetic, which is linalg's (products, sums,
+negation and reduction to lowest terms, each bound-checked).
 """
 from __future__ import annotations
 
@@ -48,7 +50,8 @@ class _Values:
     __slots__ = ("tables", "num", "den")
 
     def _set_values(self, tables, values):
-        """Set from values (Cyclotomic, int or Fraction) in product order."""
+        """Set from values (Cyclotomic, int or Fraction) in product order,
+        scaled to one denominator over Python ints."""
         p = tables[0].ctx.p if tables else 2
         vals = [_in_field(p, v) for v in values]
         den = math.lcm(*(v.den for v in vals))
@@ -95,7 +98,7 @@ class _Values:
         return self + -self._check(other)
 
     def __neg__(self):
-        return self._from_array(self.tables, -self.num, self.den)
+        return self._from_array(self.tables, linalg.scaled(self.num, -1), self.den)
 
     def scale(self, c):
         """Every value times c, a Cyclotomic, int or Fraction."""
@@ -104,7 +107,7 @@ class _Values:
                                 self.den * c.den)
 
     def is_zero(self):
-        return not any(self.num.flat)
+        return not self.num.any()
 
     def __eq__(self, other):
         return (type(other) is type(self) and other.tables == self.tables
@@ -294,7 +297,7 @@ class TensorFunction(_Values):
         tables = tuple(tables)
         p = tables[0].ctx.p if tables else 2
         return cls._from_array(tables, np.zeros(tuple(map(len, tables)) + (p - 1,),
-                                                dtype=object), 1)
+                                                dtype=np.int64), 1)
 
     def concat(self, other) -> "TensorFunction":
         """The tensor over self's factors then other's, with values s(i) t(j)."""

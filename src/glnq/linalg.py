@@ -1,76 +1,104 @@
 """Exact matrices over Q and Q(zeta_p), and Gauss-Jordan over Q.
 
-Every exact operator is a pair (x, den): x is a numpy object array of Python
-ints and den one positive integer, standing for the matrix x / den.  A 2-D x
-is a rational matrix; a 3-D x of shape (p - 1, rows, cols) is a matrix over
+Every exact operator is a pair (x, den): x is a numpy integer array and den
+one positive integer, standing for the matrix x / den.  A 2-D x is a
+rational matrix; a 3-D x of shape (p - 1, rows, cols) is a matrix over
 Q(zeta_p) whose plane t holds the coefficient of zeta^t, in the basis
 1, zeta, ..., zeta^(p-2) of Cyclotomic.num.  Every constructor here returns
-the pair in lowest terms, the gcd of den and all entries 1, so two pairs
-are equal as matrices exactly when they are equal as pairs.  Nothing here
-rounds or wraps: every product of exact arrays is made here, as int64 when
-terms * max|x| * max|y| < 2^63 (an entry sums `terms` products), else over
-Python ints.  rref, kernel and rank are fraction-free Gauss-Jordan on 2-D pairs.
+the pair in lowest terms, the gcd of den and all entries 1, with x read-only
+and int64 when every entry e has |e| < 2^63 (so negation cannot wrap), else
+an object array of Python ints: the dtype is a function of the values, so
+two pairs are equal as matrices exactly when they are equal as pairs.
+Nothing here rounds or wraps: every operation that can grow an entry checks
+a bound on its int64 operands and works over Python ints past it.
+matmul, kron and convolve take int64 when terms * max|x| * max|y| < 2^63
+(an entry sums `terms` products), add when the scaled maxima sum below
+2^63, conj_t when 2 max|x| < 2^63, and scaled when |c| max|x| < 2^63.
+rref, kernel and rank are fraction-free Gauss-Jordan on 2-D pairs.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from itertools import product
 
 import numpy as np
 
-
-def reduced(x, den):
-    """The pair (x, den) in lowest terms, x (an object array of ints, or an
-    exact int64 product) read-only: cached operators are shared."""
-    x = np.asarray(x)
-    g = math.gcd(den, *(x.flat if x.dtype == object else [np.gcd.reduce(x, None)]))
-    if g != 1:
-        x, den = x // g, den // g
-    x = x.astype(object, copy=False)
-    x.setflags(write=False)
-    return x, den
-
-
-_INT64 = {}  # id(x) -> _int64(x) for a read-only x owning its data, until x dies
+_LIMIT = 2 ** 63  # an int64 entry e has |e| < _LIMIT, a grown entry too
 
 
 def _int64(x):
-    """(x as int64, max|x|), or (None, None) when an entry is past int64."""
-    hit = _INT64.get(id(x))
-    if hit is None:
+    """(x as int64, max|x|), or (None, None) when an entry is past int64; an
+    int64 x is returned as it is."""
+    if x.dtype != np.int64:
         try:
-            y = x.astype(np.int64)
-            hit = y, max(int(y.max(initial=0)), -int(y.min(initial=0)))
+            x = x.astype(np.int64)
         except OverflowError:
-            hit = None, None
-        if not x.flags.writeable and x.base is None:
-            _INT64[id(x)] = hit
-            weakref.finalize(x, _INT64.pop, id(x))
-    return hit
+            return None, None
+    return x, max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def _fitted(x):
+    """An integer array as int64 when every entry e has |e| < 2^63 (not
+    -2^63, whose negation wraps), else as an object array of Python ints."""
+    x64, m = _int64(x)
+    return x64 if x64 is not None and m < _LIMIT else x.astype(object, copy=False)
+
+
+def reduced(x, den):
+    """The pair (x, den) in lowest terms, x read-only (cached operators are
+    shared), int64 exactly when every entry fits (see above)."""
+    x = _fitted(np.asarray(x))
+    g = math.gcd(den, *(x.flat if x.dtype == object else [int(np.gcd.reduce(x, None))]))
+    if g != 1:
+        # a g past int64 divides an int64 x only when x is zero (or empty),
+        # and int64 floor division cannot take it
+        x = _fitted(x // g) if x.dtype == object or g < _LIMIT else np.zeros_like(x)
+        den //= g
+    x.setflags(write=False)
+    return x, den
 
 
 def _operands(x, y, terms):
     """x and y as int64 when terms * max|x| * max|y| < 2^63, else as ints."""
     (x64, mx), (y64, my) = _int64(x), _int64(y)
-    if x64 is not None and y64 is not None and terms * mx * my < 2 ** 63:
+    if x64 is not None and y64 is not None and terms * mx * my < _LIMIT:
         return x64, y64
     return x.astype(object, copy=False), y.astype(object, copy=False)
 
 
 def identity(n):
-    return reduced(np.identity(n, dtype=int), 1)
+    return reduced(np.identity(n, dtype=np.int64), 1)
+
+
+def scaled(x, c: int):
+    """The integer array c x: int64 when |c| max|x| < 2^63, else over ints."""
+    x64, m = _int64(x)
+    if x64 is None or abs(c) * m >= _LIMIT:
+        return x.astype(object) * c
+    return x64 * c if m else np.zeros_like(x64)  # c may be past int64
 
 
 def add(*terms):
-    """Sum of (x, den) matrices of one shape."""
+    """Sum of (x, den) matrices of one shape: int64 when the sum of
+    max|x_i| * den / d_i over the terms is below 2^63, else over ints."""
     den = math.lcm(*(d for _, d in terms))
-    return reduced(sum(x * (den // d) for x, d in terms), den)
+    scales = [den // d for _, d in terms]
+    ints = [_int64(x) for x, _ in terms]
+    if all(x64 is not None for x64, _ in ints) and sum(
+            m * s for (_, m), s in zip(ints, scales)) < _LIMIT:
+        total = np.zeros(np.shape(terms[0][0]), dtype=np.int64)
+        for (x64, m), s in zip(ints, scales):
+            if m:  # a zero term may have a scale past int64
+                total += x64 * s
+    else:
+        total = sum(x.astype(object) * s for (x, _), s in zip(terms, scales))
+    return reduced(total, den)
 
 
 def _fold(planes):
     """p planes over 1, zeta, ..., zeta^(p-1) as p - 1 planes in the basis:
-    zeta^(p-1) = -(1 + ... + zeta^(p-2)) is subtracted from every other plane."""
+    zeta^(p-1) = -(1 + ... + zeta^(p-2)) is subtracted from every other plane
+    (the caller bounds the differences)."""
     return np.stack(planes[:-1]) - planes[-1]
 
 
@@ -105,9 +133,12 @@ def kron(a, b):
 
 
 def conj_t(a):
-    """Conjugate transpose: plane t moves to plane -t mod p, then folds."""
+    """Conjugate transpose: plane t moves to plane -t mod p, then folds, in
+    int64 when 2 max|x| < 2^63."""
     x, d = a
     if x.ndim == 3:
+        x64, m = _int64(x)
+        x = x64 if x64 is not None and 2 * m < _LIMIT else x.astype(object)
         x = _fold([x[0], np.zeros_like(x[0]), *x[:0:-1]])
     return reduced(np.swapaxes(x, -1, -2), d)
 

@@ -55,7 +55,7 @@ def _first_difference(a, b):
     """Witness text for the first entry, in row-major order, at which two
     rational pairs of one shape differ; None if they are equal."""
     (x, dx), (y, dy) = a, b
-    bad = np.argwhere(x * dy != y * dx)
+    bad = np.argwhere(linalg.scaled(x, dy) != linalg.scaled(y, dx))
     if len(bad):
         index = tuple(bad[0])
         return (f"({','.join(map(str, index))}): "

@@ -116,6 +116,16 @@ def zadd(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
+def zconj(u):
+    """The complex conjugate in Z[zeta_p] of a coefficient list: the
+    coefficient of zeta^t moves to zeta^-t, then zeta^(p-1) folds."""
+    p = len(u) + 1
+    c = [0] * p
+    for t, a in enumerate(u):
+        c[-t % p] += a
+    return [c[r] - c[p - 1] for r in range(p - 1)]
+
+
 def entries(x):
     """A 3-D array of p - 1 planes as a nested list of coefficient lists."""
     return [[[int(v) for v in x[:, i, j]] for j in range(x.shape[2])]
@@ -138,3 +148,13 @@ def matmul(x, y, mul=lambda a, b: a * b, add=lambda a, b: a + b):
 def kron(x, y, mul=lambda a, b: a * b):
     """The Kronecker product of nested lists of entries."""
     return [[mul(a, b) for a in xr for b in yr] for xr in x for yr in y]
+
+
+def add(*terms):
+    """The sum of (nested list of ints, den) terms of one shape, entry by
+    entry, as a nested list of Fractions."""
+    def total(entries):
+        if isinstance(entries[0][0], list):
+            return [total([(row[i], d) for row, d in entries]) for i in range(len(entries[0][0]))]
+        return sum(Fraction(v, d) for v, d in entries)
+    return total([(x, d) for x, d in terms])

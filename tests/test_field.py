@@ -118,6 +118,22 @@ class TestDigitCodes:
         assert got.tolist() == [sum(int(d) << i for i, d in enumerate(row))
                                 for row in digs.tolist()] == codes.tolist()
 
+    @pytest.mark.parametrize("dtype,base,width,out", [
+        (np.int16, 2, 15, np.int16), (np.int16, 2, 16, np.int64),
+        (np.int32, 3, 19, np.int32), (np.int32, 3, 20, np.int64),
+        (np.int64, 7, 22, np.int64)])
+    def test_codes_in_the_digit_dtype(self, dtype, base, width, out):
+        # codes below base^width take the digits' dtype when it holds them
+        # all, else int64, and equal the Python-int sums either way
+        rng = np.random.default_rng(width)
+        digs = rng.integers(0, base, (50, width)).astype(dtype)
+        digs[0] = base - 1  # the largest code, base^width - 1
+        got = undigits(digs, base)
+        assert got.dtype == out
+        assert got.tolist() == [sum(int(d) * base ** i for i, d in enumerate(row))
+                                for row in digs.tolist()]
+        assert got[0] == base ** width - 1
+
     def test_narrow_codes_stay_narrow(self):
         # the 2^16 codes of gl_4(F_2) fill uint16 exactly; copied to int64,
         # each pass would hold three 512 kB arrays beside the 2 MB of digits

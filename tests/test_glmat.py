@@ -150,6 +150,68 @@ class TestBatchMatmul:
             check_against_tables(ctx, a, b, bad)
 
 
+class TestAccumulator:
+    """batch_matmul accumulates each output digit, a sum of m k products of
+    digits below p, in the narrowest of int16, int32 and int64 that holds
+    m k (p - 1)^2, and is exact on both sides of each switch."""
+
+    Q_SWITCH = [2, 3, 4, 5, 7, 8, 9, 16, 19, 131]
+
+    @staticmethod
+    def _switch(ctx, dtype):
+        """The largest m whose digit sums fit dtype."""
+        return int(np.iinfo(dtype).max) // (ctx.k * (ctx.p - 1) ** 2)
+
+    @pytest.mark.parametrize("q", Q_SWITCH)
+    def test_narrowest_type(self, q):
+        ctx = fq(q)
+        m16, m32 = self._switch(ctx, np.int16), self._switch(ctx, np.int32)
+        for m, dtype in [(1, np.int16), (m16, np.int16), (m16 + 1, np.int32),
+                         (m32, np.int32), (m32 + 1, np.int64)]:
+            assert glmat._accumulator(ctx, m) == dtype, m
+
+    @pytest.mark.parametrize("q", Q_SWITCH)
+    def test_largest_digit_sums_on_both_sides(self, q):
+        # every product in an output digit as large as F_q allows: each entry
+        # of a is the element whose multiplication matrix has the largest
+        # row sum, each entry of b the element with every digit p - 1
+        ctx = fq(q)
+        p, k = ctx.p, ctx.k
+        sums = ctx.MULMAT.astype(np.int64).sum(axis=2)
+        widest = int(np.argmax(sums.max(axis=1)))
+        m16 = self._switch(ctx, np.int16)
+        for m in (m16, m16 + 1):
+            a = np.full((2, 1, m), widest, dtype=np.int16)
+            a[1, 0, ::3] = np.arange(len(a[1, 0, ::3])) % q  # some smaller terms
+            b = np.full((m, 1), q - 1, dtype=np.int16)
+            largest = m * int(sums.max()) * (p - 1)  # the exact digit sum
+            assert (largest <= 2 ** 15 - 1) == (m == m16)
+            check_against_tables(ctx, a, b, batch_matmul(ctx, a, b))
+        if p > 2 and k > 1:
+            # these sums pass int16 while m (p - 1)^2 alone does not, so an
+            # accumulator read without the k factor wraps here, and a wrap
+            # of 2^16 is seen mod an odd p
+            assert m16 * (p - 1) ** 2 <= 2 ** 15 - 1 < largest
+
+
+    @pytest.mark.parametrize("q", [127, 131])
+    def test_digits_past_int8(self, q):
+        # MULMAT holds every digit below p, int8 through p = 127 and int16
+        # past it, where int8 would wrap 130 to -126: [[130]] @ [[130]] is 1
+        # over F_131, and would read (-126)^2 = 25 mod 131
+        ctx = fq(q)
+        assert ctx.MULMAT.dtype == (np.int8 if q < 128 else np.int16)
+        assert ctx.MULMAT.ravel().tolist() == list(range(q))
+        top = np.array([[q - 1]], dtype=np.int16)
+        assert batch_matmul(ctx, top, top).tolist() == [[1]]
+        rng = np.random.default_rng(q)
+        for m in (1, 2, 3):  # int16 accumulators at m = 1, int32 past it
+            a = rng.integers(0, q, (5, 2, m), dtype=np.int16)
+            b = rng.integers(0, q, (5, m, 3), dtype=np.int16)
+            a[0], b[0] = q - 1, q - 1
+            check_against_tables(ctx, a, b, batch_matmul(ctx, a, b))
+
+
 class TestRowReduce:
     """The stack-wide row reduction against one list elimination per matrix."""
 

@@ -485,6 +485,18 @@ class TestStackedChecks:
         assert self._some_fail(mackey[1]) and self._some_fail(mackey[2])
         assert self._some_fail(bialgebra) and all(r.passed for r in mackey[0])
 
+    def test_one_pair_block_per_check(self, q2, monkeypatch):
+        # the block of rho1 x rho2 is built once for all n + 1 splits
+        built = []
+        real = hc._pair_block
+        monkeypatch.setattr(hc, "_pair_block", lambda *args: built.append(args) or real(*args))
+        fs = cli._test_functions(enumerate_orbits(2, q2), False)
+        for check in (lambda: verify_bialgebra(fs, fs), lambda: verify_mackey(fs, fs, 1, 3),
+                      lambda: mackey_rhs(fs, fs, 2, 2)):
+            built.clear()
+            check()
+            assert len(built) == 1
+
     def test_empty_or_mixed_blocks_raise(self, q2, q3):
         one1, one2 = (constant_one(enumerate_orbits(n, q2)) for n in (1, 2))
         with pytest.raises(ValueError, match="at least one test function"):

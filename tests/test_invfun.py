@@ -420,27 +420,36 @@ class TestCanonicalForm:
                   hc.hc_restrict(g, (1, 1)), duality_operator(2, ctx).apply(g)):
             assert h.den > 0
             assert math.gcd(h.den, *h.num.flat) == 1
-            assert all(type(a) is int for a in h.num.flat)
+            # int64 exactly when every entry fits (see linalg)
+            assert h.num.dtype == np.int64
 
     def test_one_form_however_built(self, q3):
+        # scale 2^62 puts the largest numerators past int64, where every
+        # route gives Python ints; at scale 1 every route gives int64
         table = enumerate_orbits(2, q3)
         z = Cyclotomic.zeta(3)
-        # values sharing a factor with their common denominator
-        built = InvariantFunction(table, [Fraction(2 * i, 6) * (z if i % 2 else 1)
-                                          for i in range(len(table))])
-        by_arith = built.scale(3) - built.scale(Fraction(4, 2))
-        x, den = linalg.identity(len(table))
-        by_operator = apply_operator((x * 6, den * 6), TensorFunction.outer([built]),
-                                     0, 1, (table,)).as_function()
-        # an exact int64 product, reduced by numpy's gcd
-        by_int64 = InvariantFunction._from_array((table,), (built.num * 4).astype(np.int64),
-                                                 built.den * 4)
-        for h in (by_arith, by_operator, by_int64):
-            assert h.den == built.den
-            assert h.num.dtype == object and not h.num.flags.writeable
-            assert np.array_equal(h.num, built.num)
-            assert hash(h) == hash(built)
-            assert h == built
+        for scale, dtype in [(1, np.int64), (2 ** 62, object)]:
+            # values sharing a factor with their common denominator
+            built = InvariantFunction(table, [Fraction(2 * i * scale, 6) * (z if i % 2 else 1)
+                                              for i in range(len(table))])
+            by_arith = built.scale(3) - built.scale(Fraction(4, 2))
+            x, den = linalg.identity(len(table))
+            by_operator = apply_operator((x * 6, den * 6), TensorFunction.outer([built]),
+                                         0, 1, (table,)).as_function()
+            # the values times 4 over 4 times the den, as Python ints and,
+            # where they fit, as an exact int64 product reduced by numpy's gcd
+            others = [by_arith, by_operator, InvariantFunction._from_array(
+                (table,), built.num.astype(object) * 4, built.den * 4)]
+            if dtype is np.int64:
+                others.append(InvariantFunction._from_array(
+                    (table,), (built.num * 4).astype(np.int64), built.den * 4))
+            assert built.num.dtype == dtype
+            for h in others:
+                assert h.den == built.den
+                assert h.num.dtype == dtype and not h.num.flags.writeable
+                assert np.array_equal(h.num, built.num)
+                assert hash(h) == hash(built)
+                assert h == built
 
     def test_pickle_keeps_the_canonical_form(self, q3):
         table = enumerate_orbits(2, q3)

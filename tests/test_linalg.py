@@ -3,8 +3,10 @@ tests/linalg_oracle.py: the same reduced forms, pivots, kernels and ranks on
 random small rational matrices, zero rows, zero columns and empty shapes.
 The products of linalg (matmul, kron and convolve, and apply_operator on
 them) against the Python-int products of the oracle, with operands at the
-int64 bound, where they take int64, and one past it, where they do not."""
-import gc
+int64 bound, where they take int64, and one past it, where they do not; the
+same for every other operation that grows an entry (add, conj_t, scaled)
+and for the library sites that scale or negate exact arrays through them.
+The canonical dtype: int64 exactly when every entry e has |e| < 2^63."""
 import math
 from fractions import Fraction
 
@@ -15,10 +17,12 @@ from hypothesis import strategies as st
 
 import invfun_oracle
 import linalg_oracle
-from glnq import hc, linalg
+from glnq import duality, hc, hopf, linalg, psh
 from glnq.duality import duality_operator
-from glnq.invfun import TensorFunction, apply_operator
+from glnq.invfun import InvariantFunction, TensorFunction, apply_operator
 from glnq.orbits import enumerate_orbits
+
+TOP = 2 ** 63 - 1  # the largest |entry| an int64 array holds
 
 
 def as_pair(rows, ncols):
@@ -185,16 +189,200 @@ def test_entries_past_int64(paths):
     assert paths == [False, False]
 
 
-def test_int64_copy_dropped_with_its_array():
+def test_no_int64_copy_is_kept():
+    # an int64 operand is multiplied as it is, with no copy kept anywhere
     x, _ = linalg.reduced(np.arange(6).reshape(2, 3), 1)
-    w = np.arange(6).reshape(3, 2).astype(object)  # writeable: never kept
-    linalg.matmul((x, 1), (w, 1))
-    key = id(x)
-    assert np.array_equal(linalg._INT64[key][0], x)
-    assert id(w) not in linalg._INT64
-    del x
-    gc.collect()
-    assert key not in linalg._INT64
+    assert x.dtype == np.int64
+    x64, xmax = linalg._int64(x)
+    assert x64 is x and xmax == 5
+    assert not hasattr(linalg, "_INT64")
+
+
+# ---------------------------------------------------------------------------
+# the canonical dtype, and every other operation that grows an entry
+
+
+@pytest.mark.parametrize("entries,dtype", [
+    ([TOP, -TOP, 0], np.int64), ([0, 0, 0], np.int64),
+    ([2 ** 63, 1, 0], object), ([-2 ** 63, 1, 0], object)])
+def test_dtype_is_a_function_of_the_values(entries, dtype):
+    # -2^63 fits int64 but its negation does not, so it takes Python ints;
+    # the entries as Python ints, three times them over den 3, and as int64
+    # where they fit all give one form
+    forms = [(np.array(entries, dtype=object), 1), (np.array(entries, dtype=object) * 3, 3)]
+    if -2 ** 63 <= min(entries) and max(entries) <= TOP:
+        forms.append((np.array(entries, dtype=np.int64), 1))
+    for built, den in forms:
+        x, d = linalg.reduced(built, den)
+        assert x.dtype == dtype and not x.flags.writeable
+        assert x.tolist() == entries and d == 1
+
+
+def test_dtype_is_read_after_lowest_terms():
+    # entries past int64 over a den that divides them reduce into int64,
+    # and -2^63 over an even den does too
+    x, den = linalg.reduced(np.array([2 ** 64, -2 ** 65], dtype=object), 2 ** 64)
+    assert x.dtype == np.int64 and x.tolist() == [1, -2] and den == 1
+    x, den = linalg.reduced(np.array([-2 ** 63, 2], dtype=np.int64), 2)
+    assert x.dtype == np.int64 and x.tolist() == [-2 ** 62, 1] and den == 1
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 3), (2, 2, 2)])
+@pytest.mark.parametrize("den", [2 ** 63 - 1, 2 ** 63, 2 ** 64 + 1])
+def test_zero_over_a_den_past_int64(shape, den):
+    # the gcd of den and a zero (or empty) x is den itself, past int64 on
+    # all but the first den: the pair is the zero matrix over 1
+    for zero in (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=object)):
+        x, d = linalg.reduced(zero, den)
+        assert x.dtype == np.int64 and x.shape == shape and not x.any() and d == 1
+    x = np.arange(6, dtype=np.int64).reshape(2, 3)
+    got = linalg.add((x, den), (-x, den))
+    assert got[0].dtype == np.int64 and not got[0].any() and got[1] == 1
+
+
+def test_function_minus_itself_over_a_den_past_int64(q3):
+    table = enumerate_orbits(2, q3)
+    for den in (2 ** 63, 2 ** 64):
+        f = InvariantFunction(table, [Fraction(i + 1, den) for i in range(len(table))])
+        for zero in (f - f, f.scale(0), -f + f):
+            assert zero.is_zero() and zero.den == 1 and zero.num.dtype == np.int64
+            assert zero == InvariantFunction(table, [0] * len(table))
+
+
+def _fractions(pair):
+    """The entries of a pair as a flat list of Fractions."""
+    x, den = pair
+    return [Fraction(int(v), den) for v in np.asarray(x).flat]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+def test_add_at_the_bound(past, sign):
+    # over den 6 the terms (a, 1), (b, 2), (c, 3) scale by 6, 3 and 2, and
+    # the bound 6a + 3b + 2c is the largest entry of the sum: 2^63 - 1, or
+    # 2^63 one past it, which int64 would wrap
+    a, b, c = ((2 ** 63 - 8) // 6, 1, 2) if not past else ((2 ** 63 - 2) // 6, 0, 1)
+    assert 6 * a + 3 * b + 2 * c == TOP + past
+    terms = [(np.array([[sign * v, v % 5], [0, -1]], dtype=np.int64), d)
+             for v, d in ((a, 1), (b, 2), (c, 3))]
+    got = linalg.add(*terms)
+    want = linalg_oracle.add(*((x.tolist(), d) for x, d in terms))
+    assert _fractions(got) == [v for row in want for v in row]
+    assert got[0].dtype == (object if past else np.int64)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_conj_t_at_the_bound(p, past):
+    # plane 0 = m and plane 1 = -m: conjugation moves plane 1 to zeta^(p-1),
+    # whose fold adds m to plane 0, so the bound 2 max|x| is the entry 2m
+    m = TOP // 2 + past
+    x = np.zeros((p - 1, 2, 3), dtype=object)
+    x[0], x[1] = m, -m
+    x[:, 1, 2] = range(p - 1)
+    got, den = linalg.conj_t((x, 1))
+    entries = linalg_oracle.entries(x)
+    want = [[linalg_oracle.zconj(entries[i][j]) for i in range(2)] for j in range(3)]
+    assert den == 1 and linalg_oracle.entries(got) == want
+    assert max(abs(int(v)) for v in got[0].flat) == 2 * m
+    assert got.dtype == (object if past else np.int64)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+@pytest.mark.parametrize("c", [2, -3, 7])
+def test_scaled_at_the_bound(c, past):
+    m = TOP // abs(c) + past
+    for x in (np.array([[m, -m], [1, 0]], dtype=object), np.array([[m, -1]], dtype=np.int64)):
+        got = linalg.scaled(x, c)
+        assert got.tolist() == [[v * c for v in row] for row in x.tolist()]
+        assert got.dtype == (object if past else np.int64)
+
+
+def test_scaled_by_a_factor_past_int64():
+    zero = np.zeros((2, 2), dtype=np.int64)
+    assert np.array_equal(linalg.scaled(zero, 2 ** 70), zero)
+    assert linalg.scaled(np.array([0, -1]), 2 ** 70).tolist() == [0, -2 ** 70]
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+def test_negation_at_the_bound(q3, past):
+    # the largest int64 entry, or 2^63 past it (Python ints) and -2^63,
+    # the one int64 whose negation wraps
+    table = enumerate_orbits(1, q3)
+    v = TOP + past
+    f = InvariantFunction(table, [v, -v, 1])
+    g = -f
+    assert g.num.tolist() == [[-a for a in row] for row in f.num.tolist()]
+    assert g.num.dtype == f.num.dtype == (object if past else np.int64)
+    assert -g == f and g + f == InvariantFunction(table, [0, 0, 0])
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+def test_function_block_at_the_bound(q3, past):
+    # f over den 1 scales by 3 to meet g over den 3
+    table = enumerate_orbits(1, q3)
+    m = TOP // 3 + past
+    f = InvariantFunction(table, [m, -m, 0])
+    g = InvariantFunction(table, [Fraction(1, 3), 0, 1])
+    x, den = hc._function_block((f, g))
+    assert den == 3 and x.shape == (2, 3, 2)
+    for i, h in enumerate((f, g)):
+        assert _fractions((x[..., i], den)) == _fractions((h.num.T, h.den))
+    assert x.dtype == (object if past else np.int64)
+
+
+def _first_difference_oracle(a, b):
+    (x, dx), (y, dy) = a, b
+    for index in np.ndindex(x.shape):
+        u, v = Fraction(int(x[index]), dx), Fraction(int(y[index]), dy)
+        if u != v:
+            return f"({','.join(map(str, index))}): {u} != {v}"
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+def test_first_difference_at_the_bound(past):
+    # entry (0, 0) is compared as 2 a against b: at the bound the two are
+    # equal; past it 2 a = 2^63 and b = -2^63 agree mod 2^64 but differ
+    a = TOP // 2 + past
+    b = -2 ** 63 if past else 2 * a
+    pairs = ((np.array([[a, 1]], dtype=np.int64), 1), (np.array([[b, 3]], dtype=object), 2))
+    want = _first_difference_oracle(*pairs)
+    assert want == ("(0,0): 4611686018427387904 != -4611686018427387904" if past
+                    else "(0,1): 1 != 3/2")
+    assert psh._first_difference(*pairs) == want
+    assert psh._first_difference(pairs[0], pairs[0]) is None
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+def test_duality_signs_at_the_bound(q2, monkeypatch, past):
+    # 1 x 1 stand-ins for R_c . *R_c: D_3 sums them with the signs
+    # (-1)^(3 - len c), + - - + over (3), (2,1), (1,2), (1,1,1), so the
+    # terms -a and -b of the two middle compositions add to a + b
+    a, b = TOP // 2, TOP // 2 + 1 + past
+    stand_ins = {(3,): 5, (2, 1): -a, (1, 2): -b, (1, 1, 1): -5}
+    monkeypatch.setattr(duality, "induction_matrix",
+                        lambda ctx, parts: (np.array([[stand_ins[parts]]]), 1))
+    monkeypatch.setattr(duality, "restriction_matrix", lambda ctx, parts: linalg.identity(1))
+    (x, den), = [duality.duality_operator.__wrapped__(3, q2).matrix]
+    assert den == 1 and x.tolist() == [[a + b]] == [[TOP + past]]
+    assert x.dtype == (object if past else np.int64)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+def test_antipode_negation_at_the_bound(q2, monkeypatch, past):
+    # one-orbit stand-ins: S_2 = -(I + Ind_(1,1) . (S_1 x I) . Res_(1,1)),
+    # so the negated terms -1 and -b add to -(1 + b), or -2^63 past the
+    # bound, the int64 whose negation wraps
+    b = TOP - 1 + past
+    build = hopf.antipode_matrix.__wrapped__  # uncached; S_1 below is a stand-in
+    monkeypatch.setattr(hopf, "enumerate_orbits", lambda n, ctx: [None])
+    monkeypatch.setattr(hopf, "antipode_matrix", lambda ctx, n: linalg.identity(1))
+    monkeypatch.setattr(hopf, "induction_matrix", lambda ctx, parts: linalg.identity(1))
+    monkeypatch.setattr(hopf, "restriction_matrix",
+                        lambda ctx, parts: (np.array([[b]]), 1))
+    x, den = build(q2, 2)
+    assert den == 1 and x.tolist() == [[-(1 + b)]] == [[-TOP - past]]
+    assert x.dtype == (object if past else np.int64)
 
 
 def _aligned(x, amax, tables):

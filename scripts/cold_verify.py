@@ -1,11 +1,9 @@
-"""Run one cold `glnq verify --q Q --format json` per field
-q = 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, each at its default max_n, and one
-cold `glnq verify mackey --q Q --all-indicators --format json` for q = 2, 3
-(every indicator pair, not the default sample), print each run's wall
-time, peak RSS and check count, and compare each report byte for byte with
-tests/data/verify_q<Q>.json or tests/data/verify_mackey_all_q<Q>.json.
-The other supported fields, q = 17 and 19, have no reference: their runs
-take about 43 s and 86 s.
+"""Run one cold `glnq verify --q Q --format json` per supported field
+q = 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, each at its default max_n, and
+one cold `glnq verify mackey --q Q --all-indicators --format json` for
+q = 2, 3 (every indicator pair, not the default sample), print each run's
+wall time, peak RSS and check count, and compare each report byte for byte
+with tests/data/verify_q<Q>.json or tests/data/verify_mackey_all_q<Q>.json.
 
 Run from the repository root: python scripts/cold_verify.py
 Each report is left in verify_q<Q>.out or verify_mackey_all_q<Q>.out; the
@@ -18,7 +16,7 @@ import subprocess
 import sys
 import time
 
-RUNS = [(f"verify_q{q}", ["--q", str(q)]) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+RUNS = [(f"verify_q{q}", ["--q", str(q)]) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)]
 RUNS += [(f"verify_mackey_all_q{q}", ["mackey", "--q", str(q), "--all-indicators"])
          for q in (2, 3)]
 

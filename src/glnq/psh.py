@@ -1,12 +1,12 @@
-"""Positive self-adjoint Hopf-algebra structure over the real numbers:
-the orthogonal character basis, nonnegative structure constants,
-self-adjointness, and the irrational structure constant witnessing that no
-rescaling descends to the rational numbers.  Each is a few exact matrix
-products on (x, den) pairs (see linalg); the reports hold params as strings.
+"""Positive self-adjoint Hopf-algebra structure over the real numbers in the
+character basis chi_O = F(1_O), (F f)(x) = sum_a f(a) psi(tr(a x)): the
+intertwinings F.Ind = q^(n1 n2) Ind.(F x F) and Res.F = q^(n1 n2) (F x F).Res
+make the structure constants the Harish-Chandra counts, and Plancherel gives
+the norms q^(n^2) |O| / |G_n|.  Each report checks on the characters the
+identities it rests on.  Exact on (x, den) pairs (see linalg).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,8 +19,8 @@ from .field import FqContext, NotRationalError, SqrtRational, rational_is_square
 from .hc import hc_restrict  # noqa: F401  (a binding the perfbench tracer checks)
 from .hc import induction_matrix, restriction_matrix
 from .hopf import multiply_functions
-from .invfun import (_weights, character_matrix, constant_one,
-                     fourier_character_basis, inner_product_rational)
+from .invfun import (character_matrix, constant_one, fourier_character_basis,
+                     inner_product_rational)
 from .orbits import enumerate_orbits
 from .report import Report
 
@@ -33,17 +33,15 @@ class OmegaBasis:
     n: int
     characters: tuple
     norms: tuple  # squared norms, positive rationals
+    gram: tuple  # diag(norms) as a rational pair (see linalg)
 
 
-def _pairing(a, b, *tables):
-    """The rational pair a . W . b^* of inner products between the rows of a
-    and of b (pairs over Q(zeta_p)), W = W_n1 x ... x W_nk over the tables
-    and W_n = diag(|O|) / |G_n| the Gram matrix of the orbit indicators.  An
-    entry is rational iff its planes 1..p-2 are zero; otherwise
-    NotRationalError names the first offending entry in row-major order."""
-    sizes, order = _weights(tables)
-    x, d = a
-    x, d = linalg.matmul((x * sizes.T, d * order), linalg.conj_t(b))
+def _pairing(a, b, table):
+    """The rational pair a . diag(|O|) / |G_n| . b^* of inner products of the
+    rows of a and b (pairs over Q(zeta_p)); an entry with a nonzero plane
+    1..p-2 raises NotRationalError naming the first in row-major order."""
+    x, d = linalg.matmul((a[0] * np.array(table.sizes, dtype=object), a[1] * table.gl_order),
+                         linalg.conj_t(b))
     bad = np.argwhere(x[1:].any(axis=0))
     if len(bad):
         i, j = (int(v) for v in bad[0])
@@ -52,8 +50,7 @@ def _pairing(a, b, *tables):
 
 
 def _first_difference(a, b):
-    """Witness text for the first entry, in row-major order, at which two
-    rational pairs of one shape differ; None if they are equal."""
+    """Witness text for the first entry at which two pairs differ, or None."""
     (x, dx), (y, dy) = a, b
     bad = np.argwhere(linalg.scaled(x, dy) != linalg.scaled(y, dx))
     if len(bad):
@@ -62,83 +59,108 @@ def _first_difference(a, b):
                 f"{Fraction(int(x[index]), dx)} != {Fraction(int(y[index]), dy)}")
 
 
+def _require_equal(name, a, b):
+    """ArithmeticError with name and the first difference unless a == b."""
+    witness = _first_difference(a, b)
+    if witness:
+        raise ArithmeticError(f"{name} at {witness}")
+
+
+def _times(c: int, pair):
+    """The pair c . pair for an integer c."""
+    return linalg.reduced(linalg.scaled(pair[0], c), pair[1])
+
+
 @lru_cache(maxsize=None)
 def omega_basis(ctx: FqContext, n: int) -> OmegaBasis:
+    """The characters of degree n with the Plancherel norms, once their Gram
+    matrix is G_n = diag(q^(n^2) |O| / |G_n|) (else ArithmeticError)."""
     table = enumerate_orbits(n, ctx)
-    x, d = _pairing(character_matrix(table), character_matrix(table), table)
-    if (np.diagonal(x) <= 0).any():
-        raise ArithmeticError("character basis must have positive norms")
+    chars = character_matrix(table)
+    x, d = gram = linalg.reduced(np.diag(np.array(table.sizes, dtype=object)
+                                         * ctx.q ** (n * n)), table.gl_order)
+    try:
+        pairs = _pairing(chars, chars, table)
+    except NotRationalError as e:
+        raise ArithmeticError(f"degree-{n} character Gram matrix: {e}") from e
+    _require_equal(f"degree-{n} character Gram matrix != Plancherel diagonal", pairs, gram)
     return OmegaBasis(n, fourier_character_basis(table),
-                      tuple(Fraction(int(v), d) for v in np.diagonal(x)))
+                      tuple(Fraction(int(v), d) for v in np.diagonal(x)), gram)
+
+
+def _fourier(ctx: FqContext, n: int):
+    """F over Q(zeta_p) on the orbit values of degree n, F[x, O] = chi_O(x), in
+    a C-ordered copy: numpy's integer matmul is several times slower on a view."""
+    x, d = character_matrix(enumerate_orbits(n, ctx))
+    return linalg.reduced(np.swapaxes(x, 1, 2).copy(), d)
 
 
 @lru_cache(maxsize=None)
-def _inverse_norms(ctx: FqContext, n: int):
-    """The pair diag(1 / |chi_k|^2) over the characters of degree n."""
-    norms = omega_basis(ctx, n).norms
-    den = math.lcm(*(c.numerator for c in norms))
-    return linalg.reduced(np.diag(np.array(
-        [den // c.numerator * c.denominator for c in norms], dtype=object)), den)
-
-
-@lru_cache(maxsize=None)
-def _pairings(ctx: FqContext, n1: int, n2: int):
-    """Two independently computed rational pairs, rows (i, j) in product
-    order and columns k, as restriction_matrix((n1, n2)) lays out its rows:
-    (m(chi_i x chi_j), chi_k) = (X_n1 x X_n2) . Ind^T . W_n . X_n^*, and
-    (chi_i x chi_j, m* chi_k) = (X_n1 x X_n2) . (W_n1 x W_n2) . Res . X_n^*."""
-    t1, t2, t3 = (enumerate_orbits(n, ctx) for n in (n1, n2, n1 + n2))
-    outer = linalg.kron(character_matrix(t1), character_matrix(t2))
-    ind_t = linalg.conj_t(induction_matrix(ctx, (n1, n2)))
-    res_t = linalg.conj_t(restriction_matrix(ctx, (n1, n2)))
-    return (_pairing(linalg.matmul(outer, ind_t), character_matrix(t3), t3),
-            _pairing(outer, linalg.matmul(character_matrix(t3), res_t), t1, t2))
+def _intertwining(ctx: FqContext, n1: int, n2: int) -> int:
+    """q^(n1 n2), once F.Ind = q^(n1 n2) Ind.(F x F) and Res.F = q^(n1 n2)
+    (F x F).Res hold on the split (else ArithmeticError)."""
+    f, ff = _fourier(ctx, n1 + n2), linalg.kron(_fourier(ctx, n1), _fourier(ctx, n2))
+    ind, res = induction_matrix(ctx, (n1, n2)), restriction_matrix(ctx, (n1, n2))
+    e = n1 * n2
+    _require_equal(f"F.Ind != q^{e} Ind.(FxF)", linalg.matmul(f, ind),
+                   _times(ctx.q ** e, linalg.matmul(ind, ff)))
+    _require_equal(f"Res.F != q^{e} (FxF).Res", linalg.matmul(res, f),
+                   _times(ctx.q ** e, linalg.matmul(ff, res)))
+    return ctx.q ** e
 
 
 def _triples(ctx: FqContext, n1: int, pair, axes=(0, 1, 2)):
-    """A pair with rows (i, j) in product order, its x indexed (i, j, k) and
-    the axes then put in the order `axes`."""
+    """A pair with rows (i, j), its x indexed (i, j, k) and then put in `axes` order."""
     x, d = pair
     return x.reshape(len(enumerate_orbits(n1, ctx)), -1, x.shape[1]).transpose(axes), d
 
 
 @lru_cache(maxsize=None)
 def structure_constants(ctx: FqContext, n1: int, n2: int):
-    """m(chi_i x chi_j) = sum_k c^k_ij chi_k in the character basis, as a
-    read-only rational pair with rows (i, j) in product order, columns k."""
-    return linalg.matmul(_pairings(ctx, n1, n2)[0], _inverse_norms(ctx, n1 + n2))
+    """m(chi_i x chi_j) = sum_k c^k_ij chi_k: Ind^T / q^(n1 n2), a read-only
+    rational pair with rows (i, j) in product order, columns k."""
+    c = _intertwining(ctx, n1, n2)
+    x, d = linalg.conj_t(induction_matrix(ctx, (n1, n2)))
+    return linalg.reduced(x, d * c)
 
 
 def coproduct_constants(ctx: FqContext, n1: int, n2: int):
-    """m*(chi_k) = sum_ij c^ij_k chi_i x chi_j on the (n1, n2) component, as
-    a read-only rational pair with rows (i, j) in product order, columns k:
-    the coproduct pairing scaled by 1 / |chi_i|^2 |chi_j|^2 on row (i, j)."""
-    return linalg.matmul(linalg.kron(_inverse_norms(ctx, n1), _inverse_norms(ctx, n2)),
-                         _pairings(ctx, n1, n2)[1])
+    """m*(chi_k) = sum_ij c^ij_k chi_i x chi_j on the (n1, n2) component:
+    q^(n1 n2) Res, a read-only rational pair laid out as structure_constants."""
+    return _times(_intertwining(ctx, n1, n2), restriction_matrix(ctx, (n1, n2)))
 
 
 def verify_positivity(ctx: FqContext, n1: int, n2: int) -> Report:
-    """Every product and coproduct structure constant in the character basis
-    is >= 0; the product constants are scanned in (i, j, k) order, the
-    coproduct ones in (k, i, j) order."""
+    """The intertwining holds, and every product (scanned in (i, j, k) order)
+    and coproduct (in (k, i, j) order) structure constant is >= 0."""
     witness = None
-    for form, constants, axes in (("c^{2}_{0},{1}", structure_constants, (0, 1, 2)),
-                                  ("coproduct c^{1},{2}_{0}", coproduct_constants,
-                                   (2, 0, 1))):
-        x, d = _triples(ctx, n1, constants(ctx, n1, n2), axes)
-        negative = np.argwhere(x < 0)
-        if len(negative):
-            index = tuple(negative[0])
-            witness = f"{form.format(*index)} = {Fraction(int(x[index]), d)} < 0"
-            break
+    try:
+        for form, constants, axes in (("c^{2}_{0},{1}", structure_constants, (0, 1, 2)),
+                                      ("coproduct c^{1},{2}_{0}", coproduct_constants,
+                                       (2, 0, 1))):
+            x, d = _triples(ctx, n1, constants(ctx, n1, n2), axes)
+            negative = np.argwhere(x < 0)
+            if len(negative):
+                index = tuple(negative[0])
+                witness = f"{form.format(*index)} = {Fraction(int(x[index]), d)} < 0"
+                break
+    except ArithmeticError as e:
+        witness = str(e)
     return Report("psh-positivity", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)}, witness)
 
 
 def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> Report:
     """(m(chi_i x chi_j), chi_k) = (chi_i x chi_j, m* chi_k), exactly, on all
-    character-basis triples."""
-    return Report("psh-self-adjoint", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)},
-                  _first_difference(*(_triples(ctx, n1, p) for p in _pairings(ctx, n1, n2))))
+    character-basis triples: struct . G_n = (G_n1 x G_n2) . coprod, which in
+    the character basis is the adjunction Ind^T W_n = W_L Res."""
+    try:
+        struct, coprod = structure_constants(ctx, n1, n2), coproduct_constants(ctx, n1, n2)
+        g1, g2, g = (omega_basis(ctx, n).gram for n in (n1, n2, n1 + n2))
+        lhs, rhs = linalg.matmul(struct, g), linalg.matmul(linalg.kron(g1, g2), coprod)
+        witness = _first_difference(_triples(ctx, n1, lhs), _triples(ctx, n1, rhs))
+    except ArithmeticError as e:
+        witness = str(e)
+    return Report("psh-self-adjoint", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)}, witness)
 
 
 def nondescending_witness(ctx: FqContext) -> SqrtRational:
@@ -165,14 +187,16 @@ def verify_nondescending(ctx: FqContext) -> Report:
 
 
 def verify_second_psh(ctx: FqContext, n: int) -> Report:
-    """The basis transported by x -> (-1)^n D_n(x), the rows of +-X_n . D^T,
-    is again orthogonal with the same norms, and in degree 2 it genuinely
-    differs from the original basis."""
-    table = enumerate_orbits(n, ctx)
-    chars = character_matrix(table)
-    dual = linalg.matmul(chars, linalg.conj_t(duality_operator(n, ctx).matrix))
-    x, d = _pairing(chars, chars, table)  # the Gram pair of the characters
-    witness = _first_difference(_pairing(dual, dual, table), (np.diag(np.diagonal(x)), d))
+    """The basis transported by x -> (-1)^n D_n(x) has the same norms and is
+    orthogonal: with F.D = D.F its Gram matrix is D^T G_n D, which must be
+    G_n.  In degree 2 it genuinely differs from the original basis."""
+    d, f = duality_operator(n, ctx).matrix, _fourier(ctx, n)
+    try:
+        g = omega_basis(ctx, n).gram
+        _require_equal("F.D != D.F", linalg.matmul(f, d), linalg.matmul(d, f))
+        witness = _first_difference(linalg.matmul(linalg.conj_t(d), linalg.matmul(g, d)), g)
+    except ArithmeticError as e:
+        witness = str(e)
     if witness is None and n == 2 and steinberg_constituents(2, ctx) < 2:
         witness = "transported basis does not differ in degree 2"
     return Report("psh-second-structure", {"q": str(ctx.q), "n": str(n)}, witness)

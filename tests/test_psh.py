@@ -1,6 +1,7 @@
 """Positivity, self-adjointness, the irrational structure constant, and the
 transported second orthogonal basis."""
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -119,7 +120,7 @@ class TestSecondBasis:
 # ---------------------------------------------------------------------------
 # the matrix path against the scalar oracle
 
-ORACLE_CASES = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (4, 1, 1)]
+ORACLE_CASES = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (4, 1, 1), (5, 1, 1)]
 
 
 def _product_rows(pair, k_axis):
@@ -171,7 +172,8 @@ class TestAgainstOracle:
 
 
 # ---------------------------------------------------------------------------
-# corrupted inputs: each check fails, with the oracle's witness
+# corrupted inputs: each check fails with the witness of the identity the
+# corruption breaks; where the scalar oracle sees it too, the oracle fails
 
 
 @pytest.fixture
@@ -201,43 +203,73 @@ def _one_count_changed(real, parts, index=(-1, -1), by=1):
     return wrapper
 
 
-def _assert_same_failure(got, want):
-    assert not got.passed
-    assert got.to_json() == want.to_json()
+def _characters_changed(monkeypatch, n, slot, value):
+    """psh.character_matrix with planes[slot] = value(planes) in the planes,
+    indexed (plane, O, x), of the degree-n characters."""
+    real = psh.character_matrix
+
+    def changed(table):
+        planes, den = real(table)
+        if table.n == n:
+            planes = planes.copy()
+            planes[slot] = value(planes)
+        return planes, den
+    monkeypatch.setattr(psh, "character_matrix", changed)
+
+
+def _assert_fails(got, witness, oracle=None):
+    """got fails with the given witness, and the oracle's report, if given,
+    fails too."""
+    assert got.witness == witness
+    assert oracle is None or not oracle.passed
 
 
 class TestCorruptedInputs:
     def test_negated_character_breaks_positivity(self, monkeypatch, fresh_caches, q2):
-        real_matrix, real_basis = psh.character_matrix, psh_oracle.fourier_character_basis
-
-        def negated_matrix(table):
-            planes, den = real_matrix(table)
-            if table.n == 1:
-                planes = planes.copy()
-                planes[:, 0] = -planes[:, 0]
-            return planes, den
+        # the oracle finds a negative constant; F.Ind fails first
+        real_basis = psh_oracle.fourier_character_basis
 
         def negated_basis(table):
             chars = real_basis(table)
             return ((-chars[0],) + chars[1:]) if table.n == 1 else chars
 
-        monkeypatch.setattr(psh, "character_matrix", negated_matrix)
+        _characters_changed(monkeypatch, 1, np.s_[:, 0], lambda x: -x[:, 0])
         monkeypatch.setattr(psh_oracle, "fourier_character_basis", negated_basis)
         want = psh_oracle.verify_positivity(q2, 1, 1)
         assert want.witness.startswith("c^")
-        _assert_same_failure(verify_positivity(q2, 1, 1), want)
+        _assert_fails(verify_positivity(q2, 1, 1),
+                      "F.Ind != q^1 Ind.(FxF) at (0,1,1): 6 != -6", want)
+
+    def test_negated_plane_breaks_induction_intertwining(self, monkeypatch, fresh_caches,
+                                                          q3):
+        # plane 1 of the degree-2 character of orbit 0, which induction reaches
+        _characters_changed(monkeypatch, 2, np.s_[1, 0], lambda x: -x[1, 0])
+        witness = "F.Ind != q^1 Ind.(FxF) at (1,0,1): -3 != 3"
+        _assert_fails(verify_positivity(q3, 1, 1), witness)
+        _assert_fails(verify_self_adjointness(q3, 1, 1), witness)
+        with pytest.raises(ArithmeticError, match=re.escape(witness)):
+            structure_constants(q3, 1, 1)
 
     def test_lowered_restriction_count_breaks_coproduct_positivity(
             self, monkeypatch, fresh_caches, q2):
-        # lowering one count of the (1,1) restriction far enough makes some
-        # coproduct constant negative; the product constants, read from
-        # induction, stay as they are
+        # the oracle finds a negative coproduct constant; Res.F fails first
         corrupt = _one_count_changed(hc.restriction_matrix, (1, 1), (0, 0), -8)
         monkeypatch.setattr(hc, "restriction_matrix", corrupt)
         monkeypatch.setattr(psh, "restriction_matrix", corrupt)
         want = psh_oracle.verify_positivity(q2, 1, 1)
         assert want.witness.startswith("coproduct c^")
-        _assert_same_failure(verify_positivity(q2, 1, 1), want)
+        _assert_fails(verify_positivity(q2, 1, 1),
+                      "Res.F != q^1 (FxF).Res at (0,0,0): 4 != -4", want)
+
+    def test_changed_restriction_count_breaks_restriction_intertwining(
+            self, monkeypatch, fresh_caches, q3):
+        monkeypatch.setattr(psh, "restriction_matrix",
+                            _one_count_changed(hc.restriction_matrix, (1, 1), (2, 1)))
+        witness = "Res.F != q^1 (FxF).Res at (0,0,1): 6 != 7"
+        _assert_fails(verify_positivity(q3, 1, 1), witness)
+        _assert_fails(verify_self_adjointness(q3, 1, 1), witness)
+        with pytest.raises(ArithmeticError, match=re.escape(witness)):
+            coproduct_constants(q3, 1, 1)
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2)])
     def test_changed_induction_count_breaks_self_adjointness(
@@ -245,15 +277,65 @@ class TestCorruptedInputs:
         corrupt = _one_count_changed(hc.induction_matrix, (n1, n2))
         monkeypatch.setattr(hc, "induction_matrix", corrupt)
         monkeypatch.setattr(psh, "induction_matrix", corrupt)
-        _assert_same_failure(verify_self_adjointness(q2, n1, n2),
-                             psh_oracle.verify_self_adjointness(q2, n1, n2))
+        witness = {(1, 1): "F.Ind != q^1 Ind.(FxF) at (0,1,3): 8 != 6",
+                   (1, 2): "F.Ind != q^2 Ind.(FxF) at (0,4,11): 80 != 56"}[n1, n2]
+        _assert_fails(verify_self_adjointness(q2, n1, n2), witness,
+                      psh_oracle.verify_self_adjointness(q2, n1, n2))
+
+    def test_doubled_induction_breaks_only_self_adjointness(self, monkeypatch,
+                                                            fresh_caches, q3):
+        # 2 Ind still intertwines F, so the constants stay nonnegative, but
+        # it is no longer the adjoint of Res
+        def doubled(ctx, c, lower=False):
+            x, den = hc.induction_matrix(ctx, c, lower)
+            return (linalg.reduced(linalg.scaled(x, 2), den) if tuple(c) == (1, 1)
+                    else (x, den))
+        monkeypatch.setattr(psh, "induction_matrix", doubled)
+        assert verify_positivity(q3, 1, 1).passed
+        _assert_fails(verify_self_adjointness(q3, 1, 1), "(0,0,2): 9/2 != 9/4")
 
     def test_changed_induction_count_breaks_second_psh(self, monkeypatch,
                                                        fresh_caches, q2):
+        # D is built from the changed induction; the oracle's transported
+        # basis loses its norms, and F.D = D.F fails first
         monkeypatch.setattr(duality, "induction_matrix",
                             _one_count_changed(hc.induction_matrix, (1, 1)))
-        _assert_same_failure(verify_second_psh(q2, 2),
-                             psh_oracle.verify_second_psh(q2, 2))
+        _assert_fails(verify_second_psh(q2, 2), "F.D != D.F at (0,1,3): 3 != 2",
+                      psh_oracle.verify_second_psh(q2, 2))
+
+    def test_changed_duality_entry_breaks_fourier_commutation(self, monkeypatch,
+                                                              fresh_caches, q3):
+        real = psh.duality_operator
+
+        def changed(n, ctx):
+            op = real(n, ctx)
+            x, den = op.matrix
+            x = x.copy()
+            x[1, 2] += 1
+            return dataclasses.replace(op, matrix=linalg.reduced(x, den))
+        monkeypatch.setattr(psh, "duality_operator", changed)
+        _assert_fails(verify_second_psh(q3, 2), "F.D != D.F at (0,1,0): 0 != 4")
+
+    def test_doubled_duality_breaks_the_transported_norms(self, monkeypatch,
+                                                          fresh_caches, q3):
+        # 2D commutes with F, but the transported basis has four times the norms
+        real = psh.duality_operator
+
+        def doubled(n, ctx):
+            op = real(n, ctx)
+            x, den = op.matrix
+            return dataclasses.replace(op, matrix=linalg.reduced(linalg.scaled(x, 2), den))
+        monkeypatch.setattr(psh, "duality_operator", doubled)
+        _assert_fails(verify_second_psh(q3, 2), "(0,0): 81 != 81/4")
+
+    def test_added_character_breaks_plancherel(self, monkeypatch, fresh_caches, q3):
+        # chi_1 + chi_0 in place of chi_1: the Plancherel diagonal G_2 is read
+        # off the orbit sizes and stays, but the Gram matrix leaves it
+        _characters_changed(monkeypatch, 2, np.s_[:, 1], lambda x: x[:, 1] + x[:, 0])
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "degree-2 character Gram matrix != Plancherel diagonal "
+                "at (0,1): 81/4 != 0")):
+            omega_basis(q3, 2)
 
 
 class TestReadOnlyResults:
@@ -273,6 +355,22 @@ class TestReadOnlyResults:
 
 
 class TestTypedErrors:
+    @pytest.mark.parametrize("value,witness", [
+        (lambda x: x[:, 1] + x[:, 0],
+         "degree-2 character Gram matrix != Plancherel diagonal at (0,1): 81/4 != 0"),
+        (lambda x: np.roll(x[:, 1], 1, axis=0),  # chi_1 with its two planes swapped
+         "degree-2 character Gram matrix: entry (0,1) is not rational")])
+    def test_failed_plancherel_check_is_a_report(self, monkeypatch, fresh_caches, q3,
+                                                 value, witness):
+        # omega_basis raises; the report that rests on it fails instead
+        _characters_changed(monkeypatch, 2, np.s_[:, 1], value)
+        with pytest.raises(ArithmeticError):
+            omega_basis(q3, 2)
+        got = verify_second_psh(q3, 2)
+        assert got.to_json() == {"name": "psh-second-structure",
+                                 "params": {"q": "3", "n": "2"}, "passed": False,
+                                 "witness": witness}
+
     def test_witness_raises_on_wrong_square(self, monkeypatch, q2):
         real = psh.multiply_functions
         monkeypatch.setattr(psh, "multiply_functions",

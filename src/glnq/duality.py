@@ -103,8 +103,10 @@ def verify_characterization(max_n: int, ctx: FqContext) -> Report:
     return Report("duality-characterization", {"q": ctx.q, "max_n": max_n})
 
 
+@lru_cache(maxsize=None)
 def steinberg_constituents(n: int, ctx: FqContext) -> int:
-    """Number of Fourier characters supporting the Steinberg function."""
+    """Number of Fourier characters supporting the Steinberg function, cached:
+    psh's degree-2 check and the steinberg suite share one expansion."""
     table = enumerate_orbits(n, ctx)
     basis = fourier_character_basis(table)
     cs = coords(steinberg(n, ctx), basis)

@@ -292,9 +292,10 @@ def _pair_context(rhos1, rhos2):
 
 def _function_block(rhos):
     """Functions over one table side by side as a 3-D (x, den) pair (see
-    linalg): x[t, o, i] / den is the coefficient of zeta^t in rhos[i] at orbit o."""
+    linalg), each function's planes a column: x[t, o, i] / den is the
+    coefficient of zeta^t in rhos[i] at orbit o."""
     den = math.lcm(*(f.den for f in rhos))
-    return linalg.reduced(np.stack([linalg.scaled(f.num.T, den // f.den) for f in rhos],
+    return linalg.reduced(np.stack([linalg.scaled(f.num, den // f.den) for f in rhos],
                                    axis=-1), den)
 
 
@@ -308,9 +309,9 @@ def _columns(pair, tables) -> tuple:
     """One TensorFunction over tables per column of a 3-D (x, den) pair whose
     rows are their index tuples in product order."""
     x, den = pair
-    shape = tuple(map(len, tables)) + (len(x),)
-    return tuple(TensorFunction._from_array(tables, col.T.reshape(shape), den)
-                 for col in np.moveaxis(x, -1, 0))
+    x = x.reshape((len(x),) + tuple(map(len, tables)) + (-1,))
+    return tuple(TensorFunction._from_array(tables, x[..., i], den)
+                 for i in range(x.shape[-1]))
 
 
 def mackey_rhs(rhos1, rhos2, s: int, t: int, block=None) -> tuple:

@@ -2,14 +2,15 @@
 products, indicator and Fourier-character bases, tensors, and graded sums.
 
 A function or tensor holds its values in Q(zeta_p) as one read-only numpy
-integer array `num`, of shape (orbit dims..., p - 1) in the basis of
-Cyclotomic.num, over one int `den` > 0 with gcd(den, *num.flat) == 1: the
-pair (num, den) of linalg, in lowest terms, with num int64 when every entry
-e has |e| < 2^63 and an object array of Python ints otherwise.  So equal
-functions have equal (num, den), dtype included, the only state they keep.
-`.values` (Cyclotomics) is built from num on each read and never kept: by
-output, never by the arithmetic, which is linalg's (products, sums,
-negation and reduction to lowest terms, each bound-checked).
+integer array `num` of shape (p - 1, orbit dims...), planes (in the basis
+of Cyclotomic.num) first as in a linalg operator, over one int `den` > 0
+with gcd(den, *num.flat) == 1: the pair (num, den) of linalg, in lowest
+terms, with num int64 when every entry e has |e| < 2^63 and an object
+array of Python ints otherwise.  So equal functions have equal (num, den),
+dtype included, the only state they keep.  `.values` (Cyclotomics) is
+built from num on each read and never kept: by output, never by the
+arithmetic, which is linalg's (products, sums, negation and reduction to
+lowest terms, each bound-checked).
 """
 from __future__ import annotations
 
@@ -35,14 +36,6 @@ def _in_field(p: int, v) -> Cyclotomic:
     return v
 
 
-def _times(a, b):
-    """The products a[i] * b[j] in Z[zeta_p] of the value rows of two integer
-    arrays, indexed by a's axes then b's (see linalg.convolve)."""
-    k = a.shape[-1]
-    out = linalg.convolve(a.reshape(-1, k).T, b.reshape(-1, k).T, np.multiply.outer)
-    return np.moveaxis(out, 0, -1).reshape(a.shape[:-1] + b.shape[:-1] + (k,))
-
-
 class _Values:
     """The values num / den over the orbit tables `tables` and their
     arithmetic, shared by InvariantFunction and TensorFunction."""
@@ -55,13 +48,14 @@ class _Values:
         p = tables[0].ctx.p if tables else 2
         vals = [_in_field(p, v) for v in values]
         den = math.lcm(*(v.den for v in vals))
-        num = np.array([[a * (den // v.den) for a in v.num] for v in vals], dtype=object)
+        num = np.array([[v.num[k] * (den // v.den) for v in vals] for k in range(p - 1)],
+                       dtype=object)
         self.tables = tables
-        self.num, self.den = linalg.reduced(num.reshape(tuple(map(len, tables)) + (p - 1,)), den)
+        self.num, self.den = linalg.reduced(num.reshape((p - 1,) + tuple(map(len, tables))), den)
 
     @classmethod
     def _from_array(cls, tables, num, den: int):
-        """The values num / den, num of shape (dims..., p - 1)."""
+        """The values num / den, num of shape (p - 1, dims...)."""
         return cls._from_pair(tables, linalg.reduced(num, den))
 
     @classmethod
@@ -82,8 +76,8 @@ class _Values:
     def _cyclotomics(self):
         """The values in product order, built afresh from num."""
         p, den = self.p, self.den
-        return (Cyclotomic._from_ints(p, row, den)
-                for row in self.num.reshape(-1, p - 1).tolist())
+        return (Cyclotomic._from_ints(p, value, den)
+                for value in zip(*self.num.reshape(p - 1, -1).tolist()))
 
     def _check(self, other):
         if type(other) is not type(self) or other.tables != self.tables:
@@ -103,8 +97,8 @@ class _Values:
     def scale(self, c):
         """Every value times c, a Cyclotomic, int or Fraction."""
         c = _in_field(self.p, c)
-        return self._from_array(self.tables, _times(self.num, np.array(c.num, dtype=object)),
-                                self.den * c.den)
+        return self._from_array(self.tables, linalg.convolve(
+            self.num, np.array(c.num, dtype=object), np.multiply.outer), self.den * c.den)
 
     def is_zero(self):
         return not self.num.any()
@@ -142,8 +136,8 @@ class InvariantFunction(_Values):
         return self.table.n
 
     def evaluate(self, x: Matrix) -> Cyclotomic:
-        row = self.num[self.table.index_of_matrix(x)].tolist()
-        return Cyclotomic._from_ints(self.p, row, self.den)
+        value = self.num[:, self.table.index_of_matrix(x)].tolist()
+        return Cyclotomic._from_ints(self.p, value, self.den)
 
     def to_json(self):
         return {"n": self.n, "q": self.table.ctx.serialize(),
@@ -241,7 +235,7 @@ def fourier_character_basis(table: OrbitTable):
     """One character per orbit O: chi_O(x) = sum over a in O of psi(trace(a x)),
     with psi(a) = zeta_p^Tr(a). Orthogonal; chi_O(0) = |O|."""
     planes, _ = character_matrix(table)
-    return tuple(InvariantFunction._from_array((table,), planes[:, oi].T, 1)
+    return tuple(InvariantFunction._from_array((table,), planes[:, oi], 1)
                  for oi in range(len(table)))
 
 
@@ -296,20 +290,20 @@ class TensorFunction(_Values):
     def zero(cls, tables) -> "TensorFunction":
         tables = tuple(tables)
         p = tables[0].ctx.p if tables else 2
-        return cls._from_array(tables, np.zeros(tuple(map(len, tables)) + (p - 1,),
+        return cls._from_array(tables, np.zeros((p - 1,) + tuple(map(len, tables)),
                                                 dtype=np.int64), 1)
 
     def concat(self, other) -> "TensorFunction":
         """The tensor over self's factors then other's, with values s(i) t(j)."""
-        return TensorFunction._from_array(self.tables + other.tables,
-                                          _times(self.num, other.num),
-                                          self.den * other.den)
+        return TensorFunction._from_array(
+            self.tables + other.tables,
+            linalg.convolve(self.num, other.num, np.multiply.outer), self.den * other.den)
 
     def permute(self, perm) -> "TensorFunction":
         """Reorder tensor factors: new factor i is old factor perm[i]."""
         perm = tuple(perm)
         return TensorFunction._from_array([self.tables[p] for p in perm],
-                                          self.num.transpose(perm + (len(perm),)),
+                                          self.num.transpose((0,) + tuple(i + 1 for i in perm)),
                                           self.den)
 
     def as_function(self) -> InvariantFunction:
@@ -324,19 +318,16 @@ class TensorFunction(_Values):
 
 def apply_operator(op, t: TensorFunction, start: int, count: int,
                    tables) -> TensorFunction:
-    """Apply the rational operator op = (x, den) (see linalg) along the
-    factors [start, start + count) of t.  The columns of x are the index
-    tuples of those factors in product order, its rows those of the factors
-    `tables` that replace them: one linalg.matmul on t's values.  A Q(zeta_p)
-    operator, whose x is 3-D, raises ValueError."""
-    if op[0].ndim != 2:
-        raise ValueError(f"apply_operator takes 2-D rational operators only, "
-                         f"not one of shape {op[0].shape}")
+    """Apply the operator op = (x, den) (see linalg), rational or over
+    Q(zeta_p), along the factors [start, start + count) of t.  The columns
+    of x are the index tuples of those factors in product order, its rows
+    those of the factors `tables` that replace them: one linalg.matmul on
+    t's value planes."""
     tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
     pre = math.prod(len(tb) for tb in t.tables[:start])
-    num, den = linalg.matmul(op, (t.num.reshape(pre, op[0].shape[1], -1), t.den))
+    num, den = linalg.matmul(op, (t.num.reshape(len(t.num), pre, op[0].shape[-1], -1), t.den))
     return TensorFunction._from_pair(
-        tables, (num.reshape(tuple(len(tb) for tb in tables) + (t.p - 1,)), den))
+        tables, (num.reshape((len(num),) + tuple(map(len, tables))), den))
 
 
 def tensor_inner_product(s: TensorFunction, t: TensorFunction) -> Cyclotomic:
@@ -371,12 +362,12 @@ def adjoint(op, source, target):
 
 def _pairing(s: _Values, t: _Values) -> Cyclotomic:
     """(1/|G|) sum over the index tuples of |O_1|...|O_k| s * conj(t), as one
-    integer contraction M = S^T (w G) of the value planes: M[a, b] is the
-    weighted sum of the coefficients of zeta^a in s times those of zeta^b in
-    t, so the sum is sum_a zeta^a conj(sum_b M[a, b] zeta^b), over den_s den_t."""
+    integer contraction M = np.inner(S w, T) of the value planes: M[a, b],
+    the weighted sum of zeta^a coefficients of s times zeta^b ones of t,
+    makes the sum sum_a zeta^a conj(sum_b M[a, b] zeta^b), over den_s den_t."""
     p = s.p
     w, order = _weights(s.tables)
-    m = s.num.reshape(-1, p - 1).T @ (w * t.num.reshape(-1, p - 1))
+    m = np.inner(s.num.reshape(p - 1, -1) * w.T, t.num.reshape(p - 1, -1))
     acc = sum(Cyclotomic.zeta(p, a) * Cyclotomic._from_ints(p, row, 1).conj()
               for a, row in enumerate(m.tolist()))
     return acc * Fraction(1, order * s.den * t.den)

@@ -5,10 +5,12 @@ one positive integer, standing for the matrix x / den.  A 2-D x is a
 rational matrix; a 3-D x of shape (p - 1, rows, cols) is a matrix over
 Q(zeta_p) whose plane t holds the coefficient of zeta^t, in the basis
 1, zeta, ..., zeta^(p-2) of Cyclotomic.num.  Every constructor here returns
-the pair in lowest terms, the gcd of den and all entries 1, with x read-only
-and int64 when every entry e has |e| < 2^63 (so negation cannot wrap), else
-an object array of Python ints: the dtype is a function of the values, so
-two pairs are equal as matrices exactly when they are equal as pairs.
+the pair in lowest terms, the gcd of den and all entries 1, with x read-only,
+C-ordered (reduced alone sets memory order, so no result is a transposed
+view) and int64 when every entry e has |e| < 2^63 (so negation cannot wrap),
+else an object array of Python ints: the dtype is a function of the values,
+so two pairs are equal as matrices exactly when they are equal as pairs.
+invfun keeps a function's values in the same layout, planes first.
 Nothing here rounds or wraps: every operation that can grow an entry checks
 a bound on its int64 operands and works over Python ints past it.
 matmul, kron and convolve take int64 when terms * max|x| * max|y| < 2^63
@@ -46,8 +48,8 @@ def _fitted(x):
 
 def reduced(x, den):
     """The pair (x, den) in lowest terms, x read-only (cached operators are
-    shared), int64 exactly when every entry fits (see above)."""
-    x = _fitted(np.asarray(x))
+    shared) and C-ordered, int64 exactly when every entry fits (see above)."""
+    x = _fitted(np.asarray(x, order="C"))
     g = math.gcd(den, *(x.flat if x.dtype == object else [int(np.gcd.reduce(x, None))]))
     if g != 1:
         # a g past int64 divides an int64 x only when x is zero (or empty),

@@ -66,7 +66,7 @@ def _require_equal(name, a, b):
         raise ArithmeticError(f"{name} at {witness}")
 
 
-def _times(c: int, pair):
+def _multiple(c: int, pair):
     """The pair c . pair for an integer c."""
     return linalg.reduced(linalg.scaled(pair[0], c), pair[1])
 
@@ -89,10 +89,9 @@ def omega_basis(ctx: FqContext, n: int) -> OmegaBasis:
 
 
 def _fourier(ctx: FqContext, n: int):
-    """F over Q(zeta_p) on the orbit values of degree n, F[x, O] = chi_O(x), in
-    a C-ordered copy: numpy's integer matmul is several times slower on a view."""
+    """F over Q(zeta_p) on the orbit values of degree n, F[x, O] = chi_O(x)."""
     x, d = character_matrix(enumerate_orbits(n, ctx))
-    return linalg.reduced(np.swapaxes(x, 1, 2).copy(), d)
+    return linalg.reduced(np.swapaxes(x, 1, 2), d)
 
 
 @lru_cache(maxsize=None)
@@ -103,9 +102,9 @@ def _intertwining(ctx: FqContext, n1: int, n2: int) -> int:
     ind, res = induction_matrix(ctx, (n1, n2)), restriction_matrix(ctx, (n1, n2))
     e = n1 * n2
     _require_equal(f"F.Ind != q^{e} Ind.(FxF)", linalg.matmul(f, ind),
-                   _times(ctx.q ** e, linalg.matmul(ind, ff)))
+                   _multiple(ctx.q ** e, linalg.matmul(ind, ff)))
     _require_equal(f"Res.F != q^{e} (FxF).Res", linalg.matmul(res, f),
-                   _times(ctx.q ** e, linalg.matmul(ff, res)))
+                   _multiple(ctx.q ** e, linalg.matmul(ff, res)))
     return ctx.q ** e
 
 
@@ -127,7 +126,7 @@ def structure_constants(ctx: FqContext, n1: int, n2: int):
 def coproduct_constants(ctx: FqContext, n1: int, n2: int):
     """m*(chi_k) = sum_ij c^ij_k chi_i x chi_j on the (n1, n2) component:
     q^(n1 n2) Res, a read-only rational pair laid out as structure_constants."""
-    return _times(_intertwining(ctx, n1, n2), restriction_matrix(ctx, (n1, n2)))
+    return _multiple(_intertwining(ctx, n1, n2), restriction_matrix(ctx, (n1, n2)))
 
 
 def verify_positivity(ctx: FqContext, n1: int, n2: int) -> Report:

@@ -3,8 +3,9 @@ an invariant function as one Cyclotomic per orbit, and DictTensor, a tensor
 as a dict from orbit-index tuples to Cyclotomic, with every sum, product and
 permutation taken one value at a time; the per-value apply_operator, which
 scales the values to one denominator, multiplies by the operator and builds
-each output value with its own gcd; and the inner products as sums of one
-Cyclotomic product per orbit or orbit tuple.
+each output value with its own gcd; apply_cyclotomic_operator, which applies
+a Q(zeta_p) operator one Cyclotomic multiply-add at a time; and the inner
+products as sums of one Cyclotomic product per orbit or orbit tuple.
 
 This is the layer that glnq.invfun's integer arrays over one denominator
 replaced; the tests feed both the same values and compare the results.
@@ -166,6 +167,31 @@ def apply_operator(op, t: DictTensor, start: int, count: int, tables) -> DictTen
     return DictTensor(tables, zip(
         product(*(range(len(tb)) for tb in tables)),
         (Cyclotomic._from_ints(p, row, d) for row in out.tolist())))
+
+
+def apply_cyclotomic_operator(op, t: DictTensor, start: int, count: int,
+                              tables) -> DictTensor:
+    """Apply op = (x, den) over Q(zeta_p), x of shape (p - 1, rows, cols) with
+    x[k, r, c] the coefficient of zeta^k, along the factors [start, start +
+    count) of t: its rows are the index tuples of `tables`, its columns those
+    of the replaced factors, in product order, and each output value is a
+    sum of one Cyclotomic product per column."""
+    x, den = op
+    p = t.p
+    entry = [[Cyclotomic._from_ints(p, [int(v) for v in x[:, r, c]], den)
+              for c in range(x.shape[2])] for r in range(x.shape[1])]
+    before, after = t.tables[:start], t.tables[start + count:]
+    cols = list(product(*(range(len(tb)) for tb in t.tables[start:start + count])))
+    rows = list(product(*(range(len(tb)) for tb in tables)))
+    t_values, vals = t.values, {}
+    for pre in product(*(range(len(tb)) for tb in before)):
+        for post in product(*(range(len(tb)) for tb in after)):
+            for r, row in enumerate(rows):
+                acc = Cyclotomic.rational(p, 0)
+                for c, col in enumerate(cols):
+                    acc = acc + entry[r][c] * t_values[pre + col + post]
+                vals[pre + row + post] = acc
+    return DictTensor(before + tuple(tables) + after, vals)
 
 
 def inner_product(f, g) -> Cyclotomic:

@@ -178,6 +178,22 @@ class TestVerify:
         assert code == 0
         assert out.encode() == golden.read_bytes()
 
+    def test_steinberg_coordinates_once_per_degree(self, capsys, monkeypatch):
+        # psh's degree-2 check and the steinberg suite share one cached count
+        real, degrees = duality.coords, []
+
+        def counted(f, basis):
+            degrees.append(f.n)
+            return real(f, basis)
+        monkeypatch.setattr(duality, "coords", counted)
+        duality.steinberg_constituents.cache_clear()
+        try:
+            code, _, _ = run(capsys, "verify", "--q", "2")
+        finally:
+            duality.steinberg_constituents.cache_clear()
+        assert code == 0
+        assert sorted(degrees) == [1, 2, 3, 4]
+
     def test_default_degree_from_the_lookup_budget(self):
         # the largest n with q^(n^2) <= LOOKUP_BUDGET, for the prime powers
         # q <= 19 (q^4 <= LOOKUP_BUDGET), and no other q

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import invfun_oracle
 import orbit_oracle
-from glnq import hc, invfun, linalg
+from glnq import hc, hopf, invfun, linalg, psh
 from glnq.duality import duality_operator
 from glnq.field import ContextMismatchError, Cyclotomic, fq
 from glnq.glmat import Matrix, compositions, conjugate
@@ -402,7 +402,50 @@ class TestPairing:
                 assert ip(bad, one) == oracle(bad, one)
 
 
+def _function(ctx, n, seed):
+    table = enumerate_orbits(n, ctx)
+    return InvariantFunction(table, _random_values(random.Random(seed), ctx.p, len(table)))
+
+
+def _outer(ctx):
+    return TensorFunction.outer([_function(ctx, 1, 0), _function(ctx, 2, 1)])
+
+
+# every way of building a function or tensor, each from a context
+BUILDS = {
+    "init": lambda ctx: _function(ctx, 2, 0),
+    "tensor-init": lambda ctx: _random_tensor(
+        random.Random(0), (enumerate_orbits(2, ctx), enumerate_orbits(1, ctx))),
+    "indicator": lambda ctx: indicator_by_index(1, enumerate_orbits(2, ctx)),
+    "constant_one": lambda ctx: constant_one(enumerate_orbits(2, ctx)),
+    "zero": lambda ctx: TensorFunction.zero((enumerate_orbits(1, ctx),
+                                             enumerate_orbits(2, ctx))),
+    "outer": _outer,
+    "concat": lambda ctx: _outer(ctx).concat(TensorFunction.outer([_function(ctx, 1, 2)])),
+    "permute": lambda ctx: _outer(ctx).permute((1, 0)),
+    "scale": lambda ctx: _outer(ctx).scale(Cyclotomic.zeta(ctx.p, 2) * Fraction(1, 3)),
+    "add": lambda ctx: _function(ctx, 2, 0) + _function(ctx, 2, 1),
+    "sub": lambda ctx: _outer(ctx) - _outer(ctx).scale(2),
+    "neg": lambda ctx: -_outer(ctx),
+    "apply_operator": lambda ctx: hc.hc_restrict(_function(ctx, 2, 0), (1, 1)),
+    "columns": lambda ctx: hc._columns(
+        hc._pair_block([_function(ctx, 1, 0), _function(ctx, 1, 1)], [_function(ctx, 2, 2)]),
+        (enumerate_orbits(1, ctx), enumerate_orbits(2, ctx)))[1],
+    "primitive": lambda ctx: hopf.primitive_subspace(ctx, 2).members[-1],
+    "fourier": lambda ctx: fourier_character_basis(enumerate_orbits(2, ctx))[3],
+    "pickle": lambda ctx: pickle.loads(pickle.dumps(_outer(ctx).permute((1, 0)))),
+}
+
+
 class TestCanonicalForm:
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_planes_first(self, build):
+        # q=5: 4 planes over tables of 5 and 30 orbits, so no axes coincide
+        ctx = fq(5)
+        h = BUILDS[build](ctx)
+        assert h.num.shape == (ctx.p - 1,) + tuple(map(len, h.tables))
+        assert h.num.flags.c_contiguous and not h.num.flags.writeable
+
     def test_num_is_read_only(self, q3):
         f = constant_one(enumerate_orbits(2, q3))
         t = TensorFunction.outer([f, f])
@@ -563,14 +606,10 @@ def _random_tensor(rng, tables):
 
 def _apply_entrywise(op, s, tables):
     """A Q(zeta_p) operator applied to the whole of s, one Cyclotomic
-    multiply-add at a time."""
-    (x, den), p = op, s.p
-    values = list(s.values.values())
-    rows = list(product(*(range(len(t)) for t in tables)))
-    return TensorFunction(tables, {
-        row: sum((Cyclotomic._from_ints(p, list(x[:, r, c]), den) * v
-                  for c, v in enumerate(values)), Cyclotomic.rational(p, 0))
-        for r, row in enumerate(rows)})
+    multiply-add at a time (invfun_oracle)."""
+    out = invfun_oracle.apply_cyclotomic_operator(
+        op, invfun_oracle.DictTensor(s.tables, s.values), 0, len(s.tables), tables)
+    return TensorFunction(out.tables, out.values)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -612,23 +651,37 @@ class TestAdjoint:
         assert linalg.mat_eq(invfun.adjoint(adj, tgt, src), op)
 
 
-class TestApplyOperatorLayout:
-    """apply_operator takes 2-D rational operators only; a Q(zeta_p)
-    operator, such as invfun.adjoint returns for one, raises a one-line
-    ValueError naming its shape instead of failing inside a reshape."""
+class TestCyclotomicOperator:
+    """apply_operator applies a Q(zeta_p) operator, whose x is 3-D, by the
+    same linalg.matmul on the value planes as a rational one."""
 
+    @pytest.mark.parametrize("start", [0, 1], ids=["leading", "middle"])
     @pytest.mark.parametrize("target", [(1, 1), (2,)])
-    def test_cyclotomic_operator_is_rejected(self, q3, target):
+    def test_matches_the_entrywise_oracle(self, q3, target, start):
         rng = random.Random(f"apply-zeta-{target}")
-        t2 = enumerate_orbits(2, q3)
+        t1, t2 = enumerate_orbits(1, q3), enumerate_orbits(2, q3)
         tgt = tuple(enumerate_orbits(m, q3) for m in target)
         rows = math.prod(map(len, tgt))
         op = linalg.reduced(np.array([[[rng.randint(-3, 3) for _ in range(len(t2))]
                                        for _ in range(rows)] for _ in range(2)],
                                      dtype=object), 1)
-        f = _random_tensor(rng, (t2,))
-        shape = (2, rows, len(t2))
-        assert shape in ((2, 9, 12), (2, 12, 12))
-        with pytest.raises(ValueError, match=r"2-D rational operators only") as err:
-            apply_operator(op, f, 0, 1, tgt)
-        assert str(shape) in str(err.value) and "\n" not in str(err.value)
+        assert op[0].shape in ((2, 9, 12), (2, 12, 12))
+        # the t2 factor leads a two-factor tensor, or sits between two t1s
+        tables = (t2, t1) if start == 0 else (t1, t2, t1)
+        s = _random_tensor(rng, tables)
+        got = apply_operator(op, s, start, 1, tgt)
+        want = invfun_oracle.apply_cyclotomic_operator(
+            op, invfun_oracle.DictTensor(tables, s.values), start, 1, tgt)
+        assert got.tables == want.tables
+        assert got.values == want.values
+        assert got.num.shape == (2,) + tuple(map(len, got.tables))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_fourier_operator_gives_the_characters(self, q):
+        # (F 1_O)(x) = F[x, O] = chi_O(x), in degree 2
+        ctx = fq(q)
+        table = enumerate_orbits(2, ctx)
+        fourier, basis = psh._fourier(ctx, 2), fourier_character_basis(table)
+        for i in range(len(table)):
+            one = TensorFunction.outer([indicator_by_index(i, table)])
+            assert apply_operator(fourier, one, 0, 1, (table,)).as_function() == basis[i]

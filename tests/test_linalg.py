@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import invfun_oracle
 import linalg_oracle
-from glnq import duality, hc, hopf, linalg, psh
+from glnq import duality, hc, hopf, invfun, linalg, psh
 from glnq.duality import duality_operator
 from glnq.invfun import InvariantFunction, TensorFunction, apply_operator
 from glnq.orbits import enumerate_orbits
@@ -288,6 +288,27 @@ def test_conj_t_at_the_bound(p, past):
     assert got.dtype == (object if past else np.int64)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_results_are_c_ordered(q3, ndim, dtype):
+    # transposed views in, C-ordered arrays out: reduced fixes the order of
+    # every result; object entries lie past int64, so they stay object
+    big = 2 ** 64 if dtype is object else 1
+    shape = (2, 3, 9)[-ndim:]
+    x = np.array([big * i + 1 for i in range(math.prod(shape))], dtype=object)
+    x = np.swapaxes(x.reshape(shape[:-2] + shape[:-3:-1]), -1, -2).astype(dtype)
+    assert x.shape == shape and not x.flags.c_contiguous
+    t1 = enumerate_orbits(1, q3)
+    y = np.swapaxes(np.ones(shape[:-2] + (4, 9), dtype=dtype), -1, -2)
+    results = {"reduced": linalg.reduced(x, 5), "conj_t": linalg.conj_t((x, 5)),
+               "adjoint": invfun.adjoint(linalg.reduced(x, 5), (t1, t1), (t1,)),
+               "matmul": linalg.matmul((x, 5), (y, 1))}
+    for name, (got, _) in results.items():
+        assert got.flags.c_contiguous and not got.flags.writeable, name
+        assert got.dtype == dtype, name
+    assert _fractions(results["reduced"]) == [Fraction(int(v), 5) for v in x.flat]
+
+
 @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
 @pytest.mark.parametrize("c", [2, -3, 7])
 def test_scaled_at_the_bound(c, past):
@@ -327,7 +348,7 @@ def test_function_block_at_the_bound(q3, past):
     x, den = hc._function_block((f, g))
     assert den == 3 and x.shape == (2, 3, 2)
     for i, h in enumerate((f, g)):
-        assert _fractions((x[..., i], den)) == _fractions((h.num.T, h.den))
+        assert _fractions((x[..., i], den)) == _fractions((h.num, h.den))
     assert x.dtype == (object if past else np.int64)
 
 
@@ -390,8 +411,9 @@ def _aligned(x, amax, tables):
     of x with the largest absolute sum, so that row's sum is as large as the
     entries allow."""
     row = x[np.argmax(np.abs(x).sum(axis=1))]
-    num = np.array([[amax, -amax] if v >= 0 else [-amax, amax] for v in row], dtype=object)
-    return TensorFunction._from_array(tables, num.reshape(tuple(map(len, tables)) + (2,)), 1)
+    plane = [amax if v >= 0 else -amax for v in row]
+    num = np.array([plane, [-a for a in plane]], dtype=object)
+    return TensorFunction._from_array(tables, num.reshape((2,) + tuple(map(len, tables))), 1)
 
 
 class TestInt64Path:

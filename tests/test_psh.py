@@ -381,7 +381,8 @@ class TestTypedErrors:
         assert verify_nondescending(q2).witness == \
             "witness square 6 is not (q+1)/q, a non-square"
 
-    def test_steinberg_reconstruction_raises(self, monkeypatch, q2):
+    def test_steinberg_reconstruction_raises(self, monkeypatch, fresh_caches, q2):
+        # fresh_caches: a count cached by an earlier test would skip coords
         real = duality.coords
 
         def shifted(f, basis):

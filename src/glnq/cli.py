@@ -245,10 +245,8 @@ def suite_hc(ctx, max_n):
     for c in _compositions_upto(max_n):
         n = c.n
         table = enumerate_orbits(n, ctx)
-        for f in _test_functions(table):
-            tabs = [enumerate_orbits(m, ctx) for m in c.parts]
-            t = TensorFunction.outer([constant_one(tb) for tb in tabs])
-            reports.append(verify_adjunction(t, f, c))
+        t = TensorFunction.outer([constant_one(enumerate_orbits(m, ctx)) for m in c.parts])
+        reports.extend(verify_adjunction(t, f, c) for f in _test_functions(table))
         if len(c.parts) == 2 and c.parts[0] >= 2:
             sub = ((1, c.parts[0] - 1), (c.parts[1],))
             reports.append(verify_transitivity(constant_one(table), c.parts, sub))

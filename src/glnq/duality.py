@@ -12,7 +12,7 @@ from .glmat import compositions
 from .hc import induction_matrix, restriction_matrix
 from .hopf import antipode_matrix, precuspidal_spanning_rank, primitive_subspace
 from .invfun import (InvariantFunction, TensorFunction, adjoint, apply_operator,
-                     constant_one, coords, fourier_character_basis)
+                     character_matrix, constant_one, coords, fourier_character_basis)
 from .orbits import enumerate_orbits
 from .report import Report
 
@@ -108,12 +108,11 @@ def steinberg_constituents(n: int, ctx: FqContext) -> int:
     """Number of Fourier characters supporting the Steinberg function, cached:
     psh's degree-2 check and the steinberg suite share one expansion."""
     table = enumerate_orbits(n, ctx)
-    basis = fourier_character_basis(table)
-    cs = coords(steinberg(n, ctx), basis)
-    # reconstruction check keeps the count honest
-    recon = sum((b.scale(c) for c, b in zip(cs, basis)),
-                InvariantFunction(table, [0] * len(table)))
-    if recon != steinberg(n, ctx):
+    st = steinberg(n, ctx)
+    cs = coords(st, fourier_character_basis(table))
+    # reconstruction check keeps the count honest: F . coords == St_n
+    coeffs = TensorFunction.outer([InvariantFunction(table, cs)])
+    if apply_operator(character_matrix(table), coeffs, 0, 1, (table,)).as_function() != st:
         raise ArithmeticError(f"Fourier coordinates of the degree-{n} Steinberg "
                               f"function do not reconstruct it")
     return sum(1 for c in cs if not c.is_zero())

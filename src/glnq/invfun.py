@@ -60,9 +60,13 @@ class _Values:
 
     @classmethod
     def _from_pair(cls, tables, pair):
-        """The values of a pair (num, den) in lowest terms (see linalg)."""
+        """The values of a pair (num, den) in lowest terms (see linalg), num
+        of shape (p - 1, dims...) (else ValueError)."""
         self = object.__new__(cls)
         self.tables, (self.num, self.den) = tuple(tables), pair
+        shape = (self.p - 1, *map(len, self.tables))
+        if self.num.shape != shape:
+            raise ValueError(f"values of shape {self.num.shape}, not {shape}")
         return self
 
     def __reduce__(self):
@@ -200,10 +204,11 @@ def _trace_table(ctx, n):
 
 @lru_cache(maxsize=None)
 def character_matrix(table: OrbitTable):
-    """The Fourier characters at the orbit representatives as an integer
-    matrix over Q(zeta_p) (see linalg): (X, 1), where X has shape
-    (p - 1, orbits, orbits) and X[t, O, x] = N_t - N_(p-1) with
-    N_t = #{a in O : Tr(trace(a x)) = t}, so chi_O(x) = sum_t X[t, O, x] zeta_p^t."""
+    """The Fourier operator F on orbit values, (F f)(x) = sum_O f(O) chi_O(x),
+    as an integer matrix over Q(zeta_p) (see linalg): (F, 1), where F has
+    shape (p - 1, orbits, orbits) and F[t, x, O] = N_t - N_(p-1) with
+    N_t = #{a in O : Tr(trace(a x)) = t}, so F[x, O] = chi_O(x) =
+    sum_t F[t, x, O] zeta_p^t and column O is chi_O = F(1_O)."""
     ctx, n = table.ctx, table.n
     p = ctx.p
     norb = len(table)
@@ -227,7 +232,7 @@ def character_matrix(table: OrbitTable):
                 idx += T[c].take(r)
             hist = np.bincount(idx, minlength=norb * width)
             counts[xi] = hist.reshape(norb, -1, p).sum(axis=1)
-    return linalg.reduced((counts[..., :-1] - counts[..., -1:]).transpose(2, 1, 0), 1)
+    return linalg.reduced((counts[..., :-1] - counts[..., -1:]).transpose(2, 0, 1), 1)
 
 
 @lru_cache(maxsize=None)
@@ -235,12 +240,12 @@ def fourier_character_basis(table: OrbitTable):
     """One character per orbit O: chi_O(x) = sum over a in O of psi(trace(a x)),
     with psi(a) = zeta_p^Tr(a). Orthogonal; chi_O(0) = |O|."""
     planes, _ = character_matrix(table)
-    return tuple(InvariantFunction._from_array((table,), planes[:, oi], 1)
+    return tuple(InvariantFunction._from_array((table,), planes[:, :, oi], 1)
                  for oi in range(len(table)))
 
 
 def coords(f: InvariantFunction, basis) -> list:
-    """Coefficients of f in an orthogonal basis, with exact reconstruction."""
+    """Coefficients (f, b) / (b, b) of f in an orthogonal basis, one per b."""
     out = []
     for b in basis:
         nr = inner_product(b, b).as_rational()

@@ -2,7 +2,9 @@
 character basis chi_O = F(1_O), (F f)(x) = sum_a f(a) psi(tr(a x)): the
 intertwinings F.Ind = q^(n1 n2) Ind.(F x F) and Res.F = q^(n1 n2) (F x F).Res
 make the structure constants the Harish-Chandra counts, and Plancherel gives
-the norms q^(n^2) |O| / |G_n|.  Each report checks on the characters the
+the norms q^(n^2) |O| / |G_n|.  F is invfun.character_matrix itself, the
+matrix F[x, O] = chi_O(x), and the Plancherel check is F* W F with W the Gram
+weights of invfun._weights.  Each report checks on the characters the
 identities it rests on.  Exact on (x, den) pairs (see linalg).
 """
 from __future__ import annotations
@@ -15,12 +17,12 @@ import numpy as np
 
 from . import linalg
 from .duality import duality_operator, steinberg_constituents
-from .field import FqContext, NotRationalError, SqrtRational, rational_is_square
+from .field import FqContext, SqrtRational, rational_is_square
 from .hc import hc_restrict  # noqa: F401  (a binding the perfbench tracer checks)
 from .hc import induction_matrix, restriction_matrix
 from .hopf import multiply_functions
-from .invfun import (character_matrix, constant_one, fourier_character_basis,
-                     inner_product_rational)
+from .invfun import (_weights, character_matrix, constant_one,
+                     fourier_character_basis, inner_product_rational)
 from .orbits import enumerate_orbits
 from .report import Report
 
@@ -34,19 +36,6 @@ class OmegaBasis:
     characters: tuple
     norms: tuple  # squared norms, positive rationals
     gram: tuple  # diag(norms) as a rational pair (see linalg)
-
-
-def _pairing(a, b, table):
-    """The rational pair a . diag(|O|) / |G_n| . b^* of inner products of the
-    rows of a and b (pairs over Q(zeta_p)); an entry with a nonzero plane
-    1..p-2 raises NotRationalError naming the first in row-major order."""
-    x, d = linalg.matmul((a[0] * np.array(table.sizes, dtype=object), a[1] * table.gl_order),
-                         linalg.conj_t(b))
-    bad = np.argwhere(x[1:].any(axis=0))
-    if len(bad):
-        i, j = (int(v) for v in bad[0])
-        raise NotRationalError(f"entry ({i},{j}) is not rational")
-    return linalg.reduced(x[0], d)
 
 
 def _first_difference(a, b):
@@ -74,24 +63,27 @@ def _multiple(c: int, pair):
 @lru_cache(maxsize=None)
 def omega_basis(ctx: FqContext, n: int) -> OmegaBasis:
     """The characters of degree n with the Plancherel norms, once their Gram
-    matrix is G_n = diag(q^(n^2) |O| / |G_n|) (else ArithmeticError)."""
+    matrix is G_n = diag(q^(n^2) |O| / |G_n|) (else ArithmeticError): F* W F,
+    whose entry (O, O') is the conjugate of (chi_O, chi_O'), so (the Gram
+    matrix being Hermitian) its first irrational entry or difference in
+    row-major order is the Gram matrix's own."""
     table = enumerate_orbits(n, ctx)
-    chars = character_matrix(table)
-    x, d = gram = linalg.reduced(np.diag(np.array(table.sizes, dtype=object)
-                                         * ctx.q ** (n * n)), table.gl_order)
-    try:
-        pairs = _pairing(chars, chars, table)
-    except NotRationalError as e:
-        raise ArithmeticError(f"degree-{n} character Gram matrix: {e}") from e
-    _require_equal(f"degree-{n} character Gram matrix != Plancherel diagonal", pairs, gram)
+    f, (w, order) = _fourier(ctx, n), _weights((table,))
+    x, d = linalg.matmul(linalg.conj_t(f), (f[0] * w, f[1] * order))
+    bad = np.argwhere(x[1:].any(axis=0))
+    if len(bad):
+        i, j = bad[0]
+        raise ArithmeticError(f"degree-{n} character Gram matrix: entry ({i},{j}) is not rational")
+    gx, gd = gram = linalg.reduced(np.diag(w[:, 0] * ctx.q ** (n * n)), order)
+    _require_equal(f"degree-{n} character Gram matrix != Plancherel diagonal",
+                   linalg.reduced(x[0], d), gram)
     return OmegaBasis(n, fourier_character_basis(table),
-                      tuple(Fraction(int(v), d) for v in np.diagonal(x)), gram)
+                      tuple(Fraction(int(v), gd) for v in np.diagonal(gx)), gram)
 
 
 def _fourier(ctx: FqContext, n: int):
     """F over Q(zeta_p) on the orbit values of degree n, F[x, O] = chi_O(x)."""
-    x, d = character_matrix(enumerate_orbits(n, ctx))
-    return linalg.reduced(np.swapaxes(x, 1, 2), d)
+    return character_matrix(enumerate_orbits(n, ctx))
 
 
 @lru_cache(maxsize=None)

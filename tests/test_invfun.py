@@ -4,6 +4,7 @@ oracles."""
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import invfun_oracle
 import orbit_oracle
-from glnq import hc, hopf, invfun, linalg, psh
+from glnq import hc, hopf, invfun, linalg
 from glnq.duality import duality_operator
 from glnq.field import ContextMismatchError, Cyclotomic, fq
 from glnq.glmat import Matrix, compositions, conjugate
@@ -106,9 +107,10 @@ class TestInnerProduct:
 
 
 def oracle_characters(table):
-    """character_counts as the (X, 1) pair of character_matrix: N_t counts
-    per plane t < p, and zeta^(p-1) folds into planes 0..p-2."""
-    c = invfun_oracle.character_counts(table).transpose(2, 1, 0)
+    """character_counts as the (F, 1) pair of character_matrix, indexed
+    (t, x, O): N_t counts per plane t < p, and zeta^(p-1) folds into planes
+    0..p-2."""
+    c = invfun_oracle.character_counts(table).transpose(2, 0, 1)
     return linalg.reduced(c[:-1] - c[-1], 1)
 
 
@@ -446,6 +448,19 @@ class TestCanonicalForm:
         assert h.num.shape == (ctx.p - 1,) + tuple(map(len, h.tables))
         assert h.num.flags.c_contiguous and not h.num.flags.writeable
 
+    def test_misshapen_values_raise(self, q3):
+        # the same values in a (dims..., p - 1) layout would be read with
+        # their planes scrambled
+        f = _function(q3, 2, 0)
+        with pytest.raises(ValueError, match=re.escape("values of shape (12, 2), not (2, 12)")):
+            InvariantFunction._from_array(f.tables, f.num.T, f.den)
+        t = TensorFunction.outer([_function(q3, 1, 1), f])
+        with pytest.raises(ValueError, match=re.escape(
+                "values of shape (3, 12, 2), not (2, 3, 12)")):
+            TensorFunction._from_array(t.tables, np.moveaxis(t.num, 0, -1), t.den)
+        with pytest.raises(ValueError, match=re.escape("not (2, 3, 12)")):
+            TensorFunction._from_pair(t.tables, (f.num, f.den))
+
     def test_num_is_read_only(self, q3):
         f = constant_one(enumerate_orbits(2, q3))
         t = TensorFunction.outer([f, f])
@@ -681,7 +696,7 @@ class TestCyclotomicOperator:
         # (F 1_O)(x) = F[x, O] = chi_O(x), in degree 2
         ctx = fq(q)
         table = enumerate_orbits(2, ctx)
-        fourier, basis = psh._fourier(ctx, 2), fourier_character_basis(table)
+        fourier, basis = invfun.character_matrix(table), fourier_character_basis(table)
         for i in range(len(table)):
             one = TensorFunction.outer([indicator_by_index(i, table)])
             assert apply_operator(fourier, one, 0, 1, (table,)).as_function() == basis[i]

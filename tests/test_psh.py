@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from glnq import duality, hc, hopf, linalg, psh
-from glnq.field import NotRationalError, fq, rational_is_square
+from glnq.field import fq, rational_is_square
 from glnq.hopf import multiply_functions
 from glnq.invfun import character_matrix, constant_one, inner_product_rational
 from glnq.orbits import enumerate_orbits
@@ -32,13 +32,10 @@ class TestOmegaBasis:
         # two characters (trivial and sign), each of squared norm q/(q-1) = 2
         assert ob.norms == (2, 2)
 
-    def test_irrational_pairing_raises(self, q3):
-        # the characters against zeta times themselves pair to zeta^-1 times
-        # the Gram matrix, whose first entry is not rational
-        table = enumerate_orbits(1, q3)
-        x, den = character_matrix(table)
-        with pytest.raises(NotRationalError, match=r"entry \(0,0\)"):
-            psh._pairing((x, den), linalg.reduced(np.roll(x, 1, axis=0), den), table)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fourier_is_the_character_matrix(self, q3, n):
+        # one array, read as it is: no transposed copy
+        assert psh._fourier(q3, n)[0] is character_matrix(enumerate_orbits(n, q3))[0]
 
 
 class TestStructureConstants:
@@ -205,7 +202,7 @@ def _one_count_changed(real, parts, index=(-1, -1), by=1):
 
 def _characters_changed(monkeypatch, n, slot, value):
     """psh.character_matrix with planes[slot] = value(planes) in the planes,
-    indexed (plane, O, x), of the degree-n characters."""
+    indexed (plane, x, O), of the degree-n characters."""
     real = psh.character_matrix
 
     def changed(table):
@@ -233,7 +230,7 @@ class TestCorruptedInputs:
             chars = real_basis(table)
             return ((-chars[0],) + chars[1:]) if table.n == 1 else chars
 
-        _characters_changed(monkeypatch, 1, np.s_[:, 0], lambda x: -x[:, 0])
+        _characters_changed(monkeypatch, 1, np.s_[:, :, 0], lambda x: -x[:, :, 0])
         monkeypatch.setattr(psh_oracle, "fourier_character_basis", negated_basis)
         want = psh_oracle.verify_positivity(q2, 1, 1)
         assert want.witness.startswith("c^")
@@ -243,7 +240,7 @@ class TestCorruptedInputs:
     def test_negated_plane_breaks_induction_intertwining(self, monkeypatch, fresh_caches,
                                                           q3):
         # plane 1 of the degree-2 character of orbit 0, which induction reaches
-        _characters_changed(monkeypatch, 2, np.s_[1, 0], lambda x: -x[1, 0])
+        _characters_changed(monkeypatch, 2, np.s_[1, :, 0], lambda x: -x[1, :, 0])
         witness = "F.Ind != q^1 Ind.(FxF) at (1,0,1): -3 != 3"
         _assert_fails(verify_positivity(q3, 1, 1), witness)
         _assert_fails(verify_self_adjointness(q3, 1, 1), witness)
@@ -331,7 +328,7 @@ class TestCorruptedInputs:
     def test_added_character_breaks_plancherel(self, monkeypatch, fresh_caches, q3):
         # chi_1 + chi_0 in place of chi_1: the Plancherel diagonal G_2 is read
         # off the orbit sizes and stays, but the Gram matrix leaves it
-        _characters_changed(monkeypatch, 2, np.s_[:, 1], lambda x: x[:, 1] + x[:, 0])
+        _characters_changed(monkeypatch, 2, np.s_[:, :, 1], lambda x: x[:, :, 1] + x[:, :, 0])
         with pytest.raises(ArithmeticError, match=re.escape(
                 "degree-2 character Gram matrix != Plancherel diagonal "
                 "at (0,1): 81/4 != 0")):
@@ -356,14 +353,14 @@ class TestReadOnlyResults:
 
 class TestTypedErrors:
     @pytest.mark.parametrize("value,witness", [
-        (lambda x: x[:, 1] + x[:, 0],
+        (lambda x: x[:, :, 1] + x[:, :, 0],
          "degree-2 character Gram matrix != Plancherel diagonal at (0,1): 81/4 != 0"),
-        (lambda x: np.roll(x[:, 1], 1, axis=0),  # chi_1 with its two planes swapped
+        (lambda x: np.roll(x[:, :, 1], 1, axis=0),  # chi_1 with its two planes swapped
          "degree-2 character Gram matrix: entry (0,1) is not rational")])
     def test_failed_plancherel_check_is_a_report(self, monkeypatch, fresh_caches, q3,
                                                  value, witness):
         # omega_basis raises; the report that rests on it fails instead
-        _characters_changed(monkeypatch, 2, np.s_[:, 1], value)
+        _characters_changed(monkeypatch, 2, np.s_[:, :, 1], value)
         with pytest.raises(ArithmeticError):
             omega_basis(q3, 2)
         got = verify_second_psh(q3, 2)

@@ -32,6 +32,15 @@ class TestOmegaBasis:
         # two characters (trivial and sign), each of squared norm q/(q-1) = 2
         assert ob.norms == (2, 2)
 
+    def test_irrational_pairing_raises(self, monkeypatch, fresh_caches, q5):
+        # chi_0 plus its planes rolled by one has an irrational squared norm
+        # over Q(zeta_5), so the first entry of the Gram matrix is not rational
+        _characters_changed(monkeypatch, 1, np.s_[:, :, 0],
+                            lambda x: x[:, :, 0] + np.roll(x[:, :, 0], 1, axis=0))
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "degree-1 character Gram matrix: entry (0,0) is not rational")):
+            omega_basis(q5, 1)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_fourier_is_the_character_matrix(self, q3, n):
         # one array, read as it is: no transposed copy

@@ -4,11 +4,16 @@ one cold `glnq verify mackey --q Q --all-indicators --format json` for
 q = 2, 3 (every indicator pair, not the default sample), print each run's
 wall time, peak RSS and check count, and compare each report byte for byte
 with tests/data/verify_q<Q>.json or tests/data/verify_mackey_all_q<Q>.json.
+Last, one cold `glnq orbits --q 16 --n 3 --budget --format json`, past the
+lookup budget, with its wall time and peak RSS: it must list q^3 + q^2 + q
+= 4,368 orbits whose sizes sum to 16^9.
 
 Run from the repository root: python scripts/cold_verify.py
-Each report is left in verify_q<Q>.out or verify_mackey_all_q<Q>.out; the
-exit status is 1 if a run fails or a report differs from its reference.
+Each report is left in verify_q<Q>.out, verify_mackey_all_q<Q>.out or
+orbits_q16_n3.out; the exit status is 1 if a run fails, a report differs
+from its reference or the orbit listing is wrong.
 """
+import compileall
 import filecmp
 import json
 import os
@@ -20,23 +25,49 @@ RUNS = [(f"verify_q{q}", ["--q", str(q)]) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13,
 RUNS += [(f"verify_mackey_all_q{q}", ["mackey", "--q", str(q), "--all-indicators"])
          for q in (2, 3)]
 
-failed = []
-for name, args in RUNS:
-    argv = [sys.executable, "-m", "glnq.cli", "verify", *args, "--format", "json"]
-    label = "verify " + " ".join(args)
+# bytecode first, so no run's peak RSS includes compiling glnq (a tree
+# without it read 1.1-1.3 MB higher at q=4 when PYTHONDONTWRITEBYTECODE
+# kept each run from caching it)
+failed = [] if compileall.compile_dir("src", quiet=1) else ["src/ does not compile"]
+
+
+def cold_run(name, argv, label):
+    """Run glnq with argv in a cold process, stdout to name.out, and return
+    a line with its wall time and peak RSS; a failed run is recorded and
+    returns None."""
     start = time.perf_counter()
     with open(f"{name}.out", "w") as out:
-        child = subprocess.Popen(argv, stdout=out, env=dict(os.environ, PYTHONPATH="src"))
+        child = subprocess.Popen([sys.executable, "-m", "glnq.cli", *argv], stdout=out,
+                                 env=dict(os.environ, PYTHONPATH="src"))
         _, status, usage = os.wait4(child.pid, 0)  # this child's own peak RSS
     wall = time.perf_counter() - start
     code = os.waitstatus_to_exitcode(status)
     if code:
         failed.append(f"{label} exited with {code}")
+        return None
+    rss_mb = usage.ru_maxrss / 1024  # KiB on Linux
+    return f"{label}: wall {wall:.2f} s, peak RSS {rss_mb:.1f} MB"
+
+
+for name, args in RUNS:
+    label = "verify " + " ".join(args)
+    line = cold_run(name, ["verify", *args, "--format", "json"], label)
+    if line is None:
         continue
     with open(f"{name}.out") as out:
         checks = len(json.load(out)["reports"])
-    rss_mb = usage.ru_maxrss / 1024  # KiB on Linux
-    print(f"{label}: wall {wall:.2f} s, peak RSS {rss_mb:.1f} MB, {checks} checks")
+    print(f"{line}, {checks} checks")
     if not filecmp.cmp(f"{name}.out", f"tests/data/{name}.json", shallow=False):
         failed.append(f"{label} differs from tests/data/{name}.json")
+
+q, n = 16, 3
+label = f"orbits --q {q} --n {n} --budget"
+line = cold_run(f"orbits_q{q}_n{n}", label.split() + ["--format", "json"], label)
+if line is not None:
+    with open(f"orbits_q{q}_n{n}.out") as out:
+        sizes = [orbit["size"] for orbit in json.load(out)["orbits"]]
+    print(f"{line}, {len(sizes)} orbits")
+    if len(sizes) != q ** 3 + q ** 2 + q or sum(sizes) != q ** (n * n):
+        failed.append(f"{label}: {len(sizes)} orbits of total size {sum(sizes)}, "
+                      f"expected {q ** 3 + q ** 2 + q} of total {q ** (n * n)}")
 sys.exit("\n".join(failed) or None)

@@ -4,6 +4,7 @@ verification suites, with text or JSON reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -65,28 +66,55 @@ def _composition(text: str) -> Composition:
         raise ConfigError(f"--composition {text!r}: {e}") from e
 
 
+def _clip(text: str) -> str:
+    """text, or its first 200 and last 100 characters around a count of those
+    left out: an error echoes a value from the file, and keeps to a few
+    hundred characters however long that value is."""
+    if len(text) <= 340:
+        return text
+    return f"{text[:200]} ... [{len(text) - 300} characters] ... {text[-100:]}"
+
+
 def _load_function(path: str, ctx: FqContext, override: bool) -> InvariantFunction:
     """The function in a JSON file; a file that is not a function over ctx
-    within the size budget is a ConfigError."""
+    within the size budget is a ConfigError of one line naming the field."""
     # json.JSONDecodeError is a ValueError
     try:
         data = json.loads(Path(path).read_text())
-        n = int(data["n"])
+        if not isinstance(data, dict):
+            raise TypeError(f"the file holds a {type(data).__name__}, not a JSON object")
+        missing = [key for key in ("n", "q", "values") if key not in data]
+        if missing:
+            raise KeyError(f'no "{missing[0]}" key: a function file has "n", "q" and '
+                           f'"values", this one has {", ".join(map(json.dumps, data))}')
+        n = data["n"]
+        if type(n) is not int:  # bool is an int, and 2.0 is not a JSON integer
+            raise TypeError(f'"n" is {json.dumps(n)}, not an integer')
         if n < 0:
             raise ValueError(f'"n" is {n}')
         _check_budget(ctx.q, n, override)
         return InvariantFunction.from_json(enumerate_orbits(n, ctx), data)
     except (ValueError, KeyError, TypeError, OSError) as e:
-        raise ConfigError(f"{path}: {type(e).__name__}: {e}") from e
+        # str() of a KeyError is the repr of its argument
+        detail = e.args[0] if isinstance(e, KeyError) and e.args else e
+        raise ConfigError(f"{path}: {type(e).__name__}: {_clip(str(detail))}") from e
 
 
 def _emit(args, payload, text_lines):
-    out = "\n".join(text_lines) if args.format == "text" else json.dumps(
-        payload, sort_keys=True, indent=1)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(out + "\n")
-    else:
-        print(out)
+    """Write the report piece by piece, never as one string, to --output or
+    else stdout; a report that fails to serialise leaves no --output file."""
+    path = getattr(args, "output", None)
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        try:
+            if args.format == "text":
+                fh.writelines(line + "\n" for line in text_lines)
+            else:
+                json.dump(payload, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+        except BaseException:
+            if path:
+                Path(path).unlink()
+            raise
 
 
 def _function_lines(f: InvariantFunction):

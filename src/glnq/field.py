@@ -38,13 +38,14 @@ def is_prime(p: int) -> bool:
 
 
 def digits(codes, base, width):
-    """The `width` base-`base` digits of each code, lowest first, as an int16
-    array of shape codes.shape + (width,); the inverse of undigits.  Codes
-    keep an integer dtype that holds base, so narrow codes are never copied
-    whole to int64."""
+    """The `width` base-`base` digits of each code, lowest first, in the
+    narrowest unsigned dtype that holds base - 1 (uint8 for every F_q entry),
+    shape codes.shape + (width,); the inverse of undigits.  Codes keep an
+    integer dtype that holds base, so narrow codes are never copied whole to
+    int64."""
     codes = np.asarray(codes)
     codes = codes.astype(np.promote_types(codes.dtype, np.min_scalar_type(base)), copy=False)
-    out = np.empty(codes.shape + (width,), dtype=np.int16)
+    out = np.empty(codes.shape + (width,), dtype=np.min_scalar_type(base - 1))
     for i in range(width):
         out[..., i] = codes % base
         codes = codes // base
@@ -59,7 +60,7 @@ def undigits(digs, base):
     width = digs.shape[-1]
     # weights of the digits' own dtype, where it holds every code, spare
     # einsum its buffered casts; against int64 weights it casts the digits
-    # chunk by chunk, so an int16 stack is never copied whole to int64
+    # chunk by chunk, so a narrow stack is never copied whole to int64
     dtype = digs.dtype if base ** width - 1 <= np.iinfo(digs.dtype).max else np.int64
     return np.einsum("...i,i->...", digs,
                      (base ** np.arange(width, dtype=np.int64)).astype(dtype))

@@ -69,16 +69,16 @@ def batch_matmul(ctx, a, b):
     below p = 128, else int16), each entry of b its k base-p digits (column
     0 of that matrix), and each product accumulates in _accumulator(ctx, m),
     the narrowest integer type that holds the m k products below p^2 summed
-    into an output digit, and is reduced mod p once.  Stacks go
-    MATMUL_CHUNK matrices at a time along their first axis, which bounds
-    the temporaries.
+    into an output digit, and is reduced mod p once, to codes below q held
+    in np.min_scalar_type(q - 1), uint8.  Stacks go MATMUL_CHUNK matrices at
+    a time along their first axis, which bounds the temporaries.
     """
     p, k = ctx.p, ctx.k
     n, m, r = a.shape[-2], a.shape[-1], b.shape[-1]
     dt = _accumulator(ctx, m)
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     lead = shape or (1,)
-    out = np.empty(lead + (n, r), dtype=np.int16)
+    out = np.empty(lead + (n, r), dtype=np.min_scalar_type(ctx.q - 1))
     for s in range(0, lead[0], MATMUL_CHUNK):
         # each operand's rows of this chunk, or all of it where it broadcasts
         sa, sb = (x[s:s + MATMUL_CHUNK] if x.ndim == len(lead) + 2 and x.shape[0] > 1
@@ -88,7 +88,7 @@ def batch_matmul(ctx, a, b):
         C = np.matmul(A, B, dtype=dt)
         C -= C // p * p  # C %= p: numpy divides by a scalar faster than it takes %
         C = C.reshape(C.shape[:-2] + (n, k, r)).swapaxes(-2, -1)
-        out[s:s + MATMUL_CHUNK] = undigits(C, p)  # codes below q, in C's dtype
+        out[s:s + MATMUL_CHUNK] = undigits(C, p)  # codes below q
     return out.reshape(shape + (n, r))
 
 
@@ -370,9 +370,9 @@ def _matrix_count(ctx: FqContext, n: int) -> int:
 
 
 def all_matrices(ctx: FqContext, n: int):
-    """All q^(n^2) matrices as one stacked array, in code order, built anew
-    on every call: its one caller in glnq, the cached gl_arrays, keeps only
-    the invertible ones."""
+    """All q^(n^2) matrices as one stacked uint8 array (the digits of their
+    codes), in code order, built anew on every call: its one caller in glnq,
+    gl_arrays, keeps only the invertible ones."""
     total = _matrix_count(ctx, n)
     codes = np.arange(total, dtype=np.min_scalar_type(total - 1))
     out = digits(codes, ctx.q, n * n).reshape(total, n, n)
@@ -393,7 +393,7 @@ def row_codes(ctx: FqContext, n: int):
     sum_i R_i Q^i has row i of code R_i = sum_j a_ij q^j, at [i, code]."""
     total, Q = _matrix_count(ctx, n), ctx.q ** n
     codes = np.arange(total, dtype=np.min_scalar_type(total - 1))
-    out = digits(codes, Q, n).T.astype(np.min_scalar_type(Q - 1), order="C")
+    out = np.ascontiguousarray(digits(codes, Q, n).T)  # digits hold Q - 1
     out.setflags(write=False)
     return out
 
@@ -444,15 +444,15 @@ def gl_mask(ctx: FqContext, n: int):
     return mask
 
 
-@lru_cache(maxsize=None)
 def gl_arrays(ctx: FqContext, n: int):
     """(G, Ginv): stacked invertible matrices and their inverses, each the
     adjugate (g^-1)_ji = (-1)^(i+j) det(minor_ij) det(g)^-1 with the minors
-    read from the degree-(n-1) table.  Every g g^-1 must be I."""
+    read from the degree-(n-1) table.  Every g g^-1 must be I.  Not cached:
+    its one caller, hc._coset_table, keeps only coset representatives."""
     mask = gl_mask(ctx, n)
     G, rows = all_matrices(ctx, n)[mask], row_codes(ctx, n)[:, mask]
     scale = ctx.INV[determinants(ctx, n)[mask]]
-    Ginv = np.empty((len(G), n, n), dtype=np.int16)
+    Ginv = np.empty_like(G)
     for i in range(n):
         for j, minor in enumerate(_minor_dets(ctx, rows, i)):
             # (g^-1)_ji = 0 - f minor, f = -det(g)^-1 for an even i + j

@@ -99,44 +99,50 @@ def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
     return linalg.reduced(counts.reshape(len(levi), norb), len(U))
 
 
-@lru_cache(maxsize=None)
-def _row_space_keys(ctx: FqContext, n: int, lo: int):
-    """For each g of gl_arrays(ctx, n), the sorted codes of all q^(n-lo)
-    vectors in the span of rows lo..n-1 of g (codes < q^n, in the smallest
-    dtype that holds them): equal keys, equal spans.  They are filled 4,096
-    matrices at a time, so no int64 code array spans the whole stack."""
-    G, _ = gl_arrays(ctx, n)
+def _row_space_keys(ctx: FqContext, G, lo: int):
+    """For each g of the stack G, the sorted codes of all q^(n-lo) vectors in
+    the span of rows lo..n-1 of g (codes < q^n, in the smallest dtype that
+    holds them): equal keys, equal spans.  They are filled 4,096 matrices at
+    a time, so no int64 code array spans the whole stack."""
+    n = G.shape[-1]
     coeffs = digits(np.arange(ctx.q ** (n - lo)), ctx.q, n - lo)
     keys = np.empty((len(G), len(coeffs)), dtype=np.min_scalar_type(ctx.q ** n))
     for start in range(0, len(G), 4096):
         keys[start:start + 4096] = undigits(
             batch_matmul(ctx, coeffs, G[start:start + 4096, lo:]), ctx.q)
     keys.sort(axis=1)
-    keys.setflags(write=False)
     return keys
 
 
 @lru_cache(maxsize=None)
+def _coset_table(ctx: FqContext, n: int):
+    """For lo = 0..n, (g, g^-1, sizes): one g per right coset P g in GL_n, P
+    the upper parabolic whose last row block starts at row lo, copied out of
+    the GL_n stack, which is then freed.  p g's last row block p_kk g_k spans
+    what g's spans, so a coset is a span; P = GL_n (lo = 0 or n) is one."""
+    G, Gi = gl_arrays(ctx, n)
+    out = []
+    for lo in range(n + 1):
+        keys = (_row_space_keys(ctx, G, lo) if 0 < lo < n
+                else np.zeros((len(G), 1), dtype=np.uint8))
+        flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))
+        _, first, sizes = np.unique(flat.ravel(), return_index=True, return_counts=True)
+        out.append((G[first], Gi[first], sizes))
+    return tuple(out)
+
+
 def _coset_reps(ctx: FqContext, parts: tuple):
     """(g, g^-1) stacked, one g per right coset P g in GL_n, P the upper
-    parabolic of a split with at most two parts.  The last row block of p g
-    is p_kk g_k with p_kk invertible, so it spans what g's last row block
-    spans, and the cosets are the classes of that span.  Every coset must
-    hold |P| elements, else OrbitCountError."""
+    parabolic of a split with at most two parts; every coset must hold |P|
+    elements, else OrbitCountError."""
     n = sum(parts)
-    G, Gi = gl_arrays(ctx, n)
-    lo = sum(parts[:-1])
-    # where P = GL_n one constant key makes one coset
-    keys = (_row_space_keys(ctx, n, lo) if 0 < lo < n
-            else np.zeros((len(G), 1), dtype=np.uint8))
-    flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))
-    _, first, sizes = np.unique(flat.ravel(), return_index=True, return_counts=True)
+    g, gi, sizes = _coset_table(ctx, n)[sum(parts[:-1])]
     order = parabolic_group_order(ctx, parts)
     bad = np.flatnonzero(sizes != order)
     if len(bad):
         raise OrbitCountError(f"a coset of the parabolic {parts} in GL_{n} holds "
                               f"{sizes[bad[0]]} elements, not |P| = {order}")
-    return G[first], Gi[first]
+    return g, gi
 
 
 def _coset_count(ctx: FqContext, parts: tuple):

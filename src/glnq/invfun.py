@@ -151,16 +151,24 @@ class InvariantFunction(_Values):
     @classmethod
     def from_json(cls, table: OrbitTable, data) -> "InvariantFunction":
         """The inverse of to_json; a file over another field or degree, or
-        with other orbit labels, raises ValueError naming the field."""
+        with other orbit labels, raises ValueError naming the field, and a
+        "values" that is not an object of strings TypeError."""
         if data["q"] != table.ctx.serialize():
             raise ValueError(f'"q" is {data["q"]!r}, not {table.ctx.serialize()!r}')
         if data["n"] != table.n:
             raise ValueError(f'"n" is {data["n"]!r}, not {table.n}')
+        values = data["values"]
+        if not isinstance(values, dict):
+            raise TypeError(f'"values" is a {type(values).__name__}, not a JSON object')
         labels = [lab.serialize() for lab in table.labels]
-        if set(data["values"]) != set(labels):
+        if set(values) != set(labels):
             raise ValueError(f'"values" are not indexed by the {len(labels)} '
                              f"orbit labels of degree {table.n}")
-        vals = [Cyclotomic.parse(data["values"][lab]) for lab in labels]
+        for lab in labels:
+            if not isinstance(values[lab], str):
+                raise TypeError(f'"values" entry "{lab}" is a '
+                                f"{type(values[lab]).__name__}, not a string")
+        vals = [Cyclotomic.parse(values[lab]) for lab in labels]
         if any(v.p != table.ctx.p for v in vals):
             raise ValueError(f'"values" are not all in Q(zeta_{table.ctx.p})')
         return cls(table, vals)

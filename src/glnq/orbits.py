@@ -282,29 +282,26 @@ class OrbitTable:
 
 
 def _label_candidates(ctx, n):
-    if n == 0:
-        yield OrbitLabel(())
-        return
+    """Every label of weight n, by a depth-first walk over the irreducibles
+    (ascending degree) on an explicit stack, so the count of irreducibles
+    sets no recursion depth: at each f, its multiplicity m from the largest
+    down to 1, each partition of m in turn, then f left out.  A walk stops
+    once f's degree exceeds the weight left, as every later f's does."""
     irrs = irreducibles(ctx, n)
-
-    def rec(idx, remaining):
+    stack = [(0, n, ())]  # (next irreducible, weight left, pairs so far)
+    while stack:
+        idx, remaining, pairs = stack.pop()
         if remaining == 0:
-            yield ()
-            return
-        if idx == len(irrs):
-            return
+            yield OrbitLabel(pairs)
+            continue
+        if idx == len(irrs) or len(irrs[idx]) - 1 > remaining:
+            continue
         f = irrs[idx]
         d = len(f) - 1
-        for m in range(remaining // d, -1, -1):
-            if m == 0:
-                yield from rec(idx + 1, remaining)
-                continue
-            for lam in partitions(m):
-                for rest in rec(idx + 1, remaining - d * m):
-                    yield ((f, lam),) + rest
-
-    for pairs in rec(0, n):
-        yield OrbitLabel(pairs)
+        children = [(idx + 1, remaining - d * m, pairs + ((f, lam),))
+                    for m in range(remaining // d, 0, -1) for lam in partitions(m)]
+        children.append((idx + 1, remaining, pairs))
+        stack.extend(reversed(children))
 
 
 def representative(ctx, label: OrbitLabel, n: int) -> Matrix:

@@ -63,6 +63,14 @@ class TestOrbits:
         assert code == 0 and len(data["orbits"]) == 74
         assert sum(o["size"] for o in data["orbits"]) == 2 ** 25
 
+    def test_more_irreducibles_than_the_recursion_limit(self, capsys):
+        # ended in a RecursionError traceback and exit 1
+        code, out, _ = run(capsys, "orbits", "--q", "16", "--n", "3", "--budget",
+                           "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and len(data["orbits"]) == 4368
+        assert sum(o["size"] for o in data["orbits"]) == 16 ** 9
+
 
 class TestSteinberg:
     def test_constituents_line(self, capsys):
@@ -142,6 +150,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "witness", "--q", "3")
         assert code == 0
         assert "psh-nondescending" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ["verify", "--q", "2", "--max-n", "2", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        target = tmp_path / f"report.{fmt}"
+        assert run(capsys, *argv, "--output", str(target)) == (code, "", "")
+        assert code == 0 and target.read_bytes() == out.encode()
+
+    def test_unserialisable_report_leaves_no_output_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        args = cli.build_parser().parse_args(
+            ["verify", "--q", "2", "--format", "json", "--output", str(target)])
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._emit(args, {"passed": True, "reports": [object()]}, [])
+        assert not target.exists()
 
     def test_mackey_pointwise(self, capsys):
         code, out, _ = run(capsys, "verify", "mackey", "--q", "2",
@@ -355,6 +379,42 @@ class TestErrors:
         code, _, err = run(capsys, "dual", "--q", "2", "--n", "2",
                            "--input", str(src))
         assert code == 2 and err.count("\n") == 1 and "KeyError" in err
+        # it said only KeyError: 'n'
+        assert 'no "n" key' in err and '"constituents", "function"' in err
+
+    @pytest.mark.parametrize("n", ["true", "1.0", '"1"'])
+    def test_degree_that_is_not_a_json_integer(self, capsys, tmp_path, n):
+        # true was read as degree 1, and 1.0 and "1" were accepted
+        data = constant_one(enumerate_orbits(1, fq(2))).to_json()
+        src = tmp_path / "bad_n.json"
+        src.write_text(json.dumps(data).replace('"n": 1', f'"n": {n}'))
+        code, out, err = run(capsys, "antipode", "--q", "2", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f'"n" is {n}, not an integer' in err
+
+    @pytest.mark.parametrize("value,kind", [([1], "list"), (1, "int"), (None, "NoneType")])
+    def test_value_that_is_not_a_string(self, capsys, tmp_path, value, kind):
+        # a list printed TypeError: expected string or bytes-like object,
+        # got 'list', naming no field
+        data = constant_one(enumerate_orbits(1, fq(2))).to_json()
+        data["values"]["0,1:1"] = value
+        src = tmp_path / "bad_value.json"
+        src.write_text(json.dumps(data))
+        code, out, err = run(capsys, "antipode", "--q", "2", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert f'"values" entry "0,1:1" is a {kind}, not a string' in err
+
+    def test_long_value_is_clipped(self, capsys, tmp_path):
+        # the error echoed all 100,000 characters of the value
+        data = constant_one(enumerate_orbits(1, fq(2))).to_json()
+        data["values"]["0,1:1"] = "2:[" + "x" * 100_000 + "]"
+        src = tmp_path / "long_value.json"
+        src.write_text(json.dumps(data))
+        code, out, err = run(capsys, "antipode", "--q", "2", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err) < 500
+        assert "characters] ..." in err and err.rstrip().endswith("with p prime")
 
     def test_malformed_json(self, capsys, tmp_path):
         src = tmp_path / "bad.json"

@@ -108,11 +108,11 @@ DEFAULT_MODULI = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),
 
 class TestDigitCodes:
     def test_codes_past_the_digit_dtype(self):
-        # 20 base-2 digits held as int16 encode codes up to 2^20 - 1
+        # 20 base-2 digits held as uint8 encode codes up to 2^20 - 1
         codes = np.random.default_rng(1).integers(0, 1 << 20, 300)
         codes[:2] = 0, (1 << 20) - 1
         digs = digits(codes, 2, 20)
-        assert digs.dtype == np.int16
+        assert digs.dtype == np.uint8
         got = undigits(digs, 2)
         assert got.dtype == np.int64
         assert got.tolist() == [sum(int(d) << i for i, d in enumerate(row))
@@ -136,7 +136,8 @@ class TestDigitCodes:
 
     def test_narrow_codes_stay_narrow(self):
         # the 2^16 codes of gl_4(F_2) fill uint16 exactly; copied to int64,
-        # each pass would hold three 512 kB arrays beside the 2 MB of digits
+        # each pass would hold three 512 kB arrays beside the 1 MB of uint8
+        # digits
         codes = np.arange(1 << 16, dtype=np.uint16)
         tracemalloc.start()
         try:
@@ -144,7 +145,8 @@ class TestDigitCodes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert digs.nbytes == 1 << 21 and peak < digs.nbytes + (1 << 19)
+        assert digs.dtype == np.uint8
+        assert digs.nbytes == 1 << 20 and peak < digs.nbytes + (1 << 19)
         assert np.array_equal(undigits(digs, 2), codes)
 
     @pytest.mark.parametrize("base,width", [(3, 12), (9, 6), (49, 4)])

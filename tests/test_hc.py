@@ -1,5 +1,6 @@
 """Harish-Chandra restriction and induction: adjunction, transitivity,
 parabolic independence, and the double-coset (Mackey) identity."""
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import hc_oracle
 import orbit_oracle
-from glnq import cli, hc, invfun, linalg
+from glnq import cli, glmat, hc, invfun, linalg
 from glnq.field import Cyclotomic, fq
 from glnq.glmat import compositions
 from glnq.hc import (_parts, hc_induce, hc_restrict,
@@ -224,12 +225,29 @@ class TestCosetCount:
         got = induction_matrix.__wrapped__(ctx, parts, lower)
         assert not linalg.mat_eq(got, want)
 
+    def test_gl_stack_freed_once_the_cosets_are_counted(self, monkeypatch, q2):
+        # gl_arrays and the row-space keys were cached, so GL_4(F_2) and its
+        # inverses stayed for the rest of a verify run
+        stacks = []
+
+        def recorded(ctx, n):
+            G, Gi = glmat.gl_arrays(ctx, n)
+            stacks.append(weakref.ref(G))
+            return G, Gi
+
+        monkeypatch.setattr(hc, "gl_arrays", recorded)
+        hc._coset_table.cache_clear()  # what the cache keeps must not hold G
+        g, gi = hc._coset_reps(q2, (2, 2))
+        assert len(g) == len(gi) == 35  # the 2-dim subspaces of F_2^4
+        assert len(stacks) == 1 and stacks[0]() is None
+
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (0, 2)])
     def test_wrong_parabolic_order_raises(self, monkeypatch, q3, parts):
         order = parabolic_group_order(q3, parts)
         monkeypatch.setattr(hc, "parabolic_group_order", lambda ctx, p: order + 1)
+        monkeypatch.setattr(hc, "_coset_table", hc._coset_table.__wrapped__)
         with pytest.raises(OrbitCountError, match=f"not \\|P\\| = {order + 1}"):
-            hc._coset_reps.__wrapped__(q3, parts)
+            hc._coset_reps(q3, parts)
 
 
 class TestAdjunction:

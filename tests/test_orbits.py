@@ -150,6 +150,15 @@ class TestEnumeration:
         assert len(table) == count and table.lookup is None
         assert sum(table.sizes) == q ** (n * n)
 
+    @pytest.mark.parametrize("q,n", [(47, 2), (16, 3)])
+    def test_more_irreducibles_than_the_recursion_limit(self, q, n):
+        # 1,128 irreducibles of degree <= 2 over F_47 and 1,496 of degree
+        # <= 3 over F_16: a label walk that recursed once per irreducible
+        # raised RecursionError; gl_n has q^(n-1) + ... + q orbits here
+        table = enumerate_orbits(n, fq(q))
+        assert len(table) == sum(q ** i for i in range(1, n + 1))
+        assert sum(table.sizes) == q ** (n * n)
+
     def test_negative_degree(self, q2):
         with pytest.raises(ValueError, match="n=-1"):
             enumerate_orbits(-1, q2)

@@ -6,12 +6,16 @@ wall time, peak RSS and check count, and compare each report byte for byte
 with tests/data/verify_q<Q>.json or tests/data/verify_mackey_all_q<Q>.json.
 Last, one cold `glnq orbits --q 16 --n 3 --budget --format json`, past the
 lookup budget, with its wall time and peak RSS: it must list q^3 + q^2 + q
-= 4,368 orbits whose sizes sum to 16^9.
+= 4,368 orbits whose sizes sum to 16^9.  Then one cold
+`glnq steinberg --q 4 --n 3 --budget`, with its wall time: the degree-3
+restrictions need the orbit lookup, which 4^9 > LOOKUP_BUDGET leaves
+unbuilt, so it must print nothing and end in one stderr line and exit 2.
 
 Run from the repository root: python scripts/cold_verify.py
 Each report is left in verify_q<Q>.out, verify_mackey_all_q<Q>.out or
 orbits_q16_n3.out; the exit status is 1 if a run fails, a report differs
-from its reference or the orbit listing is wrong.
+from its reference, the orbit listing is wrong or the steinberg run does
+not stop as above.
 """
 import compileall
 import filecmp
@@ -70,4 +74,13 @@ if line is not None:
     if len(sizes) != q ** 3 + q ** 2 + q or sum(sizes) != q ** (n * n):
         failed.append(f"{label}: {len(sizes)} orbits of total size {sum(sizes)}, "
                       f"expected {q ** 3 + q ** 2 + q} of total {q ** (n * n)}")
+
+label = "steinberg --q 4 --n 3 --budget"
+start = time.perf_counter()
+done = subprocess.run([sys.executable, "-m", "glnq.cli", *label.split()], capture_output=True,
+                      text=True, env=dict(os.environ, PYTHONPATH="src"))
+print(f"{label}: wall {time.perf_counter() - start:.2f} s, exit {done.returncode}, "
+      f"stderr {done.stderr.strip()!r}")
+if done.returncode != 2 or done.stdout or done.stderr.count("\n") != 1:
+    failed.append(f"{label} exited with {done.returncode}, not 2 with one stderr line")
 sys.exit("\n".join(failed) or None)

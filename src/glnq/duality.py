@@ -75,14 +75,13 @@ def verify_characterization(max_n: int, ctx: FqContext) -> Report:
     """The two defining conditions of the choices-free characterization, plus
     the finite-level spanning precondition for uniqueness."""
     for n in range(1, max_n + 1):
-        # (ii) duality is (-1)^(n-1) on the pre-cuspidal subspace
-        d = duality_operator(n, ctx)
-        for p in primitive_subspace(ctx, n).members:
-            image = d.apply(p)
-            want = p.scale((-1) ** (n - 1))
-            if image != want:
-                return Report("duality-characterization", {"q": ctx.q, "n": n},
-                              "condition (ii) fails on a primitive")
+        # (ii) duality is (-1)^(n-1) on the pre-cuspidal subspace: D B^T =
+        # (-1)^(n-1) B^T, the columns of B^T its basis
+        basis = linalg.conj_t(primitive_subspace(ctx, n).matrix)
+        want = (linalg.scaled(basis[0], (-1) ** (n - 1)), basis[1])
+        if not linalg.mat_eq(linalg.matmul(duality_operator(n, ctx).matrix, basis), want):
+            return Report("duality-characterization", {"q": ctx.q, "n": n},
+                          "condition (ii) fails on a primitive")
         # uniqueness precondition: induced primitives span C_n
         rank, dim = precuspidal_spanning_rank(ctx, n)
         if rank != dim:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -306,42 +307,24 @@ class Composition:
 
 def compositions(n: int):
     """All compositions of n, in a fixed (binary cut-pattern) order."""
-    if n == 0:
-        return
-    for mask in range(1 << (n - 1)):
-        parts, run = [], 1
-        for i in range(n - 1):
-            if mask >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        yield Composition(tuple(parts))
+    for mask in range(1 << (n - 1)) if n else ():
+        # bit i of the mask cuts after entry i
+        cuts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
+        yield Composition(tuple(b - a for a, b in zip(cuts, cuts[1:])))
 
 
 def _block_starts(parts):
-    starts, s = [], 0
-    for p in parts:
-        starts.append(s)
-        s += p
-    return starts, s
+    bounds = [0, *accumulate(parts)]
+    return bounds[:-1], bounds[-1]
 
 
 @lru_cache(maxsize=None)
-def _shape_mask(parts: tuple, kind: str):
-    """Boolean mask of the positions that must vanish for the given shape."""
-    starts, n = _block_starts(parts)
-    block_of = np.zeros(n, dtype=int)
-    for b, (s, p) in enumerate(zip(starts, parts)):
-        block_of[s:s + p] = b
-    rows = block_of[:, None]
-    cols = block_of[None, :]
-    if kind == "parabolic-upper":
-        return rows > cols
-    if kind == "parabolic-lower":
-        return rows < cols
-    raise ValueError(f"unknown kind {kind!r}")
+def _shape_mask(parts: tuple):
+    """Boolean mask of the entries that vanish in the upper parabolic of the
+    split, those below its diagonal blocks; its transpose marks the entries
+    free in the unipotent radical U."""
+    block_of = np.repeat(np.arange(len(parts)), parts)
+    return block_of[:, None] > block_of[None, :]
 
 
 def _embed_blocks(arrays, parts):
@@ -485,13 +468,14 @@ def unipotent_radical_order(ctx: FqContext, parts) -> int:
     return ctx.q ** e
 
 
-def unipotent_radical_elems(ctx: FqContext, parts, lower=False) -> np.ndarray:
-    """All strictly-upper-block (or lower) matrices for the composition."""
+def unipotent_radical_elems(ctx: FqContext, parts) -> np.ndarray:
+    """All strictly upper-block matrices of the split, the Lie algebra of the
+    unipotent radical U of its upper parabolic: every entry above the
+    diagonal blocks free, all others 0."""
     parts = tuple(parts)
     n = sum(parts)
     codes = np.arange(unipotent_radical_order(ctx, parts))
-    # positions free in U are exactly those killed by the opposite condition
-    free = _shape_mask(parts, "parabolic-lower" if not lower else "parabolic-upper")
+    free = _shape_mask(parts).T
     out = np.zeros((len(codes), n, n), dtype=np.int16)
     out[:, free] = digits(codes, ctx.q, int(free.sum()))
     return out

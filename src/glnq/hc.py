@@ -2,16 +2,15 @@
 rational matrices over the indicator bases, plus Mackey/adjunction/
 transitivity/parabolic-independence verifiers.
 
-Restriction counts x + u over the unipotent radical through the orbit
-lookup.  Induction takes one of two routes:
-- upper, at most two parts: cosets P\\GL_n counted; `adjunction` checks it
-  against the lookup-counted restriction, `parabolic-independence` against
-  the lower route;
-- every other split, lower or upper with three or more parts: the adjoint
-  (invfun.adjoint) of the restriction along it, so `adjunction` holds there
-  by construction.
-`transitivity-restriction` checks restriction in stages against one step.
-The function-level maps take no parabolic (both give one result).
+Every operator is taken along the upper parabolic P of its split.  A split
+with at most one nonzero part has P = L = GL_n and the identity for both.
+Otherwise restriction counts x + u over the unipotent radical through the
+orbit lookup, and induction counts cosets P\\GL_n for two nonzero parts
+(`adjunction` checks it against restriction) and is the adjoint
+(invfun.adjoint) of restriction for three or more.  The lower parabolic is
+w P' w^-1, P' the upper parabolic of the reversed split and w the
+block-reversing permutation: `parabolic-independence` checks each operator
+against the reversed split's with the Levi factors reversed.
 
 The Mackey check takes two sequences of test functions and checks every
 pair at once: the pairs rho1 x rho2 (rho1 outer, rho2 inner) are the
@@ -43,9 +42,7 @@ from .report import Report
 
 
 def _parts(c):
-    if isinstance(c, Composition):
-        return c.parts
-    return tuple(int(p) for p in c)
+    return c.parts if isinstance(c, Composition) else tuple(int(p) for p in c)
 
 
 def split_tables(ctx: FqContext, parts):
@@ -56,38 +53,33 @@ def split_tables(ctx: FqContext, parts):
 def parabolic_group_order(ctx: FqContext, parts: tuple) -> int:
     """|P^F| = |L^F| q^dim U, with L^F the product of the GL_{n_i}(F_q); the
     upper and lower parabolics have the same order."""
-    order = unipotent_radical_order(ctx, parts)
-    for p in parts:
-        order *= enumerate_gl_order(p, ctx)
-    return order
+    return unipotent_radical_order(ctx, parts) * math.prod(
+        enumerate_gl_order(p, ctx) for p in parts)
 
 
 def _block_lookup(ctx, sub, starts, parts, tabs):
     """Flat tuple codes for the diagonal blocks of a stack of matrices."""
-    m = len(sub)
-    codes = np.zeros(m, dtype=np.int64)
+    codes = np.zeros(len(sub), dtype=np.int64)
     for s, p, tab in zip(starts, parts, tabs):
-        block = sub[:, s:s + p, s:s + p]
-        bc = encode_matrices(ctx, block)
-        codes = codes * len(tab) + tab.lookup[bc]
+        codes = codes * len(tab) + tab.lookup[encode_matrices(ctx, sub[:, s:s + p, s:s + p])]
     return codes
 
 
 @lru_cache(maxsize=None)
-def restriction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
+def restriction_matrix(ctx: FqContext, parts: tuple):
     """Matrix of *R along the split as a (x, den) pair (see linalg): rows =
     Levi label tuples in product order, cols = orbits of gl_n, entries the
-    counts of x + u in each orbit over u in U, divided by |U|.  The empty
-    split has the 1 x 1 identity, as induction does."""
+    counts of x + u in each orbit over u in U, divided by |U|.  A split with
+    at most one nonzero part, the empty one too, has the identity."""
     parts = tuple(parts)
-    if not parts:
-        return linalg.identity(1)
     n = sum(parts)
-    tabs = split_tables(ctx, parts)
     table_n = enumerate_orbits(n, ctx)
+    if sum(p > 0 for p in parts) <= 1:  # P = L = GL_n, no U and no lookup
+        return linalg.identity(len(table_n))
     if table_n.lookup is None:
         raise ResourceBudgetError(ctx.q ** (n * n), LOOKUP_BUDGET)
-    U = unipotent_radical_elems(ctx, parts, lower=lower)
+    tabs = split_tables(ctx, parts)
+    U = unipotent_radical_elems(ctx, parts)
     # every Levi representative tuple, in product order, as one block-diagonal stack
     idx = np.indices([len(t) for t in tabs]).reshape(len(tabs), -1)
     levi = _embed_blocks([np.stack([r.a for r in tab.reps])[i] for tab, i in zip(tabs, idx)],
@@ -116,27 +108,26 @@ def _row_space_keys(ctx: FqContext, G, lo: int):
 
 @lru_cache(maxsize=None)
 def _coset_table(ctx: FqContext, n: int):
-    """For lo = 0..n, (g, g^-1, sizes): one g per right coset P g in GL_n, P
-    the upper parabolic whose last row block starts at row lo, copied out of
-    the GL_n stack, which is then freed.  p g's last row block p_kk g_k spans
-    what g's spans, so a coset is a span; P = GL_n (lo = 0 or n) is one."""
+    """For lo = 1..n-1, {lo: (g, g^-1, sizes)}: one g per right coset P g in
+    GL_n, P the upper parabolic of (lo, n - lo), copied out of the GL_n
+    stack, which is then freed.  p g's last row block p_22 g_2 spans what
+    g's spans, so a coset is a span of its rows lo..n-1."""
     G, Gi = gl_arrays(ctx, n)
-    out = []
-    for lo in range(n + 1):
-        keys = (_row_space_keys(ctx, G, lo) if 0 < lo < n
-                else np.zeros((len(G), 1), dtype=np.uint8))
+    out = {}
+    for lo in range(1, n):
+        keys = _row_space_keys(ctx, G, lo)
         flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))
         _, first, sizes = np.unique(flat.ravel(), return_index=True, return_counts=True)
-        out.append((G[first], Gi[first], sizes))
-    return tuple(out)
+        out[lo] = (G[first], Gi[first], sizes)
+    return out
 
 
 def _coset_reps(ctx: FqContext, parts: tuple):
     """(g, g^-1) stacked, one g per right coset P g in GL_n, P the upper
-    parabolic of a split with at most two parts; every coset must hold |P|
+    parabolic of a split of two nonzero parts; every coset must hold |P|
     elements, else OrbitCountError."""
     n = sum(parts)
-    g, gi, sizes = _coset_table(ctx, n)[sum(parts[:-1])]
+    g, gi, sizes = _coset_table(ctx, n)[parts[0]]
     order = parabolic_group_order(ctx, parts)
     bad = np.flatnonzero(sizes != order)
     if len(bad):
@@ -146,7 +137,7 @@ def _coset_reps(ctx: FqContext, parts: tuple):
 
 
 def _coset_count(ctx: FqContext, parts: tuple):
-    """The upper induction matrix of a split with at most two parts: entries
+    """The induction matrix of a split of two nonzero parts: entries
     the counts of cosets P g in P\\GL_n whose conjugate g x g^-1 of the
     row's representative x lies in P with Levi part in each tuple.
     Membership and Levi label depend on the coset alone, so no count is
@@ -155,7 +146,7 @@ def _coset_count(ctx: FqContext, parts: tuple):
     reps = np.stack([r.a for r in enumerate_orbits(sum(parts), ctx).reps])
     g, gi = _coset_reps(ctx, parts)
     conj = batch_matmul(ctx, batch_matmul(ctx, g, reps[:, None]), gi)  # (rep, coset)
-    ok = ~np.any(conj[:, :, _shape_mask(parts, "parabolic-upper")], axis=-1)
+    ok = ~np.any(conj[:, :, _shape_mask(parts)], axis=-1)
     codes = _block_lookup(ctx, conj[ok], _block_starts(parts)[0], parts, tabs)
     ntuples = math.prod(len(t) for t in tabs)
     counts = np.bincount(np.nonzero(ok)[0] * ntuples + codes,
@@ -164,15 +155,16 @@ def _coset_count(ctx: FqContext, parts: tuple):
 
 
 @lru_cache(maxsize=None)
-def induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
+def induction_matrix(ctx: FqContext, parts: tuple):
     """Matrix of R along the split as a (x, den) pair (see linalg): rows =
-    orbits of gl_n, cols = Levi label tuples in product order.  Upper splits
-    with at most two parts count cosets (witnessed by `adjunction`); every
-    other split is the adjoint of its restriction, (R t, g) = (t, *R g)."""
+    orbits of gl_n, cols = Levi label tuples in product order.  Splits of
+    two nonzero parts count cosets (witnessed by `adjunction`); every other
+    split is the adjoint of its restriction, (R t, g) = (t, *R g), the
+    identity where the restriction is."""
     parts = tuple(parts)
-    if not lower and len(parts) <= 2:
+    if len(parts) == 2 and 0 not in parts:
         return _coset_count(ctx, parts)
-    return adjoint(restriction_matrix(ctx, parts, lower),
+    return adjoint(restriction_matrix(ctx, parts),
                    (enumerate_orbits(sum(parts), ctx),), split_tables(ctx, parts))
 
 
@@ -247,12 +239,27 @@ def verify_transitivity(f: InvariantFunction, outer, subcomps) -> Report:
                   None if staged == direct else "staged != direct")
 
 
+def _permute_factors(pair, dims, order):
+    """A 2-D (x, den) pair whose rows are index tuples over factors of the
+    given sizes, in product order, with its rows reordered so that factor
+    order[i] comes i-th in each tuple."""
+    x, den = pair
+    permuted = x.reshape(tuple(dims) + (-1,)).transpose(tuple(order) + (len(dims),))
+    return linalg.reduced(permuted.reshape(x.shape), den)
+
+
 def verify_parabolic_independence(ctx: FqContext, n: int, c) -> Report:
-    """Upper and lower parabolics give the same R and *R."""
+    """Upper and lower parabolics give the same R and *R: each operator
+    equals the reversed split's with the Levi factors reversed."""
     parts = _parts(c)
     params = {"n": n, "parts": list(parts)}
-    for kind, build in (("restriction", restriction_matrix), ("induction", induction_matrix)):
-        if not linalg.mat_eq(build(ctx, parts, lower=False), build(ctx, parts, lower=True)):
+    dims = [len(tab) for tab in split_tables(ctx, parts[::-1])]
+    reverse = range(len(parts))[::-1]
+    # induction is compared through its transpose, whose rows are the tuples
+    for kind, build, as_rows in (("restriction", restriction_matrix, lambda a: a),
+                                 ("induction", induction_matrix, linalg.conj_t)):
+        reversed_side = _permute_factors(as_rows(build(ctx, parts[::-1])), dims, reverse)
+        if not linalg.mat_eq(as_rows(build(ctx, parts)), reversed_side):
             return Report("parabolic-independence", params, f"{kind} matrices differ")
     return Report("parabolic-independence", params)
 
@@ -276,11 +283,10 @@ def mackey_operator(ctx: FqContext, n1: int, n2: int, s: int, t: int):
     where P_w reorders the rows (a, b, c, d) as (a, c, b, d)."""
     terms = []
     for a, b, c, d in mackey_index_set(n1, n2, s, t):
-        res, den = linalg.kron(restriction_matrix(ctx, (a, b)), restriction_matrix(ctx, (c, d)))
+        res = linalg.kron(restriction_matrix(ctx, (a, b)), restriction_matrix(ctx, (c, d)))
         dims = [len(tab) for tab in split_tables(ctx, (a, b, c, d))]
-        twisted = res.reshape(dims + [-1]).transpose(0, 2, 1, 3, 4).reshape(res.shape)
         ind = linalg.kron(induction_matrix(ctx, (a, c)), induction_matrix(ctx, (b, d)))
-        terms.append(linalg.matmul(ind, (twisted, den)))
+        terms.append(linalg.matmul(ind, _permute_factors(res, dims, (0, 2, 1, 3))))
     return linalg.add(*terms)
 
 

@@ -151,8 +151,9 @@ class InvariantFunction(_Values):
     @classmethod
     def from_json(cls, table: OrbitTable, data) -> "InvariantFunction":
         """The inverse of to_json; a file over another field or degree, or
-        with other orbit labels, raises ValueError naming the field, and a
-        "values" that is not an object of strings TypeError."""
+        with other orbit labels, raises ValueError naming the field, a value
+        that is not one of Q(zeta_p) ValueError naming its orbit label, and
+        a "values" that is not an object of strings TypeError."""
         if data["q"] != table.ctx.serialize():
             raise ValueError(f'"q" is {data["q"]!r}, not {table.ctx.serialize()!r}')
         if data["n"] != table.n:
@@ -164,13 +165,18 @@ class InvariantFunction(_Values):
         if set(values) != set(labels):
             raise ValueError(f'"values" are not indexed by the {len(labels)} '
                              f"orbit labels of degree {table.n}")
+        vals = []
         for lab in labels:
             if not isinstance(values[lab], str):
                 raise TypeError(f'"values" entry "{lab}" is a '
                                 f"{type(values[lab]).__name__}, not a string")
-        vals = [Cyclotomic.parse(values[lab]) for lab in labels]
-        if any(v.p != table.ctx.p for v in vals):
-            raise ValueError(f'"values" are not all in Q(zeta_{table.ctx.p})')
+            try:
+                vals.append(Cyclotomic.parse(values[lab]))
+                if vals[-1].p != table.ctx.p:
+                    raise ValueError(f"written over Q(zeta_{vals[-1].p}), "
+                                     f"not Q(zeta_{table.ctx.p})")
+            except ValueError as e:
+                raise ValueError(f'"values" entry "{lab}": {e}') from e
         return cls(table, vals)
 
     def __repr__(self):

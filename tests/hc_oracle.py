@@ -3,14 +3,18 @@ and induction, their tensor-factor variants, the duality operation and the
 antipode, each applied one Cyclotomic multiply-add at a time from
 Fraction-list matrices; the duality and antipode matrices built with
 Fraction-list products and hand-written Kronecker loops; the induction
-matrix counted over all of GL_n; and the Mackey double-coset side assembled
+matrix counted over all of GL_n; the operators of the lower parabolic,
+restriction counted directly as x + u over the strictly lower-block u and
+induction as its adjoint; the single coset of a split with one nonzero
+part counted; and the Mackey double-coset side assembled
 term by term from tensor restrictions, a factor permutation and inductions;
 and the mackey and bialgebra checks one pair of test functions at a time.
 
 This is the slow path that glnq.invfun.apply_operator, the (x, den)
-operators of glnq.linalg, the coset count of glnq.hc.induction_matrix and
-glnq.hc.mackey_operator replaced; the tests use it as the witness that both
-give the same values.
+operators of glnq.linalg, the coset count of glnq.hc.induction_matrix, the
+block reversal of glnq.hc.verify_parabolic_independence, the identity of a
+split with one nonzero part and glnq.hc.mackey_operator replaced; the
+tests use it as the witness that both give the same values.
 The operator builders are bound here at import, so a test that patches
 glnq.hc's bindings reaches the fast path only; mackey_rhs alone calls
 glnq.hc's tensor restriction and induction, so a test takes it before it
@@ -30,14 +34,14 @@ import numpy as np
 from glnq import linalg
 from glnq.duality import duality_operator
 from glnq.field import Cyclotomic, FqContext
-from glnq.glmat import (_block_starts, _shape_mask, batch_matmul, compositions,
-                        gl_arrays)
+from glnq.glmat import (_block_starts, _embed_blocks, _shape_mask, batch_matmul,
+                        compositions, encode_matrices, gl_arrays, unipotent_radical_order)
 from glnq import hc
 from glnq.hc import (_block_lookup, _parts, induction_matrix, mackey_index_set,
                      parabolic_group_order, restriction_matrix, split_tables)
 from glnq.hopf import antipode_matrix
-from glnq.invfun import InvariantFunction, TensorFunction, apply_operator
-from glnq.orbits import enumerate_orbits
+from glnq.invfun import InvariantFunction, TensorFunction, adjoint, apply_operator
+from glnq.orbits import OrbitCountError, enumerate_orbits
 from glnq.report import Report
 
 
@@ -69,14 +73,15 @@ def _conjugated_stack(ctx: FqContext, n: int, rep_index: int):
 
 
 def conjugation_induction_matrix(ctx: FqContext, parts: tuple, lower: bool = False):
-    """The induction matrix as an (x, den) pair: entries the counts of g in
-    GL_n whose conjugate of the row's representative lies in P with Levi
-    part in each tuple, divided by |P|."""
+    """The induction matrix along the upper (or lower) parabolic P as an
+    (x, den) pair: entries the counts of g in GL_n whose conjugate of the
+    row's representative lies in P with Levi part in each tuple, divided by
+    |P|."""
     parts = tuple(parts)
     n = sum(parts)
     tabs = split_tables(ctx, parts)
     ntuples = math.prod(len(t) for t in tabs)
-    shape = _shape_mask(parts, "parabolic-lower" if lower else "parabolic-upper")
+    shape = _shape_mask(parts).T if lower else _shape_mask(parts)
     starts, _ = _block_starts(parts)
     rows = []
     for r in range(len(enumerate_orbits(n, ctx))):
@@ -85,6 +90,71 @@ def conjugation_induction_matrix(ctx: FqContext, parts: tuple, lower: bool = Fal
         codes = _block_lookup(ctx, sub, starts, parts, tabs)
         rows.append(np.bincount(codes, minlength=ntuples))
     return linalg.reduced(np.array(rows), parabolic_group_order(ctx, parts))
+
+
+def one_part_coset_count(ctx: FqContext, parts: tuple):
+    """The induction matrix of a split with one nonzero part, counted as
+    cosets P g in P\\GL_n: P = GL_n is the one coset, which must hold |P|
+    elements (hc.parabolic_group_order, read through the module), else
+    OrbitCountError; its representative, the first matrix of GL_n,
+    conjugates each orbit representative into its own Levi tuple."""
+    parts = tuple(parts)
+    n = sum(parts)
+    G, Gi = gl_arrays(ctx, n)
+    order = hc.parabolic_group_order(ctx, parts)
+    if len(G) != order:
+        raise OrbitCountError(f"a coset of the parabolic {parts} in GL_{n} holds "
+                              f"{len(G)} elements, not |P| = {order}")
+    tabs = split_tables(ctx, parts)
+    reps = np.stack([r.a for r in enumerate_orbits(n, ctx).reps])
+    conj = batch_matmul(ctx, batch_matmul(ctx, G[:1], reps[:, None]), Gi[:1])[:, 0]
+    codes = _block_lookup(ctx, conj, _block_starts(parts)[0], parts, tabs)
+    counts = np.zeros((len(reps), math.prod(len(t) for t in tabs)), dtype=np.int64)
+    counts[np.arange(len(reps)), codes] = 1
+    return linalg.reduced(counts, 1)
+
+
+# ---------------------------------------------------------------------------
+# the lower parabolic, counted directly
+
+
+def lower_restriction_matrix(ctx: FqContext, parts: tuple):
+    """*R along the lower parabolic of the split as an (x, den) pair: the
+    counts of x + u in each orbit of gl_n over the strictly lower-block u,
+    x running over the Levi representative tuples in product order, divided
+    by |U|.  The empty split has the 1 x 1 identity."""
+    parts = tuple(parts)
+    if not parts:
+        return linalg.identity(1)
+    n = sum(parts)
+    tabs = split_tables(ctx, parts)
+    table_n = enumerate_orbits(n, ctx)
+    free = _shape_mask(parts)
+    codes = np.arange(unipotent_radical_order(ctx, parts))
+    U = np.zeros((len(codes), n, n), dtype=np.int16)
+    U[:, free] = [[int(c) // ctx.q ** i % ctx.q for i in range(int(free.sum()))]
+                  for c in codes]
+    rows = []
+    for idx in product(*(range(len(t)) for t in tabs)):
+        x = _embed_blocks([tab.reps[i].a for tab, i in zip(tabs, idx)], parts)
+        orb = table_n.lookup[encode_matrices(ctx, ctx.ADD[x, U])]
+        rows.append(np.bincount(orb, minlength=len(table_n)))
+    return linalg.reduced(np.array(rows).reshape(-1, len(table_n)), len(U))
+
+
+def lower_induction_matrix(ctx: FqContext, parts: tuple):
+    """R along the lower parabolic of the split: the adjoint of
+    lower_restriction_matrix."""
+    return adjoint(lower_restriction_matrix(ctx, parts),
+                   (enumerate_orbits(sum(parts), ctx),), split_tables(ctx, parts))
+
+
+def _restriction(ctx, parts, lower):
+    return lower_restriction_matrix(ctx, parts) if lower else restriction_matrix(ctx, parts)
+
+
+def _induction(ctx, parts, lower):
+    return lower_induction_matrix(ctx, parts) if lower else induction_matrix(ctx, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +269,7 @@ def hc_restrict(f: InvariantFunction, c, lower: bool = False) -> TensorFunction:
     parts = _parts(c)
     ctx = f.table.ctx
     tabs = split_tables(ctx, parts)
-    mat = rows(restriction_matrix(ctx, parts, lower))
+    mat = rows(_restriction(ctx, parts, lower))
     zero = Cyclotomic.rational(ctx.p, 0)
     vals, f_values = {}, f.values
     for pos, idx in enumerate(product(*(range(len(t)) for t in tabs))):
@@ -215,7 +285,7 @@ def hc_induce(t: TensorFunction, c, lower: bool = False) -> InvariantFunction:
     parts = _parts(c)
     ctx = t.tables[0].ctx
     table_n = enumerate_orbits(sum(parts), ctx)
-    mat = rows(induction_matrix(ctx, parts, lower))
+    mat = rows(_induction(ctx, parts, lower))
     dims = [len(tab) for tab in t.tables]
     zero = Cyclotomic.rational(ctx.p, 0)
     values, t_values = [], t.values
@@ -234,7 +304,7 @@ def tensor_restrict_factor(t: TensorFunction, pos: int, subparts,
     subparts = _parts(subparts)
     ctx = t.tables[pos].ctx
     subtabs = split_tables(ctx, subparts)
-    mat = rows(restriction_matrix(ctx, subparts, lower))
+    mat = rows(_restriction(ctx, subparts, lower))
     subdims = [len(x) for x in subtabs]
     tables = t.tables[:pos] + subtabs + t.tables[pos + 1:]
     zero = Cyclotomic.rational(ctx.p, 0)
@@ -256,7 +326,7 @@ def tensor_induce_span(t: TensorFunction, start: int, count: int,
     ctx = t.tables[start].ctx
     subparts = tuple(t.tables[start + i].n for i in range(count))
     target = enumerate_orbits(sum(subparts), ctx)
-    mat = rows(induction_matrix(ctx, subparts, lower))
+    mat = rows(_induction(ctx, subparts, lower))
     subdims = [len(t.tables[start + i]) for i in range(count)]
     tables = t.tables[:start] + (target,) + t.tables[start + count:]
     zero = Cyclotomic.rational(ctx.p, 0)

@@ -224,17 +224,17 @@ def tensor_inner_product(s, t) -> Cyclotomic:
 # the operators of glnq.hc, glnq.duality and glnq.hopf through this layer
 
 
-def hc_restrict(f: TupleFunction, c, lower: bool = False) -> DictTensor:
+def hc_restrict(f: TupleFunction, c) -> DictTensor:
     parts = _parts(c)
     ctx = f.table.ctx
-    return apply_operator(restriction_matrix(ctx, parts, lower),
+    return apply_operator(restriction_matrix(ctx, parts),
                           DictTensor.outer([f]), 0, 1, split_tables(ctx, parts))
 
 
-def hc_induce(t: DictTensor, c, lower: bool = False) -> TupleFunction:
+def hc_induce(t: DictTensor, c) -> TupleFunction:
     parts = _parts(c)
     ctx = t.tables[0].ctx
-    return apply_operator(induction_matrix(ctx, parts, lower), t, 0, len(t.tables),
+    return apply_operator(induction_matrix(ctx, parts), t, 0, len(t.tables),
                           (enumerate_orbits(sum(parts), ctx),)).as_function()
 
 

@@ -353,6 +353,6 @@ def parabolic_order(ctx, parts, lower=False):
     if n == 0:
         return 1
     mats = all_matrices(ctx, n)
-    shape = _shape_mask(parts, "parabolic-lower" if lower else "parabolic-upper")
+    shape = _shape_mask(parts).T if lower else _shape_mask(parts)
     in_par = ~np.any(mats[:, shape], axis=1)
     return int(np.count_nonzero(gl_mask(ctx, n) & in_par))

@@ -352,6 +352,23 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: enumeration needs")
 
+    @pytest.mark.parametrize("argv", [
+        ["steinberg", "--q", "4", "--n", "3", "--budget"],
+        ["dual", "--q", "4", "--n", "3", "--budget", "--input"],
+        ["verify", "steinberg", "--q", "4", "--max-n", "3", "--budget"],
+    ], ids=["steinberg", "dual", "verify-steinberg"])
+    def test_past_the_lookup_after_a_trivial_split(self, capsys, tmp_path, argv):
+        # the duality's one-part split (3,) counted its single coset through
+        # the degree-3 lookup, which 4^9 > LOOKUP_BUDGET leaves unbuilt: each
+        # ended in TypeError: 'NoneType' object is not subscriptable, exit 1
+        if argv[-1] == "--input":
+            src = tmp_path / "one3_q4.json"
+            src.write_text(json.dumps(constant_one(enumerate_orbits(3, fq(4))).to_json()))
+            argv = argv + [str(src)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: enumeration needs 262144 > budget 131072\n"
+
     def test_composition_degree_mismatch(self, capsys, tmp_path):
         from glnq.field import fq
         from glnq.invfun import constant_one
@@ -437,6 +454,21 @@ class TestErrors:
         code, out, err = run(capsys, "antipode", "--q", str(q), "--input", str(src))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("value,message", [
+        ("2:[1/" + "9" * 5000 + "]", "Exceeds the limit (4300 digits)"),
+        ("2:[x]", "'2:[x]' is not p:[c_0,...,c_(p-2)] with p prime"),
+        ("3:[1,0]", "written over Q(zeta_3), not Q(zeta_2)"),
+    ], ids=["long-coefficient", "malformed", "other-field"])
+    def test_bad_value_names_its_label(self, capsys, tmp_path, value, message):
+        # none of the three errors named the orbit label of the value
+        data = constant_one(enumerate_orbits(1, fq(2))).to_json()
+        data["values"]["1,1:1"] = value
+        src = tmp_path / "bad_value.json"
+        src.write_text(json.dumps(data))
+        code, out, err = run(capsys, "antipode", "--q", "2", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f'"values" entry "1,1:1": {message}' in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "antipode", "--q", "2",

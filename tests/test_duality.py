@@ -12,7 +12,7 @@ from glnq.duality import (DualityOperator, duality_operator, steinberg,
                           verify_characterization, verify_involutive_isometric)
 from glnq.field import fq
 from glnq.hc import hc_induce
-from glnq.hopf import antipode_function, is_primitive
+from glnq.hopf import antipode_function, is_primitive, primitive_subspace
 from glnq.invfun import TensorFunction, constant_one, indicator_by_index
 from glnq.orbits import enumerate_orbits
 
@@ -111,6 +111,28 @@ class TestProperties:
     @pytest.mark.parametrize("q,max_n", [(2, 3), (3, 2)])
     def test_characterization(self, q, max_n):
         assert verify_characterization(max_n, fq(q)).passed
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_flipped_on_primitives_fails_condition_ii(self, monkeypatch, q, n):
+        # D (I - 2 Pi), Pi = B^T E the projection onto the primitive span
+        # that reads each basis row's pivot coordinate (B is in reduced
+        # echelon form): -D on the primitives, D on the kernel of E
+        ctx = fq(q)
+        real = duality.duality_operator
+        b = primitive_subspace(ctx, n).matrix
+        pivots = [int(np.flatnonzero(row)[0]) for row in b[0]]
+        e = np.zeros((len(pivots), b[0].shape[1]), dtype=np.int64)
+        e[range(len(pivots)), pivots] = 1
+        proj = linalg.matmul(linalg.conj_t(b), linalg.reduced(e, 1))
+        assert linalg.mat_eq(linalg.matmul(proj, proj), proj)
+        d = real(n, ctx).matrix
+        x, den = linalg.matmul(d, proj)
+        flipped = linalg.add(d, (linalg.scaled(x, -2), den))
+        monkeypatch.setattr(duality, "duality_operator", lambda m, c: (
+            DualityOperator(m, c, flipped) if m == n else real(m, c)))
+        report = verify_characterization(n, ctx)
+        assert report.params == {"q": q, "n": n}
+        assert report.witness == "condition (ii) fails on a primitive"
 
     def test_commutes_with_induction_on_indicators(self, q2):
         # condition (i) spelled out on every degree (1,1) indicator tensor

@@ -460,10 +460,9 @@ def in_shape(x: Matrix, witness: BlockWitness) -> bool:
     parts = witness.composition.parts
     if sum(parts) != x.n:
         raise ShapeError("composition does not match matrix size")
-    if witness.kind == "levi":  # off the diagonal blocks: both parabolics' zeros
-        mask = _shape_mask(parts, "parabolic-upper") | _shape_mask(parts, "parabolic-lower")
-    else:
-        mask = _shape_mask(parts, witness.kind)
+    upper = _shape_mask(parts)  # the lower parabolic's zeros are its transpose
+    mask = {"levi": upper | upper.T, "parabolic-upper": upper,
+            "parabolic-lower": upper.T}[witness.kind]
     return not np.any(x.a[mask])
 
 

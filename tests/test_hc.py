@@ -107,10 +107,12 @@ class TestEmptySplit:
     field, refuse it in one line."""
 
     def test_matrices_are_the_identity(self, q):
+        # along the upper parabolic, and along the lower one by the oracle
         ctx = fq(q)
-        for lower in (False, True):
-            assert linalg.mat_eq(restriction_matrix(ctx, (), lower), linalg.identity(1))
-            assert linalg.mat_eq(induction_matrix(ctx, (), lower), linalg.identity(1))
+        for res, ind in ((restriction_matrix, induction_matrix),
+                         (hc_oracle.lower_restriction_matrix, hc_oracle.lower_induction_matrix)):
+            assert linalg.mat_eq(res(ctx, ()), linalg.identity(1))
+            assert linalg.mat_eq(ind(ctx, ()), linalg.identity(1))
 
     def test_function_maps_raise(self, q):
         f = constant_one(enumerate_orbits(0, fq(q)))
@@ -122,11 +124,12 @@ class TestEmptySplit:
 
 
 class TestCosetCount:
-    """induction_matrix counts cosets P\\GL_n for upper splits with at most
-    two parts, and takes every other split as the adjoint of its
-    restriction; the count over all of GL_n divided by |P| (hc_oracle) is
-    the witness of both routes, and of the adjoint of every upper
-    restriction, the route the two-part upper splits are to take."""
+    """induction_matrix counts cosets P\\GL_n for splits of two nonzero
+    parts, and takes every other split as the adjoint of its restriction;
+    the count over all of GL_n divided by |P| (hc_oracle) is the witness of
+    both routes, of the oracle's lower route (the adjoint of the lower
+    restriction), and of the adjoint of every upper restriction, the route
+    the two-part splits are to take."""
 
     @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS
                                      for n in range(top + 1)])
@@ -134,10 +137,10 @@ class TestCosetCount:
         ctx = fq(q)
         table_n = (enumerate_orbits(n, ctx),)
         for parts in splits(n):
-            for lower in (False, True):
+            for lower, build in ((False, induction_matrix),
+                                 (True, hc_oracle.lower_induction_matrix)):
                 want = hc_oracle.conjugation_induction_matrix(ctx, parts, lower)
-                assert linalg.mat_eq(induction_matrix(ctx, parts, lower), want), \
-                    (parts, lower)
+                assert linalg.mat_eq(build(ctx, parts), want), (parts, lower)
             res = restriction_matrix(ctx, parts)
             assert linalg.mat_eq(adjoint(res, table_n, split_tables(ctx, parts)),
                                  hc_oracle.conjugation_induction_matrix(ctx, parts)), parts
@@ -165,19 +168,20 @@ class TestCosetCount:
     @pytest.mark.parametrize("parts", [(1, 2), (2, 1), (1, 1, 1)])
     def test_changed_lower_restriction_count_fails_the_oracle(self, monkeypatch, q2,
                                                              parts):
-        # lower induction is the adjoint of the lower restriction: one count
-        # of that restriction one higher makes it differ from the oracle
-        real = hc.restriction_matrix
+        # the oracle's lower induction is the adjoint of its lower
+        # restriction: one count of that restriction one higher makes it
+        # differ from the conjugation count
+        real = hc_oracle.lower_restriction_matrix
 
-        def corrupted(ctx, p, lower=False):
-            x, den = real(ctx, p, lower)
-            if p == parts and lower:
+        def corrupted(ctx, p):
+            x, den = real(ctx, p)
+            if p == parts:
                 x = x.copy()
                 x[0, 0] += 1
             return x, den
 
-        monkeypatch.setattr(hc, "restriction_matrix", corrupted)
-        got = induction_matrix.__wrapped__(q2, parts, True)
+        monkeypatch.setattr(hc_oracle, "lower_restriction_matrix", corrupted)
+        got = hc_oracle.lower_induction_matrix(q2, parts)
         assert not linalg.mat_eq(got, hc_oracle.conjugation_induction_matrix(q2, parts, True))
 
     @pytest.mark.parametrize("q,parts", [(2, (1, 1, 1)), (2, (1, 2, 1)), (2, (1, 1, 1, 1)),
@@ -189,9 +193,9 @@ class TestCosetCount:
         ctx = fq(q)
         real = hc.restriction_matrix
 
-        def corrupted(ctx, p, lower=False):
-            x, den = real(ctx, p, lower)
-            if p == parts and not lower:
+        def corrupted(ctx, p):
+            x, den = real(ctx, p)
+            if p == parts:
                 x = x.copy()
                 x[0, 0] += 1
             return x, den
@@ -205,7 +209,8 @@ class TestCosetCount:
                                                (3, (1, 1, 1), False)])
     def test_changed_weight_fails_the_oracle(self, monkeypatch, q, parts, lower, side):
         # one orbit size in the Gram weights of gl_n or of the Levi tuples
-        # one higher, at an orbit the induction reaches: the adjoint differs
+        # one higher, at an orbit the induction reaches: the adjoint differs,
+        # the library's upper one or the oracle's lower one
         ctx = fq(q)
         want = hc_oracle.conjugation_induction_matrix(ctx, parts, lower)
         tables = ((enumerate_orbits(sum(parts), ctx),) if side == "gl_n"
@@ -222,8 +227,8 @@ class TestCosetCount:
             return w, order
 
         monkeypatch.setattr(invfun, "_weights", corrupted)
-        got = induction_matrix.__wrapped__(ctx, parts, lower)
-        assert not linalg.mat_eq(got, want)
+        build = hc_oracle.lower_induction_matrix if lower else induction_matrix.__wrapped__
+        assert not linalg.mat_eq(build(ctx, parts), want)
 
     def test_gl_stack_freed_once_the_cosets_are_counted(self, monkeypatch, q2):
         # gl_arrays and the row-space keys were cached, so GL_4(F_2) and its
@@ -243,11 +248,17 @@ class TestCosetCount:
 
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (0, 2)])
     def test_wrong_parabolic_order_raises(self, monkeypatch, q3, parts):
+        # the trivial split (0, 2) has no coset table entry: its one coset
+        # is the oracle's, and the library's matrices are the identity
         order = parabolic_group_order(q3, parts)
         monkeypatch.setattr(hc, "parabolic_group_order", lambda ctx, p: order + 1)
         monkeypatch.setattr(hc, "_coset_table", hc._coset_table.__wrapped__)
+        count = hc_oracle.one_part_coset_count if 0 in parts else hc._coset_reps
         with pytest.raises(OrbitCountError, match=f"not \\|P\\| = {order + 1}"):
-            hc._coset_reps(q3, parts)
+            count(q3, parts)
+        if 0 in parts:
+            identity = linalg.identity(len(enumerate_orbits(2, q3)))
+            assert linalg.mat_eq(induction_matrix.__wrapped__(q3, parts), identity)
 
 
 class TestAdjunction:
@@ -306,6 +317,103 @@ class TestParabolicIndependence:
 
     def test_trivial(self, q2):
         assert verify_parabolic_independence(q2, 2, (2,)).passed
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS
+                                     for n in range(top + 1)])
+    def test_lower_oracle_is_the_reversed_upper(self, q, n):
+        # the lower parabolic of c is w P_rev(c) w^-1: the oracle's directly
+        # counted lower operators are the upper ones of the reversed split
+        # with the Levi factors of each index tuple reversed
+        ctx = fq(q)
+        for parts in splits(n):
+            dims = [len(tab) for tab in split_tables(ctx, parts[::-1])]
+            order = range(len(parts))[::-1]
+            res = hc._permute_factors(restriction_matrix(ctx, parts[::-1]), dims, order)
+            assert linalg.mat_eq(hc_oracle.lower_restriction_matrix(ctx, parts), res), parts
+            ind = hc._permute_factors(linalg.conj_t(induction_matrix(ctx, parts[::-1])),
+                                      dims, order)
+            assert linalg.mat_eq(linalg.conj_t(hc_oracle.lower_induction_matrix(ctx, parts)),
+                                 ind), parts
+
+    def test_changed_restriction_count_fails(self, monkeypatch, q2):
+        # one count of Res_(2,1) one higher: the reversed side of (1, 2)
+        real = hc.restriction_matrix
+
+        def corrupted(ctx, parts):
+            x, den = real(ctx, parts)
+            if parts == (2, 1):
+                x = x.copy()
+                x[0, 0] += 1
+            return x, den
+
+        monkeypatch.setattr(hc, "restriction_matrix", corrupted)
+        report = verify_parabolic_independence(q2, 3, (1, 2))
+        assert report.witness == "restriction matrices differ"
+
+    def test_changed_coset_count_fails(self, monkeypatch, q2):
+        # one coset count of Ind_(1,2) one higher: the reversed side of (2, 1)
+        real = hc._coset_count
+
+        def corrupted(ctx, parts):
+            x, den = real(ctx, parts)
+            if parts == (1, 2):
+                x = x.copy()
+                x[0, 0] += 1
+            return x, den
+
+        monkeypatch.setattr(hc, "_coset_count", corrupted)
+        monkeypatch.setattr(hc, "induction_matrix", hc.induction_matrix.__wrapped__)
+        report = verify_parabolic_independence(q2, 3, (2, 1))
+        assert report.witness == "induction matrices differ"
+
+
+class TestTrivialSplits:
+    """A split with at most one nonzero part has P = L = GL_n: both
+    operators are the identity, built without U or the orbit lookup."""
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS
+                                     for n in range(top + 1)])
+    def test_identity_matches_the_oracles(self, monkeypatch, q, n):
+        ctx = fq(q)
+        identity = linalg.identity(len(enumerate_orbits(n, ctx)))
+        trivial = {(), (n,), (0, n), (n, 0)} - ({()} if n else set())
+        for parts in sorted(trivial):
+            assert linalg.mat_eq(hc_oracle.conjugation_induction_matrix(ctx, parts), identity)
+            assert linalg.mat_eq(hc_oracle.one_part_coset_count(ctx, parts), identity)
+            assert linalg.mat_eq(hc_oracle.lower_restriction_matrix(ctx, parts), identity)
+        trivial.add(())
+        with monkeypatch.context() as m:
+            m.setattr(hc, "unipotent_radical_elems", None)
+            m.setattr(hc, "_coset_count", None)
+            for parts in sorted(trivial):
+                for build in (restriction_matrix, induction_matrix):
+                    want = linalg.identity(1) if not parts else identity
+                    assert linalg.mat_eq(build.__wrapped__(ctx, parts), want), parts
+
+
+def test_cold_verify_builds_each_operator_once(monkeypatch, q2):
+    # the `lower` option made f(ctx, parts), f(ctx, parts, False) and
+    # f(ctx, parts, lower=False) three cache keys: a cold verify --q 2 made
+    # 105 builds of 67 distinct operators and counted 5 coset tables
+    from glnq import duality, hopf, psh
+    builders = (hc.restriction_matrix, hc.induction_matrix)
+    for mod in (hc, duality, hopf, psh):
+        for f in vars(mod).values():
+            if hasattr(f, "cache_clear") and f.__module__ == mod.__name__:
+                f.cache_clear()
+    keys = {f: set() for f in builders}
+    for f in builders:
+        def recorded(ctx, parts, f=f):
+            keys[f].add((ctx, tuple(parts)))
+            return f(ctx, parts)
+        for mod in (hc, duality, hopf, psh):
+            if getattr(mod, f.__name__, None) is f:
+                monkeypatch.setattr(mod, f.__name__, recorded)
+    assert cli.main(["verify", "--q", "2", "--output", "/dev/null"]) == 0
+    for f in builders:
+        assert f.cache_info().misses == len(keys[f]), f.__name__
+    assert sum(f.cache_info().misses for f in builders) <= 46
+    assert hc._coset_table.cache_info().misses == 3  # GL_2, GL_3 and GL_4
 
 
 class TestMackey:
@@ -392,8 +500,8 @@ class TestMackeyOperator:
         want = hc_oracle.mackey_rhs(one1, one2, 1, 2)
         real = hc.restriction_matrix
 
-        def corrupted(ctx, parts, lower=False):
-            x, den = real(ctx, parts, lower)
+        def corrupted(ctx, parts):
+            x, den = real(ctx, parts)
             if parts == (1, 1):
                 x = x.copy()
                 x[0, 0] += 1
@@ -467,9 +575,9 @@ class TestStackedChecks:
         # and by no term of the (1, 1) -> (1, 1) operator
         real = hc.induction_matrix
 
-        def corrupted(ctx, parts, lower=False):
-            x, den = real(ctx, parts, lower)
-            if tuple(parts) == (1, 1) and not lower:
+        def corrupted(ctx, parts):
+            x, den = real(ctx, parts)
+            if tuple(parts) == (1, 1):
                 x = x.copy()
                 x[0, 0] += 1
             return x, den

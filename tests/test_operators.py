@@ -48,8 +48,9 @@ def random_tensor(rng, ctx, degrees):
 @pytest.mark.parametrize("parts", COMPOSITIONS)
 @pytest.mark.parametrize("lower", [False, True])
 class TestAgainstOracle:
-    """The function API takes no parabolic: its one result equals the
-    oracle's along the upper and along the lower parabolic."""
+    """The function API takes no parabolic: its one result, along the upper
+    parabolic, equals the oracle's along the upper and, counted directly,
+    along the lower parabolic."""
 
     def test_restrict(self, q, parts, lower):
         ctx, rng = fq(q), random.Random(f"restrict-{q}-{parts}-{lower}")
@@ -167,8 +168,8 @@ def test_cyclotomic_pairs_match_scalar_arithmetic(p):
 
 def _one_count_changed(real):
     """The builder with its last count moved by one."""
-    def corrupt(ctx, parts, lower=False):
-        x, den = real(ctx, parts, lower)
+    def corrupt(ctx, parts):
+        x, den = real(ctx, parts)
         x = x.copy()
         x[-1, -1] += 1
         return linalg.reduced(x, den)

@@ -199,8 +199,8 @@ def fresh_caches():
 def _one_count_changed(real, parts, index=(-1, -1), by=1):
     """induction_matrix or restriction_matrix with one count of the given
     split (by default the last) moved by the given amount."""
-    def wrapper(ctx, c, lower=False):
-        x, den = real(ctx, c, lower)
+    def wrapper(ctx, c):
+        x, den = real(ctx, c)
         if tuple(c) != parts:
             return x, den
         x = x.copy()
@@ -292,8 +292,8 @@ class TestCorruptedInputs:
                                                             fresh_caches, q3):
         # 2 Ind still intertwines F, so the constants stay nonnegative, but
         # it is no longer the adjoint of Res
-        def doubled(ctx, c, lower=False):
-            x, den = hc.induction_matrix(ctx, c, lower)
+        def doubled(ctx, c):
+            x, den = hc.induction_matrix(ctx, c)
             return (linalg.reduced(linalg.scaled(x, 2), den) if tuple(c) == (1, 1)
                     else (x, den))
         monkeypatch.setattr(psh, "induction_matrix", doubled)

@@ -5,12 +5,14 @@ A function or tensor holds its values in Q(zeta_p) as one read-only numpy
 integer array `num` of shape (p - 1, orbit dims...), planes (in the basis
 of Cyclotomic.num) first as in a linalg operator, over one int `den` > 0
 with gcd(den, *num.flat) == 1: the pair (num, den) of linalg, in lowest
-terms, with num int64 when every entry e has |e| < 2^63 and an object
-array of Python ints otherwise.  So equal functions have equal (num, den),
-dtype included, the only state they keep.  `.values` (Cyclotomics) is
-built from num on each read and never kept: by output, never by the
-arithmetic, which is linalg's (products, sums, negation and reduction to
-lowest terms, each bound-checked).
+terms, with num in the narrowest of int16, int32 and int64 that holds it
+and an object array of Python ints past int64.  So equal functions have
+equal (num, den), dtype included, the only state they keep.  `.values`
+(Cyclotomics) is built from num on each read and never kept: by output,
+never by the arithmetic, which is linalg's (products, sums, negation and
+reduction to lowest terms, each bound-checked over int64 or Python ints).
+The Gram contractions of _pairing and adjoint multiply num by the object
+weights of _weights, so they run over Python ints whatever num's dtype.
 """
 from __future__ import annotations
 
@@ -300,7 +302,7 @@ class TensorFunction(_Values):
     @classmethod
     def outer(cls, factors) -> "TensorFunction":
         factors = list(factors)
-        t = cls._from_array(factors[0].tables, factors[0].num, factors[0].den)
+        t = cls._from_pair(factors[0].tables, (factors[0].num, factors[0].den))
         for f in factors[1:]:
             t = t.concat(f)
         return t
@@ -329,7 +331,7 @@ class TensorFunction(_Values):
         """Collapse a one-factor tensor."""
         if len(self.tables) != 1:
             raise ValueError("not a single-factor tensor")
-        return InvariantFunction._from_array(self.tables, self.num, self.den)
+        return InvariantFunction._from_pair(self.tables, (self.num, self.den))
 
     def __repr__(self):
         return f"TensorFunction(degrees={self.degrees})"
@@ -345,8 +347,11 @@ def apply_operator(op, t: TensorFunction, start: int, count: int,
     tables = t.tables[:start] + tuple(tables) + t.tables[start + count:]
     pre = math.prod(len(tb) for tb in t.tables[:start])
     num, den = linalg.matmul(op, (t.num.reshape(len(t.num), pre, op[0].shape[-1], -1), t.den))
-    return TensorFunction._from_pair(
-        tables, (num.reshape((len(num),) + tuple(map(len, tables))), den))
+    # a compact copy, not a view: a view would keep a second array header
+    # alive for every result
+    num = num.reshape((len(num),) + tuple(map(len, tables))).copy()
+    num.setflags(write=False)
+    return TensorFunction._from_pair(tables, (num, den))
 
 
 def tensor_inner_product(s: TensorFunction, t: TensorFunction) -> Cyclotomic:

@@ -11,6 +11,8 @@ glnq.hopf.primitive_subspace at call time, so a test that patches it reaches
 both routes.  The products multiply one pair of entries at a time over
 Python ints, a Z[zeta_p] entry as the list of its p - 1 coefficients: the
 reference for the products of linalg on both sides of its int64 bound.
+tier reads the dtype linalg must keep an array's entries in off their
+values as Python ints.
 """
 from fractions import Fraction
 from itertools import product
@@ -158,3 +160,14 @@ def add(*terms):
             return [total([(row[i], d) for row, d in entries]) for i in range(len(entries[0][0]))]
         return sum(Fraction(v, d) for v, d in entries)
     return total([(x, d) for x, d in terms])
+
+
+def tier(x):
+    """The dtype of the narrowest tier that holds the entries of x, read
+    over Python ints: the first of int16, int32 and int64 whose max is at
+    least every |e|, else object."""
+    m = max((abs(int(v)) for v in np.asarray(x).flat), default=0)
+    for dt in (np.int16, np.int32, np.int64):
+        if m <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(object)

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import invfun_oracle
+import linalg_oracle
 import orbit_oracle
 from glnq import hc, hopf, invfun, linalg
 from glnq.duality import duality_operator
@@ -478,30 +479,33 @@ class TestCanonicalForm:
                   hc.hc_restrict(g, (1, 1)), duality_operator(2, ctx).apply(g)):
             assert h.den > 0
             assert math.gcd(h.den, *h.num.flat) == 1
-            # int64 exactly when every entry fits (see linalg)
-            assert h.num.dtype == np.int64
+            # the narrowest tier that holds every entry (see linalg)
+            assert h.num.dtype == linalg_oracle.tier(h.num)
 
     def test_one_form_however_built(self, q3):
-        # scale 2^62 puts the largest numerators past int64, where every
-        # route gives Python ints; at scale 1 every route gives int64
+        # the largest numerator is 11 * scale: scale 1 keeps every route in
+        # int16, 2^12 puts it in int32, 2^28 in int64 and 2^62 past int64,
+        # where every route gives Python ints
         table = enumerate_orbits(2, q3)
         z = Cyclotomic.zeta(3)
-        for scale, dtype in [(1, np.int64), (2 ** 62, object)]:
+        for scale, dtype in [(1, np.int16), (2 ** 12, np.int32), (2 ** 28, np.int64),
+                             (2 ** 62, object)]:
             # values sharing a factor with their common denominator
             built = InvariantFunction(table, [Fraction(2 * i * scale, 6) * (z if i % 2 else 1)
                                               for i in range(len(table))])
             by_arith = built.scale(3) - built.scale(Fraction(4, 2))
             x, den = linalg.identity(len(table))
-            by_operator = apply_operator((x * 6, den * 6), TensorFunction.outer([built]),
-                                         0, 1, (table,)).as_function()
+            by_operator = apply_operator((x.astype(np.int64) * 6, den * 6),
+                                         TensorFunction.outer([built]), 0, 1,
+                                         (table,)).as_function()
             # the values times 4 over 4 times the den, as Python ints and,
             # where they fit, as an exact int64 product reduced by numpy's gcd
             others = [by_arith, by_operator, InvariantFunction._from_array(
                 (table,), built.num.astype(object) * 4, built.den * 4)]
-            if dtype is np.int64:
+            if dtype is not object:
                 others.append(InvariantFunction._from_array(
-                    (table,), (built.num * 4).astype(np.int64), built.den * 4))
-            assert built.num.dtype == dtype
+                    (table,), built.num.astype(np.int64) * 4, built.den * 4))
+            assert built.num.dtype == dtype == linalg_oracle.tier(built.num)
             for h in others:
                 assert h.den == built.den
                 assert h.num.dtype == dtype and not h.num.flags.writeable
@@ -521,7 +525,7 @@ class TestCanonicalForm:
             assert c.values == h.values
             # a pickled state not in lowest terms comes back in lowest terms
             rebuild, (tables, num, den) = h.__reduce__()
-            c = rebuild(tables, num * 6, den * 6)
+            c = rebuild(tables, num.astype(object) * 6, den * 6)
             assert c == h and not c.num.flags.writeable
 
     def test_hash_reads_the_ints_not_the_pointers(self, q3):
@@ -559,6 +563,16 @@ class TestSingleStore:
         assert rf == rg and tf == tg and df == dg and np.array_equal(nf, ng)
         assert f.evaluate(table.reps[5]) == f.values[5]
 
+    def test_applied_operators_keep_one_array(self, q3):
+        # a result's num is its own compact array, not a view whose base
+        # would keep a second array header alive
+        f = constant_one(enumerate_orbits(3, q3))
+        t = TensorFunction.outer([constant_one(enumerate_orbits(m, q3)) for m in (1, 2)])
+        for h in (hc.hc_restrict(f, (1, 2)), hc.hc_induce(t, (1, 2)),
+                  duality_operator(3, q3).apply(f), antipode_function(f)):
+            assert h.num.base is None and not h.num.flags.writeable
+            assert h.num.dtype == linalg_oracle.tier(h.num)
+
     def test_bytes_per_function(self, q3):
         table = enumerate_orbits(3, q3)
         rng = random.Random(0)
@@ -575,7 +589,7 @@ class TestSingleStore:
             per_function = (tracemalloc.get_traced_memory()[0] - before) / len(held)
         finally:
             tracemalloc.stop()
-        assert per_function < 2500, per_function
+        assert per_function < 700, per_function
 
 
 class TestFieldOfValues:

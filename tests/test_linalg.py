@@ -6,7 +6,9 @@ them) against the Python-int products of the oracle, with operands at the
 int64 bound, where they take int64, and one past it, where they do not; the
 same for every other operation that grows an entry (add, conj_t, scaled)
 and for the library sites that scale or negate exact arrays through them.
-The canonical dtype: int64 exactly when every entry e has |e| < 2^63."""
+The canonical dtype: the narrowest of int16, int32 and int64 whose max is at
+least every |e|, else Python ints; every operation at each tier boundary
+against the oracle, each result in exactly the tier of its values."""
 import math
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ import invfun_oracle
 import linalg_oracle
 from glnq import duality, hc, hopf, invfun, linalg, psh
 from glnq.duality import duality_operator
+from glnq.field import Cyclotomic
 from glnq.invfun import InvariantFunction, TensorFunction, apply_operator
 from glnq.orbits import enumerate_orbits
 
@@ -190,11 +193,17 @@ def test_entries_past_int64(paths):
 
 
 def test_no_int64_copy_is_kept():
-    # an int64 operand is multiplied as it is, with no copy kept anywhere
+    # a narrow operand is cast to int64 inside the operation only: the pair
+    # keeps its int16 x, and an int64 operand is multiplied as it is
     x, _ = linalg.reduced(np.arange(6).reshape(2, 3), 1)
-    assert x.dtype == np.int64
-    x64, xmax = linalg._int64(x)
-    assert x64 is x and xmax == 5
+    assert x.dtype == np.int16
+    x64, y64 = linalg._operands(x, x.T, 3)
+    assert x64.dtype == y64.dtype == np.int64
+    assert np.array_equal(x64, x) and np.array_equal(y64, x.T)
+    got, _ = linalg.matmul((x, 1), (x.T, 1))
+    assert got.dtype == np.int16 and x.dtype == np.int16 and not x.flags.writeable
+    wide = np.arange(6, dtype=np.int64).reshape(2, 3)
+    assert linalg._operands(wide, wide.T, 3)[0] is wide
     assert not hasattr(linalg, "_INT64")
 
 
@@ -203,15 +212,20 @@ def test_no_int64_copy_is_kept():
 
 
 @pytest.mark.parametrize("entries,dtype", [
-    ([TOP, -TOP, 0], np.int64), ([0, 0, 0], np.int64),
-    ([2 ** 63, 1, 0], object), ([-2 ** 63, 1, 0], object)])
+    ([TOP, -TOP, 0], np.int64), ([-2 ** 31, 1, 0], np.int64),
+    ([2 ** 63, 1, 0], object), ([-2 ** 63, 1, 0], object),
+    ([0, 0, 0], np.int16), ([2 ** 15 - 1, -2 ** 15 + 1, 0], np.int16),
+    ([-2 ** 15, 1, 0], np.int32), ([2 ** 15, 1, 0], np.int32),
+    ([2 ** 31 - 1, -2 ** 31 + 1, 0], np.int32)])
 def test_dtype_is_a_function_of_the_values(entries, dtype):
-    # -2^63 fits int64 but its negation does not, so it takes Python ints;
-    # the entries as Python ints, three times them over den 3, and as int64
-    # where they fit all give one form
+    # a tier's min fits it but its negation does not, so -2^15 takes int32,
+    # -2^31 int64 and -2^63 Python ints; the entries as Python ints, three
+    # times them over den 3, and in every integer dtype that holds them all
+    # give one form
     forms = [(np.array(entries, dtype=object), 1), (np.array(entries, dtype=object) * 3, 3)]
-    if -2 ** 63 <= min(entries) and max(entries) <= TOP:
-        forms.append((np.array(entries, dtype=np.int64), 1))
+    for dt in (np.int16, np.int32, np.int64):
+        if np.iinfo(dt).min <= min(entries) and max(entries) <= np.iinfo(dt).max:
+            forms.append((np.array(entries, dtype=dt), 1))
     for built, den in forms:
         x, d = linalg.reduced(built, den)
         assert x.dtype == dtype and not x.flags.writeable
@@ -219,25 +233,29 @@ def test_dtype_is_a_function_of_the_values(entries, dtype):
 
 
 def test_dtype_is_read_after_lowest_terms():
-    # entries past int64 over a den that divides them reduce into int64,
-    # and -2^63 over an even den does too
+    # entries past int64 over a den that divides them reduce into int16;
+    # -2^63 over an even den reduces into int64, -2^31 into int32 and
+    # -2^15 into int16
     x, den = linalg.reduced(np.array([2 ** 64, -2 ** 65], dtype=object), 2 ** 64)
-    assert x.dtype == np.int64 and x.tolist() == [1, -2] and den == 1
-    x, den = linalg.reduced(np.array([-2 ** 63, 2], dtype=np.int64), 2)
-    assert x.dtype == np.int64 and x.tolist() == [-2 ** 62, 1] and den == 1
+    assert x.dtype == np.int16 and x.tolist() == [1, -2] and den == 1
+    for low, dtype, want in [(-2 ** 63, np.int64, np.int64), (-2 ** 31, np.int32, np.int32),
+                             (-2 ** 15, np.int16, np.int16)]:
+        x, den = linalg.reduced(np.array([low, 2], dtype=dtype), 2)
+        assert x.dtype == want and x.tolist() == [low // 2, 1] and den == 1
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (0, 3), (2, 2, 2)])
 @pytest.mark.parametrize("den", [2 ** 63 - 1, 2 ** 63, 2 ** 64 + 1])
 def test_zero_over_a_den_past_int64(shape, den):
     # the gcd of den and a zero (or empty) x is den itself, past int64 on
-    # all but the first den: the pair is the zero matrix over 1
-    for zero in (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=object)):
-        x, d = linalg.reduced(zero, den)
-        assert x.dtype == np.int64 and x.shape == shape and not x.any() and d == 1
-    x = np.arange(6, dtype=np.int64).reshape(2, 3)
-    got = linalg.add((x, den), (-x, den))
-    assert got[0].dtype == np.int64 and not got[0].any() and got[1] == 1
+    # all but the first den: the pair is the zero matrix over 1, in int16
+    for dtype in (np.int16, np.int32, np.int64, object):
+        x, d = linalg.reduced(np.zeros(shape, dtype=dtype), den)
+        assert x.dtype == np.int16 and x.shape == shape and not x.any() and d == 1
+    for dtype in (np.int16, np.int64):
+        x = np.arange(6, dtype=dtype).reshape(2, 3)
+        got = linalg.add((x, den), (-x, den))
+        assert got[0].dtype == np.int16 and not got[0].any() and got[1] == 1
 
 
 def test_function_minus_itself_over_a_den_past_int64(q3):
@@ -245,8 +263,29 @@ def test_function_minus_itself_over_a_den_past_int64(q3):
     for den in (2 ** 63, 2 ** 64):
         f = InvariantFunction(table, [Fraction(i + 1, den) for i in range(len(table))])
         for zero in (f - f, f.scale(0), -f + f):
-            assert zero.is_zero() and zero.den == 1 and zero.num.dtype == np.int64
+            assert zero.is_zero() and zero.den == 1 and zero.num.dtype == np.int16
             assert zero == InvariantFunction(table, [0] * len(table))
+
+
+@pytest.mark.parametrize("x", [np.array([[3.5]]), np.array([[3.0, 1.0]]),
+                               np.array([[1 + 2j]]), np.array([[2]], dtype=np.float32)],
+                         ids=["float", "integral-float", "complex", "float32"])
+def test_reduced_refuses_floats(x):
+    # a float or complex x was truncated: 3.5 over 2 came back as 3 over 2
+    with pytest.raises(TypeError, match="integers"):
+        linalg.reduced(x, 2)
+
+
+@pytest.mark.parametrize("entries,dtype,den", [
+    ([2 ** 63 + 5, 1], np.uint64, 1), ([2 ** 64 - 1, 0], np.uint64, 1),
+    ([2 ** 63, 2 ** 62], np.uint64, 2 ** 62), ([2 ** 32 - 1, 3], np.uint32, 1),
+    ([65535, 2], np.uint16, 1), ([255, 0], np.uint8, 3), ([True, False], np.bool_, 1)])
+def test_unsigned_and_bool_by_value(entries, dtype, den):
+    # uint64 entries past int64 wrapped to negative int64s; they take
+    # Python ints, and every other entry keeps its value
+    got = linalg.reduced(np.array([entries], dtype=dtype), den)
+    assert _fractions(got) == [Fraction(int(v), den) for v in entries]
+    assert got[0].dtype == linalg_oracle.tier(got[0]) and not got[0].flags.writeable
 
 
 def _fractions(pair):
@@ -288,12 +327,13 @@ def test_conj_t_at_the_bound(p, past):
     assert got.dtype == (object if past else np.int64)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, object])
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_results_are_c_ordered(q3, ndim, dtype):
     # transposed views in, C-ordered arrays out: reduced fixes the order of
-    # every result; object entries lie past int64, so they stay object
-    big = 2 ** 64 if dtype is object else 1
+    # every result; the entries big * i + 1 (i < 54) put x in the tier
+    # dtype, and each result is in the tier of its own values
+    big = {np.int16: 1, np.int32: 2 ** 16, np.int64: 2 ** 32, object: 2 ** 64}[dtype]
     shape = (2, 3, 9)[-ndim:]
     x = np.array([big * i + 1 for i in range(math.prod(shape))], dtype=object)
     x = np.swapaxes(x.reshape(shape[:-2] + shape[:-3:-1]), -1, -2).astype(dtype)
@@ -305,7 +345,8 @@ def test_results_are_c_ordered(q3, ndim, dtype):
                "matmul": linalg.matmul((x, 5), (y, 1))}
     for name, (got, _) in results.items():
         assert got.flags.c_contiguous and not got.flags.writeable, name
-        assert got.dtype == dtype, name
+        assert got.dtype == linalg_oracle.tier(got), name
+    assert results["reduced"][0].dtype == dtype
     assert _fractions(results["reduced"]) == [Fraction(int(v), 5) for v in x.flat]
 
 
@@ -447,3 +488,153 @@ class TestInt64Path:
                 (x, den), invfun_oracle.DictTensor(tables, t.values), 0, len(tables),
                 out_tables)
             assert got.values == want.values, amax
+
+
+# ---------------------------------------------------------------------------
+# the tier boundaries: entries at +-(2^15 - 1), -2^15, +-(2^31 - 1), -2^31,
+# 2^63 - 1 and -2^63, moved by one step across each boundary, against the
+# Python-int oracle; each result in exactly the tier of its values
+
+EDGES = [2 ** 15 - 1, -2 ** 15 + 1, -2 ** 15, 2 ** 31 - 1, -2 ** 31 + 1, -2 ** 31, TOP, -2 ** 63]
+
+
+def _array(entries):
+    """entries in the narrowest dtype that holds them as numpy stores them,
+    -2^15 in int16 included, so the operands sit at each dtype's edge."""
+    x = np.array(entries, dtype=object)
+    for dt in (np.int16, np.int32, np.int64):
+        if np.iinfo(dt).min <= min(x.flat) and max(x.flat) <= np.iinfo(dt).max:
+            return x.astype(dt)
+    return x
+
+
+def _check(got, want):
+    """got holds the oracle's entries want and is in the tier of its values."""
+    assert np.asarray(got).tolist() == want
+    assert got.dtype == linalg_oracle.tier(want)
+
+
+@pytest.mark.parametrize("v", EDGES)
+def test_reduced_at_the_tier_edges(v):
+    for dt in (np.int16, np.int32, np.int64, object):
+        if dt is object or np.iinfo(dt).min <= v <= np.iinfo(dt).max:
+            x, den = linalg.reduced(np.array([[v, 1], [0, -1]], dtype=dt), 1)
+            _check(x, [[v, 1], [0, -1]])
+            assert den == 1
+    x, den = linalg.reduced(np.array([[2 * v, 2]], dtype=object), 2)
+    _check(x, [[v, 1]])
+    assert den == 1
+
+
+def test_reduced_int16_over_a_den_past_int64():
+    # 2^63 - 1 = 7^2 73 127 337 92737 649657: the gcd 7 of the entries
+    # 511 = 7 73, -889 = -7 127 and 2^15 - 1 = 7 31 151 divides it, and
+    # every division runs over int64, where int16 // (2^63 - 1) would raise
+    den = 2 ** 63 - 1
+    for entries, want, want_den in [
+            ([[511, -889], [0, 2 ** 15 - 1]], [[73, -127], [0, 4681]], den // 7),
+            ([[0, 0], [0, 0]], [[0, 0], [0, 0]], 1),
+            ([[-2 ** 15, 0], [1, 0]], [[-2 ** 15, 0], [1, 0]], den)]:
+        x = np.array(entries, dtype=np.int16)
+        got = linalg.reduced(x, den)
+        assert _fractions(got) == [Fraction(v, den) for row in entries for v in row]
+        _check(got[0], want)
+        assert got[1] == want_den
+
+
+@pytest.mark.parametrize("v", EDGES)
+def test_add_at_the_tier_edges(v):
+    # v plus 1 and minus 1 crosses each boundary one way or the other, v/2
+    # plus v/2 is v, and v plus v doubles it
+    for terms in ([(_array([[v, 1]]), 1), (_array([[1, -1]]), 1)],
+                  [(_array([[v, 1]]), 1), (_array([[-1, 1]]), 1)],
+                  [(_array([[v, 0]]), 2), (_array([[v, 2]]), 2)],
+                  [(_array([[v, 3]]), 3), (_array([[v, -3]]), 1)]):
+        got = linalg.add(*terms)
+        want = linalg_oracle.add(*((x.tolist(), d) for x, d in terms))
+        assert _fractions(got) == [f for row in want for f in row]
+        assert got[0].dtype == linalg_oracle.tier(got[0])
+
+
+@pytest.mark.parametrize("c", [-1, 2, -3])
+@pytest.mark.parametrize("v", EDGES)
+def test_scaled_at_the_tier_edges(v, c):
+    _check(linalg.scaled(_array([[v, 1], [-1, 0]]), c), [[v * c, c], [-c, 0]])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("v", EDGES)
+def test_conj_t_at_the_tier_edges(v, p):
+    # plane 0 holds v and plane 1 holds +-1: the fold adds -+1 to v
+    x = np.zeros((p - 1, 2, 2), dtype=object)
+    x[0] = [[v, 1], [v, 0]]
+    x[1] = [[1, 0], [-1, 1]]
+    x = _array(x)
+    got, den = linalg.conj_t((x, 1))
+    entries = linalg_oracle.entries(x)
+    want = [[linalg_oracle.zconj(entries[i][j]) for i in range(2)] for j in range(2)]
+    assert den == 1 and linalg_oracle.entries(got) == want
+    assert got.dtype == linalg_oracle.tier(got)
+
+
+@pytest.mark.parametrize("v", EDGES)
+def test_products_at_the_tier_edges(v):
+    x = _array([[v, 1], [v, -1]])
+    for y in ([[1], [1]], [[1], [-1]], [[2], [0]]):
+        got, den = linalg.matmul((x, 1), (_array(y), 1))
+        _check(got, linalg_oracle.matmul(x.tolist(), y))
+        assert den == 1
+    y = [[1, -1, 2]]
+    got, den = linalg.kron((x, 1), (_array(y), 1))
+    _check(got, linalg_oracle.kron(x.tolist(), y))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("v", EDGES)
+def test_cyclotomic_products_at_the_tier_edges(v, p):
+    # (v + zeta) times (1 - zeta^s) and the like, entry by entry and as
+    # matrices; plane 0 of the product is v plus or minus a step
+    x = np.zeros((p - 1, 1, 2), dtype=object)
+    x[0], x[1] = [[v, 1]], [[1, v]]
+    x = _array(x)
+    for plane, sign in ((1, 1), (p - 2, -1)):
+        y = np.zeros((p - 1, 2, 1), dtype=object)
+        y[0], y[plane] = [[1], [0]], [[sign], [1]]
+        y = _array(y)
+        xs, ys = linalg_oracle.entries(x), linalg_oracle.entries(y)
+        got = linalg.convolve(x, y, np.multiply.outer)  # every entry of x times every one of y
+        assert got.reshape(p - 1, -1).T.tolist() == [
+            linalg_oracle.zmul(a, b) for a in sum(xs, []) for b in sum(ys, [])]
+        assert got.dtype == linalg_oracle.tier(got)
+        got, den = linalg.matmul((x, 1), (y, 1))
+        assert den == 1 and linalg_oracle.entries(got) == linalg_oracle.matmul(
+            xs, ys, linalg_oracle.zmul, linalg_oracle.zadd)
+        assert got.dtype == linalg_oracle.tier(got)
+
+
+def _values(h):
+    """A function's values as coefficient lists of Fractions, one per orbit."""
+    planes = h.num.reshape(len(h.num), -1).tolist()
+    return [[Fraction(a, h.den) for a in u] for u in zip(*planes)]
+
+
+@pytest.mark.parametrize("v", EDGES)
+def test_function_arithmetic_at_the_tier_edges(q3, v):
+    # negation, sum, difference and scale of functions with a value v + zeta
+    # against the coefficient lists of the oracle
+    table = enumerate_orbits(1, q3)
+    f = InvariantFunction(table, [Cyclotomic(3, [v, 1]), Cyclotomic(3, [1, v]), 1])
+    g = InvariantFunction(table, [1, -1, Cyclotomic(3, [0, 1])])
+    fv, gv = _values(f), _values(g)
+    zeta = Cyclotomic.zeta(3)
+    results = [(-f, [[-a for a in u] for u in fv]),
+               (f + g, [linalg_oracle.zadd(u, w) for u, w in zip(fv, gv)]),
+               (f - g, [linalg_oracle.zadd(u, [-a for a in w]) for u, w in zip(fv, gv)]),
+               (g - f, [linalg_oracle.zadd(w, [-a for a in u]) for u, w in zip(fv, gv)])]
+    for c in (-1, 2, Fraction(1, 2), zeta, 1 - zeta):
+        c = invfun._in_field(3, c)
+        cv = [Fraction(a, c.den) for a in c.num]
+        results.append((f.scale(c), [linalg_oracle.zmul(u, cv) for u in fv]))
+    for h, want in results:
+        assert _values(h) == want
+        assert h.num.dtype == linalg_oracle.tier(h.num) and not h.num.flags.writeable

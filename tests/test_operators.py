@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hc_oracle
+import linalg_oracle
 from glnq import hc, linalg
 from glnq.duality import duality_operator
 from glnq.field import Cyclotomic, fq
@@ -120,14 +121,45 @@ def test_kron(q, n1, n2):
 
 
 def test_pairs_in_lowest_terms(q2):
-    # equal matrices compare equal as pairs only in lowest terms
+    # equal matrices compare equal as pairs only in lowest terms, each x in
+    # the narrowest tier that holds it; scaled over Python ints, as 6 x may
+    # not fit x's dtype
     for op in (hc.restriction_matrix(q2, (1, 2)), hc.induction_matrix(q2, (2, 1)),
                duality_operator(3, q2).matrix, antipode_matrix(q2, 3)):
         x, den = op
-        assert den > 0 and math.gcd(den, *x.flat) == 1
-        scaled = (x * 6, den * 6)
+        assert den > 0 and math.gcd(den, *map(int, x.flat)) == 1
+        assert x.dtype == linalg_oracle.tier(x)
+        scaled = (x.astype(object) * 6, den * 6)
         assert not linalg.mat_eq(op, scaled)
         assert linalg.mat_eq(op, linalg.reduced(*scaled))
+
+
+def test_cached_pairs_in_their_narrowest_tier(monkeypatch, q3):
+    # every pair a cold verify --q 3 caches in these builders is read-only
+    # and in the narrowest tier of its values; each cache entry is seen once
+    from glnq import cli, duality, hopf, invfun, psh
+    builders = (hc.restriction_matrix, hc.induction_matrix, hc.mackey_operator,
+                hopf.antipode_matrix, duality.duality_operator, invfun.character_matrix,
+                psh.structure_constants)
+    modules = (cli, hc, hopf, duality, invfun, psh)
+    for mod in modules:
+        for f in vars(mod).values():
+            if hasattr(f, "cache_clear") and f.__module__ == mod.__name__:
+                f.cache_clear()
+    built = {f: {} for f in builders}
+    for f in builders:
+        def recorded(*args, f=f, **kwargs):
+            out = f(*args, **kwargs)
+            built[f][id(out)] = out.matrix if isinstance(out, duality.DualityOperator) else out
+            return out
+        for mod in modules:
+            if getattr(mod, f.__name__, None) is f:
+                monkeypatch.setattr(mod, f.__name__, recorded)
+    assert cli.main(["verify", "--q", "3", "--output", "/dev/null"]) == 0
+    for f in builders:
+        assert len(built[f]) == f.cache_info().currsize > 0, f.__name__
+        for x, den in built[f].values():
+            assert x.dtype == linalg_oracle.tier(x) and not x.flags.writeable, f.__name__
 
 
 def _cyclotomic_pair(rows, p):

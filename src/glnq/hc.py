@@ -31,8 +31,8 @@ import numpy as np
 
 from . import linalg
 from .field import FqContext, digits, undigits
-from .glmat import (Composition, ResourceBudgetError, _block_starts, _embed_blocks,
-                    _shape_mask, batch_matmul, encode_matrices,
+from .glmat import (MATMUL_CHUNK, Composition, ResourceBudgetError, _block_starts,
+                    _embed_blocks, _shape_mask, batch_matmul, encode_matrices,
                     enumerate_gl_order, gl_arrays, unipotent_radical_elems,
                     unipotent_radical_order)
 from .invfun import (InvariantFunction, TensorFunction, adjoint, apply_operator,
@@ -94,14 +94,14 @@ def restriction_matrix(ctx: FqContext, parts: tuple):
 def _row_space_keys(ctx: FqContext, G, lo: int):
     """For each g of the stack G, the sorted codes of all q^(n-lo) vectors in
     the span of rows lo..n-1 of g (codes < q^n, in the smallest dtype that
-    holds them): equal keys, equal spans.  They are filled 4,096 matrices at
-    a time, so no int64 code array spans the whole stack."""
+    holds them): equal keys, equal spans.  They are filled MATMUL_CHUNK
+    matrices at a time, so no int64 code array spans the whole stack."""
     n = G.shape[-1]
     coeffs = digits(np.arange(ctx.q ** (n - lo)), ctx.q, n - lo)
     keys = np.empty((len(G), len(coeffs)), dtype=np.min_scalar_type(ctx.q ** n))
-    for start in range(0, len(G), 4096):
-        keys[start:start + 4096] = undigits(
-            batch_matmul(ctx, coeffs, G[start:start + 4096, lo:]), ctx.q)
+    for start in range(0, len(G), MATMUL_CHUNK):
+        keys[start:start + MATMUL_CHUNK] = undigits(
+            batch_matmul(ctx, coeffs, G[start:start + MATMUL_CHUNK, lo:]), ctx.q)
     keys.sort(axis=1)
     return keys
 
@@ -244,8 +244,8 @@ def _permute_factors(pair, dims, order):
     given sizes, in product order, with its rows reordered so that factor
     order[i] comes i-th in each tuple."""
     x, den = pair
-    permuted = x.reshape(tuple(dims) + (-1,)).transpose(tuple(order) + (len(dims),))
-    return linalg.reduced(permuted.reshape(x.shape), den)
+    rows = np.arange(len(x)).reshape(dims).transpose(order).ravel()
+    return linalg.reduced(x[rows], den)
 
 
 def verify_parabolic_independence(ctx: FqContext, n: int, c) -> Report:

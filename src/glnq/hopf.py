@@ -110,9 +110,8 @@ def primitive_subspace(ctx: FqContext, n: int) -> PrimitiveBasis:
     stack = np.vstack([np.zeros((0, len(table)), dtype=np.int64)]
                       + [restriction_matrix(ctx, (k, n - k))[0] for k in range(1, n)])
     (x, den), _ = linalg.rref(linalg.kernel((stack, 1)))
-    num = np.zeros((len(x), ctx.p - 1, len(table)), dtype=x.dtype)
-    num[:, 0] = x  # rational values: the coordinate of 1 only
-    members = tuple(InvariantFunction._from_array((table,), row, den) for row in num)
+    unit = np.eye(ctx.p - 1, 1, dtype=x.dtype)  # rational values: the coordinate of 1 only
+    members = tuple(InvariantFunction._from_array((table,), unit * row, den) for row in x)
     return PrimitiveBasis(n, members, (x, den))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .field import ContextMismatchError, Cyclotomic, digits, undigits
-from .glmat import Matrix, ResourceBudgetError, row_codes
+from .glmat import Matrix, ResourceBudgetError, batch_matmul, row_codes
 from .orbits import LOOKUP_BUDGET, OrbitLabel, OrbitTable, enumerate_orbits
 
 
@@ -212,10 +212,7 @@ def inner_product_rational(f, g) -> Fraction:
 def _trace_table(ctx, n):
     """T[u, v] = Tr(sum_j u_j v_j) in F_p over the q^n row vectors, symmetric."""
     vecs = digits(np.arange(ctx.q ** n), ctx.q, n)
-    dots = np.zeros((len(vecs), len(vecs)), dtype=np.int16)
-    for j in range(n):
-        dots = ctx.ADD[dots, ctx.MUL[vecs[:, None, j], vecs[None, :, j]]]
-    return ctx.TR[dots]
+    return ctx.TR[batch_matmul(ctx, vecs, vecs.T)]
 
 
 @lru_cache(maxsize=None)
@@ -379,9 +376,9 @@ def adjoint(op, source, target):
     tuples of the tables `source` (its columns) to those over `target` (its
     rows), W the Gram weights of _weights: (op s, t) = (s, adjoint(op) t)."""
     (w_s, order_s), (w_t, order_t) = _weights(source), _weights(target)
-    scale = math.lcm(*w_s.flat)  # makes order_s / w_s integral
     x, den = linalg.conj_t(op)
-    return linalg.reduced(x * w_t.T * (order_s * scale // w_s), den * order_t * scale)
+    # order_s / w_s is integral: each w is a product of |O_i| = |G_i| / |C_i|
+    return linalg.reduced(x * w_t.T * (order_s // w_s), den * order_t)
 
 
 def _pairing(s: _Values, t: _Values) -> Cyclotomic:

@@ -71,7 +71,8 @@ def _narrowed(x):
 
 def reduced(x, den):
     """The pair (x, den) in lowest terms, x read-only (cached operators are
-    shared), C-ordered and in the narrowest tier (see above).  The gcd and
+    shared) and a copy when it would view memory that its owner can still
+    write, C-ordered and in the narrowest tier (see above).  The gcd and
     the division run over int64, or Python ints past it; a float or complex
     x raises TypeError."""
     x = np.asarray(x)
@@ -91,6 +92,8 @@ def reduced(x, den):
         den //= g
         m //= g
     x = x.astype(_tier(m), order="C", copy=False)
+    if x.base is not None and getattr(x.base, "flags", x.flags).writeable:
+        x = x.copy()
     x.setflags(write=False)
     return x, den
 

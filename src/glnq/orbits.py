@@ -13,8 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 from .field import FqContext, digits, irreducibles, poly_pow, undigits
-from .glmat import (Matrix, ResourceBudgetError, _embed_blocks, batch_matmul,
-                    encode_matrices, enumerate_gl_order, row_codes, row_reduce, sub_mul)
+from .glmat import (Matrix, ResourceBudgetError, _embed_blocks, batch_inverse,
+                    batch_matmul, encode_matrices, enumerate_gl_order, row_codes,
+                    row_reduce)
 
 LOOKUP_BUDGET = 1 << 17
 
@@ -151,58 +152,54 @@ def matrix_label(x: Matrix) -> OrbitLabel:
 # ---------------------------------------------------------------------------
 
 
-def _row_move_table(ctx: FqContext, vecs, f) -> np.ndarray:
-    """T[u, v] = the code of u - f v over the row vectors vecs (Q, n),
-    flattened to T[u Q + v]."""
-    x, y = np.broadcast_arrays(vecs[:, None], vecs[None])
-    return undigits(sub_mul(ctx, x, f, y), ctx.q).ravel()
+def _generators(ctx: FqContext, n: int) -> list:
+    """I + E_01 and the cyclic shift P (e_j -> e_(j+1 mod n)) for n >= 2,
+    then diag(gamma, 1, ..., 1), gamma a generator of F_q^x, for q > 2.
 
-
-def _row_scale_table(ctx: FqContext, vecs, f) -> np.ndarray:
-    """T[u] = the code of u - f u = (1 - f) u over the row vectors vecs."""
-    return undigits(sub_mul(ctx, vecs, f, vecs), ctx.q)
+    They generate GL_n(F_q): the conjugates of I + E_01 by powers of P are
+    the I + E_(i,i+1), their commutators give every I + E_ij, the torus
+    generator scales each by gamma, so they give SL_n(F_q), and det = gamma
+    the rest."""
+    gens = []
+    if n >= 2:
+        e = np.eye(n, dtype=np.int16)
+        e[0, 1] = 1
+        gens += [e, np.roll(np.eye(n, dtype=np.int16), 1, axis=0)]
+    if ctx.q > 2 and n > 0:
+        d = np.eye(n, dtype=np.int16)
+        d[0, 0] = ctx.generator_index()
+        gens.append(d)
+    return [Matrix(ctx, g) for g in gens]
 
 
 @lru_cache(maxsize=None)
 def _move_codes(ctx: FqContext, n: int) -> np.ndarray:
-    """Row k holds the code of g_k x g_k^-1 for every code x, in code order.
+    """Row k holds the code of g x g^-1 for every code x, in code order, g
+    the k-th of _generators(ctx, n).
 
-    The g_k are I + E_01 and the cyclic shift P (e_j -> e_(j+1 mod n)) for
-    n >= 2, then diag(gamma, 1, ..., 1), gamma a generator of F_q^x, for
-    q > 2.  They generate GL_n(F_q): the conjugates of I + E_01 by powers of
-    P are the I + E_(i,i+1), their commutators give every I + E_ij, the torus
-    generator scales each by gamma, so they give SL_n(F_q), and det = gamma
-    the rest.  I + E_01 and the torus generator are a row move,
-    row i -= f * (row j), then a column move, column j -= g * (column i):
-    (i, j, f, g) = (0, 1, -1, 1) and (0, 0, 1 - gamma, 1 - gamma^-1).  P moves
-    row i - 1 to row i and each entry one column on.  On the row codes R of x
-    a row move with i != j reads R_i from a Q x Q table of u - f v (Q = q^n),
-    one with i = j maps R_i through a Q-entry table of (1 - f) u, and a
-    column move maps every row through a Q-entry table.  Each row must
-    permute the codes."""
+    On the row codes R of x, row i of g x g^-1 is (sum_j g_ij R_j) g^-1: one
+    gather from a table over the tuples of row vectors at the nonzero
+    entries of row i of g (Q or Q^2 entries for these generators, Q = q^n),
+    its sums by batch_matmul and each sum then mapped through the Q-entry
+    table of u g^-1, g^-1 from batch_inverse.  Each row must permute the
+    codes."""
     total, Q = ctx.q ** (n * n), ctx.q ** n
     rows = row_codes(ctx, n)
     vecs = digits(np.arange(Q), ctx.q, n)
-    gens = [(0, 1, ctx.NEG[1], 1), "P"] if n >= 2 else []
-    if ctx.q > 2 and n > 0:
-        gamma = ctx.generator_index()
-        gens.append((0, 0, ctx.SUB[1, gamma], ctx.SUB[1, ctx.INV[gamma]]))
-    dtype = np.min_scalar_type(total - 1)  # holds Q^2 - 1 too, for n >= 2
+    gens = _generators(ctx, n)
+    dtype = np.min_scalar_type(total - 1)
     moves = np.zeros((len(gens), total), dtype=dtype)
-    for k, gen in enumerate(gens):
-        if gen == "P":  # row i of P x P^-1 is row i - 1 of x, shifted
-            moved, col = [rows[i - 1] for i in range(n)], np.roll(vecs, 1, axis=1)
-        else:
-            i, j, f, g = gen
-            col = vecs.copy()
-            col[:, j] = sub_mul(ctx, col[:, j], g, col[:, i])
-            moved = list(rows)
-            moved[i] = (_row_scale_table(ctx, vecs, f).astype(rows.dtype).take(rows[i])
-                        if i == j else _row_move_table(ctx, vecs, f).astype(rows.dtype)
-                        .take(rows[i].astype(dtype) * Q + rows[j]))
-        col = undigits(col, ctx.q).astype(dtype)
-        for pos, r in enumerate(moved):
-            moves[k] += col.take(r) * Q ** pos
+    for k, g in enumerate(gens):
+        right = undigits(batch_matmul(ctx, vecs, batch_inverse(ctx, g.a[None])[0]),
+                         ctx.q).astype(dtype)
+        for i, coef in enumerate(g.a):
+            at = np.flatnonzero(coef)
+            tuples = vecs[digits(np.arange(Q ** len(at)), Q, len(at))]
+            # row i's codes, scaled to its place Q^i in the table, not after
+            # the gather; indexing casts narrow indices in chunks, take whole
+            table = right[undigits(batch_matmul(ctx, coef[at][None], tuples)[:, 0],
+                                   ctx.q)] * Q ** i
+            moves[k] += table[undigits(rows[at].T, Q)]
         # a map of a finite set into itself is a permutation iff it is onto
         hit = np.zeros(total, dtype=bool)
         hit[moves[k]] = True

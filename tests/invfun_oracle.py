@@ -10,7 +10,8 @@ products as sums of one Cyclotomic product per orbit or orbit tuple.
 This is the layer that glnq.invfun's integer arrays over one denominator
 replaced; the tests feed both the same values and compare the results.
 character_counts is the entry-by-entry table sum that character_matrix's
-trace table over row codes replaced.  The
+trace table over row codes replaced, and trace_table that trace table by
+one ADD and MUL lookup per coordinate.  The
 operator builders are bound here at import, so a test that patches glnq.hc's
 bindings reaches the fast path only.
 """
@@ -21,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from glnq.duality import duality_operator
-from glnq.field import Cyclotomic
+from glnq.field import Cyclotomic, digits
 from glnq.glmat import all_matrices
 from glnq.hc import _parts, induction_matrix, restriction_matrix, split_tables
 from glnq.hopf import antipode_matrix
@@ -246,6 +247,16 @@ def duality_apply(f: TupleFunction) -> TupleFunction:
 def antipode_function(f: TupleFunction) -> TupleFunction:
     return apply_operator(antipode_matrix(f.table.ctx, f.n),
                           DictTensor.outer([f]), 0, 1, (f.table,)).as_function()
+
+
+def trace_table(ctx, n):
+    """T[u, v] = Tr(sum_j u_j v_j) in F_p over the q^n row vectors, the sum
+    taken one coordinate at a time through the field's ADD and MUL tables."""
+    vecs = digits(np.arange(ctx.q ** n), ctx.q, n)
+    dots = np.zeros((len(vecs), len(vecs)), dtype=np.int16)
+    for j in range(n):
+        dots = ctx.ADD[dots, ctx.MUL[vecs[:, None, j], vecs[None, :, j]]]
+    return ctx.TR[dots]
 
 
 def character_counts(table):

@@ -21,11 +21,17 @@ the closed form |C(x)| = prod_f a_lam(f)(q^deg f) and the closed form
 """
 import numpy as np
 
+from glnq.cli import default_max_n
 from glnq.field import irreducibles, poly_divmod, poly_mul, poly_trim
 from glnq.glmat import (Matrix, SingularMatrixError, _shape_mask,
                         ShapeError, all_matrices, encode_matrices, gl_arrays,
                         gl_mask)
 from glnq.orbits import OrbitCountError, OrbitLabel
+
+# every supported field (the prime powers q <= 19) at every degree of its
+# default verify run
+DEFAULT_SIZES = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+                 for n in range(default_max_n(q) + 1)]
 
 
 def batch_matmul_tables(ctx, a, b):

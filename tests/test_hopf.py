@@ -123,6 +123,13 @@ class TestPrimitives:
             for f in primitive_subspace(ctx, n).members:
                 assert is_primitive(f)
 
+    def test_members_share_no_writable_memory(self, q2, q3):
+        # each member's values were a row of one writable stack
+        for ctx, n in [(q2, 3), (q3, 2)]:
+            for f in primitive_subspace.__wrapped__(ctx, n).members:
+                base = f.num.base
+                assert base is None or not base.flags.writeable
+
     def test_dimension_vs_kernel_rank(self, q2):
         # independent cross-check: dim ker = dim - rank of stacked restrictions
         from glnq.hc import restriction_matrix

@@ -145,6 +145,24 @@ class TestFourierBasis:
         table = enumerate_orbits(n, fq(q))
         assert linalg.mat_eq(invfun.character_matrix(table), oracle_characters(table))
 
+    @pytest.mark.parametrize("q,n", orbit_oracle.DEFAULT_SIZES)
+    def test_trace_table_matches_oracle(self, q, n):
+        ctx = fq(q)
+        assert np.array_equal(invfun._trace_table(ctx, n),
+                              invfun_oracle.trace_table(ctx, n))
+
+    @given(st.sampled_from([(2, 2), (3, 2), (4, 2), (9, 2)]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_swapped_trace_entry_fails(self, qn, data):
+        # two entries of different trace swapped in the table
+        q, n = qn
+        T = invfun._trace_table(fq(q), n).copy()
+        a, b = data.draw(st.lists(st.integers(0, T.size - 1), min_size=2,
+                                  max_size=2, unique=True))
+        assume(T.flat[a] != T.flat[b])
+        T.flat[[a, b]] = T.flat[[b, a]]
+        assert not np.array_equal(T, invfun_oracle.trace_table(fq(q), n))
+
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
     def test_corrupted_trace_table_changes_the_characters(self, q, n, monkeypatch):
         # T[0, 0] = Tr(0) is 0; at 1 every a with zero row 0 moves its count

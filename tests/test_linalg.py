@@ -526,6 +526,18 @@ def test_reduced_at_the_tier_edges(v):
     assert den == 1
 
 
+def test_reduced_copies_a_view_of_writable_memory():
+    # the caller's base stays writable, so the pair must not share it
+    base = np.array([1, 2, 3, 4], dtype=np.int16)
+    x, _ = linalg.reduced(base[:2], 1)
+    base[0] = 9
+    assert x.tolist() == [1, 2]
+    # a view of read-only memory is kept as it is
+    frozen = base.copy()
+    frozen.setflags(write=False)
+    assert np.shares_memory(linalg.reduced(frozen[:2], 1)[0], frozen)
+
+
 def test_reduced_int16_over_a_den_past_int64():
     # 2^63 - 1 = 7^2 73 127 337 92737 649657: the gcd 7 of the entries
     # 511 = 7 73, -889 = -7 127 and 2^15 - 1 = 7 31 151 divides it, and

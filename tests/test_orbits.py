@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import orbit_oracle
 from glnq import orbits
-from glnq.field import digits, fq, poly_mul
+from glnq.field import fq, poly_mul
 from glnq.glmat import Matrix, conjugate, enumerate_gl_order
 from glnq.orbits import (OrbitCountError, OrbitLabel, OrbitTable,
                          centralizer_order, companion, enumerate_orbits,
@@ -196,7 +196,7 @@ class TestMoveBFS:
         assert np.array_equal(claim, want_claim)
         assert sizes == want_sizes
 
-    @pytest.mark.parametrize("q,n", BUDGET_SIZES + [(4, 3), (16, 2)])
+    @pytest.mark.parametrize("q,n", orbit_oracle.DEFAULT_SIZES + [(4, 3)])
     def test_move_table_matches_oracle(self, q, n):
         ctx = fq(q)
         got = orbits._move_codes.__wrapped__(ctx, n)
@@ -208,7 +208,8 @@ class TestMoveBFS:
         # I + E_01 and P for n >= 2, diag(gamma, 1, ..., 1) for q > 2
         assert len(orbits._move_codes(fq(q), n)) == rows
 
-    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (17, 2)])
+    # at n = 1 the codes of F_256 fill uint8, and Q = q does not fit it
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (17, 2), (256, 1)])
     def test_codes_fit_their_dtype(self, q, n):
         moves = orbits._move_codes(fq(q), n)
         assert moves.dtype == np.min_scalar_type(q ** (n * n) - 1)
@@ -266,34 +267,58 @@ def test_swapped_move_fails_the_comparison(qn, data):
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.data())
 @settings(max_examples=30, deadline=None)
 def test_swapped_row_move_entry_fails(qn, data):
-    """Swapping two different entries of one row-move table either stops a
-    move from permuting the codes or changes the move table against the
-    digit-grid oracle."""
+    """Swapping two different entries of one table that _move_codes builds
+    by batch_matmul (the Q-entry table of u g^-1, or one of the row sums
+    sum_j g_ij u_j) either stops a move from permuting the codes or changes
+    the move table against the digit-grid oracle."""
     q, n = qn
-    ctx, Q = fq(q), q ** n
-    # I + E_01 (row 0 -= f row 1) reads the Q x Q table u - f v,
-    # diag(gamma, 1, ..., 1) (row 0 -= f row 0) the Q-entry table (1 - f) u
-    tables = {"_row_move_table": ctx.NEG[1]}
-    if q > 2:
-        tables["_row_scale_table"] = ctx.SUB[1, ctx.generator_index()]
-    name = data.draw(st.sampled_from(sorted(tables)))
-    real = getattr(orbits, name)
-    want = real(ctx, digits(np.arange(Q), q, n), tables[name])
-    a, b = data.draw(st.lists(st.integers(0, len(want) - 1), min_size=2,
+    ctx = fq(q)
+    real = orbits.batch_matmul
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "batch_matmul", lambda *args: tables.append(real(*args))
+                   or tables[-1])
+        orbits._move_codes.__wrapped__(ctx, n)
+    c = data.draw(st.integers(0, len(tables) - 1))
+    a, b = data.draw(st.lists(st.integers(0, len(tables[c]) - 1), min_size=2,
                               max_size=2, unique=True))
-    assume(want[a] != want[b])
+    assume(not np.array_equal(tables[c][a], tables[c][b]))
+    calls = iter(range(len(tables)))
 
-    def swapped(ctx, vecs, f):
-        table = real(ctx, vecs, f)
-        table[[a, b]] = table[[b, a]]
+    def swapped(*args):
+        table = real(*args)
+        if next(calls) == c:
+            table[[a, b]] = table[[b, a]]
         return table
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbits, name, swapped)
+        mp.setattr(orbits, "batch_matmul", swapped)
         try:
             got = orbits._move_codes.__wrapped__(ctx, n)
         except OrbitCountError:
             return
+    assert not np.array_equal(got, orbit_oracle.move_codes(ctx, n))
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_changed_generator_entry_fails(qn, data):
+    """Changing one entry of one generator, keeping it invertible, changes
+    its row of the move table against the oracle, which keeps its own
+    generators: g' x g'^-1 = g x g^-1 for every x only if g' is a scalar
+    multiple of g, and g has two nonzero entries for n >= 2."""
+    q, n = qn
+    ctx = fq(q)
+    gens = orbits._generators(ctx, n)
+    k = data.draw(st.integers(0, len(gens) - 1))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    a = gens[k].a.copy()
+    a[i, j] = data.draw(st.sampled_from([v for v in range(q) if v != a[i, j]]))
+    assume(orbit_oracle.batch_det(ctx, a) != 0)
+    changed = gens[:k] + [Matrix(ctx, a)] + gens[k + 1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_generators", lambda ctx, n: changed)
+        got = orbits._move_codes.__wrapped__(ctx, n)
     assert not np.array_equal(got, orbit_oracle.move_codes(ctx, n))
 
 
@@ -357,8 +382,16 @@ class TestTypedErrors:
                          f"{re.escape(labels[k].serialize())} meet", str(err.value))
 
     def test_move_not_a_permutation(self, q3, monkeypatch):
-        # a row move that zeroes row i sends q^n matrices to each image
-        monkeypatch.setattr(orbits, "sub_mul", lambda ctx, x, f, y: np.zeros_like(x))
+        # a g^-1 with its last row zeroed makes x -> g x g^-1 forget the
+        # last column of g x: q^n matrices go to each image
+        real = orbits.batch_inverse
+
+        def singular(ctx, a):
+            inv = real(ctx, a).copy()
+            inv[..., -1, :] = 0
+            return inv
+
+        monkeypatch.setattr(orbits, "batch_inverse", singular)
         with pytest.raises(OrbitCountError, match="not a permutation"):
             orbits._move_codes.__wrapped__(q3, 2)
 

@@ -7,15 +7,20 @@ with tests/data/verify_q<Q>.json or tests/data/verify_mackey_all_q<Q>.json.
 Last, one cold `glnq orbits --q 16 --n 3 --budget --format json`, past the
 lookup budget, with its wall time and peak RSS: it must list q^3 + q^2 + q
 = 4,368 orbits whose sizes sum to 16^9.  Then one cold
+`glnq induce --q 4 --composition 2+1 --budget --format json` of the
+constant-one functions of degrees 2 and 1, built from the cold listings
+`glnq orbits --q 4 --n 2|1 --format json`, with its wall time and peak RSS,
+compared byte for byte with tests/data/induce_q4_2+1.json: past the lookup
+(4^9 > LOOKUP_BUDGET) it counts the cosets of GL_3(F_4).  Last, one cold
 `glnq steinberg --q 4 --n 3 --budget`, with its wall time: the degree-3
 restrictions need the orbit lookup, which 4^9 > LOOKUP_BUDGET leaves
 unbuilt, so it must print nothing and end in one stderr line and exit 2.
 
 Run from the repository root: python scripts/cold_verify.py
-Each report is left in verify_q<Q>.out, verify_mackey_all_q<Q>.out or
-orbits_q16_n3.out; the exit status is 1 if a run fails, a report differs
-from its reference, the orbit listing is wrong or the steinberg run does
-not stop as above.
+Each report is left in verify_q<Q>.out, verify_mackey_all_q<Q>.out,
+orbits_q<Q>_n<N>.out or induce_q4_2+1.out; the exit status is 1 if a run
+fails, a report differs from its reference, the orbit listing is wrong or
+the steinberg run does not stop as above.
 """
 import compileall
 import filecmp
@@ -23,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 RUNS = [(f"verify_q{q}", ["--q", str(q)]) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)]
@@ -74,6 +80,28 @@ if line is not None:
     if len(sizes) != q ** 3 + q ** 2 + q or sum(sizes) != q ** (n * n):
         failed.append(f"{label}: {len(sizes)} orbits of total size {sum(sizes)}, "
                       f"expected {q ** 3 + q ** 2 + q} of total {q ** (n * n)}")
+
+q, parts = 4, (2, 1)
+name, inputs = f"induce_q{q}_2+1", []
+with tempfile.TemporaryDirectory() as tmp:
+    for n in parts:
+        label = f"orbits --q {q} --n {n}"
+        if cold_run(f"orbits_q{q}_n{n}", label.split() + ["--format", "json"], label) is None:
+            continue
+        with open(f"orbits_q{q}_n{n}.out") as out:
+            listing = json.load(out)
+        inputs.append(os.path.join(tmp, f"one_n{n}.json"))
+        with open(inputs[-1], "w") as out:  # "2:[1]" is 1 in Q(zeta_2), F_4 having p = 2
+            json.dump({"n": n, "q": listing["q"],
+                       "values": {orbit["label"]: "2:[1]" for orbit in listing["orbits"]}}, out)
+    label = f"induce --q {q} --composition 2+1 --budget"
+    if len(inputs) == len(parts):
+        line = cold_run(name, label.split() + ["--input", ",".join(inputs), "--format", "json"],
+                        label)
+        if line is not None:
+            print(line)
+            if not filecmp.cmp(f"{name}.out", f"tests/data/{name}.json", shallow=False):
+                failed.append(f"{label} differs from tests/data/{name}.json")
 
 label = "steinberg --q 4 --n 3 --budget"
 start = time.perf_counter()

@@ -255,7 +255,7 @@ def suite_orbits(ctx, max_n):
             claim, osizes = orbit_table_bruteforce(n, ctx)
             # the distinct (lookup label, brute-force class) pairs, counted
             # as the nonzero bins of lookup * classes + class
-            pairs = np.count_nonzero(np.bincount(table.lookup * len(osizes) + claim))
+            pairs = np.count_nonzero(np.bincount(table.lookup.astype(np.intp) * len(osizes) + claim))
             same = (sorted(table.sizes) == sorted(osizes)
                     and pairs == len(table) == len(osizes))
             reports.append(Report("orbit-oracle", params, None if same else

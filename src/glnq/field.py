@@ -54,16 +54,18 @@ def digits(codes, base, width):
 
 def undigits(digs, base):
     """The codes whose base-`base` digits, lowest first, run along the last
-    axis of digs (integers): in digs' dtype when it holds base^width - 1,
-    else int64."""
+    axis of digs (integers), in the narrowest unsigned dtype that holds
+    base^width - 1."""
     digs = np.asarray(digs)
     width = digs.shape[-1]
-    # weights of the digits' own dtype, where it holds every code, spare
-    # einsum its buffered casts; against int64 weights it casts the digits
-    # chunk by chunk, so a narrow stack is never copied whole to int64
-    dtype = digs.dtype if base ** width - 1 <= np.iinfo(digs.dtype).max else np.int64
-    return np.einsum("...i,i->...", digs,
-                     (base ** np.arange(width, dtype=np.int64)).astype(dtype))
+    out = np.min_scalar_type(base ** width - 1)
+    # the sum runs in a dtype that holds the digits and the codes, so einsum
+    # casts narrow digits chunk by chunk, never copying a stack whole
+    acc = np.promote_types(digs.dtype, out)
+    if acc.kind == "f":  # int64 digits of uint64 codes: no integer holds both
+        digs, acc = digs.astype(out), out
+    weights = (base ** np.arange(width, dtype=np.int64)).astype(acc)
+    return np.einsum("...i,i->...", digs, weights).astype(out, copy=False)
 
 
 # ---------------------------------------------------------------------------

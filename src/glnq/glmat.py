@@ -10,7 +10,8 @@ code of a matrix is sum_i R_i Q^i with Q = q^n and R_i = sum_j a_ij q^j the
 code of row i (row_codes), so a map on rows is one gather from a table over
 the Q row vectors.  The determinant of every matrix (determinants) is a
 Laplace expansion along row 0 over the degree-(n-1) table, which also gives
-GL_n's mask and, through the adjugate, its inverses.
+GL_n's mask: GL_n is the digits of its nonzero-determinant codes, and no
+inverse is taken over all of it.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ class SingularMatrixError(ValueError):
 
 
 class GLTableError(ArithmeticError):
-    """The determinant table contradicts the closed-form |GL_n|, or an
-    inverse read from it does not invert its matrix."""
+    """The determinant table contradicts the closed-form |GL_n|, or the
+    inverse of a coset representative does not invert it."""
 
 
 class ResourceBudgetError(RuntimeError):
@@ -352,13 +353,14 @@ def _matrix_count(ctx: FqContext, n: int) -> int:
     return total
 
 
-def all_matrices(ctx: FqContext, n: int):
-    """All q^(n^2) matrices as one stacked uint8 array (the digits of their
-    codes), in code order, built anew on every call: its one caller in glnq,
-    gl_arrays, keeps only the invertible ones."""
+def all_matrices(ctx: FqContext, n: int, codes=None):
+    """The matrices of the given codes, all q^(n^2) in code order by default,
+    as one stacked uint8 array of their digits, built anew on every call: its
+    one caller in glnq, gl_arrays, passes the codes of GL_n."""
     total = _matrix_count(ctx, n)
-    codes = np.arange(total, dtype=np.min_scalar_type(total - 1))
-    out = digits(codes, ctx.q, n * n).reshape(total, n, n)
+    if codes is None:
+        codes = np.arange(total, dtype=np.min_scalar_type(total - 1))
+    out = digits(codes, ctx.q, n * n).reshape(len(codes), n, n)
     out.setflags(write=False)
     return out
 
@@ -381,36 +383,26 @@ def row_codes(ctx: FqContext, n: int):
     return out
 
 
-def _minor_dets(ctx, rows, i):
-    """For each column j in turn, the determinant of every matrix k, given by
-    its row codes rows[:, k], with row i and column j struck out: the
-    minor's code, in the smallest dtype that holds it, comes from a table of
-    each row code without entry j, its determinant from the degree-(n-1)
-    table."""
-    n = len(rows)
-    vecs, sub = digits(np.arange(ctx.q ** n), ctx.q, n), ctx.q ** (n - 1)
-    dtype, dets = np.min_scalar_type(sub ** (n - 1) - 1), determinants(ctx, n - 1)
-    for j in range(n):
-        drop = undigits(np.delete(vecs, j, axis=1), ctx.q).astype(dtype)
-        codes = np.zeros(rows.shape[1], dtype=dtype)
-        for pos, r in enumerate(r for r in range(n) if r != i):
-            codes += drop.take(rows[r]) * sub ** pos
-        yield dets.take(codes)
-
-
 @lru_cache(maxsize=None)
 def determinants(ctx: FqContext, n: int):
     """The determinant of every matrix of all_matrices(ctx, n), in code
     order, by Laplace expansion along row 0: sum_j (-1)^j a_0j det(minor_0j),
-    with a_0j read from the row code of row 0."""
+    a_0j read from the row code of row 0.  The minor's code, in the smallest
+    dtype that holds it, comes from a table of each row code without entry
+    j, its determinant from the degree-(n-1) table."""
     out = np.ones(1, dtype=np.int16)
     if n:
         rows = row_codes(ctx, n)
-        entries = digits(np.arange(ctx.q ** n), ctx.q, n)
+        vecs, sub = digits(np.arange(ctx.q ** n), ctx.q, n), ctx.q ** (n - 1)
+        dtype, minors = np.min_scalar_type(sub ** (n - 1) - 1), determinants(ctx, n - 1)
         out = np.zeros(rows.shape[1], dtype=np.int16)
-        for j, minor in enumerate(_minor_dets(ctx, rows, 0)):
-            coef = entries[:, j] if j % 2 else ctx.NEG[entries[:, j]]
-            out = sub_mul(ctx, out, coef.take(rows[0]), minor)
+        for j in range(n):
+            drop = undigits(np.delete(vecs, j, axis=1), ctx.q).astype(dtype)
+            codes = np.zeros(rows.shape[1], dtype=dtype)
+            for pos, r in enumerate(rows[1:]):
+                codes += drop.take(r) * sub ** pos
+            coef = vecs[:, j] if j % 2 else ctx.NEG[vecs[:, j]]
+            out = sub_mul(ctx, out, coef.take(rows[0]), minors.take(codes))
     out.setflags(write=False)
     return out
 
@@ -428,25 +420,13 @@ def gl_mask(ctx: FqContext, n: int):
 
 
 def gl_arrays(ctx: FqContext, n: int):
-    """(G, Ginv): stacked invertible matrices and their inverses, each the
-    adjugate (g^-1)_ji = (-1)^(i+j) det(minor_ij) det(g)^-1 with the minors
-    read from the degree-(n-1) table.  Every g g^-1 must be I.  Not cached:
-    its one caller, hc._coset_table, keeps only coset representatives."""
-    mask = gl_mask(ctx, n)
-    G, rows = all_matrices(ctx, n)[mask], row_codes(ctx, n)[:, mask]
-    scale = ctx.INV[determinants(ctx, n)[mask]]
-    Ginv = np.empty_like(G)
-    for i in range(n):
-        for j, minor in enumerate(_minor_dets(ctx, rows, i)):
-            # (g^-1)_ji = 0 - f minor, f = -det(g)^-1 for an even i + j
-            Ginv[:, j, i] = sub_mul(ctx, 0, scale if (i + j) % 2 else ctx.NEG[scale], minor)
-    wrong = (batch_matmul(ctx, G, Ginv) != np.eye(n, dtype=np.int16)).any(axis=(1, 2))
-    if wrong.any():
-        code = int(encode_matrices(ctx, G[wrong][:1])[0])
-        raise GLTableError(f"the adjugate of the matrix of code {code} does not invert it")
-    G.setflags(write=False)
-    Ginv.setflags(write=False)
-    return G, Ginv
+    """(G, codes): the invertible matrices of degree n as one stacked uint8
+    array, the digits of their codes, which gl_mask gives in code order.  No
+    inverse is taken: hc._coset_table inverts its coset representatives
+    alone.  Not cached: that one caller keeps only coset representatives."""
+    codes = np.flatnonzero(gl_mask(ctx, n)).astype(np.min_scalar_type(ctx.q ** (n * n) - 1))
+    codes.setflags(write=False)
+    return all_matrices(ctx, n, codes), codes
 
 
 def enumerate_gl_order(n: int, ctx: FqContext) -> int:

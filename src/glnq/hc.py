@@ -31,10 +31,10 @@ import numpy as np
 
 from . import linalg
 from .field import FqContext, digits, undigits
-from .glmat import (MATMUL_CHUNK, Composition, ResourceBudgetError, _block_starts,
-                    _embed_blocks, _shape_mask, batch_matmul, encode_matrices,
-                    enumerate_gl_order, gl_arrays, unipotent_radical_elems,
-                    unipotent_radical_order)
+from .glmat import (MATMUL_CHUNK, Composition, GLTableError, ResourceBudgetError,
+                    _block_starts, _embed_blocks, _shape_mask, batch_inverse,
+                    batch_matmul, encode_matrices, enumerate_gl_order, gl_arrays,
+                    unipotent_radical_elems, unipotent_radical_order)
 from .invfun import (InvariantFunction, TensorFunction, adjoint, apply_operator,
                      inner_product, tensor_inner_product)
 from .orbits import LOOKUP_BUDGET, OrbitCountError, enumerate_orbits
@@ -58,7 +58,8 @@ def parabolic_group_order(ctx: FqContext, parts: tuple) -> int:
 
 
 def _block_lookup(ctx, sub, starts, parts, tabs):
-    """Flat tuple codes for the diagonal blocks of a stack of matrices."""
+    """Flat tuple codes for the diagonal blocks of a stack of matrices, int64,
+    which widens each narrow lookup before it is added."""
     codes = np.zeros(len(sub), dtype=np.int64)
     for s, p, tab in zip(starts, parts, tabs):
         codes = codes * len(tab) + tab.lookup[encode_matrices(ctx, sub[:, s:s + p, s:s + p])]
@@ -92,18 +93,21 @@ def restriction_matrix(ctx: FqContext, parts: tuple):
 
 
 def _row_space_keys(ctx: FqContext, G, lo: int):
-    """For each g of the stack G, the sorted codes of all q^(n-lo) vectors in
-    the span of rows lo..n-1 of g (codes < q^n, in the smallest dtype that
-    holds them): equal keys, equal spans.  They are filled MATMUL_CHUNK
-    matrices at a time, so no int64 code array spans the whole stack."""
+    """For each g of the stack G, one code for the span of rows lo..n-1 of g:
+    equal codes, equal spans.  The q^d sorted codes (< q^n) of a span of
+    dimension d hold its reduced echelon basis, pivots on the last entries,
+    at positions q^0, .., q^(d-1): the q^i least span the first i basis
+    vectors.  The key is those d codes as one code below q^(n d); the spans
+    are filled MATMUL_CHUNK matrices at a time."""
     n = G.shape[-1]
-    coeffs = digits(np.arange(ctx.q ** (n - lo)), ctx.q, n - lo)
-    keys = np.empty((len(G), len(coeffs)), dtype=np.min_scalar_type(ctx.q ** n))
+    d = n - lo
+    coeffs = digits(np.arange(ctx.q ** d), ctx.q, d)
+    spans = np.empty((len(G), len(coeffs)), dtype=np.min_scalar_type(ctx.q ** n - 1))
     for start in range(0, len(G), MATMUL_CHUNK):
-        keys[start:start + MATMUL_CHUNK] = undigits(
+        spans[start:start + MATMUL_CHUNK] = undigits(
             batch_matmul(ctx, coeffs, G[start:start + MATMUL_CHUNK, lo:]), ctx.q)
-    keys.sort(axis=1)
-    return keys
+    spans.sort(axis=1)
+    return undigits(spans[:, ctx.q ** np.arange(d)], ctx.q ** n)
 
 
 @lru_cache(maxsize=None)
@@ -111,14 +115,21 @@ def _coset_table(ctx: FqContext, n: int):
     """For lo = 1..n-1, {lo: (g, g^-1, sizes)}: one g per right coset P g in
     GL_n, P the upper parabolic of (lo, n - lo), copied out of the GL_n
     stack, which is then freed.  p g's last row block p_22 g_2 spans what
-    g's spans, so a coset is a span of its rows lo..n-1."""
-    G, Gi = gl_arrays(ctx, n)
+    g's spans, so a coset is a span of its rows lo..n-1.  Only the
+    representatives are inverted, by batch_inverse, and each g g^-1 must be
+    I, else GLTableError naming the code of g."""
+    G = gl_arrays(ctx, n)[0]  # its codes go at once: uint32 past 2^16 matrices
     out = {}
     for lo in range(1, n):
-        keys = _row_space_keys(ctx, G, lo)
-        flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))
-        _, first, sizes = np.unique(flat.ravel(), return_index=True, return_counts=True)
-        out[lo] = (G[first], Gi[first], sizes)
+        _, first, sizes = np.unique(_row_space_keys(ctx, G, lo), return_index=True,
+                                    return_counts=True)
+        g = G[first]
+        gi = batch_inverse(ctx, g).astype(g.dtype)
+        wrong = (batch_matmul(ctx, g, gi) != np.eye(n, dtype=np.int16)).any(axis=(1, 2))
+        if wrong.any():
+            raise GLTableError(f"the inverse of the matrix of code "
+                               f"{encode_matrices(ctx, g[wrong][:1])[0]} does not invert it")
+        out[lo] = (g, gi, sizes)
     return out
 
 

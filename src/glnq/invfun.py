@@ -234,11 +234,12 @@ def character_matrix(table: OrbitTable):
             raise ResourceBudgetError(ctx.q ** (n * n), LOOKUP_BUDGET)
         # Tr(trace(a x)) = sum_i T[R_i(a), C_i(x)] mod p, with R_i(a) the code
         # of row i of a and C_i(x) that of column i of x: n gathers per x.
-        # The sums run below width, a multiple of p, and fold mod p per orbit.
-        # int32 indices: orbits * width is far below 2^31
-        T, rows = _trace_table(ctx, n).astype(np.int32), row_codes(ctx, n)
+        # The sums run below width, a multiple of p, and fold mod p per orbit,
+        # in the narrowest dtype that holds every index below orbits * width
         width = (n * (p - 1) // p + 1) * p
-        base = orb.astype(np.int32) * width
+        dtype = np.min_scalar_type(norb * width - 1)
+        T, rows = _trace_table(ctx, n).astype(dtype), row_codes(ctx, n)
+        base = orb.astype(dtype) * width
         for xi, rep in enumerate(table.reps):
             idx = base.copy()
             for c, r in zip(undigits(rep.a.T, ctx.q), rows):

@@ -315,7 +315,9 @@ def enumerate_orbits(n: int, ctx: FqContext) -> OrbitTable:
     representatives at once also builds the code -> orbit lookup, each code
     taking its parent's orbit; it checks that no code is reached from two
     representatives, that every code is reached, and every BFS count against
-    its size.  Past the budget the table has no lookup."""
+    its size.  The lookup is held in the narrowest unsigned dtype that holds
+    the orbit count, its "unset" mark, so a caller widens it before any
+    arithmetic.  Past the budget the table has no lookup."""
     if n < 0:
         raise ValueError(f"degree n={n} is negative")
     labels = sorted(_label_candidates(ctx, n), key=lambda lab: lab.pairs)
@@ -326,11 +328,12 @@ def enumerate_orbits(n: int, ctx: FqContext) -> OrbitTable:
     total = ctx.q ** (n * n)
     if total <= LOOKUP_BUDGET:
         moves = _move_codes(ctx, n)
-        lookup = np.full(total, -1, dtype=np.int32)
+        unset = len(reps)
+        lookup = np.full(total, unset, dtype=np.min_scalar_type(unset))
         frontier = encode_matrices(ctx, np.stack([rep.a for rep in reps]))
-        marks = np.arange(len(reps), dtype=np.int32)
+        marks = np.arange(len(reps), dtype=lookup.dtype)
         while len(frontier):
-            fresh = lookup[frontier] < 0
+            fresh = lookup[frontier] == unset
             lookup[frontier[fresh]] = marks[fresh]
             met = np.flatnonzero(lookup[frontier] != marks)
             if len(met):
@@ -341,7 +344,7 @@ def enumerate_orbits(n: int, ctx: FqContext) -> OrbitTable:
             codes, first = np.unique(frontier[fresh], return_index=True)
             frontier = moves[:, codes].ravel()
             marks = np.tile(marks[fresh][first], len(moves))
-        missed = np.flatnonzero(lookup < 0)
+        missed = np.flatnonzero(lookup == unset)
         if len(missed):
             raise OrbitCountError(f"{len(missed)} matrices lie in no enumerated "
                                   f"orbit, first code {missed[0]}")
@@ -380,10 +383,11 @@ def orbit_table_bruteforce(n: int, ctx: FqContext):
         least = least[least]
         if np.array_equal(least, before):
             break
-    # each class counted at its least code; classes numbered in that order
-    counts = np.bincount(least, minlength=total)
-    number = np.cumsum(counts > 0, dtype=np.int32) - 1
-    return number[least], counts[counts > 0].tolist()
+    # classes numbered by least code, in the narrowest dtype that holds them
+    leaders, sizes = np.unique(least, return_counts=True)
+    number = np.zeros(total, dtype=np.min_scalar_type(len(leaders) - 1))
+    number[leaders] = np.arange(len(leaders))
+    return number[least], sizes.tolist()
 
 
 def nilpotent_orbit_count(table: OrbitTable) -> int:

@@ -3,7 +3,8 @@ and induction, their tensor-factor variants, the duality operation and the
 antipode, each applied one Cyclotomic multiply-add at a time from
 Fraction-list matrices; the duality and antipode matrices built with
 Fraction-list products and hand-written Kronecker loops; the induction
-matrix counted over all of GL_n; the operators of the lower parabolic,
+matrix counted over all of GL_n, each g^-1 its adjugate; the coset
+representatives and their inverses, cosets keyed by echelon forms; the operators of the lower parabolic,
 restriction counted directly as x + u over the strictly lower-block u and
 induction as its adjoint; the single coset of a split with one nonzero
 part counted; and the Mackey double-coset side assembled
@@ -11,7 +12,8 @@ term by term from tensor restrictions, a factor permutation and inductions;
 and the mackey and bialgebra checks one pair of test functions at a time.
 
 This is the slow path that glnq.invfun.apply_operator, the (x, den)
-operators of glnq.linalg, the coset count of glnq.hc.induction_matrix, the
+operators of glnq.linalg, the coset count of glnq.hc.induction_matrix and
+its coset table, the
 block reversal of glnq.hc.verify_parabolic_independence, the identity of a
 split with one nonzero part and glnq.hc.mackey_operator replaced; the
 tests use it as the witness that both give the same values.
@@ -33,9 +35,9 @@ import numpy as np
 
 from glnq import linalg
 from glnq.duality import duality_operator
-from glnq.field import Cyclotomic, FqContext
+from glnq.field import Cyclotomic, FqContext, undigits
 from glnq.glmat import (_block_starts, _embed_blocks, _shape_mask, batch_matmul,
-                        compositions, encode_matrices, gl_arrays, unipotent_radical_order)
+                        compositions, encode_matrices, row_reduce, unipotent_radical_order)
 from glnq import hc
 from glnq.hc import (_block_lookup, _parts, induction_matrix, mackey_index_set,
                      parabolic_group_order, restriction_matrix, split_tables)
@@ -43,6 +45,7 @@ from glnq.hopf import antipode_matrix
 from glnq.invfun import InvariantFunction, TensorFunction, adjoint, apply_operator
 from glnq.orbits import OrbitCountError, enumerate_orbits
 from glnq.report import Report
+from orbit_oracle import adjugate_gl_arrays
 
 
 def rows(op):
@@ -64,8 +67,9 @@ def _flat_index(idx, dims):
 
 @lru_cache(maxsize=None)
 def _conjugated_stack(ctx: FqContext, n: int, rep_index: int):
-    """g x g^-1 for every g in GL_n, for the rep of the given orbit index."""
-    G, Gi = gl_arrays(ctx, n)
+    """g x g^-1 for every g in GL_n, for the rep of the given orbit index,
+    g^-1 the adjugate."""
+    G, Gi = adjugate_gl_arrays(ctx, n)
     rep = enumerate_orbits(n, ctx).reps[rep_index]
     out = batch_matmul(ctx, batch_matmul(ctx, G, rep.a), Gi)
     out.setflags(write=False)
@@ -92,6 +96,23 @@ def conjugation_induction_matrix(ctx: FqContext, parts: tuple, lower: bool = Fal
     return linalg.reduced(np.array(rows), parabolic_group_order(ctx, parts))
 
 
+@lru_cache(maxsize=None)
+def coset_table(ctx: FqContext, n: int):
+    """For lo = 1..n-1, {lo: (g, g^-1, sizes)}: the first g in code order of
+    each right coset P g in GL_n, P the upper parabolic of (lo, n - lo), a
+    coset keyed by the reduced echelon form of rows lo..n-1, with g^-1 the
+    adjugate, cosets in the code order of their g."""
+    G, Gi = adjugate_gl_arrays(ctx, n)
+    out = {}
+    for lo in range(1, n):
+        forms = row_reduce(ctx, G[:, lo:])[0]
+        keys = undigits(forms.reshape(len(G), -1), ctx.q)
+        _, first, sizes = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        out[lo] = (G[first[order]], Gi[first[order]], sizes[order])
+    return out
+
+
 def one_part_coset_count(ctx: FqContext, parts: tuple):
     """The induction matrix of a split with one nonzero part, counted as
     cosets P g in P\\GL_n: P = GL_n is the one coset, which must hold |P|
@@ -100,7 +121,7 @@ def one_part_coset_count(ctx: FqContext, parts: tuple):
     conjugates each orbit representative into its own Levi tuple."""
     parts = tuple(parts)
     n = sum(parts)
-    G, Gi = gl_arrays(ctx, n)
+    G, Gi = adjugate_gl_arrays(ctx, n)
     order = hc.parabolic_group_order(ctx, parts)
     if len(G) != order:
         raise OrbitCountError(f"a coset of the parabolic {parts} in GL_{n} holds "

@@ -271,6 +271,7 @@ def character_counts(table):
         for i in range(n):
             for j in range(n):
                 acc = ctx.ADD[acc, ctx.MUL[mats[:, i, j], rep.a[j, i]]]
-        counts[xi] = np.bincount(table.lookup * p + ctx.TR[acc],
+        # the lookup is held narrow (uint8 up to 255 orbits): widen it first
+        counts[xi] = np.bincount(table.lookup.astype(np.int64) * p + ctx.TR[acc],
                                  minlength=len(table) * p).reshape(len(table), p)
     return counts

@@ -1,6 +1,7 @@
 """Brute-force references for the F_q kernels behind matrix products, row
 reduction, determinants, orbit labels, orbit enumeration, GL inversion, the
-conjugation move table, centralizer orders and parabolic orders.
+conjugation move table, centralizer orders and parabolic orders, and the
+adjugate inverses of all of GL_n.
 
 These are the slow paths that glnq replaced: the F_q matrix product looks up
 every entry product and sum in the field tables, each row reduction (and so
@@ -11,21 +12,24 @@ irreducible g and reads the kernel filtration of g(x) one power at a time,
 the conjugation BFS multiplies each frontier matrix by every generator and
 its inverse as full matrix products, the move table conjugates the digit
 grids of all matrices by each of its generators as table products, |C(x)|
-is counted by enumerating the commutant algebra of x, and |P| is counted by
-testing the block shape of every invertible matrix.  The tests use them as
+is counted by enumerating the commutant algebra of x, |P| is counted by
+testing the block shape of every invertible matrix, and every matrix of GL_n
+is inverted by its adjugate.  The tests use them as
 witnesses that the integer matmul over F_p, the stack-wide row reduction and the
 determinants it reads off its pivots, the labels read from one stack of
 kernel ranks, the move-table sweep and partition, the row-code move table,
-the closed form |C(x)| = prod_f a_lam(f)(q^deg f) and the closed form
-|P| = |L| q^dim U give the same results.
+the closed form |C(x)| = prod_f a_lam(f)(q^deg f), the closed form
+|P| = |L| q^dim U and batch_inverse give the same results.
 """
+from functools import lru_cache
+
 import numpy as np
 
 from glnq.cli import default_max_n
 from glnq.field import irreducibles, poly_divmod, poly_mul, poly_trim
-from glnq.glmat import (Matrix, SingularMatrixError, _shape_mask,
-                        ShapeError, all_matrices, encode_matrices, gl_arrays,
-                        gl_mask)
+from glnq.glmat import (GLTableError, Matrix, SingularMatrixError, _shape_mask,
+                        ShapeError, all_matrices, batch_matmul, encode_matrices,
+                        gl_arrays, gl_mask)
 from glnq.orbits import OrbitCountError, OrbitLabel
 
 # every supported field (the prime powers q <= 19) at every degree of its
@@ -113,6 +117,30 @@ def enumerate_gl(n, ctx):
     G, _ = gl_arrays(ctx, n)
     for g in G:
         yield Matrix(ctx, g)
+
+
+@lru_cache(maxsize=None)
+def adjugate_gl_arrays(ctx, n):
+    """(G, Ginv), read-only: GL_n from glnq.glmat.gl_arrays and the inverse
+    of every one of its matrices, the adjugate (g^-1)_ji = (-1)^(i+j)
+    det(minor_ij) det(g)^-1, each determinant a cofactor expansion
+    (batch_det).  Every g g^-1 must be I, else GLTableError.  This is the
+    route over all of GL_n that glnq.hc._coset_table's inverses of coset
+    representatives replaced.  Cached: a test that patches glnq.glmat's
+    tables takes it first."""
+    G, codes = gl_arrays(ctx, n)
+    scale = ctx.INV[batch_det(ctx, G)]
+    Ginv = np.empty_like(G)
+    for i in range(n):
+        for j in range(n):
+            minor = batch_det(ctx, np.delete(np.delete(G, i, axis=-2), j, axis=-1))
+            Ginv[:, j, i] = ctx.MUL[minor if (i + j) % 2 == 0 else ctx.NEG[minor], scale]
+    wrong = (batch_matmul(ctx, G, Ginv) != np.eye(n, dtype=np.int16)).any(axis=(1, 2))
+    if wrong.any():
+        raise GLTableError(f"the adjugate of the matrix of code {codes[wrong][0]} "
+                           "does not invert it")
+    Ginv.setflags(write=False)
+    return G, Ginv
 
 
 def _poly_add(ctx, a, b):

@@ -297,7 +297,9 @@ class TestVerifyFailures:
         assert records and all(isinstance(r["witness"], str) for r in records)
 
 
-    @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 3)])
+    # q=9 and q=19 hold their lookups in uint8 and uint16, past which
+    # lookup * classes runs: the count must be the Python one
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 3), (9, 2), (19, 2)])
     def test_orbit_oracle_counts_label_pairs(self, capsys, monkeypatch, q, n):
         # two codes from two classes of the lookup trade brute-force classes:
         # sizes and class count stay, and the label pairs are those of a set

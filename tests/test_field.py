@@ -114,17 +114,21 @@ class TestDigitCodes:
         digs = digits(codes, 2, 20)
         assert digs.dtype == np.uint8
         got = undigits(digs, 2)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint32
         assert got.tolist() == [sum(int(d) << i for i, d in enumerate(row))
                                 for row in digs.tolist()] == codes.tolist()
 
     @pytest.mark.parametrize("dtype,base,width,out", [
-        (np.int16, 2, 15, np.int16), (np.int16, 2, 16, np.int64),
-        (np.int32, 3, 19, np.int32), (np.int32, 3, 20, np.int64),
-        (np.int64, 7, 22, np.int64)])
+        (np.uint8, 2, 8, np.uint8), (np.uint8, 2, 9, np.uint16),
+        (np.int16, 2, 15, np.uint16), (np.int16, 2, 16, np.uint16),
+        (np.int16, 2, 17, np.uint32), (np.int32, 3, 19, np.uint32),
+        (np.int32, 3, 20, np.uint32), (np.int32, 3, 21, np.uint64),
+        (np.int64, 7, 22, np.uint64), (np.uint8, 27, 2, np.uint16),
+        (np.uint8, 3, 6, np.uint16), (np.int16, 19, 1, np.uint8)])
     def test_codes_in_the_digit_dtype(self, dtype, base, width, out):
-        # codes below base^width take the digits' dtype when it holds them
-        # all, else int64, and equal the Python-int sums either way
+        # codes below base^width take the narrowest unsigned dtype that
+        # holds base^width - 1, whatever the digits' dtype, and equal the
+        # Python-int sums
         rng = np.random.default_rng(width)
         digs = rng.integers(0, base, (50, width)).astype(dtype)
         digs[0] = base - 1  # the largest code, base^width - 1
@@ -133,6 +137,14 @@ class TestDigitCodes:
         assert got.tolist() == [sum(int(d) * base ** i for i, d in enumerate(row))
                                 for row in digs.tolist()]
         assert got[0] == base ** width - 1
+
+    def test_two_row_index_of_the_move_table(self):
+        # orbits._move_codes at q=3 n=3 indexes pairs of row codes below
+        # Q = 27 held as uint8: 728 fits uint16, a quarter of int64's bytes
+        rows = np.random.default_rng(3).integers(0, 27, (3 ** 9, 2)).astype(np.uint8)
+        got = undigits(rows, 27)
+        assert got.dtype == np.uint16 and got.nbytes == 2 * 3 ** 9
+        assert np.array_equal(got, rows[:, 0] + 27 * rows[:, 1].astype(np.int64))
 
     def test_narrow_codes_stay_narrow(self):
         # the 2^16 codes of gl_4(F_2) fill uint16 exactly; copied to int64,

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hc_oracle
 import orbit_oracle
-from glnq import glmat
+from glnq import glmat, hc
 from glnq.field import fq, undigits
 from glnq.glmat import (Composition, GLTableError, Matrix,
                         ResourceBudgetError, ShapeError, SingularMatrixError,
                         _block_starts, _embed_blocks, _shape_mask,
                         all_matrices, batch_inverse, batch_matmul,
-                        compositions, conjugate, determinants,
+                        compositions, conjugate, determinants, encode_matrices,
                         enumerate_gl_order, gl_arrays, gl_mask, row_codes,
                         row_reduce, sub_mul, unipotent_radical_elems,
                         unipotent_radical_order)
+from glnq.orbits import OrbitCountError
 from orbit_oracle import enumerate_gl
 
 # every default verify budget, two more extension fields, and q=4 n=3: past
@@ -308,9 +310,10 @@ class TestBatchInverse:
                                      (4, 2), (5, 2)])
     def test_gl_matches_oracle(self, q, n):
         ctx = fq(q)
-        G, Ginv = gl_arrays(ctx, n)
+        G, Ginv = orbit_oracle.adjugate_gl_arrays(ctx, n)
         want = np.stack([orbit_oracle.inverse(Matrix(ctx, g)).a for g in G])
         assert np.array_equal(Ginv, want)
+        assert np.array_equal(batch_inverse(ctx, G), want)
         eye = np.broadcast_to(np.eye(n, dtype=np.int16), G.shape)
         assert np.array_equal(batch_matmul(ctx, G, Ginv), eye)
 
@@ -336,10 +339,11 @@ class TestRowCodes:
 
 
 class TestGLTables:
-    """The determinant table, GL_n's mask and its adjugate inverses against
-    the routes they replaced: the cofactor expansion of every digit grid
-    (orbit_oracle.batch_det), and batch_inverse, one Gauss-Jordan sweep over
-    [G | I]."""
+    """The determinant table, GL_n's mask and stack against the routes they
+    replaced: the cofactor expansion of every digit grid
+    (orbit_oracle.batch_det), and the adjugate inverses of all of GL_n
+    (orbit_oracle.adjugate_gl_arrays) against batch_inverse, one
+    Gauss-Jordan sweep over [G | I]."""
 
     @pytest.mark.parametrize("q,n", KERNEL_SIZES)
     def test_matches_oracles(self, q, n):
@@ -348,30 +352,54 @@ class TestGLTables:
         dets = orbit_oracle.batch_det(ctx, mats)
         assert np.array_equal(determinants(ctx, n), dets)
         assert np.array_equal(gl_mask(ctx, n), dets != 0)
-        G, Ginv = gl_arrays(ctx, n)
+        G, codes = gl_arrays(ctx, n)
+        assert G.dtype == np.uint8 and not G.flags.writeable
         assert np.array_equal(G, mats[dets != 0])
+        assert np.array_equal(codes, np.flatnonzero(dets != 0))
+        assert np.array_equal(encode_matrices(ctx, G), codes)
+        Ginv = orbit_oracle.adjugate_gl_arrays(ctx, n)[1]
         assert np.array_equal(Ginv, batch_inverse(ctx, G))
 
     def test_degree_zero(self, q3):
         assert determinants(q3, 0).tolist() == [1]
-        G, Ginv = gl_arrays(q3, 0)
-        assert G.shape == Ginv.shape == (1, 0, 0)
+        G, codes = gl_arrays(q3, 0)
+        assert G.shape == (1, 0, 0) and codes.tolist() == [0]
+        assert orbit_oracle.adjugate_gl_arrays(q3, 0)[1].shape == (1, 0, 0)
 
     def test_mask_count_against_closed_form(self, q3, monkeypatch):
         monkeypatch.setattr(glmat, "enumerate_gl_order", lambda n, ctx: 49)
         with pytest.raises(GLTableError, match=r"48 matrices .* not \|GL_2\| = 49"):
             gl_mask.__wrapped__(q3, 2)
 
-    def test_inverse_against_its_matrix(self, q3, monkeypatch):
+    def test_inverse_against_its_matrix(self, q3):
         # det [1] = 2 makes no cofactor vector zero or nonzero that was not,
-        # so the mask count holds, but the adjugates go wrong
+        # so the mask count holds; it made the adjugates of GL_2 wrong, but
+        # the coset representatives' inverses come from batch_inverse
         bad = np.array([0, 2, 2], dtype=np.int16)
-        real = glmat.determinants
-        monkeypatch.setattr(glmat, "determinants",
-                            lambda ctx, m: bad if m == 1 else real.__wrapped__(ctx, m))
-        monkeypatch.setattr(glmat, "gl_mask", gl_mask.__wrapped__)
-        with pytest.raises(GLTableError, match="does not invert it"):
-            gl_arrays(q3, 2)
+        assert coset_table_or_typed_error(q3, 2, bad) is not None
+
+
+def coset_table_or_typed_error(ctx, n, bad):
+    """hc._coset_table of degree n, uncached, with the degree-(n-1)
+    determinant table replaced by bad and GL's mask uncached: it must raise
+    a typed error (None is returned) or give the oracle's representatives,
+    inverses and sizes (the table is)."""
+    want = hc_oracle.coset_table(ctx, n)
+    real = glmat.determinants
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glmat, "determinants",
+                       lambda ctx, k: bad if k == n - 1 else real.__wrapped__(ctx, k))
+            mp.setattr(glmat, "gl_mask", gl_mask.__wrapped__)
+            got = hc._coset_table.__wrapped__(ctx, n)
+    except (GLTableError, OrbitCountError, SingularMatrixError):
+        return None
+    assert got.keys() == want.keys()
+    for lo, (g, gi, sizes) in got.items():
+        order = np.argsort(encode_matrices(ctx, g))
+        for x, y in zip((g[order], gi[order], sizes[order]), want[lo]):
+            assert np.array_equal(x, y)
+    return got
 
 
 @given(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]),
@@ -379,19 +407,14 @@ class TestGLTables:
 @settings(max_examples=40, deadline=None)
 def test_corrupted_determinant_fails(qn, data):
     """Changing one entry of the degree-(n-1) determinant table breaks the
-    mask count or an adjugate inverse: GLTableError either way."""
+    mask count (GLTableError), or a coset representative or its inverse
+    (a typed error), or leaves the coset table as the oracle's."""
     q, n = qn
     ctx = fq(q)
-    real = glmat.determinants
-    bad = real(ctx, n - 1).copy()
+    bad = determinants(ctx, n - 1).copy()
     code = data.draw(st.integers(0, len(bad) - 1))
     bad[code] = data.draw(st.sampled_from([v for v in range(q) if v != bad[code]]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(glmat, "determinants",
-                   lambda ctx, m: bad if m == n - 1 else real.__wrapped__(ctx, m))
-        mp.setattr(glmat, "gl_mask", gl_mask.__wrapped__)
-        with pytest.raises(GLTableError):
-            gl_arrays(ctx, n)
+    coset_table_or_typed_error(ctx, n, bad)
 
 
 class TestNegativeDegrees:

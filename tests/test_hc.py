@@ -236,15 +236,63 @@ class TestCosetCount:
         stacks = []
 
         def recorded(ctx, n):
-            G, Gi = glmat.gl_arrays(ctx, n)
+            G, codes = glmat.gl_arrays(ctx, n)
             stacks.append(weakref.ref(G))
-            return G, Gi
+            return G, codes
 
         monkeypatch.setattr(hc, "gl_arrays", recorded)
         hc._coset_table.cache_clear()  # what the cache keeps must not hold G
         g, gi = hc._coset_reps(q2, (2, 2))
         assert len(g) == len(gi) == 35  # the 2-dim subspaces of F_2^4
         assert len(stacks) == 1 and stacks[0]() is None
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS for n in range(2, top + 1)])
+    def test_coset_table_matches_oracle(self, q, n):
+        # the first matrix of each coset in code order, its inverse and the
+        # coset's size, against cosets keyed by echelon forms and adjugates
+        ctx = fq(q)
+        want = hc_oracle.coset_table(ctx, n)
+        got = hc._coset_table(ctx, n)
+        assert got.keys() == want.keys()
+        for lo, (g, gi, sizes) in got.items():
+            assert g.dtype == gi.dtype == np.uint8
+            order = np.argsort(glmat.encode_matrices(ctx, g))
+            for x, y in zip((g[order], gi[order], sizes[order]), want[lo]):
+                assert np.array_equal(x, y)
+
+    def test_inverts_the_representatives_only(self, monkeypatch, q2):
+        # one batch_inverse per split (1, 3), (2, 2), (3, 1) over its coset
+        # representatives: 15 + 35 + 15 matrices, never all 20,160 of GL_4(F_2)
+        inverted = []
+        real = hc.batch_inverse
+
+        def counted(ctx, a):
+            inverted.append(len(a))
+            return real(ctx, a)
+
+        monkeypatch.setattr(hc, "batch_inverse", counted)
+        hc._coset_table.__wrapped__(q2, 4)
+        assert inverted == [15, 35, 15]
+
+    @pytest.mark.parametrize("q,n,lo", [(2, 4, 2), (3, 3, 1), (3, 3, 2), (5, 2, 1)])
+    def test_wrong_inverse_raises(self, monkeypatch, q, n, lo):
+        # one entry of one representative's inverse changed: g g^-1 != I
+        ctx = fq(q)
+        g = hc._coset_table(ctx, n)[lo][0][-1]
+        code = int(glmat.encode_matrices(ctx, g[None])[0])
+        real = hc.batch_inverse
+        calls = []
+
+        def corrupted(ctx, a):
+            calls.append(a)
+            out = real(ctx, a).copy()
+            if len(calls) == lo:
+                out[-1, 0, 0] = ctx.ADD[out[-1, 0, 0], 1]
+            return out
+
+        monkeypatch.setattr(hc, "batch_inverse", corrupted)
+        with pytest.raises(glmat.GLTableError, match=f"code {code} does not invert it"):
+            hc._coset_table.__wrapped__(ctx, n)
 
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (0, 2)])
     def test_wrong_parabolic_order_raises(self, monkeypatch, q3, parts):

@@ -137,10 +137,11 @@ class TestFourierBasis:
         for chi, size in zip(basis, table.sizes):
             assert chi.evaluate(zero) == size
 
-    # every default verify budget and two more extension fields
+    # every default verify budget, two more extension fields, and q=19, whose
+    # 380 orbits hold the lookup in uint16 (q=9's 90 in uint8)
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 2), (8, 1), (9, 2),
                                      (2, 1), (2, 2), (2, 4), (3, 1), (3, 3),
-                                     (4, 1), (5, 1), (8, 2)])
+                                     (4, 1), (5, 1), (8, 2), (19, 2)])
     def test_character_matrix_matches_oracle(self, q, n):
         table = enumerate_orbits(n, fq(q))
         assert linalg.mat_eq(invfun.character_matrix(table), oracle_characters(table))

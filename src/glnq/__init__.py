@@ -20,9 +20,8 @@ from .hopf import (antipode, antipode_function, comultiply, is_primitive,
 from .duality import (DualityOperator, duality_operator, steinberg,
                       steinberg_constituents, verify_antipode_is_duality,
                       verify_characterization, verify_involutive_isometric)
-from .psh import (OmegaBasis, nondescending_witness, omega_basis,
-                  structure_constants, verify_positivity,
-                  verify_self_adjointness)
+from .psh import (nondescending_witness, omega_basis, structure_constants,
+                  verify_positivity, verify_self_adjointness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

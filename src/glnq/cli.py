@@ -15,7 +15,7 @@ import numpy as np
 
 from . import duality as duality_mod
 from . import hopf, linalg, psh
-from .field import FqContext, fq, is_prime
+from .field import FqContext, fq, prime_power
 from .glmat import Composition, ResourceBudgetError, compositions
 from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
                  verify_parabolic_independence, verify_transitivity)
@@ -37,10 +37,11 @@ def default_max_n(q: int) -> int:
     n = 0
     while q >= 2 and q ** ((n + 1) ** 2) <= LOOKUP_BUDGET:
         n += 1
-    if n < 2 or sum(q % p == 0 and is_prime(p) for p in range(2, q + 1)) != 1:
-        raise ConfigError(f"q={q} is outside the supported budget table: a prime power "
-                          f"q <= {math.isqrt(math.isqrt(LOOKUP_BUDGET))} (q^4 <= {LOOKUP_BUDGET})")
-    return n
+    with contextlib.suppress(ValueError):
+        if n >= 2 and prime_power(q):
+            return n
+    raise ConfigError(f"q={q} is outside the supported budget table: a prime power "
+                      f"q <= {math.isqrt(math.isqrt(LOOKUP_BUDGET))} (q^4 <= {LOOKUP_BUDGET})")
 
 
 def _check_budget(q: int, n: int, override: bool):
@@ -271,14 +272,13 @@ def _compositions_upto(max_n):
 def suite_hc(ctx, max_n):
     reports = []
     for c in _compositions_upto(max_n):
-        n = c.n
-        table = enumerate_orbits(n, ctx)
+        table = enumerate_orbits(c.n, ctx)
         t = TensorFunction.outer([constant_one(enumerate_orbits(m, ctx)) for m in c.parts])
         reports.extend(verify_adjunction(t, f, c) for f in _test_functions(table))
         if len(c.parts) == 2 and c.parts[0] >= 2:
             sub = ((1, c.parts[0] - 1), (c.parts[1],))
             reports.append(verify_transitivity(constant_one(table), c.parts, sub))
-        reports.append(verify_parabolic_independence(ctx, n, c.parts))
+        reports.append(verify_parabolic_independence(ctx, c.parts))
     return reports
 
 

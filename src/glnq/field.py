@@ -282,19 +282,22 @@ class FqContext:
         return f"FqContext({self.serialize()!r})"
 
 
+def prime_power(q: int):
+    """(p, k) with q = p^k, p prime and k >= 1, else ValueError: p is the
+    least divisor of q past 1, q itself when none is at most sqrt(q)."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        m, k = q, 0
+        while m % p == 0:
+            m, k = m // p, k + 1
+        if m == 1:
+            return p, k
+    raise ValueError(f"q = {q} is not a prime power")
+
+
 def fq(q: int) -> FqContext:
     """Context for F_q, factoring q = p^k automatically."""
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return FqContext.get(p, k)
-    raise ValueError(f"q = {q} is not a prime power")
+    return FqContext.get(*prime_power(q))
 
 
 class FqElem:

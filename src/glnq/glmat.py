@@ -218,9 +218,6 @@ class Matrix:
         i, j = ij
         return FqElem(self.ctx, int(self.a[i, j]))
 
-    def transpose(self):
-        return Matrix(self.ctx, self.a.T)
-
     def trace(self) -> FqElem:
         acc = 0
         for i in range(self.n):
@@ -383,7 +380,6 @@ def row_codes(ctx: FqContext, n: int):
     return out
 
 
-@lru_cache(maxsize=None)
 def determinants(ctx: FqContext, n: int):
     """The determinant of every matrix of all_matrices(ctx, n), in code
     order, by Laplace expansion along row 0: sum_j (-1)^j a_0j det(minor_0j),
@@ -407,7 +403,6 @@ def determinants(ctx: FqContext, n: int):
     return out
 
 
-@lru_cache(maxsize=None)
 def gl_mask(ctx: FqContext, n: int):
     """det != 0 over all_matrices(ctx, n); its count must be |GL_n|."""
     mask = determinants(ctx, n) != 0
@@ -423,7 +418,8 @@ def gl_arrays(ctx: FqContext, n: int):
     """(G, codes): the invertible matrices of degree n as one stacked uint8
     array, the digits of their codes, which gl_mask gives in code order.  No
     inverse is taken: hc._coset_table inverts its coset representatives
-    alone.  Not cached: that one caller keeps only coset representatives."""
+    alone.  Not cached, nor are the determinants and the mask: that one
+    caller keeps only coset representatives."""
     codes = np.flatnonzero(gl_mask(ctx, n)).astype(np.min_scalar_type(ctx.q ** (n * n) - 1))
     codes.setflags(write=False)
     return all_matrices(ctx, n, codes), codes

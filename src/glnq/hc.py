@@ -49,7 +49,6 @@ def split_tables(ctx: FqContext, parts):
     return tuple(enumerate_orbits(p, ctx) for p in _parts(parts))
 
 
-@lru_cache(maxsize=None)
 def parabolic_group_order(ctx: FqContext, parts: tuple) -> int:
     """|P^F| = |L^F| q^dim U, with L^F the product of the GL_{n_i}(F_q); the
     upper and lower parabolics have the same order."""
@@ -259,11 +258,11 @@ def _permute_factors(pair, dims, order):
     return linalg.reduced(x[rows], den)
 
 
-def verify_parabolic_independence(ctx: FqContext, n: int, c) -> Report:
+def verify_parabolic_independence(ctx: FqContext, c) -> Report:
     """Upper and lower parabolics give the same R and *R: each operator
     equals the reversed split's with the Levi factors reversed."""
     parts = _parts(c)
-    params = {"n": n, "parts": list(parts)}
+    params = {"n": sum(parts), "parts": list(parts)}
     dims = [len(tab) for tab in split_tables(ctx, parts[::-1])]
     reverse = range(len(parts))[::-1]
     # induction is compared through its transpose, whose rows are the tuples

@@ -249,7 +249,6 @@ def character_matrix(table: OrbitTable):
     return linalg.reduced((counts[..., :-1] - counts[..., -1:]).transpose(2, 0, 1), 1)
 
 
-@lru_cache(maxsize=None)
 def fourier_character_basis(table: OrbitTable):
     """One character per orbit O: chi_O(x) = sum over a in O of psi(trace(a x)),
     with psi(a) = zeta_p^Tr(a). Orthogonal; chi_O(0) = |O|."""

@@ -79,10 +79,6 @@ class OrbitLabel:
         object.__setattr__(self, "pairs", pairs)
 
     @property
-    def weight(self):
-        return sum((len(f) - 1) * sum(lam) for f, lam in self.pairs)
-
-    @property
     def is_nilpotent(self):
         return self.pairs == () or (len(self.pairs) == 1 and self.pairs[0][0] == (0, 1))
 
@@ -243,7 +239,6 @@ class OrbitTable:
         self.lookup = lookup
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.gl_order = enumerate_gl_order(n, ctx)
-        self._label_memo = {}
         if sum(self.sizes) != ctx.q ** (n * n):
             raise OrbitCountError(f"orbit sizes sum to {sum(self.sizes)}, "
                                   f"not q^(n^2) = {ctx.q ** (n * n)}")
@@ -261,10 +256,7 @@ class OrbitTable:
             raise ValueError("matrix does not match table")
         if self.lookup is not None:
             return int(self.lookup[int(encode_matrices(self.ctx, x.a[None])[0])])
-        key = x.a.tobytes()
-        if key not in self._label_memo:
-            self._label_memo[key] = self.index_of_label(matrix_label(x))
-        return self._label_memo[key]
+        return self.index_of_label(matrix_label(x))
 
     def to_json(self):
         return {

@@ -9,7 +9,6 @@ identities it rests on.  Exact on (x, den) pairs (see linalg).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,21 +20,9 @@ from .field import FqContext, SqrtRational, rational_is_square
 from .hc import hc_restrict  # noqa: F401  (a binding the perfbench tracer checks)
 from .hc import induction_matrix, restriction_matrix
 from .hopf import multiply_functions
-from .invfun import (_weights, character_matrix, constant_one,
-                     fourier_character_basis, inner_product_rational)
+from .invfun import _weights, character_matrix, constant_one, inner_product_rational
 from .orbits import enumerate_orbits
 from .report import Report
-
-
-@dataclass(frozen=True)
-class OmegaBasis:
-    """The orthogonal character basis of C_n together with its squared norms.
-    The unit-length basis vectors are chi_i / sqrt(norms[i])."""
-
-    n: int
-    characters: tuple
-    norms: tuple  # squared norms, positive rationals
-    gram: tuple  # diag(norms) as a rational pair (see linalg)
 
 
 def _first_difference(a, b):
@@ -61,24 +48,24 @@ def _multiple(c: int, pair):
 
 
 @lru_cache(maxsize=None)
-def omega_basis(ctx: FqContext, n: int) -> OmegaBasis:
-    """The characters of degree n with the Plancherel norms, once their Gram
-    matrix is G_n = diag(q^(n^2) |O| / |G_n|) (else ArithmeticError): F* W F,
-    whose entry (O, O') is the conjugate of (chi_O, chi_O'), so (the Gram
-    matrix being Hermitian) its first irrational entry or difference in
-    row-major order is the Gram matrix's own."""
-    table = enumerate_orbits(n, ctx)
-    f, (w, order) = _fourier(ctx, n), _weights((table,))
+def omega_basis(ctx: FqContext, n: int):
+    """G_n = diag(q^(n^2) |O| / |G_n|), the Gram matrix of the degree-n
+    characters, as a read-only rational pair (see linalg), once F* W F equals
+    it (else ArithmeticError): the characters are fourier_character_basis of
+    the degree-n table, their squared norms the diagonal.  Entry (O, O') of
+    F* W F is the conjugate of (chi_O, chi_O'), so (the Gram matrix being
+    Hermitian) its first irrational entry or difference in row-major order
+    is the Gram matrix's own."""
+    f, (w, order) = _fourier(ctx, n), _weights((enumerate_orbits(n, ctx),))
     x, d = linalg.matmul(linalg.conj_t(f), (f[0] * w, f[1] * order))
     bad = np.argwhere(x[1:].any(axis=0))
     if len(bad):
         i, j = bad[0]
         raise ArithmeticError(f"degree-{n} character Gram matrix: entry ({i},{j}) is not rational")
-    gx, gd = gram = linalg.reduced(np.diag(w[:, 0] * ctx.q ** (n * n)), order)
+    gram = linalg.reduced(np.diag(w[:, 0] * ctx.q ** (n * n)), order)
     _require_equal(f"degree-{n} character Gram matrix != Plancherel diagonal",
                    linalg.reduced(x[0], d), gram)
-    return OmegaBasis(n, fourier_character_basis(table),
-                      tuple(Fraction(int(v), gd) for v in np.diagonal(gx)), gram)
+    return gram
 
 
 def _fourier(ctx: FqContext, n: int):
@@ -146,7 +133,7 @@ def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> Report:
     the character basis is the adjunction Ind^T W_n = W_L Res."""
     try:
         struct, coprod = structure_constants(ctx, n1, n2), coproduct_constants(ctx, n1, n2)
-        g1, g2, g = (omega_basis(ctx, n).gram for n in (n1, n2, n1 + n2))
+        g1, g2, g = (omega_basis(ctx, n) for n in (n1, n2, n1 + n2))
         lhs, rhs = linalg.matmul(struct, g), linalg.matmul(linalg.kron(g1, g2), coprod)
         witness = _first_difference(_triples(ctx, n1, lhs), _triples(ctx, n1, rhs))
     except ArithmeticError as e:
@@ -183,7 +170,7 @@ def verify_second_psh(ctx: FqContext, n: int) -> Report:
     G_n.  In degree 2 it genuinely differs from the original basis."""
     d, f = duality_operator(n, ctx).matrix, _fourier(ctx, n)
     try:
-        g = omega_basis(ctx, n).gram
+        g = omega_basis(ctx, n)
         _require_equal("F.D != D.F", linalg.matmul(f, d), linalg.matmul(d, f))
         witness = _first_difference(linalg.matmul(linalg.conj_t(d), linalg.matmul(g, d)), g)
     except ArithmeticError as e:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import field_oracle
 from glnq.field import (ContextMismatchError, Cyclotomic, FieldTableError,
                         FqContext, NotRationalError, SqrtRational, digits, fq,
-                        rational_is_square, undigits)
+                        prime_power, rational_is_square, undigits)
 
 
 class TestFqArithmetic:
@@ -198,6 +198,16 @@ class TestFqTables:
     def test_invalid_context(self, args, message):
         with pytest.raises(ValueError, match=message):
             FqContext(*args)
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 12])
+    def test_not_a_prime_power(self, q):
+        with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+            fq(q)
+
+    @pytest.mark.parametrize("q,pk", [(2, (2, 1)), (9, (3, 2)), (16, (2, 4)),
+                                      (19, (19, 1)), (121, (11, 2))])
+    def test_prime_power(self, q, pk):
+        assert prime_power(q) == pk
 
 
 @given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.data())

@@ -369,7 +369,7 @@ class TestGLTables:
     def test_mask_count_against_closed_form(self, q3, monkeypatch):
         monkeypatch.setattr(glmat, "enumerate_gl_order", lambda n, ctx: 49)
         with pytest.raises(GLTableError, match=r"48 matrices .* not \|GL_2\| = 49"):
-            gl_mask.__wrapped__(q3, 2)
+            gl_mask(q3, 2)
 
     def test_inverse_against_its_matrix(self, q3):
         # det [1] = 2 makes no cofactor vector zero or nonzero that was not,
@@ -381,16 +381,15 @@ class TestGLTables:
 
 def coset_table_or_typed_error(ctx, n, bad):
     """hc._coset_table of degree n, uncached, with the degree-(n-1)
-    determinant table replaced by bad and GL's mask uncached: it must raise
-    a typed error (None is returned) or give the oracle's representatives,
-    inverses and sizes (the table is)."""
+    determinant table replaced by bad: it must raise a typed error (None is
+    returned) or give the oracle's representatives, inverses and sizes (the
+    table is)."""
     want = hc_oracle.coset_table(ctx, n)
     real = glmat.determinants
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(glmat, "determinants",
-                       lambda ctx, k: bad if k == n - 1 else real.__wrapped__(ctx, k))
-            mp.setattr(glmat, "gl_mask", gl_mask.__wrapped__)
+                       lambda ctx, k: bad if k == n - 1 else real(ctx, k))
             got = hc._coset_table.__wrapped__(ctx, n)
     except (GLTableError, OrbitCountError, SingularMatrixError):
         return None

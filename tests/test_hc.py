@@ -246,6 +246,26 @@ class TestCosetCount:
         assert len(g) == len(gi) == 35  # the 2-dim subspaces of F_2^4
         assert len(stacks) == 1 and stacks[0]() is None
 
+    def test_gl_tables_freed_once_the_cosets_are_counted(self, monkeypatch, q2):
+        # the 2^16 determinants and the mask of degree 4 are read once, by
+        # gl_arrays, and go with the GL stack
+        tables = {}
+
+        def recorded(build):
+            def wrapper(ctx, n):
+                out = build(ctx, n)
+                if n == 4:
+                    tables[build.__name__] = weakref.ref(out)
+                return out
+            return wrapper
+
+        for name in ("determinants", "gl_mask"):
+            monkeypatch.setattr(glmat, name, recorded(getattr(glmat, name)))
+        hc._coset_table.cache_clear()
+        hc._coset_table(q2, 4)
+        assert sorted(tables) == ["determinants", "gl_mask"]
+        assert all(ref() is None for ref in tables.values())
+
     @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS for n in range(2, top + 1)])
     def test_coset_table_matches_oracle(self, q, n):
         # the first matrix of each coset in code order, its inverse and the
@@ -361,10 +381,11 @@ class TestParabolicIndependence:
                                            (2, 3, (1, 2)), (3, 2, (1, 1)),
                                            (2, 3, (1, 1, 1))])
     def test_upper_equals_lower(self, q, n, parts):
-        assert verify_parabolic_independence(fq(q), n, parts).passed
+        report = verify_parabolic_independence(fq(q), parts)
+        assert report.passed and report.params == {"n": n, "parts": list(parts)}
 
     def test_trivial(self, q2):
-        assert verify_parabolic_independence(q2, 2, (2,)).passed
+        assert verify_parabolic_independence(q2, (2,)).passed
 
     @pytest.mark.parametrize("q,n", [(q, n) for q, top in BUDGETS
                                      for n in range(top + 1)])
@@ -395,7 +416,7 @@ class TestParabolicIndependence:
             return x, den
 
         monkeypatch.setattr(hc, "restriction_matrix", corrupted)
-        report = verify_parabolic_independence(q2, 3, (1, 2))
+        report = verify_parabolic_independence(q2, (1, 2))
         assert report.witness == "restriction matrices differ"
 
     def test_changed_coset_count_fails(self, monkeypatch, q2):
@@ -411,7 +432,7 @@ class TestParabolicIndependence:
 
         monkeypatch.setattr(hc, "_coset_count", corrupted)
         monkeypatch.setattr(hc, "induction_matrix", hc.induction_matrix.__wrapped__)
-        report = verify_parabolic_independence(q2, 3, (2, 1))
+        report = verify_parabolic_independence(q2, (2, 1))
         assert report.witness == "induction matrices differ"
 
 

@@ -11,16 +11,19 @@ lookup budget, with its wall time and peak RSS: it must list q^3 + q^2 + q
 constant-one functions of degrees 2 and 1, built from the cold listings
 `glnq orbits --q 4 --n 2|1 --format json`, with its wall time and peak RSS,
 compared byte for byte with tests/data/induce_q4_2+1.json: past the lookup
-(4^9 > LOOKUP_BUDGET) it counts the cosets of GL_3(F_4).  Last, one cold
+(4^9 > LOOKUP_BUDGET) it counts the cosets of GL_3(F_4).  Then one cold
 `glnq steinberg --q 4 --n 3 --budget`, with its wall time: the degree-3
 restrictions need the orbit lookup, which 4^9 > LOOKUP_BUDGET leaves
 unbuilt, so it must print nothing and end in one stderr line and exit 2.
+Last, one cold `glnq verify --q 2 --max-n 1 --output <tmp>/missing/x.json`,
+with its wall time: the directory does not exist, so it must end the same
+way and create no file.
 
 Run from the repository root: python scripts/cold_verify.py
 Each report is left in verify_q<Q>.out, verify_mackey_all_q<Q>.out,
 orbits_q<Q>_n<N>.out or induce_q4_2+1.out; the exit status is 1 if a run
 fails, a report differs from its reference, the orbit listing is wrong or
-the steinberg run does not stop as above.
+the steinberg or --output run does not stop as above.
 """
 import compileall
 import filecmp
@@ -103,12 +106,23 @@ with tempfile.TemporaryDirectory() as tmp:
             if not filecmp.cmp(f"{name}.out", f"tests/data/{name}.json", shallow=False):
                 failed.append(f"{label} differs from tests/data/{name}.json")
 
-label = "steinberg --q 4 --n 3 --budget"
-start = time.perf_counter()
-done = subprocess.run([sys.executable, "-m", "glnq.cli", *label.split()], capture_output=True,
-                      text=True, env=dict(os.environ, PYTHONPATH="src"))
-print(f"{label}: wall {time.perf_counter() - start:.2f} s, exit {done.returncode}, "
-      f"stderr {done.stderr.strip()!r}")
-if done.returncode != 2 or done.stdout or done.stderr.count("\n") != 1:
-    failed.append(f"{label} exited with {done.returncode}, not 2 with one stderr line")
+def exit_2_run(argv):
+    """Run glnq with argv in a cold process, which must print nothing and
+    end in one stderr line and exit 2; print its wall time and stderr."""
+    label = " ".join(argv)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "glnq.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH="src"))
+    print(f"{label}: wall {time.perf_counter() - start:.2f} s, exit {done.returncode}, "
+          f"stderr {done.stderr.strip()!r}")
+    if done.returncode != 2 or done.stdout or done.stderr.count("\n") != 1:
+        failed.append(f"{label} exited with {done.returncode}, not 2 with one stderr line")
+
+
+exit_2_run("steinberg --q 4 --n 3 --budget".split())
+with tempfile.TemporaryDirectory() as tmp:
+    target = os.path.join(tmp, "missing", "x.json")
+    exit_2_run(["verify", "--q", "2", "--max-n", "1", "--output", target])
+    if os.listdir(tmp):
+        failed.append(f"verify --output {target} left {os.listdir(tmp)} behind")
 sys.exit("\n".join(failed) or None)

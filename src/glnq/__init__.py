@@ -2,10 +2,10 @@
 adjoint orbits, Harish-Chandra induction/restriction, the graded Hopf algebra
 structure, the duality operation, and the positive self-adjoint axioms.
 """
-from .field import (ContextMismatchError, Cyclotomic, FqContext, FqElem,
-                    NotRationalError, SqrtRational, fq, rational_is_square)
+from .field import (ContextMismatchError, Cyclotomic, FqContext,
+                    NotRationalError, fq, rational_is_square)
 from .glmat import (Composition, Matrix, ShapeError, SingularMatrixError,
-                    compositions, conjugate)
+                    compositions)
 from .orbits import (OrbitLabel, OrbitTable, enumerate_orbits, orbit_of,
                      partitions, representative)
 from .invfun import (GradedElement, InvariantFunction, TensorFunction,

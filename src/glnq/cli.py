@@ -15,7 +15,7 @@ import numpy as np
 
 from . import duality as duality_mod
 from . import hopf, linalg, psh
-from .field import FqContext, fq, prime_power
+from .field import FqContext, fq, prime_power, rational_is_square
 from .glmat import Composition, ResourceBudgetError, compositions
 from .hc import (hc_induce, hc_restrict, verify_adjunction, verify_mackey,
                  verify_parabolic_independence, verify_transitivity)
@@ -103,9 +103,14 @@ def _load_function(path: str, ctx: FqContext, override: bool) -> InvariantFuncti
 
 def _emit(args, payload, text_lines):
     """Write the report piece by piece, never as one string, to --output or
-    else stdout; a report that fails to serialise leaves no --output file."""
+    else stdout; a report that fails to serialise leaves no --output file,
+    and an --output path that cannot be opened is a ConfigError naming it."""
     path = getattr(args, "output", None)
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        out = open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise ConfigError(f"--output {path}: {type(e).__name__}: {e.strerror}") from e
+    with out as fh:
         try:
             if args.format == "text":
                 fh.writelines(line + "\n" for line in text_lines)
@@ -218,10 +223,10 @@ def cmd_primitives(args):
 
 def cmd_witness(args):
     ctx = _context(args)
-    w = psh.nondescending_witness(ctx)
-    verdict = "irrational" if not w.is_rational() else "rational"
-    payload = {"q": ctx.q, "value_squared": str(w.square), "verdict": verdict}
-    _emit(args, payload, [f"value² = {w.square}", f"verdict: {verdict}"])
+    square = psh.nondescending_witness(ctx)
+    verdict = "rational" if rational_is_square(square) else "irrational"
+    payload = {"q": ctx.q, "value_squared": str(square), "verdict": verdict}
+    _emit(args, payload, [f"value² = {square}", f"verdict: {verdict}"])
     return 0 if verdict == "irrational" else 1
 
 

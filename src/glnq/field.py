@@ -1,9 +1,10 @@
 """Exact arithmetic: F_q (q = p^k) and polynomials over it, base-b digit
-codes, the cyclotomic field Q(zeta_p), and sign-times-square-root rationals.
+codes, and the cyclotomic field Q(zeta_p).
 
 No floating point anywhere; an element of Q(zeta_p) is p - 1 integer
 numerators over one denominator, other rationals are fractions.Fraction, and
-field elements are canonical indices into precomputed arithmetic tables.
+an element of F_q is its canonical index into the context's arithmetic
+tables, read one at a time or over whole index arrays.
 """
 from __future__ import annotations
 
@@ -215,32 +216,6 @@ class FqContext:
             e >>= 1
         return r
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, v) -> "FqElem":
-        if isinstance(v, FqElem):
-            if v.ctx != self:
-                raise ContextMismatchError("element from another context")
-            return v
-        return FqElem(self, int(v) % self.q if self.k == 1 else int(v))
-
-    def from_coeffs(self, coeffs) -> "FqElem":
-        """The element sum_i c_i t^i, reduced modulo the defining polynomial."""
-        rem = poly_divmod(FqContext.get(self.p), [c % self.p for c in coeffs],
-                          self.modulus)[1]
-        return FqElem(self, int(undigits(rem + (0,) * (self.k - len(rem)), self.p)))
-
-    @property
-    def zero(self):
-        return FqElem(self, 0)
-
-    @property
-    def one(self):
-        return FqElem(self, 1)
-
-    def elements(self):
-        return (FqElem(self, v) for v in range(self.q))
-
     def generator_index(self) -> int:
         """Index of a multiplicative generator of F_q*."""
         for a in range(1, self.q):
@@ -298,77 +273,6 @@ def prime_power(q: int):
 def fq(q: int) -> FqContext:
     """Context for F_q, factoring q = p^k automatically."""
     return FqContext.get(*prime_power(q))
-
-
-class FqElem:
-    """An element of F_q, identified by its canonical index in the context."""
-
-    __slots__ = ("ctx", "v")
-
-    def __init__(self, ctx: FqContext, v: int):
-        if not 0 <= v < ctx.q:
-            raise ValueError(f"index {v} out of range for q={ctx.q}")
-        self.ctx = ctx
-        self.v = v
-
-    @property
-    def coeffs(self):
-        return self.ctx._coeffs[self.v]
-
-    def _check(self, other):
-        if not isinstance(other, FqElem):
-            other = self.ctx.element(other)
-        if other.ctx != self.ctx:
-            raise ContextMismatchError("mixed field contexts")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FqElem(self.ctx, int(self.ctx.ADD[self.v, other.v]))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FqElem(self.ctx, int(self.ctx.SUB[self.v, other.v]))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FqElem(self.ctx, int(self.ctx.MUL[self.v, other.v]))
-
-    def __neg__(self):
-        return FqElem(self.ctx, int(self.ctx.NEG[self.v]))
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FqElem(self.ctx, self.ctx._pow_idx(self.v, e))
-
-    def inverse(self) -> "FqElem":
-        if self.v == 0:
-            raise ZeroDivisionError("inverse of zero in F_q")
-        return FqElem(self.ctx, int(self.ctx.INV[self.v]))
-
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
-    def trace(self) -> int:
-        """Absolute trace down to the prime field, as a residue mod p."""
-        return int(self.ctx.TR[self.v])
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.element(other)
-        return isinstance(other, FqElem) and other.ctx == self.ctx and other.v == self.v
-
-    def __hash__(self):
-        return hash((self.ctx, self.v))
-
-    def __repr__(self):
-        if self.ctx.k == 1:
-            return str(self.v)
-        return "+".join(f"{c}t^{i}" for i, c in enumerate(self.coeffs) if c) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -534,63 +438,3 @@ def rational_is_square(r: Fraction) -> bool:
         return False
     return (math.isqrt(r.numerator) ** 2 == r.numerator
             and math.isqrt(r.denominator) ** 2 == r.denominator)
-
-
-class SqrtRational:
-    """The real number sign * sqrt(square), with exact comparisons."""
-
-    __slots__ = ("sign", "square")
-
-    def __init__(self, sign: int, square):
-        square = Fraction(square)
-        if sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or +1")
-        if square < 0:
-            raise ValueError("square must be nonnegative")
-        if (sign == 0) != (square == 0):
-            raise ValueError("sign is 0 iff square is 0")
-        self.sign = sign
-        self.square = square
-
-    @classmethod
-    def from_rational(cls, r) -> "SqrtRational":
-        r = Fraction(r)
-        if r == 0:
-            return cls(0, 0)
-        return cls(1 if r > 0 else -1, r * r)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SqrtRational.from_rational(other)
-        s = self.sign * other.sign
-        return SqrtRational(s, self.square * other.square if s else 0)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SqrtRational(-self.sign, self.square)
-
-    def is_rational(self) -> bool:
-        return self.sign == 0 or rational_is_square(self.square)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise NotRationalError(f"{self!r} is irrational")
-        sq = Fraction(math.isqrt(self.square.numerator),
-                      math.isqrt(self.square.denominator))
-        return self.sign * sq
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SqrtRational.from_rational(other)
-        return (isinstance(other, SqrtRational)
-                and (self.sign, self.square) == (other.sign, other.square))
-
-    def __hash__(self):  # a rational value hashes as the Fraction it equals
-        return hash(self.as_rational() if self.is_rational() else (self.sign, self.square))
-
-    def __repr__(self):
-        if self.sign == 0:
-            return "0"
-        pre = "-" if self.sign < 0 else ""
-        return f"{pre}sqrt({self.square})"

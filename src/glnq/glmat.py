@@ -1,9 +1,11 @@
 """Matrices over F_q, block/parabolic combinatorics, and GL enumeration.
 
-Matrices are stored as numpy grids of canonical field-element indices; all
-arithmetic goes through the context's tables (products through MULMAT, the
-regular representation over F_p), so the same code path serves prime fields
-and extensions.
+Matrices are numpy grids of canonical field-element indices, and stacks of
+them are computed on whole: products (batch_matmul, through MULMAT, the
+regular representation over F_p), row reduction and inverses go through the
+context's tables, so the same code path serves prime fields and extensions.
+A single Matrix is a validated, serialisable value (an orbit representative,
+or a point a function is evaluated at) with no arithmetic of its own.
 
 The kernels over all q^(n^2) matrices read row codes instead of grids: the
 code of a matrix is sum_i R_i Q^i with Q = q^n and R_i = sum_j a_ij q^j the
@@ -21,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .field import ContextMismatchError, FqContext, FqElem, digits, undigits
+from .field import FqContext, digits, undigits
 
 
 class ShapeError(ValueError):
@@ -105,17 +107,14 @@ def sub_mul(ctx, x, f, y):
 
 
 def row_reduce(ctx, a):
-    """Reduced row echelon forms, ranks and, for a square stack, determinants
-    of a stack of matrices, a: (m, r, c).
+    """Reduced row echelon forms and ranks of a stack of matrices, a: (m, r, c).
 
     One Gauss-Jordan sweep over the whole stack: at each column every matrix
     with a nonzero entry at or below its next pivot row swaps the first such
     row up, scales it to 1 and clears the column in its other rows, all
     through the field tables; a matrix with no such entry is left as it is.
     The sweep stops once every rank is r.  A writeable int16 stack is reduced
-    in place and returned as the forms.  A determinant is the product of the
-    pivots, negated once per row swap, and 0 once a column has no pivot; a
-    stack that is not square has None for determinants.
+    in place and returned as the forms.
     """
     a = np.asarray(a, dtype=np.int16)
     if not a.flags.writeable:
@@ -123,7 +122,6 @@ def row_reduce(ctx, a):
     m, r, c = a.shape
     stack, rows = np.arange(m), np.arange(r)
     ranks = np.zeros(m, dtype=np.intp)
-    dets = np.ones(m, dtype=np.int16)
     for col in range(c):
         if (ranks == r).all():
             break
@@ -135,15 +133,13 @@ def row_reduce(ctx, a):
         piv = np.where(has, cand.argmax(axis=1), top)
         row = a[stack, piv, col:]
         a[stack, piv, col:] = a[stack, top, col:]
-        dets = ctx.MUL[dets, np.where(has, row[:, 0], 0)]
-        dets = np.where(piv != top, ctx.NEG[dets], dets)
         row = ctx.MUL[np.where(has, ctx.INV[row[:, 0]], 1)[:, None], row]
         a[stack, top, col:] = row
         factor = np.where(has[:, None], a[:, :, col], 0)
         factor[stack, top] = 0
         a[:, :, col:] = sub_mul(ctx, a[:, :, col:], factor[:, :, None], row[:, None])
         ranks += has
-    return a, ranks, dets if r == c else None
+    return a, ranks
 
 
 def batch_inverse(ctx, a):
@@ -161,7 +157,8 @@ def batch_inverse(ctx, a):
 
 
 class Matrix:
-    """A square matrix over one F_q context."""
+    """A square matrix over one F_q context: its entries' indices, checked
+    in range, in a read-only int16 grid."""
 
     __slots__ = ("ctx", "n", "a")
 
@@ -181,58 +178,6 @@ class Matrix:
     def zero(cls, ctx, n):
         return cls(ctx, np.zeros((n, n), dtype=np.int16))
 
-    @classmethod
-    def identity(cls, ctx, n):
-        return cls(ctx, np.eye(n, dtype=np.int16))
-
-    @classmethod
-    def from_rows(cls, ctx, rows):
-        grid = [[ctx.element(e).v for e in row] for row in rows]
-        return cls(ctx, np.array(grid, dtype=np.int16).reshape(len(grid), len(grid)))
-
-    def _check(self, other):
-        if not isinstance(other, Matrix):
-            raise TypeError("expected a Matrix")
-        if other.ctx != self.ctx:
-            raise ContextMismatchError("mixed field contexts")
-        if other.n != self.n:
-            raise ShapeError(f"size mismatch {self.n} vs {other.n}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return Matrix(self.ctx, self.ctx.ADD[self.a, other.a])
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return Matrix(self.ctx, self.ctx.SUB[self.a, other.a])
-
-    def __neg__(self):
-        return Matrix(self.ctx, self.ctx.NEG[self.a])
-
-    def __matmul__(self, other):
-        other = self._check(other)
-        return Matrix(self.ctx, batch_matmul(self.ctx, self.a, other.a))
-
-    def __getitem__(self, ij) -> FqElem:
-        i, j = ij
-        return FqElem(self.ctx, int(self.a[i, j]))
-
-    def trace(self) -> FqElem:
-        acc = 0
-        for i in range(self.n):
-            acc = int(self.ctx.ADD[acc, self.a[i, i]])
-        return FqElem(self.ctx, acc)
-
-    def det(self) -> FqElem:
-        return FqElem(self.ctx, int(row_reduce(self.ctx, self.a[None])[2][0]))
-
-    def rank(self) -> int:
-        return int(row_reduce(self.ctx, self.a[None])[1][0])
-
-    def inverse(self) -> "Matrix":
-        return Matrix(self.ctx, batch_inverse(self.ctx, self.a[None])[0])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.ctx == self.ctx
                 and other.n == self.n and np.array_equal(other.a, self.a))
@@ -240,7 +185,8 @@ class Matrix:
     def __hash__(self):
         return hash((self.ctx, self.n, self.a.tobytes()))
 
-    # row-major; entries in FqElem coefficient serialization, rows ';'-separated
+    # row-major; each entry its k polynomial-basis coordinates comma-joined,
+    # entries space-separated, rows ';'-separated
     def serialize(self) -> str:
         def ser(v):
             return ",".join(str(c) for c in self.ctx._coeffs[v])
@@ -264,11 +210,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ctx.serialize()}, {self.a.tolist()})"
-
-
-def conjugate(g: Matrix, x: Matrix) -> Matrix:
-    """The adjoint action g x g^-1."""
-    return g @ x @ g.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +309,13 @@ def encode_matrices(ctx, a) -> np.ndarray:
     return undigits(a.reshape(a.shape[:-2] + (n * n,)), ctx.q)
 
 
-@lru_cache(maxsize=None)
 def row_codes(ctx: FqContext, n: int):
     """The row codes of all_matrices(ctx, n), shape (n, q^(n^2)), in the
     smallest dtype that holds Q - 1, Q = q^n: the matrix of code
-    sum_i R_i Q^i has row i of code R_i = sum_j a_ij q^j, at [i, code]."""
+    sum_i R_i Q^i has row i of code R_i = sum_j a_ij q^j, at [i, code].
+    Built anew on every call, not cached: its readers are cached themselves
+    (orbits._move_codes, invfun.character_matrix) or run once per degree
+    (determinants, under gl_mask), and keep only what they derive from it."""
     total, Q = _matrix_count(ctx, n), ctx.q ** n
     codes = np.arange(total, dtype=np.min_scalar_type(total - 1))
     out = np.ascontiguousarray(digits(codes, Q, n).T)  # digits hold Q - 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .duality import duality_operator, steinberg_constituents
-from .field import FqContext, SqrtRational, rational_is_square
+from .field import FqContext, rational_is_square
 from .hc import hc_restrict  # noqa: F401  (a binding the perfbench tracer checks)
 from .hc import induction_matrix, restriction_matrix
 from .hopf import multiply_functions
@@ -141,10 +141,11 @@ def verify_self_adjointness(ctx: FqContext, n1: int, n2: int) -> Report:
     return Report("psh-self-adjoint", {"q": str(ctx.q), "n1": str(n1), "n2": str(n2)}, witness)
 
 
-def nondescending_witness(ctx: FqContext) -> SqrtRational:
-    """The structure constant (m(f x f), h) for the unit-normalized constant
-    functions f in degree 1 and h in degree 2.  Its square is (q+1)/q, which is
-    never a rational square, so no rescaled integral form exists."""
+def nondescending_witness(ctx: FqContext) -> Fraction:
+    """The square of the structure constant (m(f x f), h) for the
+    unit-normalized constant functions f in degree 1 and h in degree 2, a
+    positive number.  The square is (q+1)/q, checked, which is never a
+    rational square, so no rescaled integral form exists."""
     one1 = constant_one(enumerate_orbits(1, ctx))
     one2 = constant_one(enumerate_orbits(2, ctx))
     c = inner_product_rational(multiply_functions(one1, one1), one2)
@@ -152,7 +153,7 @@ def nondescending_witness(ctx: FqContext) -> SqrtRational:
     square = c * c / (n1 * n1 * n2)
     if square != Fraction(ctx.q + 1, ctx.q) or rational_is_square(square):
         raise ArithmeticError(f"witness square {square} is not (q+1)/q, a non-square")
-    return SqrtRational(1, square)
+    return square
 
 
 def verify_nondescending(ctx: FqContext) -> Report:

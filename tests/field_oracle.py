@@ -1,5 +1,6 @@
 """Reference constructions kept as oracles for glnq.field: the F_q
-arithmetic tables FqContext is tested against, and FractionCyclotomic, the
+arithmetic tables FqContext is tested against, from_coeffs, the index of a
+polynomial in t reduced mod a context's modulus, and FractionCyclotomic, the
 one-Fraction-per-coordinate form of Q(zeta_p) that Cyclotomic is tested
 against.
 
@@ -62,6 +63,15 @@ def _p_irreducible(m, p):
             if not _p_mod(m, g, p):
                 return False
     return True
+
+
+def from_coeffs(ctx, coeffs):
+    """The index in ctx of sum_i c_i t^i (integer c_i, read mod p), reduced
+    modulo ctx.modulus by polynomial division over F_p: a route to an
+    element that reads none of ctx's tables."""
+    p = ctx.p
+    rem = _p_mod(_p_trim([c % p for c in coeffs]), ctx.modulus, p)
+    return sum(c * p ** i for i, c in enumerate(rem))
 
 
 def default_modulus(p, k):

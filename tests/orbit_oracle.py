@@ -14,12 +14,13 @@ its inverse as full matrix products, the move table conjugates the digit
 grids of all matrices by each of its generators as table products, |C(x)|
 is counted by enumerating the commutant algebra of x, |P| is counted by
 testing the block shape of every invertible matrix, and every matrix of GL_n
-is inverted by its adjugate.  The tests use them as
-witnesses that the integer matmul over F_p, the stack-wide row reduction and the
-determinants it reads off its pivots, the labels read from one stack of
-kernel ranks, the move-table sweep and partition, the row-code move table,
-the closed form |C(x)| = prod_f a_lam(f)(q^deg f), the closed form
-|P| = |L| q^dim U and batch_inverse give the same results.
+is inverted by its adjugate.  The tests use them as witnesses that the
+integer matmul over F_p, the stack-wide row reduction, the Laplace
+determinant table, the labels read from one stack of kernel ranks, the
+move-table sweep and partition, the row-code move table, the closed form
+|C(x)| = prod_f a_lam(f)(q^deg f), the closed form |P| = |L| q^dim U and
+batch_inverse give the same results.  conjugate, the adjoint action on one
+matrix through the stack kernels, serves the conjugation-invariance tests.
 """
 from functools import lru_cache
 
@@ -28,8 +29,8 @@ import numpy as np
 from glnq.cli import default_max_n
 from glnq.field import irreducibles, poly_divmod, poly_mul, poly_trim
 from glnq.glmat import (GLTableError, Matrix, SingularMatrixError, _shape_mask,
-                        ShapeError, all_matrices, batch_matmul, encode_matrices,
-                        gl_arrays, gl_mask)
+                        ShapeError, all_matrices, batch_inverse, batch_matmul,
+                        encode_matrices, gl_arrays, gl_mask)
 from glnq.orbits import OrbitCountError, OrbitLabel
 
 # every supported field (the prime powers q <= 19) at every degree of its
@@ -141,6 +142,14 @@ def adjugate_gl_arrays(ctx, n):
                            "does not invert it")
     Ginv.setflags(write=False)
     return G, Ginv
+
+
+def conjugate(g: Matrix, x: Matrix) -> Matrix:
+    """The adjoint action g x g^-1 on one matrix, through the stack kernels
+    batch_matmul and batch_inverse."""
+    ctx = g.ctx
+    gi = batch_inverse(ctx, g.a[None])[0]
+    return Matrix(ctx, batch_matmul(ctx, batch_matmul(ctx, g.a, x.a), gi))
 
 
 def _poly_add(ctx, a, b):

@@ -12,7 +12,7 @@ import numpy as np
 
 from glnq import linalg
 from glnq.duality import duality_operator, steinberg_constituents
-from glnq.field import FqContext, SqrtRational
+from glnq.field import FqContext
 from glnq.hc import hc_restrict
 from glnq.hopf import multiply_functions
 from glnq.invfun import (TensorFunction, fourier_character_basis,
@@ -45,7 +45,8 @@ def as_pair(constants):
 
 def structure_constants(ctx: FqContext, n1: int, n2: int, basis: str = "character"):
     """c[i][j][k] in the character basis, or with basis="omega" the same
-    constants for the unit-normalized basis, as SqrtRationals."""
+    constants for the unit-normalized basis, each as the pair (sign, square)
+    of the real number sign * sqrt(square)."""
     chars1, chars2, chars3 = (characters(ctx, n) for n in (n1, n2, n1 + n2))
     norms1, norms2, norms3 = (norms(ctx, n) for n in (n1, n2, n1 + n2))
     out = []
@@ -59,9 +60,8 @@ def structure_constants(ctx: FqContext, n1: int, n2: int, basis: str = "characte
                 if basis == "character":
                     entry.append(c)
                 else:
-                    entry.append(SqrtRational(
-                        (c > 0) - (c < 0),
-                        c * c * norms3[k] / (norms1[i] * norms2[j])))
+                    entry.append(((c > 0) - (c < 0),
+                                  c * c * norms3[k] / (norms1[i] * norms2[j])))
             row.append(entry)
         out.append(row)
     return out

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, formats, budgets, exit codes."""
+import errno
 import json
 import os
 import resource
@@ -22,7 +23,20 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+
+
 class TestWitness:
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_byte_for_byte(self, capsys, q):
+        # value² = (q+1)/q, in lowest terms, never a rational square
+        square = f"{q + 1}/{q}"
+        assert run(capsys, "witness", "--q", str(q)) == (
+            0, f"value² = {square}\nverdict: irrational\n", "")
+        assert run(capsys, "witness", "--q", str(q), "--format", "json") == (
+            0, f'{{\n "q": {q},\n "value_squared": "{square}",\n'
+               f' "verdict": "irrational"\n}}\n', "")
+
     def test_q2(self, capsys):
         code, out, _ = run(capsys, "witness", "--q", "2")
         assert code == 0
@@ -370,6 +384,21 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: enumeration needs 262144 > budget 131072\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["orbits", "--q", "2", "--n", "1"], ["verify", "--q", "2", "--max-n", "1"],
+    ], ids=["orbits", "verify"])
+    @pytest.mark.parametrize("target,error,errnum", [
+        ("missing/x.json", "FileNotFoundError", errno.ENOENT),
+        (".", "IsADirectoryError", errno.EISDIR)])
+    def test_output_path_that_cannot_be_opened(self, capsys, tmp_path, argv, target,
+                                               error, errnum):
+        # ended in a traceback and exit 1, verify's code for a failed check
+        path = tmp_path / target
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: --output {path}: {error}: {os.strerror(errnum)}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_composition_degree_mismatch(self, capsys, tmp_path):
         from glnq.field import fq
